@@ -1,9 +1,8 @@
 //! Open-loop sustained-traffic service run + CI latency-regression gate.
 //!
 //! Drives the seed-pinned traffic schedule (`experiments::traffic`)
-//! through four deployment lanes — `sim-sgx` classic, `sim-sgx`
-//! switchless (thread-per-worker), `passthrough` classic, and
-//! `sim-sgx` under the work-stealing scheduler — and emits a
+//! through three deployment lanes — `sim-sgx` classic, `sim-sgx`
+//! switchless (thread-per-worker) and `passthrough` classic — and emits a
 //! `montsalvat.traffic/v1` JSON report with per-lane p50/p95/p99
 //! model-time latency, throughput, crossing reconciliation and the
 //! provider comparison. With a committed baseline
@@ -20,11 +19,9 @@
 //!
 //! Self-checking regardless of flags: all lanes must compute identical
 //! response checksums, the passthrough lane must charge strictly less
-//! model time than sim-sgx with zero enclave transitions, and both the
-//! switchless and scheduler lanes' crossings must reconcile
-//! (`rmi.calls == hits + fallbacks`). `MONTSALVAT_TRAFFIC_INFLIGHT`
-//! widens the open-loop replay depth (default 1 matches the committed
-//! baseline).
+//! model time than sim-sgx with zero enclave transitions, and the
+//! switchless lane's crossings must reconcile
+//! (`rmi.calls == hits + fallbacks`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -176,7 +173,7 @@ fn lane_json(lane: &LaneResult) -> String {
     write!(
         out,
         "    {{\n      \"name\": \"{name}\", \"provider\": \"{provider}\", \
-         \"switchless\": {switchless}, \"scheduler\": {scheduler},\n      \"requests\": {requests}, \
+         \"switchless\": {switchless},\n      \"requests\": {requests}, \
          \"hits\": {hits}, \"misses\": {misses}, \"puts\": {puts},\n      \
          \"checksum\": \"{checksum:#018x}\",\n      \
          \"latency_ns\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \
@@ -189,7 +186,6 @@ fn lane_json(lane: &LaneResult) -> String {
         name = lane.spec.name,
         provider = lane.spec.provider,
         switchless = lane.spec.switchless,
-        scheduler = lane.spec.scheduler,
         requests = lane.latencies_ns.len(),
         hits = lane.hits,
         misses = lane.misses,
@@ -286,7 +282,7 @@ fn main() {
         Scale::Quick => "quick",
         Scale::Full => "full",
     };
-    let cfg = TrafficConfig::for_scale(scale).with_env_inflight();
+    let cfg = TrafficConfig::for_scale(scale);
     println!(
         "traffic: {} requests, {} keys (zipf {}), mean gap {} ns, burst x{}, {}% reads \
          (open loop, model time)",
@@ -349,12 +345,6 @@ fn main() {
         switchless_lane.rmi_calls(),
         switchless_lane.switchless_hits() + switchless_lane.switchless_fallbacks(),
         "switchless crossings must reconcile: every call is a hit or a fallback"
-    );
-    let sched_lane = lanes.iter().find(|l| l.spec.scheduler).expect("scheduler lane ran");
-    assert_eq!(
-        sched_lane.rmi_calls(),
-        sched_lane.switchless_hits() + sched_lane.switchless_fallbacks(),
-        "scheduler crossings must reconcile: every call is a hit or a fallback"
     );
     println!(
         "ok: checksums match ({:#018x}), passthrough {:.3} ms < sim-sgx {:.3} ms with 0 \

@@ -18,7 +18,6 @@
 //! | [`spec`] | Fig. 12, Table 1 (SPECjvm2008) |
 //! | [`tuning`] | Switchless-tuner policy comparison (`switchless_tuning`) |
 //! | [`traffic`] | Open-loop sustained-traffic harness (`traffic_service`) |
-//! | [`scheduler`] | Work-stealing scheduler ablation (`scheduler_ablation`) |
 //!
 //! Pass `--quick` to any binary for a shrunk run.
 
@@ -28,7 +27,6 @@ pub mod micro;
 pub mod paldb;
 pub mod progs;
 pub mod report;
-pub mod scheduler;
 pub mod spec;
 pub mod synthetic;
 pub mod traffic;

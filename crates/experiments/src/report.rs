@@ -226,11 +226,8 @@ pub fn maybe_export_trace() {
     let Some(path) = trace_out_from_args() else { return };
     let tracer = telemetry::trace::Tracer::global();
     let aggregate = telemetry::aggregate();
-    let json = tracer.to_chrome_json(&[
-        ("rmi_calls", aggregate.counter(telemetry::Counter::RmiCalls)),
-        ("sched_steals", aggregate.counter(telemetry::Counter::SchedSteals)),
-        ("sched_timeouts", aggregate.counter(telemetry::Counter::SchedTimeouts)),
-    ]);
+    let json =
+        tracer.to_chrome_json(&[("rmi_calls", aggregate.counter(telemetry::Counter::RmiCalls))]);
     match std::fs::write(&path, json) {
         Ok(()) => println!(
             "trace ({schema}): {p} — {n} events, {d} dropped; load in Perfetto or run \

@@ -29,27 +29,22 @@
 //! (`traffic.request_latency_ns`, `traffic.service_ns`) and exactly in
 //! [`LaneResult::latencies_ns`] for precise percentiles.
 //!
-//! Four deployment lanes ([`lanes`]) run the identical schedule —
-//! `sim-sgx` classic, `sim-sgx` switchless (thread-per-worker pool),
-//! `passthrough` classic, and `sim-sgx` under the work-stealing
-//! scheduler (see [`montsalvat_core::provider`]) — so one run compares
-//! what SGX costs, what the switchless engine buys back, what the
-//! partitioning machinery costs by itself, and what task scheduling
-//! changes at depth. [`TrafficConfig::max_inflight`] widens the virtual
-//! replay from one server to `c` (`MONTSALVAT_TRAFFIC_INFLIGHT`); the
-//! default of 1 keeps every historical lane byte-identical. The
+//! Three deployment lanes ([`lanes`]) run the identical schedule —
+//! `sim-sgx` classic, `sim-sgx` switchless (thread-per-worker pool) and
+//! `passthrough` classic (see [`montsalvat_core::provider`]) — so one
+//! run compares what SGX costs, what the switchless engine buys back
+//! and what the partitioning machinery costs by itself. The
 //! `traffic_service` binary turns the results into the
 //! `montsalvat.traffic/v1` report that CI gates against
 //! `results/traffic_baseline.json` (`docs/DEPLOYMENT.md`).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use montsalvat_core::class::{ClassDef, MethodDef, MethodKind, MethodRef, Program, CTOR};
 use montsalvat_core::error::VmError;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat_core::exec::switchless::{SchedulerConfig, SwitchlessConfig};
+use montsalvat_core::exec::switchless::SwitchlessConfig;
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::transform::transform;
 use montsalvat_core::{ProviderKind, Trust};
@@ -106,14 +101,6 @@ pub struct TrafficConfig {
     /// time-series. `None` for measurement runs — the CI latency
     /// baseline assumes no churn.
     pub gc_churn: Option<GcChurn>,
-    /// Virtual servers in the open-loop replay: request `i` starts at
-    /// `max(arrival_i, earliest-free-server)` over `max_inflight`
-    /// servers, so depths above 1 let bursts overlap instead of
-    /// serialising behind one completion chain. The default of 1 is
-    /// the historical single-server replay and keeps the gated lanes
-    /// byte-identical. Env override: `MONTSALVAT_TRAFFIC_INFLIGHT`
-    /// (see [`TrafficConfig::with_env_inflight`]).
-    pub max_inflight: usize,
 }
 
 /// A deterministic injected GC stall (see [`TrafficConfig::inject_gc`]).
@@ -155,7 +142,6 @@ impl TrafficConfig {
             inject_gc: None,
             collector: None,
             gc_churn: None,
-            max_inflight: 1,
         }
     }
 
@@ -176,20 +162,6 @@ impl TrafficConfig {
             Scale::Quick => Self::quick(),
             Scale::Full => Self::full(),
         }
-    }
-
-    /// Applies the `MONTSALVAT_TRAFFIC_INFLIGHT` env override to
-    /// [`TrafficConfig::max_inflight`] (clamped to ≥ 1). Unset or
-    /// unparsable values leave the config untouched, so seed-pinned CI
-    /// runs stay on the byte-identical single-server replay.
-    #[must_use]
-    pub fn with_env_inflight(mut self) -> Self {
-        if let Ok(raw) = std::env::var("MONTSALVAT_TRAFFIC_INFLIGHT") {
-            if let Ok(depth) = raw.trim().parse::<usize>() {
-                self.max_inflight = depth.max(1);
-            }
-        }
-        self
     }
 }
 
@@ -319,43 +291,22 @@ pub struct LaneSpec {
     pub provider: ProviderKind,
     /// Whether the adaptive switchless engine serves the crossings.
     pub switchless: bool,
-    /// Whether the switchless engine runs the work-stealing task
-    /// scheduler instead of the thread-per-worker pool (implies
-    /// `switchless`).
-    pub scheduler: bool,
 }
 
-/// The four lanes every traffic run compares. The first —
+/// The three lanes every traffic run compares. The first —
 /// `sim-sgx-classic` — is the deterministic lane the latency baseline
-/// gates on; the switchless and scheduler lanes use real executor
-/// threads, so their latencies wobble with host scheduling and only
-/// their crossing *accounting* is gated; the passthrough lane is the
-/// zero-SGX control. Lane order is stable — existing gates index it.
-pub fn lanes() -> [LaneSpec; 4] {
+/// gates on; the switchless lane uses real worker threads, so its
+/// latencies wobble with host scheduling and only its crossing
+/// *accounting* is gated; the passthrough lane is the zero-SGX
+/// control. Lane order is stable — existing gates index it.
+pub fn lanes() -> [LaneSpec; 3] {
     [
-        LaneSpec {
-            name: "sim-sgx-classic",
-            provider: ProviderKind::SimSgx,
-            switchless: false,
-            scheduler: false,
-        },
-        LaneSpec {
-            name: "sim-sgx-switchless",
-            provider: ProviderKind::SimSgx,
-            switchless: true,
-            scheduler: false,
-        },
+        LaneSpec { name: "sim-sgx-classic", provider: ProviderKind::SimSgx, switchless: false },
+        LaneSpec { name: "sim-sgx-switchless", provider: ProviderKind::SimSgx, switchless: true },
         LaneSpec {
             name: "passthrough-classic",
             provider: ProviderKind::PassThrough,
             switchless: false,
-            scheduler: false,
-        },
-        LaneSpec {
-            name: "sim-sgx-scheduler",
-            provider: ProviderKind::SimSgx,
-            switchless: true,
-            scheduler: true,
         },
     ]
 }
@@ -548,10 +499,7 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
         gc_helper_interval: None,
         clock_mode: ClockMode::Virtual,
         provider: Some(spec.provider),
-        switchless: spec.switchless.then(|| SwitchlessConfig {
-            scheduler: spec.scheduler.then(SchedulerConfig::default),
-            ..SwitchlessConfig::default()
-        }),
+        switchless: spec.switchless.then(SwitchlessConfig::default),
         telemetry: Some(Arc::clone(&recorder)),
         collector: cfg.collector,
         ..AppConfig::default()
@@ -566,12 +514,6 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
         let mut latencies = Vec::with_capacity(ops.len());
         let mut checksum = 0xCBF2_9CE4_8422_2325u64;
         let (mut hits, mut misses, mut puts) = (0u64, 0u64, 0u64);
-        // Virtual servers of the open-loop replay: each entry is the
-        // model time at which that server frees up. Depth 1 (the
-        // default) degenerates to the historical single completion
-        // chain, bit for bit.
-        let mut servers: BinaryHeap<Reverse<u64>> =
-            (0..cfg.max_inflight.max(1)).map(|_| Reverse(0u64)).collect();
         let mut horizon_ns = 0u64;
         let mut churn_events = 0usize;
         for (i, op) in ops.iter().enumerate() {
@@ -607,19 +549,15 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
             }
             let service_ns = (cost.charged().as_nanos() as u64).saturating_sub(before_ns);
             // Open-loop accounting on the virtual arrival timeline:
-            // the request starts when it has arrived *and* one of the
-            // `max_inflight` virtual servers is free.
-            let Reverse(free_ns) = servers.pop().expect("at least one virtual server");
-            let start_ns = free_ns.max(op.arrival_ns);
+            // the request starts when it has arrived *and* the previous
+            // request has completed.
+            let start_ns = horizon_ns.max(op.arrival_ns);
             let completion_ns = start_ns + service_ns;
-            servers.push(Reverse(completion_ns));
             let latency_ns = completion_ns - op.arrival_ns;
             // Advance the window clock *before* recording, so the
             // request's metrics — and the injected GC evidence — land
-            // in the window containing its completion. With several
-            // servers completions can land out of arrival order, so
-            // the clock follows the furthest completion seen.
-            horizon_ns = horizon_ns.max(completion_ns);
+            // in the window containing its completion.
+            horizon_ns = completion_ns;
             if let Some(flight) = flight_ref.as_mut() {
                 flight.tick(horizon_ns);
             }
@@ -781,32 +719,6 @@ mod tests {
         let latency_obs: u64 =
             series.windows.iter().map(|w| w.delta.hist(Hist::TrafficLatencyNs).count).sum();
         assert_eq!(latency_obs, cfg.requests as u64);
-    }
-
-    /// The in-flight-depth knob changes only the virtual replay, never
-    /// the computation: responses stay byte-identical, and letting
-    /// bursts overlap across more servers can only shed queueing delay.
-    #[test]
-    fn deeper_inflight_replay_keeps_responses_and_sheds_queueing() {
-        let shallow_cfg = tiny();
-        let deep_cfg = TrafficConfig { max_inflight: 8, ..tiny() };
-        let shallow = run_lane(lanes()[0], &shallow_cfg).expect("depth-1 lane runs");
-        let deep = run_lane(lanes()[0], &deep_cfg).expect("depth-8 lane runs");
-        assert_eq!(shallow.checksum, deep.checksum, "replay depth is invisible to responses");
-        assert_eq!(
-            (shallow.hits, shallow.misses, shallow.puts),
-            (deep.hits, deep.misses, deep.puts),
-            "hit/miss/put accounting is depth-independent"
-        );
-        assert!(
-            deep.latency.p95_ns <= shallow.latency.p95_ns
-                && deep.latency.p99_ns <= shallow.latency.p99_ns,
-            "8 servers must not queue worse than 1: p95 {} vs {}, p99 {} vs {}",
-            deep.latency.p95_ns,
-            shallow.latency.p95_ns,
-            deep.latency.p99_ns,
-            shallow.latency.p99_ns
-        );
     }
 
     #[test]

@@ -116,37 +116,6 @@ fn gated_lane_is_byte_identical_per_collector_and_checksums_agree_across_them() 
     assert_eq!(checksums[0], checksums[1], "response stream is collector-independent");
 }
 
-/// Seeded scheduler-lane runs are pinned on everything the real
-/// executor threads cannot wobble: response bytes, hit/miss/put
-/// accounting, and the crossing reconciliation invariant. (Latencies
-/// depend on host scheduling, so they are deliberately not pinned —
-/// same contract as the thread-per-worker switchless lane.)
-#[test]
-fn scheduler_lane_pins_checksums_and_reconciles_crossings() {
-    let cfg = tiny();
-    let sched = lanes()[3];
-    assert_eq!(sched.name, "sim-sgx-scheduler", "lane order pins the scheduler lane last");
-    assert!(sched.switchless && sched.scheduler, "the lane runs the work-stealing engine");
-    let a = run_lane(sched, &cfg).expect("first scheduler run");
-    let b = run_lane(sched, &cfg).expect("second scheduler run");
-    assert_eq!(a.checksum, b.checksum, "scheduler responses are seed-pinned");
-    assert_eq!(
-        (a.hits, a.misses, a.puts),
-        (b.hits, b.misses, b.puts),
-        "hit/miss/put accounting is seed-pinned"
-    );
-    let classic = run_lane(lanes()[0], &cfg).expect("classic lane runs");
-    assert_eq!(a.checksum, classic.checksum, "the scheduler changes cost, never results");
-    for (label, lane) in [("first", &a), ("second", &b)] {
-        assert_eq!(
-            lane.rmi_calls(),
-            lane.switchless_hits() + lane.switchless_fallbacks(),
-            "{label} run: every crossing is a hit or a fallback"
-        );
-        assert!(lane.switchless_hits() > 0, "{label} run: the scheduler served real crossings");
-    }
-}
-
 #[test]
 fn gc_gauges_and_counters_reconcile_with_flight_recorder_windows() {
     let cfg = churny(CollectorKind::Block);

@@ -203,7 +203,7 @@ pub struct AppShared {
     pub cost: Arc<CostModel>,
     trusted: Arc<World>,
     untrusted: Arc<World>,
-    pub(crate) switchless: parking_lot::Mutex<Option<crate::exec::switchless::SwitchlessEngine>>,
+    pub(crate) switchless: parking_lot::Mutex<Option<Arc<crate::exec::switchless::SwitchlessPool>>>,
     pub(crate) serde: SerdeState,
 }
 
@@ -444,10 +444,8 @@ impl PartitionedApp {
         });
         if let Some(sw_config) = &config.switchless {
             // MONTSALVAT_AUTOTUNE=1/0 attaches or detaches the
-            // trace-driven tuner, and MONTSALVAT_SCHEDULER=1/0 the
-            // work-stealing engine, without touching the config in
-            // code.
-            let sw_config = sw_config.clone().with_env_autotune().with_env_scheduler();
+            // trace-driven tuner without touching the config in code.
+            let sw_config = sw_config.clone().with_env_autotune();
             let serve_shared = Arc::clone(&shared);
             let serve = Arc::new(
                 move |side: Side,
@@ -459,12 +457,12 @@ impl PartitionedApp {
                     crate::exec::ctx::serve_relay(&serve_shared, &callee, class_name, relay, msg)
                 },
             );
-            let engine = crate::exec::switchless::SwitchlessEngine::launch(
+            let pool = crate::exec::switchless::SwitchlessPool::spawn(
                 &sw_config,
                 serve,
                 Arc::clone(&shared.cost),
             );
-            *shared.switchless.lock() = Some(engine);
+            *shared.switchless.lock() = Some(Arc::new(pool));
         }
 
         let mut helpers = Vec::new();
@@ -566,11 +564,10 @@ impl PartitionedApp {
         self.shared.world(side).stats.snapshot()
     }
 
-    /// Live worker/queue readings of the switchless engine (pool or
-    /// scheduler), or `None` when the application runs classic
-    /// crossings.
+    /// Live worker/queue readings of the switchless pool, or `None`
+    /// when the application runs classic crossings.
     pub fn switchless_stats(&self) -> Option<crate::exec::switchless::SwitchlessStats> {
-        self.shared.switchless.lock().as_ref().map(|engine| engine.stats())
+        self.shared.switchless.lock().as_ref().map(|pool| pool.stats())
     }
 
     /// Number of live mirrors registered in `side`'s registry.
@@ -595,8 +592,12 @@ impl PartitionedApp {
         for helper in self.helpers.drain(..) {
             helper.stop();
         }
-        if let Some(engine) = self.shared.switchless.lock().take() {
-            engine.shutdown();
+        // A handle still held by an in-flight crossing keeps the pool
+        // alive; its threads then exit once the mailboxes drop.
+        if let Some(pool) = self.shared.switchless.lock().take() {
+            if let Ok(pool) = Arc::try_unwrap(pool) {
+                pool.shutdown();
+            }
         }
         self.enclave.destroy();
         if self.owns_workdir {

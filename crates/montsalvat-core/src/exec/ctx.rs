@@ -45,7 +45,7 @@ use crate::class::{ClassRole, MethodBody, MethodDef, MethodKind, CTOR};
 use crate::error::VmError;
 use crate::exec::app::AppShared;
 use crate::exec::interp;
-use crate::exec::switchless::{self, PostOutcome};
+use crate::exec::switchless::PostOutcome;
 use crate::exec::world::{ClassInfo, IoFile, World};
 use crate::transform::{edge_routine_name, relay_name};
 
@@ -1048,32 +1048,23 @@ fn cross_call(
         };
 
         // Switchless mode (§7 future work): post to the opposite side's
-        // resident serving capacity — the thread-per-worker pool or the
-        // work-stealing task scheduler — instead of performing a
-        // hardware transition. The engine charges the hand-off on a hit
-        // (the serving side adds the wake, steal and batched boundary
-        // copies) or the failed-probe surcharge on a fallback (full
-        // mailbox/injector or a swept task timeout), which then pays
-        // the classic crossing on top. When this `post` runs *on a
-        // scheduler executor thread* — a nested crossing inside a serve
-        // task — the executor suspends the task and serves other tasks
-        // instead of blocking here.
-        let engine = app.switchless.lock().clone();
-        let ret_msg = if let Some(engine) = engine {
-            let outcome = engine.post(
-                trust,
-                class_name.to_owned(),
-                relay.to_owned(),
-                recv_hash,
-                msg.clone(),
-            )?;
+        // resident worker pool instead of performing a hardware
+        // transition. The pool charges the hand-off on a hit (the
+        // serving side adds the wake and batched boundary copies) or
+        // the failed-probe surcharge on a fallback (full mailbox),
+        // which then pays the classic crossing on top. A nested
+        // crossing posted from a pool worker blocks that worker until
+        // its reply arrives.
+        let pool = app.switchless.lock().clone();
+        let ret_msg = if let Some(pool) = pool {
+            let outcome =
+                pool.post(trust, class_name.to_owned(), relay.to_owned(), recv_hash, msg.clone())?;
             // Trace-driven autotuning bookkeeping: every completed post
             // (hit or fallback) advances the tuner's tick counter, and
             // every `interval_calls` posts the controller re-reads the
-            // queue-wait window and resizes the engine. No-op unless it
-            // was configured with `autotune` (and, for the pool, tracing
-            // is on).
-            engine.maybe_tune(trust);
+            // queue-wait window and resizes the pool. No-op unless it
+            // was configured with `autotune` and tracing is on.
+            pool.maybe_tune(trust);
             match outcome {
                 PostOutcome::Served(served) => {
                     switchless_hit = true;
@@ -1172,10 +1163,6 @@ fn serve_relay_inner(
 
     let (args, pins) = unmarshal(app, callee, msg)?;
 
-    // Advance the serve task's state machine (no-op on classic and
-    // pool-served crossings): arguments decoded, body about to run.
-    switchless::task::note_stage(switchless::task::TaskStage::Execute);
-
     let result: Result<Value, VmError> = if *is_ctor {
         let hash = msg.recv_hash.ok_or_else(|| {
             VmError::BadRef(format!("constructor relay `{relay}` without a proxy hash"))
@@ -1208,8 +1195,6 @@ fn serve_relay_inner(
     };
 
     let outcome = result.and_then(|ret| {
-        // Body done; the reply is being marshalled.
-        switchless::task::note_stage(switchless::task::TaskStage::Encode);
         let wire = marshal(app, callee, std::slice::from_ref(&ret))?;
         release(callee, &ret);
         Ok(wire)

@@ -40,6 +40,7 @@
 //! [`CostParams::switchless_wake_ns`]: sgx_sim::cost::CostParams::switchless_wake_ns
 //! [`CostParams::switchless_fallback_ns`]: sgx_sim::cost::CostParams::switchless_fallback_ns
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -502,8 +503,17 @@ fn worker_loop(
                         recorder.record(telemetry::Hist::SwitchlessQueueWaitNs, wait);
                         state.wait_hist.record(wait);
                     }
-                    let out =
-                        serve(state.side, &job.class_name, &job.relay, job.recv_hash, &job.msg);
+                    // A panicking relay body fails only its own call:
+                    // the worker keeps its `active` slot and serves on.
+                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        serve(state.side, &job.class_name, &job.relay, job.recv_hash, &job.msg)
+                    }))
+                    .unwrap_or_else(|_| {
+                        Err(VmError::App(format!(
+                            "switchless relay {}.{} panicked",
+                            job.class_name, job.relay
+                        )))
+                    });
                     let _ = job.reply.send(out);
                 }
                 state.idle.fetch_add(1, Ordering::Relaxed);
@@ -644,6 +654,51 @@ mod tests {
         release_tx.send(()).unwrap();
         assert!(matches!(a.join().unwrap(), PostOutcome::Served(Ok(_))));
         assert!(matches!(b.join().unwrap(), PostOutcome::Served(Ok(_))));
+        match Arc::try_unwrap(pool) {
+            Ok(pool) => pool.shutdown(),
+            Err(_) => panic!("no other pool handles remain"),
+        }
+    }
+
+    /// A relay body that panics must fail only its own call with a
+    /// typed error; the single worker of a `fixed(1)` pool has no
+    /// replacement, so it must survive to serve the next post.
+    #[test]
+    fn panicking_relay_fails_its_call_and_the_worker_serves_on() {
+        let first = Arc::new(AtomicBool::new(true));
+        let serve: ServeFn = Arc::new(move |_side, _class, _relay, _hash, msg| {
+            if first.swap(false, Ordering::SeqCst) {
+                panic!("relay body failure");
+            }
+            Ok(msg.clone())
+        });
+        let pool = Arc::new(SwitchlessPool::spawn(&SwitchlessConfig::fixed(1), serve, model()));
+        // Post from a helper thread, so a dead worker fails the test on
+        // the timeout instead of hanging it.
+        let post = |pool: &Arc<SwitchlessPool>| {
+            let (tx, rx) = bounded(1);
+            let pool = Arc::clone(pool);
+            std::thread::spawn(move || {
+                let _ = tx.send(pool.post(Side::Trusted, "C".into(), "r".into(), None, msg()));
+            });
+            rx.recv_timeout(Duration::from_secs(10)).expect("post must complete")
+        };
+        match post(&pool) {
+            Ok(PostOutcome::Served(Err(VmError::App(m)))) => {
+                assert_eq!(m, "switchless relay C.r panicked");
+            }
+            Ok(PostOutcome::Served(other)) => {
+                panic!("expected the typed panic error, got {other:?}")
+            }
+            Ok(PostOutcome::Fallback) => panic!("idle pool must not fall back"),
+            Err(e) => panic!("expected the typed panic error, got {e:?}"),
+        }
+        match post(&pool) {
+            Ok(PostOutcome::Served(out)) => assert_eq!(out.unwrap(), msg()),
+            Ok(PostOutcome::Fallback) => panic!("idle pool must not fall back"),
+            Err(e) => panic!("the worker must survive the panic, got {e:?}"),
+        }
+        assert_eq!(pool.stats().trusted.workers, 1, "the worker keeps its slot");
         match Arc::try_unwrap(pool) {
             Ok(pool) => pool.shutdown(),
             Err(_) => panic!("no other pool handles remain"),

@@ -7,43 +7,22 @@
 //! opposite side serves it without any hardware transition — the cost
 //! drops to a cache-line hand-off plus the marshalling itself.
 //!
-//! Two serving engines implement the mechanism behind one posting
-//! interface (`SwitchlessEngine`):
+//! One serving engine implements the mechanism: [`engine`], the
+//! adaptive thread-per-worker pool — per-side worker pools with bounded mailboxes, classic fallback on overflow,
+//! miss-driven scaling, small-batch draining and the optional
+//! trace-driven [`tuner`]. Each posted crossing occupies one OS worker
+//! thread until its reply is sent, including any time that worker
+//! spends blocked on a *nested* crossing.
 //!
-//! - **`engine` — the thread-per-worker pool** (PR 2's adaptive
-//!   engine, the default): per-side worker pools with bounded
-//!   mailboxes, classic fallback on overflow, miss-driven scaling,
-//!   small-batch draining and the optional trace-driven [`tuner`].
-//!   Each posted crossing occupies one OS worker thread until its
-//!   reply is sent — including any time that worker spends blocked on
-//!   a *nested* crossing.
-//! - **`scheduler` — the work-stealing task scheduler**
-//!   ([`SwitchlessConfig::scheduler`] or `MONTSALVAT_SCHEDULER=1`):
-//!   posted crossings become suspendable serve `task`s (explicit
-//!   state machine: decode → execute → encode → complete) queued on a
-//!   bounded shared injector; a small pool of executor threads drains
-//!   per-executor local deques first, steals from sibling deques
-//!   second and grabs injector batches last. An executor blocked on a
-//!   nested crossing *suspends* — it parks the task's state on its
-//!   stack and serves other tasks while it waits — so tens of
-//!   thousands of crossings can be in flight on a handful of threads.
-//!   A dedicated `timeout` worker sweeps overdue tasks into the
-//!   classic-fallback path, and a full injector rejects immediately
-//!   (backpressure) instead of blocking. The same [`tuner`] control
-//!   law drives executor-pool sizing and the steal-batch bound.
-//!
-//! Both engines preserve the accounting invariant the CI bench gates
+//! The engine preserves the accounting invariant the CI bench gates
 //! check: every posted call resolves as exactly one switchless hit
 //! (`rmi.switchless_calls`) or one classic fallback
 //! (`rmi.switchless_fallbacks`), so `rmi.calls == hits + fallbacks`.
-//! The ablation binaries `switchless_ablation` (pool vs classic) and
-//! `scheduler_ablation` (scheduler vs pool at ≥ 10k in-flight calls)
-//! compare them; `docs/SWITCHLESS.md` documents both designs.
+//! The ablation binary `switchless_ablation` compares it with classic
+//! crossings; `docs/SWITCHLESS.md` documents the design and why it is
+//! the only engine.
 
 pub(crate) mod engine;
-pub(crate) mod scheduler;
-pub(crate) mod task;
-pub(crate) mod timeout;
 pub mod tuner;
 
 use std::sync::Arc;
@@ -61,9 +40,8 @@ use crate::exec::ctx::WireMsg;
 use tuner::{Tuner, TunerConfig};
 
 pub(crate) use engine::SwitchlessPool;
-pub(crate) use scheduler::Scheduler;
 
-/// Configuration of the switchless call machinery (both engines).
+/// Configuration of the switchless call machinery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchlessConfig {
     /// Resident workers each side keeps even when idle (≥ 1).
@@ -86,9 +64,12 @@ pub struct SwitchlessConfig {
     /// Trace-driven feedback controller; `None` (the default) keeps
     /// PR 2's miss-counter engine as the only scaling mechanism.
     pub autotune: Option<TunerConfig>,
-    /// Work-stealing task scheduler; `None` (the default) keeps the
-    /// thread-per-worker pool. See [`SchedulerConfig`].
-    pub scheduler: Option<SchedulerConfig>,
+    /// Always `None`: `Infallible` has no values, so nothing but the
+    /// pool can be selected. The field outlived the work-stealing
+    /// engine it used to select only because the benchmark harness
+    /// (`perfbench/`) reads it to label the engine it ran; it goes
+    /// once the harness stops reading it.
+    pub scheduler: Option<std::convert::Infallible>,
 }
 
 impl Default for SwitchlessConfig {
@@ -122,13 +103,6 @@ impl SwitchlessConfig {
         SwitchlessConfig { autotune: Some(TunerConfig::default()), ..Self::default() }
     }
 
-    /// The work-stealing task scheduler with default
-    /// [`SchedulerConfig`] bounds (`min_workers`/`max_workers` size
-    /// the executor pool).
-    pub fn scheduled() -> Self {
-        SwitchlessConfig { scheduler: Some(SchedulerConfig::default()), ..Self::default() }
-    }
-
     /// Applies the `MONTSALVAT_AUTOTUNE` environment override: `1`
     /// (or `true`/`on`) attaches the default tuner if none is
     /// configured, `0` (or `false`/`off`) detaches any configured
@@ -144,22 +118,7 @@ impl SwitchlessConfig {
         self
     }
 
-    /// Applies the `MONTSALVAT_SCHEDULER` environment override: `1`
-    /// (or `true`/`on`) attaches the default work-stealing scheduler
-    /// if none is configured, `0` (or `false`/`off`) detaches any
-    /// configured scheduler; other values leave the config alone.
-    pub fn with_env_scheduler(mut self) -> Self {
-        match std::env::var("MONTSALVAT_SCHEDULER").ok().as_deref() {
-            Some("1") | Some("true") | Some("on") if self.scheduler.is_none() => {
-                self.scheduler = Some(SchedulerConfig::default());
-            }
-            Some("0") | Some("false") | Some("off") => self.scheduler = None,
-            _ => {}
-        }
-        self
-    }
-
-    /// Clamps the invariants the engines rely on: at least one
+    /// Clamps the invariants the pool relies on: at least one
     /// worker, `max_workers ≥ min_workers`, a real mailbox slot and a
     /// positive batch depth.
     pub(crate) fn normalized(&self) -> Self {
@@ -172,56 +131,12 @@ impl SwitchlessConfig {
             scale_up_misses: self.scale_up_misses.max(1),
             idle_park: self.idle_park.max(Duration::from_millis(1)),
             autotune: self.autotune.as_ref().map(TunerConfig::normalized),
-            scheduler: self.scheduler.as_ref().map(SchedulerConfig::normalized),
+            scheduler: None,
         }
     }
 }
 
-/// Bounds of the work-stealing task scheduler (the second engine; see
-/// the module docs and `docs/SWITCHLESS.md`). Executor-pool sizing
-/// comes from the surrounding [`SwitchlessConfig`]'s
-/// `min_workers`/`max_workers`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedulerConfig {
-    /// Most tasks queued per side (injector plus local deques) before
-    /// a post is rejected into the classic-fallback path. This is the
-    /// backpressure bound: a full scheduler *never* blocks a poster.
-    pub injector_capacity: usize,
-    /// Most tasks one executor grabs from the injector per visit; the
-    /// grabbed surplus lands on its local deque where siblings can
-    /// steal it. The tuner's `target_batch` retunes this at run time.
-    pub steal_batch: usize,
-    /// Wall-clock age past which a still-queued task is swept into the
-    /// classic-fallback path by the timeout worker.
-    pub task_timeout: Duration,
-}
-
-impl Default for SchedulerConfig {
-    /// Defaults sized for the open-loop traffic harness: a deep
-    /// injector (tens of thousands of in-flight tasks), small steal
-    /// batches, a generous sweep age.
-    fn default() -> Self {
-        SchedulerConfig {
-            injector_capacity: 16_384,
-            steal_batch: 4,
-            task_timeout: Duration::from_millis(250),
-        }
-    }
-}
-
-impl SchedulerConfig {
-    /// Clamps the invariants the scheduler relies on: at least one
-    /// injector slot, a positive steal batch, a nonzero timeout.
-    pub(crate) fn normalized(&self) -> Self {
-        SchedulerConfig {
-            injector_capacity: self.injector_capacity.max(1),
-            steal_batch: self.steal_batch.max(1),
-            task_timeout: self.task_timeout.max(Duration::from_millis(1)),
-        }
-    }
-}
-
-/// The relay dispatcher an engine serves posts with: bound to the
+/// The relay dispatcher the pool serves posts with: bound to the
 /// application, it executes `class.relay` on the given side.
 pub(crate) type ServeFn = Arc<
     dyn Fn(Side, &str, &str, Option<ProxyHash>, &WireMsg) -> Result<WireMsg, VmError> + Send + Sync,
@@ -241,17 +156,17 @@ pub(crate) struct SwitchlessJob {
     pub posted: Option<(u64, u64)>,
 }
 
-/// Outcome of posting a call to an engine.
+/// Outcome of posting a call to the pool.
 pub(crate) enum PostOutcome {
     /// A worker served the call; this is the relay's reply.
     Served(Result<WireMsg, VmError>),
-    /// The engine could not serve the call (full mailbox/injector or a
-    /// swept timeout) — the caller must perform a classic crossing
-    /// (the probe charge has already been paid).
+    /// The pool could not serve the call (full mailbox) — the caller
+    /// must perform a classic crossing (the probe charge has already
+    /// been paid).
     Fallback,
 }
 
-/// Live worker/queue readings for one side of an engine.
+/// Live worker/queue readings for one side of the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SideStats {
     /// Resident workers (parked + serving).
@@ -262,7 +177,7 @@ pub struct SideStats {
     pub queued: usize,
 }
 
-/// Live readings of both sides of an engine (see
+/// Live readings of both sides of the pool (see
 /// [`PartitionedApp::switchless_stats`](crate::exec::app::PartitionedApp::switchless_stats)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SwitchlessStats {
@@ -311,80 +226,6 @@ impl TunerRuntime {
     }
 }
 
-/// The serving engine an application launched: PR 2's thread-per-
-/// worker pool or the work-stealing task scheduler, behind one
-/// post/tune/stats/shutdown surface so `exec::ctx` and `exec::app`
-/// dispatch uniformly.
-#[derive(Clone, Debug)]
-pub(crate) enum SwitchlessEngine {
-    /// Thread-per-worker pool (the default).
-    Pool(Arc<SwitchlessPool>),
-    /// Work-stealing task scheduler.
-    Sched(Arc<Scheduler>),
-}
-
-impl SwitchlessEngine {
-    /// Launches the engine `config` selects: the scheduler when
-    /// [`SwitchlessConfig::scheduler`] is set, the pool otherwise.
-    pub(crate) fn launch(config: &SwitchlessConfig, serve: ServeFn, cost: Arc<CostModel>) -> Self {
-        if config.scheduler.is_some() {
-            SwitchlessEngine::Sched(Arc::new(Scheduler::spawn(config, serve, cost)))
-        } else {
-            SwitchlessEngine::Pool(Arc::new(SwitchlessPool::spawn(config, serve, cost)))
-        }
-    }
-
-    /// Posts a call to `side`. See [`SwitchlessPool::post`] /
-    /// [`Scheduler::post`].
-    pub(crate) fn post(
-        &self,
-        side: Side,
-        class_name: String,
-        relay: String,
-        recv_hash: Option<ProxyHash>,
-        msg: WireMsg,
-    ) -> Result<PostOutcome, VmError> {
-        match self {
-            SwitchlessEngine::Pool(p) => p.post(side, class_name, relay, recv_hash, msg),
-            SwitchlessEngine::Sched(s) => s.post(side, class_name, relay, recv_hash, msg),
-        }
-    }
-
-    /// One tuner bookkeeping step for a call that completed on `side`.
-    pub(crate) fn maybe_tune(&self, side: Side) {
-        match self {
-            SwitchlessEngine::Pool(p) => p.maybe_tune(side),
-            SwitchlessEngine::Sched(s) => s.maybe_tune(side),
-        }
-    }
-
-    /// Live worker/queue readings.
-    pub(crate) fn stats(&self) -> SwitchlessStats {
-        match self {
-            SwitchlessEngine::Pool(p) => p.stats(),
-            SwitchlessEngine::Sched(s) => s.stats(),
-        }
-    }
-
-    /// Stops the engine's threads if this is the last handle; a handle
-    /// still held elsewhere keeps the engine alive (matching the old
-    /// `Arc<SwitchlessPool>` take-and-unwrap shutdown).
-    pub(crate) fn shutdown(self) {
-        match self {
-            SwitchlessEngine::Pool(p) => {
-                if let Ok(pool) = Arc::try_unwrap(p) {
-                    pool.shutdown();
-                }
-            }
-            SwitchlessEngine::Sched(s) => {
-                if let Ok(sched) = Arc::try_unwrap(s) {
-                    sched.shutdown();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,11 +246,7 @@ mod tests {
                 batch_limit: 0,
                 min_samples: 0,
             }),
-            scheduler: Some(SchedulerConfig {
-                injector_capacity: 0,
-                steal_batch: 0,
-                task_timeout: Duration::ZERO,
-            }),
+            scheduler: None,
         }
         .normalized();
         assert_eq!(cfg.min_workers, 1);
@@ -423,10 +260,6 @@ mod tests {
         assert_eq!(tc.batch_limit, 1);
         assert_eq!(tc.min_samples, 1);
         assert!(tc.down_wait_pct < tc.up_wait_pct, "shrink threshold below grow threshold");
-        let sc = cfg.scheduler.expect("scheduler survives normalization");
-        assert_eq!(sc.injector_capacity, 1);
-        assert_eq!(sc.steal_batch, 1);
-        assert!(sc.task_timeout > Duration::ZERO);
     }
 
     #[test]
@@ -441,14 +274,5 @@ mod tests {
     fn fixed_config_pins_both_bounds() {
         let cfg = SwitchlessConfig::fixed(3);
         assert_eq!((cfg.min_workers, cfg.max_workers), (3, 3));
-    }
-
-    #[test]
-    fn scheduled_config_attaches_the_default_scheduler() {
-        let cfg = SwitchlessConfig::scheduled();
-        assert_eq!(cfg.scheduler, Some(SchedulerConfig::default()));
-        assert_eq!(SwitchlessConfig::default().scheduler, None);
-        assert_eq!(SwitchlessConfig::fixed(2).scheduler, None);
-        assert_eq!(SwitchlessConfig::autotuned().scheduler, None);
     }
 }

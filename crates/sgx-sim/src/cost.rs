@@ -99,7 +99,7 @@ pub struct CostParams {
     /// SysTEX'18.
     pub switchless_call_ns: u64,
     /// Cost of waking one parked switchless worker (futex/condvar
-    /// wake plus the scheduler hop before it picks the job up). Paid
+    /// wake plus the OS scheduler hop before it picks the job up). Paid
     /// once per worker wakeup; the batch drain amortises it across
     /// every job served by that wakeup.
     pub switchless_wake_ns: u64,
@@ -109,18 +109,6 @@ pub struct CostParams {
     /// (transition + relay), so a fallback is always strictly more
     /// expensive than a plain classic call.
     pub switchless_fallback_ns: u64,
-    /// Cost of one work-stealing deque steal: a CAS on the victim's
-    /// queue plus pulling its cold task state toward the thief's core.
-    /// Far below a transition — stealing must stay profitable whenever
-    /// it saves even a fraction of a crossing.
-    pub sched_steal_ns: u64,
-    /// Cost of suspending a serve task blocked on a nested crossing:
-    /// parking the task's state so the executor thread can serve other
-    /// tasks instead of blocking (the scheduler's help-first switch).
-    pub sched_suspend_ns: u64,
-    /// Cost of resuming a suspended serve task once its nested reply
-    /// arrives (reloading parked state onto the executor).
-    pub sched_resume_ns: u64,
     /// Heap-block granule of the segmented (block) collector, in
     /// bytes. EPC residency and GC paging are charged per block of
     /// this size touched, instead of per semispace flip; applications
@@ -156,9 +144,6 @@ impl CostParams {
             switchless_call_ns: 800,
             switchless_wake_ns: 1_500,
             switchless_fallback_ns: 200,
-            sched_steal_ns: 150,
-            sched_suspend_ns: 300,
-            sched_resume_ns: 250,
             gc_block_bytes: 32 * 1024,
             gc_mark_ns_per_obj: 25.0,
         }
@@ -179,8 +164,6 @@ impl CostParams {
     /// `MONTSALVAT_SWITCHLESS_CALL_NS`,
     /// `MONTSALVAT_SWITCHLESS_WAKE_NS`,
     /// `MONTSALVAT_SWITCHLESS_FALLBACK_NS`,
-    /// `MONTSALVAT_SCHED_STEAL_NS`, `MONTSALVAT_SCHED_SUSPEND_NS`,
-    /// `MONTSALVAT_SCHED_RESUME_NS`,
     /// `MONTSALVAT_GC_BLOCK_BYTES`,
     /// `MONTSALVAT_GC_MARK_NS_PER_OBJ` — documented field-by-field in
     /// `docs/COST_MODEL.md`. Unset or unparseable variables keep the
@@ -215,9 +198,6 @@ impl CostParams {
                 "MONTSALVAT_SWITCHLESS_FALLBACK_NS",
                 d.switchless_fallback_ns,
             ),
-            sched_steal_ns: get("MONTSALVAT_SCHED_STEAL_NS", d.sched_steal_ns),
-            sched_suspend_ns: get("MONTSALVAT_SCHED_SUSPEND_NS", d.sched_suspend_ns),
-            sched_resume_ns: get("MONTSALVAT_SCHED_RESUME_NS", d.sched_resume_ns),
             gc_block_bytes: get("MONTSALVAT_GC_BLOCK_BYTES", d.gc_block_bytes),
             gc_mark_ns_per_obj: get("MONTSALVAT_GC_MARK_NS_PER_OBJ", d.gc_mark_ns_per_obj),
         }
@@ -466,13 +446,6 @@ mod tests {
         assert!(p.switchless_call_ns < p.transition_ns() / 2);
         assert!(p.switchless_call_ns + p.switchless_wake_ns < p.transition_ns());
         assert!(p.switchless_fallback_ns < p.transition_ns() / 10);
-        // The scheduler's bookkeeping must be cheap relative to the
-        // crossing it schedules: a steal, and even a full
-        // suspend/resume round-trip, each stay well under one
-        // transition, or parking a task could cost more than blocking
-        // the thread.
-        assert!(p.sched_steal_ns < p.transition_ns() / 10);
-        assert!(p.sched_suspend_ns + p.sched_resume_ns < p.transition_ns() / 2);
     }
 
     #[test]

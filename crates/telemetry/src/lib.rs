@@ -204,16 +204,13 @@ metric_enum! {
         /// ring was full (see [`timeseries`]; fill-then-drop like the
         /// trace lanes).
         TimeseriesDropped => ("timeseries.dropped", "windows"),
-        /// Tasks an idle scheduler executor stole from a sibling's
-        /// local deque (work-stealing engine only).
+        /// Always 0. Counted steals of the removed work-stealing
+        /// engine; the five `Sched*` metrics stay so exports keep their
+        /// shape and the benchmark harness keeps compiling.
         SchedSteals => ("rmi.sched_steals", "events"),
-        /// Executor suspensions: a serve task blocked on a nested
-        /// crossing parked its state and the executor went back to
-        /// serving other tasks (work-stealing engine only).
+        /// Always 0 (see [`SchedSteals`](Counter::SchedSteals)).
         SchedSuspends => ("rmi.sched_suspends", "events"),
-        /// Queued tasks the timeout worker swept into the
-        /// classic-fallback path (each also counts one
-        /// `rmi.switchless_fallbacks`).
+        /// Always 0 (see [`SchedSteals`](Counter::SchedSteals)).
         SchedTimeouts => ("rmi.sched_timeouts", "events"),
     }
 }
@@ -260,9 +257,7 @@ metric_enum! {
         /// sampled after each collection (last-value; block collector
         /// only).
         GcBlocksFree => ("gc.blocks_free", "blocks"),
-        /// Posted-but-uncompleted scheduler tasks on one side
-        /// (last-value; work-stealing engine only — counts tasks
-        /// queued, executing or suspended on a nested crossing).
+        /// Always 0 (see [`Counter::SchedSteals`]).
         SchedInflight => ("rmi.sched_inflight", "tasks"),
     }
 }
@@ -313,10 +308,7 @@ metric_enum! {
         /// Model nanoseconds of pure service time charged per traffic
         /// request (the charged-clock delta of the request's RMI call).
         TrafficServiceNs => ("traffic.service_ns", "model_ns"),
-        /// Model nanoseconds a scheduler task waited between post and
-        /// executor claim (work-stealing engine; recorded even with
-        /// tracing off, so its tuner stays live — unlike
-        /// [`SwitchlessQueueWaitNs`](Hist::SwitchlessQueueWaitNs)).
+        /// Always empty (see [`Counter::SchedSteals`]).
         SchedTaskWaitNs => ("rmi.sched_task_wait_ns", "model_ns"),
     }
 }

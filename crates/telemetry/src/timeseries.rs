@@ -574,13 +574,6 @@ pub struct WindowView {
     pub queue_depth: u64,
     /// Resident switchless workers at window close.
     pub workers: u64,
-    /// In-flight scheduler tasks (posted, uncompleted) at window close
-    /// — zero under the thread-per-worker pool.
-    pub sched_inflight: u64,
-    /// Scheduler tasks the timeout worker swept to classic fallback.
-    pub sched_timeouts: u64,
-    /// Tasks stolen between scheduler executors in the window.
-    pub sched_steals: u64,
 }
 
 impl WindowView {
@@ -602,9 +595,6 @@ impl WindowView {
                 + d.counter(Counter::SwitchlessTuneDowns),
             queue_depth: d.gauge(Gauge::SwitchlessQueueDepth),
             workers: d.gauge(Gauge::SwitchlessWorkers),
-            sched_inflight: d.gauge(Gauge::SchedInflight),
-            sched_timeouts: d.counter(Counter::SchedTimeouts),
-            sched_steals: d.counter(Counter::SchedSteals),
         }
     }
 
@@ -627,9 +617,6 @@ impl WindowView {
                 + w.counter("rmi.switchless_tune_downs"),
             queue_depth: w.gauge("rmi.switchless_queue_depth"),
             workers: w.gauge("rmi.switchless_workers"),
-            sched_inflight: w.gauge("rmi.sched_inflight"),
-            sched_timeouts: w.counter("rmi.sched_timeouts"),
-            sched_steals: w.counter("rmi.sched_steals"),
         }
     }
 }
@@ -729,14 +716,13 @@ pub fn detect_spikes(views: &[WindowView], k: f64) -> SpikeReport {
     let median_faults = median_of(|v| v.epc_faults);
     let median_queue = median_of(|v| v.queue_depth);
     let median_requests = median_of(|v| v.requests);
-    let median_inflight = median_of(|v| v.sched_inflight);
 
     for &i in &active {
         let v = &views[i];
         if v.latency_p95 < report.threshold {
             continue;
         }
-        let causes = attribute(v, median_faults, median_queue, median_requests, median_inflight);
+        let causes = attribute(v, median_faults, median_queue, median_requests);
         report.spikes.push(Spike {
             window_index: i,
             start_ns: v.start_ns,
@@ -753,7 +739,6 @@ fn attribute(
     median_faults: u64,
     median_queue: u64,
     median_requests: u64,
-    median_inflight: u64,
 ) -> Vec<Attribution> {
     let mut causes = Vec::new();
     if v.gc_events > 0 {
@@ -784,32 +769,10 @@ fn attribute(
             confidence: Confidence::Medium,
         });
     }
-    // Queue pressure comes in three evidence tiers, strongest first:
-    // scheduler task timeouts (an overdue queue provably swept work to
-    // the fallback path), an elevated mailbox depth, or an elevated
-    // in-flight scheduler task count. One attribution, best evidence.
-    if v.sched_timeouts > 0 {
-        causes.push(Attribution {
-            cause: "queue-pressure",
-            evidence: format!(
-                "{} scheduler task timeout(s) swept to classic fallback ({} in flight)",
-                v.sched_timeouts, v.sched_inflight
-            ),
-            confidence: Confidence::High,
-        });
-    } else if v.queue_depth > 0 && v.queue_depth >= 2 * median_queue.max(1) {
+    if v.queue_depth > 0 && v.queue_depth >= 2 * median_queue.max(1) {
         causes.push(Attribution {
             cause: "queue-pressure",
             evidence: format!("mailbox depth {} vs run median {median_queue}", v.queue_depth),
-            confidence: Confidence::Medium,
-        });
-    } else if v.sched_inflight > 0 && v.sched_inflight >= 2 * median_inflight.max(1) {
-        causes.push(Attribution {
-            cause: "queue-pressure",
-            evidence: format!(
-                "{} in-flight scheduler tasks vs run median {median_inflight}",
-                v.sched_inflight
-            ),
             confidence: Confidence::Medium,
         });
     }
@@ -881,41 +844,6 @@ mod tests {
         let series = flight.finish(1500);
         assert_eq!(series.windows[0].delta.gauge(Gauge::SwitchlessQueueDepth), 7);
         assert_eq!(series.windows[1].delta.gauge(Gauge::SwitchlessQueueDepth), 2);
-    }
-
-    /// The scheduler metrics reconcile across windows like every other
-    /// metric: `rmi.sched_inflight` reports the level at each window
-    /// close, while the steal/timeout counters partition so the
-    /// per-window deltas sum back to the recorder totals.
-    #[test]
-    fn scheduler_windows_reconcile_levels_and_partition_counters() {
-        let (recorder, mut flight) = recorder_and_flight(1000, 64);
-        recorder.gauge_set(Gauge::SchedInflight, 12_000);
-        recorder.add(Counter::SchedSteals, 3);
-        recorder.incr(Counter::SchedTimeouts);
-        flight.tick(1000);
-        recorder.gauge_set(Gauge::SchedInflight, 40);
-        recorder.add(Counter::SchedSteals, 9);
-        let series = flight.finish(1800);
-
-        assert_eq!(series.windows[0].delta.gauge(Gauge::SchedInflight), 12_000);
-        assert_eq!(series.windows[1].delta.gauge(Gauge::SchedInflight), 40);
-        assert_eq!(series.windows[0].delta.counter(Counter::SchedSteals), 3);
-        assert_eq!(series.windows[1].delta.counter(Counter::SchedSteals), 9);
-        assert_eq!(series.windows[0].delta.counter(Counter::SchedTimeouts), 1);
-        assert_eq!(series.windows[1].delta.counter(Counter::SchedTimeouts), 0);
-
-        let steal_sum: u64 =
-            series.windows.iter().map(|w| w.delta.counter(Counter::SchedSteals)).sum();
-        assert_eq!(steal_sum, recorder.snapshot().counter(Counter::SchedSteals));
-
-        // And the view layer carries them through a JSON round trip.
-        let parsed = parse_timeseries(&series.to_json()).unwrap();
-        let views: Vec<WindowView> = parsed.windows.iter().map(WindowView::from_parsed).collect();
-        assert_eq!(views[0].sched_inflight, 12_000);
-        assert_eq!(views[0].sched_steals, 3);
-        assert_eq!(views[0].sched_timeouts, 1);
-        assert_eq!(views[1].sched_inflight, 40);
     }
 
     #[test]
@@ -1036,9 +964,6 @@ mod tests {
         recorder.incr(Counter::SwitchlessFallbacks);
         recorder.gauge_set(Gauge::SwitchlessQueueDepth, 3);
         recorder.gauge_set(Gauge::SwitchlessWorkers, 2);
-        recorder.gauge_set(Gauge::SchedInflight, 11);
-        recorder.add(Counter::SchedTimeouts, 2);
-        recorder.add(Counter::SchedSteals, 5);
         for latency in [200u64, 300, 400, 50_000] {
             recorder.record(Hist::TrafficLatencyNs, latency);
         }
@@ -1053,17 +978,12 @@ mod tests {
         assert_eq!(live.fallbacks, round.fallbacks);
         assert_eq!(live.queue_depth, round.queue_depth);
         assert_eq!(live.workers, round.workers);
-        assert_eq!((live.sched_inflight, round.sched_inflight), (11, 11));
-        assert_eq!((live.sched_timeouts, round.sched_timeouts), (2, 2));
-        assert_eq!((live.sched_steals, round.sched_steals), (5, 5));
     }
 
-    /// Scheduler-evidence queue pressure: a window with swept task
-    /// timeouts is attributed `queue-pressure` at high confidence, and
-    /// a window whose in-flight task level is elevated (without any
-    /// mailbox-depth signal) is attributed `queue-pressure` too.
+    /// A window whose mailbox depth is at least twice the run median
+    /// is attributed `queue-pressure`.
     #[test]
-    fn detector_names_queue_pressure_from_scheduler_evidence() {
+    fn detector_names_queue_pressure_from_mailbox_depth() {
         let mut views: Vec<WindowView> = (0..8)
             .map(|i| WindowView {
                 start_ns: i * 1000,
@@ -1071,35 +991,22 @@ mod tests {
                 requests: 10,
                 latency_count: 10,
                 latency_p95: 4096,
-                sched_inflight: 4,
+                queue_depth: 2,
                 ..WindowView::default()
             })
             .collect();
-        views[3].latency_p95 = 1 << 22;
-        views[3].sched_timeouts = 7;
         views[6].latency_p95 = 1 << 22;
-        views[6].sched_inflight = 4000; // way past 2× the run median
+        views[6].queue_depth = 16;
 
         let report = detect_spikes(&views, DEFAULT_SPIKE_FACTOR);
-        assert_eq!(report.spikes.len(), 2);
-
-        let swept = &report.spikes[0];
-        assert_eq!(swept.window_index, 3);
-        assert_eq!(swept.causes[0].cause, "queue-pressure");
-        assert_eq!(swept.causes[0].confidence, Confidence::High);
-        assert!(
-            swept.causes[0].evidence.contains("7 scheduler task timeout(s)"),
-            "evidence names the sweep: {}",
-            swept.causes[0].evidence
-        );
-
-        let deep = &report.spikes[1];
+        assert_eq!(report.spikes.len(), 1);
+        let deep = &report.spikes[0];
         assert_eq!(deep.window_index, 6);
         assert_eq!(deep.causes[0].cause, "queue-pressure");
         assert_eq!(deep.causes[0].confidence, Confidence::Medium);
         assert!(
-            deep.causes[0].evidence.contains("4000 in-flight scheduler tasks"),
-            "evidence names the in-flight level: {}",
+            deep.causes[0].evidence.contains("mailbox depth 16 vs run median 2"),
+            "evidence names the depth: {}",
             deep.causes[0].evidence
         );
     }

@@ -301,11 +301,7 @@ fn export_run_outputs(
         );
     }
     if let (Some(path), Some(tracer)) = (trace_out, tracer) {
-        let json = tracer.to_chrome_json(&[
-            ("rmi_calls", snapshot.counter(Counter::RmiCalls)),
-            ("sched_steals", snapshot.counter(Counter::SchedSteals)),
-            ("sched_timeouts", snapshot.counter(Counter::SchedTimeouts)),
-        ]);
+        let json = tracer.to_chrome_json(&[("rmi_calls", snapshot.counter(Counter::RmiCalls))]);
         std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
         println!(
             "trace ({}): {} — {} events, {} dropped; load in Perfetto or run \
@@ -371,26 +367,17 @@ fn render_timeline(series: &montsalvat::telemetry::timeseries::ParsedSeries, k: 
             series.dropped
         );
     }
-    let swept: u64 = views.iter().map(|v| v.sched_timeouts).sum();
-    if swept > 0 {
-        let _ = writeln!(
-            out,
-            "WARN: {swept} scheduler task timeout(s) — posted crossings waited past the \
-             task deadline and were swept to the classic-fallback path; see the \
-             queue-pressure causes below"
-        );
-    }
 
     let _ = writeln!(out, "\n-- per-window timeline --");
     let _ = writeln!(
         out,
-        "{:>4} {:>14} {:>6} {:>14} {:>4} {:>5} {:>4} {:>5} {:>6} {:>4}",
-        "win", "start", "reqs", "p95 latency", "gc", "epc", "wrk", "queue", "infl", "fbk"
+        "{:>4} {:>14} {:>6} {:>14} {:>4} {:>5} {:>4} {:>5} {:>4}",
+        "win", "start", "reqs", "p95 latency", "gc", "epc", "wrk", "queue", "fbk"
     );
     for (i, v) in views.iter().enumerate() {
         let _ = writeln!(
             out,
-            "{:>4} {:>14} {:>6} {:>14} {:>4} {:>5} {:>4} {:>5} {:>6} {:>4}{}",
+            "{:>4} {:>14} {:>6} {:>14} {:>4} {:>5} {:>4} {:>5} {:>4}{}",
             i,
             fmt_ns(v.start_ns),
             v.requests,
@@ -399,7 +386,6 @@ fn render_timeline(series: &montsalvat::telemetry::timeseries::ParsedSeries, k: 
             v.epc_faults,
             v.workers,
             v.queue_depth,
-            v.sched_inflight,
             v.fallbacks,
             if spiky.contains(&i) { "  <- SPIKE" } else { "" }
         );
@@ -739,38 +725,6 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
         }
     }
 
-    // Work-stealing scheduler evidence: each task served off the
-    // injector/deques opens one cat-"queue" span
-    // `task-wait:<Class>.<relay>` covering post → pickup, and the
-    // export's otherData carries the aggregate steal/timeout counters.
-    let task_waits: Vec<&ReportSpan> =
-        spans.iter().filter(|s| s.cat == "queue" && s.name.starts_with("task-wait:")).collect();
-    let sched_steals = trace.other("sched_steals").unwrap_or(0);
-    let sched_timeouts = trace.other("sched_timeouts").unwrap_or(0);
-    if !task_waits.is_empty() || sched_steals > 0 || sched_timeouts > 0 {
-        let _ = writeln!(out, "\n-- work-stealing scheduler --");
-        if !task_waits.is_empty() {
-            let total: u64 = task_waits.iter().map(|s| s.dur_ns()).sum();
-            let max = task_waits.iter().map(|s| s.dur_ns()).max().unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "task waits: {} traced (total {}, mean {}, max {})",
-                task_waits.len(),
-                fmt_ns(total),
-                fmt_ns(total / task_waits.len() as u64),
-                fmt_ns(max)
-            );
-        }
-        let _ = writeln!(out, "steals: {sched_steals} (rmi.sched_steals)");
-        if sched_timeouts > 0 {
-            let _ = writeln!(
-                out,
-                "WARN: {sched_timeouts} task timeout(s) swept to classic fallback — the \
-                 executor pool could not keep up with posted crossings; check the \
-                 queue-pressure and tuner evidence above"
-            );
-        }
-    }
     out
 }
 
@@ -1100,53 +1054,6 @@ mod tests {
         let report = render_trace_report(&parsed, 3);
         assert!(report.contains("WARN"), "{report}");
         assert!(report.contains("MONTSALVAT_TRACE_BUFFER"), "{report}");
-    }
-
-    #[test]
-    fn trace_report_summarises_scheduler_task_waits() {
-        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Tracer};
-        let tracer = Tracer::new();
-        tracer.enable_with_capacity(64);
-        tracer.span_at(Lane::Trusted, "queue", None, 100, 400, 100, || {
-            "task-wait:Account.relay$get".into()
-        });
-        tracer.span_at(Lane::Trusted, "queue", None, 500, 600, 500, || {
-            "task-wait:Account.relay$put".into()
-        });
-        let json = tracer.to_chrome_json(&[("sched_steals", 5), ("sched_timeouts", 2)]);
-        let parsed = parse_chrome_trace(&json).unwrap();
-        let report = render_trace_report(&parsed, 3);
-        assert!(report.contains("work-stealing scheduler"), "{report}");
-        assert!(report.contains("task waits: 2 traced"), "{report}");
-        assert!(report.contains("steals: 5"), "{report}");
-        assert!(report.contains("WARN: 2 task timeout(s)"), "{report}");
-    }
-
-    #[test]
-    fn timeline_warns_on_swept_scheduler_timeouts() {
-        use montsalvat::telemetry::timeseries::{FlightRecorder, TimeseriesConfig};
-        use montsalvat::telemetry::{Counter, Gauge, Hist, Recorder};
-        let recorder = Recorder::new();
-        let cfg = TimeseriesConfig { enabled: true, window_ns: 1_000, capacity: 16 };
-        let mut flight = FlightRecorder::new(std::sync::Arc::clone(&recorder), cfg);
-        for w in 0..3u64 {
-            recorder.incr(Counter::TrafficRequests);
-            recorder.record(Hist::TrafficLatencyNs, 1_000);
-            recorder.gauge_set(Gauge::SchedInflight, 40 + w);
-            if w == 1 {
-                recorder.add(Counter::SchedTimeouts, 3);
-            }
-            flight.tick((w + 1) * 1_000);
-        }
-        let series = flight.finish(3_000);
-        let dir = std::env::temp_dir().join("montsalvat-timeline-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sched-timeouts.json");
-        std::fs::write(&path, series.to_json()).unwrap();
-        let report = run_timeline(path.to_str().unwrap(), 4.0).expect("timeline renders");
-        assert!(report.contains("WARN: 3 scheduler task timeout(s)"), "{report}");
-        assert!(report.contains("infl"), "{report}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
