@@ -74,19 +74,6 @@ fn bench_bursty_modes(c: &mut Criterion) {
         ..SwitchlessConfig::default()
     }));
     c.bench_function("burst_switchless_adaptive", |b| b.iter(|| burst(&adaptive, threads, calls)));
-
-    // The adaptive engine with the trace-driven tuner attached. The
-    // global tracer is off in benches, so the tuner stays inert — this
-    // mode exists to pin its overhead at (near) zero against the plain
-    // adaptive engine.
-    let autotuned = launch(Some(SwitchlessConfig {
-        min_workers: 1,
-        max_workers: 8,
-        ..SwitchlessConfig::autotuned()
-    }));
-    c.bench_function("burst_switchless_autotuned", |b| {
-        b.iter(|| burst(&autotuned, threads, calls))
-    });
 }
 
 fn classic_shutdown(app: Arc<PartitionedApp>) {

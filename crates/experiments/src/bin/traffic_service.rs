@@ -267,7 +267,7 @@ fn report_json(
         pt_model = passthrough.model_time_ns,
         sgx_model = sim_sgx.model_time_ns,
         pt_faster = passthrough.model_time_ns < sim_sgx.model_time_ns,
-        bpath = baseline.path.display(),
+        bpath = telemetry::escape_json(&baseline.path.display().to_string()),
         bfound = baseline.found,
         bscale = baseline.scale_matches,
         checks = checks_json.join(",\n"),

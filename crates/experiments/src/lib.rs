@@ -16,7 +16,6 @@
 //! | [`paldb`] | Fig. 7, Fig. 10 (PalDB) |
 //! | [`graph`] | Fig. 9, Fig. 11 (GraphChi PageRank) |
 //! | [`spec`] | Fig. 12, Table 1 (SPECjvm2008) |
-//! | [`tuning`] | Switchless-tuner policy comparison (`switchless_tuning`) |
 //! | [`traffic`] | Open-loop sustained-traffic harness (`traffic_service`) |
 //!
 //! Pass `--quick` to any binary for a shrunk run.
@@ -30,6 +29,5 @@ pub mod report;
 pub mod spec;
 pub mod synthetic;
 pub mod traffic;
-pub mod tuning;
 
 pub use report::Scale;

@@ -511,7 +511,7 @@ impl AdvicePlan {
                  \"verdict\": \"{}\", \"calls\": {}, \"crossing_overhead_ns\": {}, \
                  \"exec_ns\": {}, \"predicted_savings_ns\": {}, \"savings_frac\": {:.4}, \
                  \"confidence\": {:.4}, \"rationale\": \"{}\"}}{comma}\n",
-                r.class,
+                telemetry::escape_json(&r.class),
                 r.current.annotation_name(),
                 r.suggested.annotation_name(),
                 r.verdict.label(),
@@ -521,7 +521,7 @@ impl AdvicePlan {
                 r.predicted_savings_ns,
                 r.savings_frac,
                 r.confidence,
-                r.rationale
+                telemetry::escape_json(&r.rationale)
             ));
         }
         out.push_str("]\n}\n");
@@ -647,9 +647,7 @@ pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<Clas
                     region.serde_ns += spans[i].dur_ns();
                     region.payload_bytes += payload_bytes(&spans[i].name);
                 }
-                "queue" if !spans[i].name.starts_with("tune:") => {
-                    region.queue_ns += spans[i].dur_ns();
-                }
+                "queue" => region.queue_ns += spans[i].dur_ns(),
                 "exec" | "gc" => region.exec_ns += exclusive(i),
                 "sgx" => region.classic += 1,
                 "shim" => region.shim += 1,

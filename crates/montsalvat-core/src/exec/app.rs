@@ -443,9 +443,6 @@ impl PartitionedApp {
             serde: SerdeState::new(&config),
         });
         if let Some(sw_config) = &config.switchless {
-            // MONTSALVAT_AUTOTUNE=1/0 attaches or detaches the
-            // trace-driven tuner without touching the config in code.
-            let sw_config = sw_config.clone().with_env_autotune();
             let serve_shared = Arc::clone(&shared);
             let serve = Arc::new(
                 move |side: Side,
@@ -458,7 +455,7 @@ impl PartitionedApp {
                 },
             );
             let pool = crate::exec::switchless::SwitchlessPool::spawn(
-                &sw_config,
+                sw_config,
                 serve,
                 Arc::clone(&shared.cost),
             );

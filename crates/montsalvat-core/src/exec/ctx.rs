@@ -1057,15 +1057,13 @@ fn cross_call(
         // its reply arrives.
         let pool = app.switchless.lock().clone();
         let ret_msg = if let Some(pool) = pool {
-            let outcome =
-                pool.post(trust, class_name.to_owned(), relay.to_owned(), recv_hash, msg.clone())?;
-            // Trace-driven autotuning bookkeeping: every completed post
-            // (hit or fallback) advances the tuner's tick counter, and
-            // every `interval_calls` posts the controller re-reads the
-            // queue-wait window and resizes the pool. No-op unless it
-            // was configured with `autotune` and tracing is on.
-            pool.maybe_tune(trust);
-            match outcome {
+            match pool.post(
+                trust,
+                class_name.to_owned(),
+                relay.to_owned(),
+                recv_hash,
+                msg.clone(),
+            )? {
                 PostOutcome::Served(served) => {
                     switchless_hit = true;
                     caller.stats.count_switchless();

@@ -20,14 +20,6 @@
 //!   [`SwitchlessConfig::max_batch`] queued requests per wakeup,
 //!   moving them across the boundary as one [`rmi::batch`] frame so
 //!   the wake and the frame header amortise across the batch.
-//! - **Trace-driven autotuning** (optional, [`SwitchlessConfig::autotune`]
-//!   or `MONTSALVAT_AUTOTUNE=1`): when tracing is enabled, the
-//!   [`tuner`] feedback controller periodically reduces the recorded
-//!   queue-wait and batch-size distributions to wait quantiles and
-//!   resizes worker targets and the batch bound from them; with
-//!   tracing disabled no waits are recorded, the controller holds,
-//!   and the miss-counter path above remains the only scaling
-//!   mechanism.
 //!
 //! The reproduction implements the mechanism with real threads and
 //! real mailboxes: requests genuinely execute on a worker of the
@@ -49,12 +41,8 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendErr
 use parking_lot::Mutex;
 use rmi::hash::ProxyHash;
 use sgx_sim::cost::CostModel;
-use telemetry::AtomicHistogram;
 
-use super::tuner::{Decision, Observation, WorkerAction};
-use super::{
-    PostOutcome, ServeFn, SideStats, SwitchlessConfig, SwitchlessJob, SwitchlessStats, TunerRuntime,
-};
+use super::{PostOutcome, ServeFn, SideStats, SwitchlessConfig, SwitchlessJob, SwitchlessStats};
 use crate::annotation::Side;
 use crate::error::VmError;
 use crate::exec::ctx::WireMsg;
@@ -74,24 +62,6 @@ struct SideState {
     misses: AtomicU64,
     /// Set by shutdown; parked workers exit at their next poll.
     stop: AtomicBool,
-    /// Tuner-chosen resident-worker target: the retirement floor idle
-    /// workers honour. Stays at `min_workers` while the tuner is
-    /// inert, which makes the engine bit-identical to the miss-counter
-    /// design when tracing (or autotuning) is off.
-    tuner_target: AtomicUsize,
-    /// Tuner-chosen batch drain bound (starts at `config.max_batch`).
-    batch_target: AtomicUsize,
-    /// Classic fallbacks on this side (windowed by the tuner).
-    fallbacks: AtomicU64,
-    /// Per-side queue-wait distribution (model ns); same values as the
-    /// global `rmi.switchless_queue_wait_ns` histogram, kept here so
-    /// tuner windows are per-lane.
-    wait_hist: AtomicHistogram,
-    /// Per-side batch drain sizes (same values as
-    /// `rmi.switchless_batch_jobs`).
-    batch_hist: AtomicHistogram,
-    /// Posts since the tuner's last tick on this side.
-    posts_since_tick: AtomicU64,
 }
 
 /// The per-application switchless machinery: one bounded mailbox per
@@ -106,8 +76,6 @@ pub(crate) struct SwitchlessPool {
     untrusted: Arc<SideState>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     worker_seq: AtomicUsize,
-    /// Present when [`SwitchlessConfig::autotune`] is set.
-    tuner: Option<TunerRuntime>,
 }
 
 impl std::fmt::Debug for SwitchlessPool {
@@ -129,8 +97,7 @@ impl SwitchlessPool {
         let config = config.normalized();
         let (trusted_tx, trusted_rx) = bounded::<SwitchlessJob>(config.mailbox_capacity);
         let (untrusted_tx, untrusted_rx) = bounded::<SwitchlessJob>(config.mailbox_capacity);
-        let (min_workers, max_batch) = (config.min_workers, config.max_batch);
-        let side_state = move |side: Side, rx: Receiver<SwitchlessJob>| {
+        let side_state = |side: Side, rx: Receiver<SwitchlessJob>| {
             Arc::new(SideState {
                 side,
                 rx,
@@ -139,15 +106,10 @@ impl SwitchlessPool {
                 queued: AtomicUsize::new(0),
                 misses: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
-                tuner_target: AtomicUsize::new(min_workers),
-                batch_target: AtomicUsize::new(max_batch),
-                fallbacks: AtomicU64::new(0),
-                wait_hist: AtomicHistogram::new(),
-                batch_hist: AtomicHistogram::new(),
-                posts_since_tick: AtomicU64::new(0),
             })
         };
-        let tuner = TunerRuntime::from_config(&config, &cost);
+        // The drain bound is fixed for the pool's life; the gauge reports
+        // the bound in force.
         cost.recorder().gauge_set(telemetry::Gauge::SwitchlessTargetBatch, config.max_batch as u64);
         let pool = SwitchlessPool {
             config,
@@ -159,7 +121,6 @@ impl SwitchlessPool {
             untrusted: side_state(Side::Untrusted, untrusted_rx),
             workers: Mutex::new(Vec::new()),
             worker_seq: AtomicUsize::new(0),
-            tuner,
         };
         for side in [Side::Trusted, Side::Untrusted] {
             let state = Arc::clone(pool.side(side));
@@ -244,7 +205,6 @@ impl SwitchlessPool {
                 state.queued.fetch_sub(1, Ordering::Relaxed);
                 recorder.incr(telemetry::Counter::SwitchlessFallbacks);
                 recorder.incr(telemetry::Counter::SwitchlessMisses);
-                state.fallbacks.fetch_add(1, Ordering::Relaxed);
                 state.misses.fetch_add(1, Ordering::Relaxed);
                 self.maybe_scale_up(state);
                 self.cost.charge_ns(self.cost.params().switchless_fallback_ns);
@@ -254,121 +214,6 @@ impl SwitchlessPool {
                 state.queued.fetch_sub(1, Ordering::Relaxed);
                 Err(VmError::Sgx(sgx_sim::SgxError::EnclaveLost))
             }
-        }
-    }
-
-    /// One tuner bookkeeping step for a call that just completed on
-    /// `side`. Cheap no-op unless autotuning is configured *and*
-    /// tracing is enabled (without tracing no queue waits are
-    /// recorded, so the controller would only ever hold — the
-    /// miss-counter path stays authoritative). Every
-    /// [`TunerConfig::interval_calls`] posts, diffs the side's
-    /// histograms into a window, runs the pure controller and applies
-    /// its decision.
-    pub(crate) fn maybe_tune(&self, side: Side) {
-        let Some(rt) = &self.tuner else { return };
-        if !self.cost.tracer().is_enabled() {
-            return;
-        }
-        let state = self.side(side);
-        let ticks = state.posts_since_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if ticks < rt.tuner.config().interval_calls {
-            return;
-        }
-        // One tick at a time per side; contended callers skip rather
-        // than queue (the next interval will tick again).
-        let Some(mut window) = rt.window(side).try_lock() else { return };
-        if state.posts_since_tick.load(Ordering::Relaxed) < rt.tuner.config().interval_calls {
-            return;
-        }
-        state.posts_since_tick.store(0, Ordering::Relaxed);
-
-        let wait_now = state.wait_hist.snapshot();
-        let batch_now = state.batch_hist.snapshot();
-        let fallbacks_now = state.fallbacks.load(Ordering::Relaxed);
-        let wait_window = wait_now.diff(&window.wait_prev);
-        let batch_window = batch_now.diff(&window.batch_prev);
-        let fallbacks = fallbacks_now.saturating_sub(window.fallbacks_prev);
-        window.wait_prev = wait_now;
-        window.batch_prev = batch_now;
-        window.fallbacks_prev = fallbacks_now;
-
-        let obs = Observation::from_window(
-            &wait_window,
-            &batch_window,
-            fallbacks,
-            state.active.load(Ordering::Relaxed),
-            state.batch_target.load(Ordering::Relaxed),
-        );
-        let decision = rt.tuner.decide(self.config.min_workers, self.config.max_workers, &obs);
-        self.apply_decision(state, &obs, &decision);
-    }
-
-    /// Applies one controller decision: resizes the worker target (and
-    /// spawns/retires accordingly), stores the new batch bound, and
-    /// exports the decision as telemetry counters and a cat-`queue`
-    /// tuner span.
-    fn apply_decision(&self, state: &Arc<SideState>, obs: &Observation, decision: &Decision) {
-        let recorder = self.cost.recorder();
-        let mut ups = 0u64;
-        let mut downs = 0u64;
-        match decision.workers {
-            WorkerAction::Grow => {
-                let n = state.active.load(Ordering::Relaxed);
-                if n < self.config.max_workers
-                    && state
-                        .active
-                        .compare_exchange(n, n + 1, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    state
-                        .tuner_target
-                        .store((n + 1).min(self.config.max_workers), Ordering::Relaxed);
-                    recorder.gauge_max(telemetry::Gauge::SwitchlessWorkersPeak, (n + 1) as u64);
-                    recorder.gauge_set(telemetry::Gauge::SwitchlessWorkers, (n + 1) as u64);
-                    self.spawn_worker(state);
-                    ups += 1;
-                }
-            }
-            WorkerAction::Shrink => {
-                let target =
-                    state.tuner_target.load(Ordering::Relaxed).max(self.config.min_workers);
-                if target > self.config.min_workers {
-                    // Lower the retirement floor; an idle worker
-                    // retires at its next park timeout.
-                    state.tuner_target.store(target - 1, Ordering::Relaxed);
-                    downs += 1;
-                }
-            }
-            WorkerAction::Hold => {}
-        }
-        let target_batch = decision.target_batch.max(1);
-        if target_batch != obs.max_batch {
-            state.batch_target.store(target_batch, Ordering::Relaxed);
-            recorder.gauge_set(telemetry::Gauge::SwitchlessTargetBatch, target_batch as u64);
-            if target_batch > obs.max_batch {
-                ups += 1;
-            } else {
-                downs += 1;
-            }
-        }
-        recorder.add(telemetry::Counter::SwitchlessTuneUps, ups);
-        recorder.add(telemetry::Counter::SwitchlessTuneDowns, downs);
-        if ups + downs > 0 {
-            // Decisions that changed something are visible in traces as
-            // zero-width cat-`queue` marks on the tuned side's lane.
-            let tracer = self.cost.tracer();
-            let at = self.cost.now_ns();
-            tracer.span_at(state.side.lane(), "queue", None, at, at, tracer.wall_now_ns(), || {
-                format!(
-                    "tune:{} {} workers={} batch={} p95={}ns",
-                    state.side,
-                    decision.reason,
-                    state.active.load(Ordering::Relaxed),
-                    target_batch,
-                    obs.wait_p95_ns,
-                )
-            });
         }
     }
 
@@ -450,13 +295,9 @@ fn worker_loop(
                     parked = false;
                 }
                 // Batch drain: serve whatever else is already queued,
-                // up to the batch bound, on this same wakeup. The
-                // bound is re-read per drain so tuner decisions take
-                // effect immediately (it equals `config.max_batch`
-                // until a tuner resizes it).
-                let max_batch = state.batch_target.load(Ordering::Relaxed).max(1);
+                // up to the batch bound, on this same wakeup.
                 let mut batch = vec![job];
-                while batch.len() < max_batch {
+                while batch.len() < config.max_batch {
                     match state.rx.try_recv() {
                         Ok(next) => {
                             state.queued.fetch_sub(1, Ordering::Relaxed);
@@ -466,7 +307,6 @@ fn worker_loop(
                     }
                 }
                 recorder.record(telemetry::Hist::SwitchlessBatchJobs, batch.len() as u64);
-                state.batch_hist.record(batch.len() as u64);
                 // The whole drained batch crosses as one batch frame:
                 // one header, then each request's wire bytes. Traced
                 // requests cross as a traced frame, whose per-payload
@@ -499,9 +339,10 @@ fn worker_loop(
                             posted_wall,
                             || format!("queue-wait:{}.{}", job.class_name, job.relay),
                         );
-                        let wait = picked_up.saturating_sub(posted_model);
-                        recorder.record(telemetry::Hist::SwitchlessQueueWaitNs, wait);
-                        state.wait_hist.record(wait);
+                        recorder.record(
+                            telemetry::Hist::SwitchlessQueueWaitNs,
+                            picked_up.saturating_sub(posted_model),
+                        );
                     }
                     // A panicking relay body fails only its own call:
                     // the worker keeps its `active` slot and serves on.
@@ -524,12 +365,9 @@ fn worker_loop(
                     state.active.fetch_sub(1, Ordering::Relaxed);
                     return;
                 }
-                // Idle a full park interval: retire if above the
-                // tuner's worker target (which never drops below
-                // `min_workers`, and equals it while the tuner is
-                // inert).
-                let floor = state.tuner_target.load(Ordering::Relaxed).max(config.min_workers);
-                if try_retire(state, floor) {
+                // Idle a full park interval: retire if above
+                // `min_workers`.
+                if try_retire(state, config.min_workers) {
                     recorder.incr(telemetry::Counter::SwitchlessScaleDowns);
                     recorder.gauge_set(
                         telemetry::Gauge::SwitchlessWorkers,

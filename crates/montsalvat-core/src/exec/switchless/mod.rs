@@ -7,11 +7,11 @@
 //! opposite side serves it without any hardware transition — the cost
 //! drops to a cache-line hand-off plus the marshalling itself.
 //!
-//! One serving engine implements the mechanism: [`engine`], the
-//! adaptive thread-per-worker pool — per-side worker pools with bounded mailboxes, classic fallback on overflow,
-//! miss-driven scaling, small-batch draining and the optional
-//! trace-driven [`tuner`]. Each posted crossing occupies one OS worker
-//! thread until its reply is sent, including any time that worker
+//! One serving engine implements the mechanism: `engine`, the
+//! adaptive thread-per-worker pool — per-side worker pools with
+//! bounded mailboxes, classic fallback on overflow, miss-driven scaling
+//! and small-batch draining. Each posted crossing occupies one OS
+//! worker thread until its reply is sent, including any time that worker
 //! spends blocked on a *nested* crossing.
 //!
 //! The engine preserves the accounting invariant the CI bench gates
@@ -19,25 +19,20 @@
 //! (`rmi.switchless_calls`) or one classic fallback
 //! (`rmi.switchless_fallbacks`), so `rmi.calls == hits + fallbacks`.
 //! The ablation binary `switchless_ablation` compares it with classic
-//! crossings; `docs/SWITCHLESS.md` documents the design and why it is
-//! the only engine.
+//! crossings; `docs/SWITCHLESS.md` documents the design, why it is
+//! the only engine and why miss-driven scaling is its only sizing law.
 
 pub(crate) mod engine;
-pub mod tuner;
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Sender;
-use parking_lot::Mutex;
 use rmi::hash::ProxyHash;
-use sgx_sim::cost::CostModel;
-use telemetry::HistogramSnapshot;
 
 use crate::annotation::Side;
 use crate::error::VmError;
 use crate::exec::ctx::WireMsg;
-use tuner::{Tuner, TunerConfig};
 
 pub(crate) use engine::SwitchlessPool;
 
@@ -61,9 +56,6 @@ pub struct SwitchlessConfig {
     /// How long an idle worker parks between mailbox polls; a worker
     /// idle past this retires if the pool is above `min_workers`.
     pub idle_park: Duration,
-    /// Trace-driven feedback controller; `None` (the default) keeps
-    /// PR 2's miss-counter engine as the only scaling mechanism.
-    pub autotune: Option<TunerConfig>,
     /// Always `None`: `Infallible` has no values, so nothing but the
     /// pool can be selected. The field outlived the work-stealing
     /// engine it used to select only because the benchmark harness
@@ -83,7 +75,6 @@ impl Default for SwitchlessConfig {
             max_batch: 4,
             scale_up_misses: 4,
             idle_park: Duration::from_millis(20),
-            autotune: None,
             scheduler: None,
         }
     }
@@ -95,27 +86,6 @@ impl SwitchlessConfig {
     pub fn fixed(workers: usize) -> Self {
         let workers = workers.max(1);
         SwitchlessConfig { min_workers: workers, max_workers: workers, ..Self::default() }
-    }
-
-    /// The adaptive defaults with the trace-driven tuner attached
-    /// (default [`TunerConfig`]).
-    pub fn autotuned() -> Self {
-        SwitchlessConfig { autotune: Some(TunerConfig::default()), ..Self::default() }
-    }
-
-    /// Applies the `MONTSALVAT_AUTOTUNE` environment override: `1`
-    /// (or `true`/`on`) attaches the default tuner if none is
-    /// configured, `0` (or `false`/`off`) detaches any configured
-    /// tuner; other values leave the config alone.
-    pub fn with_env_autotune(mut self) -> Self {
-        match std::env::var("MONTSALVAT_AUTOTUNE").ok().as_deref() {
-            Some("1") | Some("true") | Some("on") if self.autotune.is_none() => {
-                self.autotune = Some(TunerConfig::default());
-            }
-            Some("0") | Some("false") | Some("off") => self.autotune = None,
-            _ => {}
-        }
-        self
     }
 
     /// Clamps the invariants the pool relies on: at least one
@@ -130,7 +100,6 @@ impl SwitchlessConfig {
             max_batch: self.max_batch.max(1),
             scale_up_misses: self.scale_up_misses.max(1),
             idle_park: self.idle_park.max(Duration::from_millis(1)),
-            autotune: self.autotune.as_ref().map(TunerConfig::normalized),
             scheduler: None,
         }
     }
@@ -187,45 +156,6 @@ pub struct SwitchlessStats {
     pub untrusted: SideStats,
 }
 
-/// Previous-snapshot cursors one tuner tick diffs against.
-#[derive(Default)]
-pub(crate) struct TunerWindow {
-    pub(crate) wait_prev: HistogramSnapshot,
-    pub(crate) batch_prev: HistogramSnapshot,
-    pub(crate) fallbacks_prev: u64,
-}
-
-/// The live tuner: the pure controller plus per-side window cursors.
-pub(crate) struct TunerRuntime {
-    pub(crate) tuner: Tuner,
-    pub(crate) trusted_window: Mutex<TunerWindow>,
-    pub(crate) untrusted_window: Mutex<TunerWindow>,
-}
-
-impl TunerRuntime {
-    /// Builds the runtime when `config.autotune` is set, judging
-    /// queue waits against one classic crossing of `cost`'s params.
-    pub(crate) fn from_config(config: &SwitchlessConfig, cost: &CostModel) -> Option<TunerRuntime> {
-        config.autotune.as_ref().map(|tc| {
-            // The yardstick queue waits are judged against: one classic
-            // crossing (hardware transition + relay software).
-            let crossing = cost.params().transition_ns() + cost.params().relay_overhead_ns;
-            TunerRuntime {
-                tuner: Tuner::new(tc.clone(), crossing),
-                trusted_window: Mutex::new(TunerWindow::default()),
-                untrusted_window: Mutex::new(TunerWindow::default()),
-            }
-        })
-    }
-
-    pub(crate) fn window(&self, side: Side) -> &Mutex<TunerWindow> {
-        match side {
-            Side::Trusted => &self.trusted_window,
-            Side::Untrusted => &self.untrusted_window,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,13 +169,6 @@ mod tests {
             max_batch: 0,
             scale_up_misses: 0,
             idle_park: Duration::ZERO,
-            autotune: Some(TunerConfig {
-                interval_calls: 0,
-                up_wait_pct: 0,
-                down_wait_pct: 99,
-                batch_limit: 0,
-                min_samples: 0,
-            }),
             scheduler: None,
         }
         .normalized();
@@ -255,19 +178,6 @@ mod tests {
         assert_eq!(cfg.max_batch, 1);
         assert_eq!(cfg.scale_up_misses, 1);
         assert!(cfg.idle_park > Duration::ZERO);
-        let tc = cfg.autotune.expect("autotune survives normalization");
-        assert_eq!(tc.interval_calls, 1);
-        assert_eq!(tc.batch_limit, 1);
-        assert_eq!(tc.min_samples, 1);
-        assert!(tc.down_wait_pct < tc.up_wait_pct, "shrink threshold below grow threshold");
-    }
-
-    #[test]
-    fn autotuned_config_attaches_the_default_tuner() {
-        let cfg = SwitchlessConfig::autotuned();
-        assert_eq!(cfg.autotune, Some(TunerConfig::default()));
-        assert_eq!(SwitchlessConfig::default().autotune, None);
-        assert_eq!(SwitchlessConfig::fixed(2).autotune, None);
     }
 
     #[test]

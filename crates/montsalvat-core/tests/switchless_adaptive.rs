@@ -6,7 +6,6 @@ use std::time::{Duration, Instant};
 
 use montsalvat_core::annotation::Side;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat_core::exec::switchless::tuner::TunerConfig;
 use montsalvat_core::exec::switchless::SwitchlessConfig;
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::samples::bank_program;
@@ -133,31 +132,23 @@ fn adaptive_engine_reports_wakes_and_bounded_queue_depth() {
     );
 }
 
-/// Regression (PR 4): the crossing accounting must survive the tuner
-/// actively resizing pools. An aggressively-configured trace-driven
-/// tuner (tick every 2 posts, act on 1 sample, grow on any wait above
-/// ~1% of a crossing) with the miss engine effectively disabled is
-/// driven until it records decisions — then every crossing must still
-/// be exactly one hit or one fallback, the queue-wait histogram must
-/// hold exactly one sample per hit (every post was traced), and the
-/// worker count must stay inside its configured bounds throughout.
+/// Regression: the crossing accounting must survive the pool actively
+/// resizing itself. A hair-trigger miss engine (one miss spawns a
+/// worker) behind a two-slot mailbox is driven until it scales up —
+/// then every crossing must still be exactly one hit or one fallback,
+/// the queue-wait histogram must hold exactly one sample per hit (every
+/// post was traced), and the worker count must stay inside its
+/// configured bounds throughout.
 #[test]
-fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
+fn miss_driven_resizing_preserves_crossing_and_queue_wait_accounting() {
     let tracer = telemetry::trace::Tracer::new();
     tracer.enable_with_capacity(1 << 20);
     let config = SwitchlessConfig {
         min_workers: 1,
         max_workers: 4,
         mailbox_capacity: 2,
-        // Park the miss engine so observed scaling is the tuner's.
-        scale_up_misses: 1_000_000,
+        scale_up_misses: 1,
         idle_park: Duration::from_millis(5),
-        autotune: Some(TunerConfig {
-            interval_calls: 2,
-            min_samples: 1,
-            up_wait_pct: 1,
-            ..TunerConfig::default()
-        }),
         ..SwitchlessConfig::default()
     };
     let tp = transform(&bank_program());
@@ -171,7 +162,7 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
     };
     let app = Arc::new(PartitionedApp::launch(&t, &u, app_config).unwrap());
 
-    // Drive concurrent load until the tuner has demonstrably acted,
+    // Drive concurrent load until the pool has demonstrably grown,
     // sampling the worker-count invariant the whole time.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -196,21 +187,21 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
             h.join().unwrap();
         }
         let snap = app.telemetry_snapshot();
-        if snap.counter(telemetry::Counter::SwitchlessTuneUps) > 0 {
+        if snap.counter(telemetry::Counter::SwitchlessScaleUps) > 0 {
             break;
         }
-        assert!(Instant::now() < deadline, "tuner never recorded a decision: {snap:?}");
+        assert!(Instant::now() < deadline, "the pool never scaled up: {snap:?}");
     }
 
     let snap = app.telemetry_snapshot();
     // Every crossing is exactly one of: switchless hit, classic
-    // fallback — per calling world, tuner or no tuner.
+    // fallback — per calling world, however the pool was resized.
     for side in [Side::Trusted, Side::Untrusted] {
         let world = app.world_stats(side);
         assert_eq!(
             world.rmi_calls,
             world.switchless_calls + world.switchless_fallbacks,
-            "{side}: crossing accounting broke under tuner resizing"
+            "{side}: crossing accounting broke under live resizing"
         );
     }
     // Queue-wait reconciliation: the tracer was on for every post, so
@@ -220,11 +211,12 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
         snap.counter(telemetry::Counter::SwitchlessCalls),
         "one queue-wait sample per traced switchless hit"
     );
-    // The decisions are visible downstream: counters and the
-    // last-value batch gauge stay within the tuner's bounds.
-    let target = snap.gauge(telemetry::Gauge::SwitchlessTargetBatch);
-    let limit = TunerConfig::default().batch_limit as u64;
-    assert!((1..=limit).contains(&target), "batch target {target} outside [1, {limit}]");
+    // Resizing never touches the drain bound the gauge reports.
+    assert_eq!(
+        snap.gauge(telemetry::Gauge::SwitchlessTargetBatch),
+        config.max_batch as u64,
+        "batch target is the configured bound"
+    );
     let peak = snap.gauge(telemetry::Gauge::SwitchlessWorkersPeak);
     assert!(peak <= config.max_workers as u64, "worker peak {peak} beyond max");
 }

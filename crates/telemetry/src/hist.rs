@@ -117,15 +117,6 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Mean observed value, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Adds another snapshot's observations into this one.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {

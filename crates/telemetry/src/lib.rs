@@ -48,6 +48,7 @@ pub use hist::{
 };
 pub use recorder::{aggregate, Recorder, Span, SpanModel};
 pub use snapshot::{extract_counter, Snapshot};
+pub use trace::escape_json;
 
 /// Identifier of the JSON schema emitted by [`Snapshot::to_json`].
 ///
@@ -149,11 +150,11 @@ metric_enum! {
         SwitchlessScaleUps => ("rmi.switchless_scale_ups", "events"),
         /// Adaptive scale-down events (an idle worker retired).
         SwitchlessScaleDowns => ("rmi.switchless_scale_downs", "events"),
-        /// Trace-driven tuner decisions that grew capacity (worker
-        /// target raised or batch bound raised).
+        /// Always 0. Counted capacity-raising decisions of the removed
+        /// trace-driven tuner; the two `SwitchlessTune*` metrics stay so
+        /// exports keep their shape, like the `Sched*` ones below.
         SwitchlessTuneUps => ("rmi.switchless_tune_ups", "events"),
-        /// Trace-driven tuner decisions that shrank capacity (worker
-        /// target lowered or batch bound lowered).
+        /// Always 0 (see [`SwitchlessTuneUps`](Counter::SwitchlessTuneUps)).
         SwitchlessTuneDowns => ("rmi.switchless_tune_downs", "events"),
         /// Payload bytes serialized for cross-world messages.
         BytesSerialized => ("rmi.bytes_serialized", "bytes"),
@@ -229,9 +230,9 @@ metric_enum! {
         SwitchlessWorkersPeak => ("rmi.switchless_workers_peak", "workers"),
         /// Peak queued jobs observed in a switchless mailbox.
         SwitchlessQueueDepthPeak => ("rmi.switchless_queue_depth_peak", "jobs"),
-        /// Most recent per-drain batch bound chosen by the tuner
-        /// (last-value, via [`Recorder::gauge_set`]; equals the
-        /// configured `max_batch` until the tuner changes it).
+        /// Per-drain batch bound in force: the configured `max_batch`,
+        /// set once when the switchless pool spawns (last-value, via
+        /// [`Recorder::gauge_set`]).
         SwitchlessTargetBatch => ("rmi.switchless_target_batch", "jobs"),
         /// Current EPC-resident bytes committed by an enclave
         /// (last-value, via [`Recorder::gauge_set`]; the per-window

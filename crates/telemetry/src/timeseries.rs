@@ -568,7 +568,7 @@ pub struct WindowView {
     pub epc_faults: u64,
     /// Switchless posts that fell back to classic crossings.
     pub fallbacks: u64,
-    /// Worker-pool churn: scale-ups/downs plus tuner decisions.
+    /// Worker-pool churn: scale-ups plus scale-downs.
     pub scale_events: u64,
     /// Mailbox depth observed at window close.
     pub queue_depth: u64,
@@ -590,9 +590,7 @@ impl WindowView {
             epc_faults: d.counter(Counter::EpcFaults),
             fallbacks: d.counter(Counter::SwitchlessFallbacks),
             scale_events: d.counter(Counter::SwitchlessScaleUps)
-                + d.counter(Counter::SwitchlessScaleDowns)
-                + d.counter(Counter::SwitchlessTuneUps)
-                + d.counter(Counter::SwitchlessTuneDowns),
+                + d.counter(Counter::SwitchlessScaleDowns),
             queue_depth: d.gauge(Gauge::SwitchlessQueueDepth),
             workers: d.gauge(Gauge::SwitchlessWorkers),
         }
@@ -612,9 +610,7 @@ impl WindowView {
             epc_faults: w.counter("sgx.epc_faults"),
             fallbacks: w.counter("rmi.switchless_fallbacks"),
             scale_events: w.counter("rmi.switchless_scale_ups")
-                + w.counter("rmi.switchless_scale_downs")
-                + w.counter("rmi.switchless_tune_ups")
-                + w.counter("rmi.switchless_tune_downs"),
+                + w.counter("rmi.switchless_scale_downs"),
             queue_depth: w.gauge("rmi.switchless_queue_depth"),
             workers: w.gauge("rmi.switchless_workers"),
         }
@@ -765,7 +761,7 @@ fn attribute(
     if v.scale_events > 0 {
         causes.push(Attribution {
             cause: "scale",
-            evidence: format!("{} worker scale/tune event(s)", v.scale_events),
+            evidence: format!("{} worker scale event(s)", v.scale_events),
             confidence: Confidence::Medium,
         });
     }

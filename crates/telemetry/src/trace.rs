@@ -635,7 +635,9 @@ fn event_json(event: &TraceEvent) -> String {
     line
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and every control character.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -763,6 +765,15 @@ fn unescape_json(s: &str) -> String {
         match chars.next() {
             Some('n') => out.push('\n'),
             Some('t') => out.push('\t'),
+            Some('r') => out.push('\r'),
+            Some('b') => out.push('\u{8}'),
+            Some('f') => out.push('\u{c}'),
+            Some('u') => {
+                let hex: String = chars.by_ref().take(4).collect();
+                let code = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
+                out.push(code.unwrap_or(char::REPLACEMENT_CHARACTER));
+            }
+            // `"`, `\\` and `/` stand for themselves.
             Some(other) => out.push(other),
             None => {}
         }
@@ -841,6 +852,21 @@ mod tests {
         });
         assert_eq!(tracer.event_count(), 0);
         assert_eq!(tracer.dropped(), 0);
+    }
+
+    #[test]
+    fn span_names_round_trip_through_escaping() {
+        let tracer = enabled(8);
+        let name = "say \"hi\" C:\\dir\nnext\u{1}end";
+        tracer.instant(Lane::Trusted, "rmi", None, 0, || name.into());
+        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
+        assert_eq!(parsed.events.len(), 1);
+        assert_eq!(parsed.events[0].name, name);
+    }
+
+    #[test]
+    fn unescape_decodes_every_json_escape() {
+        assert_eq!(unescape_json(r#"a\/b\r\b\f\u00e9\u0001"#), "a/b\r\u{8}\u{c}é\u{1}");
     }
 
     #[test]

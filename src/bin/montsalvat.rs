@@ -694,37 +694,6 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
         );
     }
 
-    // Tuner decisions: the switchless controller emits one zero-width
-    // cat-"queue" mark per applied decision, named
-    // `tune:<side> <reason> workers=<n> batch=<n> p95=<ns>ns`.
-    // Group by side + reason so the report shows which branch of the
-    // control law drove the run.
-    let tunes: Vec<&ReportSpan> =
-        spans.iter().filter(|s| s.cat == "queue" && s.name.starts_with("tune:")).collect();
-    if !tunes.is_empty() {
-        let mut by_kind: HashMap<String, u64> = HashMap::new();
-        for s in &tunes {
-            let kind = s
-                .name
-                .trim_start_matches("tune:")
-                .split_whitespace()
-                .take(2)
-                .collect::<Vec<_>>()
-                .join(" ");
-            *by_kind.entry(kind).or_default() += 1;
-        }
-        let mut by_kind: Vec<_> = by_kind.into_iter().collect();
-        by_kind.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let _ = writeln!(out, "\n-- switchless tuner decisions --");
-        let _ = writeln!(out, "{} decisions applied", tunes.len());
-        for (kind, count) in &by_kind {
-            let _ = writeln!(out, "{kind:<28} {count:>6}");
-        }
-        if let Some(last) = tunes.iter().max_by_key(|s| s.begin_ns) {
-            let _ = writeln!(out, "last: {}", last.name);
-        }
-    }
-
     out
 }
 
@@ -963,6 +932,33 @@ mod tests {
     }
 
     #[test]
+    fn advise_json_escapes_class_names_from_the_trace() {
+        use montsalvat::telemetry::trace::{Lane, Tracer};
+        let tracer = Tracer::new();
+        tracer.enable_with_capacity(1024);
+        for i in 0..16u64 {
+            let t0 = i * 100_000;
+            let call = tracer
+                .start(Lane::Untrusted, "rmi", None, t0, || "Ev\"il.relay$get".into())
+                .expect("tracing enabled");
+            let ecall = tracer
+                .start(Lane::Trusted, "sgx", Some(call.context()), t0, || "ecall:relay".into())
+                .expect("tracing enabled");
+            tracer.finish(ecall, t0 + 1_000);
+            tracer.finish(call, t0 + 2_000);
+        }
+        let dir = std::env::temp_dir().join("montsalvat-advise-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("quoted-class.json");
+        std::fs::write(&path, tracer.to_chrome_json(&[])).unwrap();
+        let json =
+            run_advise(path.to_str().unwrap(), &AdviseOpts { json: true, ..AdviseOpts::default() })
+                .expect("advise runs");
+        assert!(json.contains(r#""class": "Ev\"il""#), "{json}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn advise_errors_on_a_trace_without_crossings() {
         use montsalvat::telemetry::trace::{Lane, Tracer};
         let tracer = Tracer::new();
@@ -1054,29 +1050,5 @@ mod tests {
         let report = render_trace_report(&parsed, 3);
         assert!(report.contains("WARN"), "{report}");
         assert!(report.contains("MONTSALVAT_TRACE_BUFFER"), "{report}");
-    }
-
-    #[test]
-    fn trace_report_summarises_tuner_decisions() {
-        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Tracer};
-        let tracer = Tracer::new();
-        tracer.enable_with_capacity(64);
-        for (i, mark) in [
-            "tune:trusted queue-pressure workers=2 batch=4 p95=90000ns",
-            "tune:trusted queue-pressure workers=3 batch=4 p95=91000ns",
-            "tune:trusted idle-waits workers=2 batch=4 p95=1000ns",
-        ]
-        .iter()
-        .enumerate()
-        {
-            let at = 1_000 * (i as u64 + 1);
-            tracer.span_at(Lane::Trusted, "queue", None, at, at, at, || (*mark).to_owned());
-        }
-        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
-        let report = render_trace_report(&parsed, 3);
-        assert!(report.contains("switchless tuner decisions"), "{report}");
-        assert!(report.contains("3 decisions applied"), "{report}");
-        assert!(report.contains("trusted queue-pressure") && report.contains("2"), "{report}");
-        assert!(report.contains("last: tune:trusted idle-waits"), "{report}");
     }
 }
