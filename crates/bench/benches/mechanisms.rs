@@ -78,13 +78,16 @@ fn bench_codec(c: &mut Criterion) {
     let list = Value::List((0..1000).map(|i| Value::Str(format!("{i:016}"))).collect());
     let obj = heap.alloc(ClassId(1), vec![list]).expect("alloc");
     heap.add_root(obj);
-    c.bench_function("codec_encode_1000_strings", |b| {
-        b.iter(|| {
-            rmi::codec::encode_value(&heap, &Value::Ref(obj), &mut rmi::codec::inline_all).unwrap()
-        })
-    });
-    let bytes =
-        rmi::codec::encode_value(&heap, &Value::Ref(obj), &mut rmi::codec::inline_all).unwrap();
+    // Encode into one reused buffer, as a crossing does with its pooled
+    // payload buffer.
+    let encode = |out: &mut Vec<u8>| {
+        out.clear();
+        rmi::codec::encode_value_v2(&heap, &Value::Ref(obj), &mut rmi::codec::inline_all, out)
+            .unwrap()
+    };
+    let mut bytes = Vec::new();
+    encode(&mut bytes);
+    c.bench_function("codec_encode_1000_strings", |b| b.iter(|| encode(&mut bytes)));
     c.bench_function("codec_decode_1000_strings", |b| {
         b.iter_batched(
             || Heap::new(HeapConfig::default()),

@@ -12,7 +12,7 @@
 //! (same placement, JVM execution model).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,14 +70,6 @@ pub struct AppConfig {
     /// ([`telemetry::trace::Tracer::global`]), which captures nothing
     /// until enabled; inject one to isolate a run's trace.
     pub trace: Option<Arc<telemetry::trace::Tracer>>,
-    /// Whether boundary crossings use the wire-format-v2 serde fast
-    /// path (shape-cached interned hints, pooled buffers, bulk
-    /// primitive encoding — see `docs/SERDE.md`). `None` reads
-    /// `MONTSALVAT_SERDE_FASTPATH` at launch (default: enabled);
-    /// `Some(_)` pins the mode regardless of the environment. The
-    /// running application can be re-toggled through
-    /// [`AppShared::set_serde_fastpath`].
-    pub serde_fastpath: Option<bool>,
     /// How the trusted world is realized (see [`crate::provider`]).
     /// `None` consults `MONTSALVAT_PROVIDER` at launch and defaults to
     /// [`ProviderKind::SimSgx`]; `Some(_)` pins the deployment mode
@@ -107,7 +99,6 @@ impl Default for AppConfig {
             switchless: None,
             telemetry: None,
             trace: None,
-            serde_fastpath: None,
             provider: None,
             collector: None,
         }
@@ -129,40 +120,18 @@ fn effective_heap_config(config: &AppConfig) -> HeapConfig {
     }
 }
 
-/// `MONTSALVAT_SERDE_FASTPATH=0|off|false` disables the v2 fast path
-/// process-wide; anything else (or unset) enables it.
-fn serde_fastpath_from_env() -> bool {
-    match std::env::var("MONTSALVAT_SERDE_FASTPATH") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
-
-/// Per-application serde fast-path state: the class-name interner
-/// shared by both runtimes (modelling the per-peer tables each side
-/// builds from the `Named` hints it has seen), one shape cache per
-/// side (class ids are world-local, so the caches must not mix), and
-/// the run-time fast-path switch.
-#[derive(Debug)]
+/// Per-application serde state: the class-name interner shared by
+/// both runtimes (modelling the per-peer tables each side builds from
+/// the `Named` hints it has seen) and one shape cache per side (class
+/// ids are world-local, so the caches must not mix).
+#[derive(Debug, Default)]
 pub(crate) struct SerdeState {
-    pub(crate) fastpath: AtomicBool,
     pub(crate) names: rmi::NameInterner,
     shapes_trusted: rmi::ShapeCache,
     shapes_untrusted: rmi::ShapeCache,
 }
 
 impl SerdeState {
-    fn new(config: &AppConfig) -> Self {
-        SerdeState {
-            fastpath: AtomicBool::new(
-                config.serde_fastpath.unwrap_or_else(serde_fastpath_from_env),
-            ),
-            names: rmi::NameInterner::new(),
-            shapes_trusted: rmi::ShapeCache::new(),
-            shapes_untrusted: rmi::ShapeCache::new(),
-        }
-    }
-
     /// The shape cache for classes of `side`'s world.
     pub(crate) fn shapes(&self, side: Side) -> &rmi::ShapeCache {
         match side {
@@ -216,17 +185,11 @@ impl AppShared {
         }
     }
 
-    /// Whether crossings currently use the wire-format-v2 serde fast
-    /// path (see [`AppConfig::serde_fastpath`]).
+    /// Always `true`: every crossing encodes wire format v2, the only
+    /// serde path (`docs/SERDE.md` §"Why one wire format"). Kept
+    /// because the benchmark harness reports it.
     pub fn serde_fastpath(&self) -> bool {
-        self.serde.fastpath.load(Ordering::Relaxed)
-    }
-
-    /// Switches the serde fast path on or off at run time. Both modes
-    /// decode either wire format, so in-flight messages are unaffected;
-    /// ablations use this to compare modes within one process.
-    pub fn set_serde_fastpath(&self, on: bool) {
-        self.serde.fastpath.store(on, Ordering::Relaxed);
+        true
     }
 
     /// Number of distinct class names interned by crossing hints so
@@ -440,7 +403,7 @@ impl PartitionedApp {
             trusted,
             untrusted,
             switchless: parking_lot::Mutex::new(None),
-            serde: SerdeState::new(&config),
+            serde: SerdeState::default(),
         });
         if let Some(sw_config) = &config.switchless {
             let serve_shared = Arc::clone(&shared);
@@ -697,7 +660,7 @@ impl SingleWorldApp {
             trusted: Arc::clone(&world),
             untrusted: world,
             switchless: parking_lot::Mutex::new(None),
-            serde: SerdeState::new(&config),
+            serde: SerdeState::default(),
         });
         let main = find_main(image)?;
         Ok(SingleWorldApp { shared, enclave, placement, main, workdir, owns_workdir })

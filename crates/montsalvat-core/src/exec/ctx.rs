@@ -32,7 +32,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rmi::codec::{self, CodecError, EncodeStats, RefEncoding, TraceContext};
+use rmi::codec::{self, CodecError, RefEncoding, TraceContext};
 use rmi::hash::ProxyHash;
 use rmi::pool::PooledBuf;
 use rmi::shape::NameRef;
@@ -474,11 +474,10 @@ pub(crate) struct WireMsg {
 }
 
 impl WireMsg {
-    /// Total bytes that cross the boundary for this message. A trace
-    /// context costs its wire bytes plus the presence flag; an untraced
-    /// v1 message is byte-identical to the pre-tracing format (a hint's
-    /// name costs 16 hash bytes plus its [`NameRef::wire_len`], which
-    /// for a full name matches the old `20 + len`).
+    /// Total bytes that cross the boundary for this message: a 17-byte
+    /// header, per hint 16 hash bytes plus its [`NameRef::wire_len`], a
+    /// 4-byte payload length and the payload. A trace context costs its
+    /// wire bytes plus the presence flag.
     pub(crate) fn wire_len(&self) -> usize {
         17 + self.hints.iter().map(|(_, n)| 16 + n.wire_len()).sum::<usize>()
             + 4
@@ -502,32 +501,22 @@ impl WireMsg {
 
 /// Marshals `values` for a crossing out of `world`.
 ///
-/// Neutral objects inline; annotated objects export/reuse a hash.
-///
-/// Two encode paths share this function (`docs/SERDE.md`):
-///
-/// - the **classic** path reproduces the v1 wire format and its
-///   allocation profile (fresh payload buffer, full class name per
-///   hint);
-/// - the **fast** path ([`AppShared::serde_fastpath`]) encodes wire
-///   format v2 into a pooled buffer, skips the annotated-ref heap walk
-///   when the arguments contain no references at all, and hints by
-///   interned name id after a class's first crossing.
+/// Neutral objects inline; annotated objects export/reuse a hash. The
+/// payload is wire format v2 encoded into a pooled buffer
+/// (`docs/SERDE.md`); the annotated-ref heap walk is skipped when the
+/// arguments contain no references at all, and hints name a class by
+/// interned id after its first crossing.
 fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, VmError> {
     let rec = app.cost.recorder();
-    rec.incr(telemetry::Counter::SerdeEncodeCalls);
-    let fast = app.serde_fastpath();
     let tracer = app.cost.tracer();
     let begin_model_ns = app.cost.now_ns();
     let begin_wall_ns = tracer.wall_now_ns();
 
     // Pass 1: find annotated references reachable through inline
-    // (neutral) structure. The fast path skips the walk outright for
-    // reference-free arguments (the common primitive/bulk crossing);
-    // the classic path always walks, like v1 did.
+    // (neutral) structure. Reference-free arguments (the common
+    // primitive/bulk crossing) skip the walk outright.
     let mut annotated: Vec<ObjId> = Vec::new();
-    let walk = !fast || values.iter().any(has_refs);
-    if walk {
+    if values.iter().any(has_refs) {
         let heap = world.isolate.lock_heap();
         let mut stack: Vec<Value> = values.to_vec();
         let mut visited: std::collections::HashSet<ObjId> = std::collections::HashSet::new();
@@ -576,47 +565,40 @@ fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, 
                 rmi.hash_of.insert(id, h);
                 h
             };
-            hints.push((hash, hint_name(app, world, info, class_id, fast)));
+            hints.push((hash, hint_name(app, world, info, class_id)));
             hash_map.insert(id, hash);
         }
     }
 
     // Pass 3: encode with a pure policy.
-    let (payload, stats) = {
+    let mut payload = rmi::pool::acquire();
+    let stats = {
         let heap = world.isolate.lock_heap();
         let mut policy = |id: ObjId| match hash_map.get(&id) {
             Some(&h) => Ok(RefEncoding::Hash(h)),
             None => Ok(RefEncoding::Inline),
         };
-        if fast {
-            let mut buf = rmi::pool::acquire();
-            let stats = codec::encode_values_v2(&heap, values, &mut policy, &mut buf)?;
-            (buf, stats)
-        } else {
-            let bytes = codec::encode_value(&heap, &Value::List(values.to_vec()), &mut policy)?;
-            let stats = EncodeStats { total_bytes: bytes.len() as u64, bulk_bytes: 0 };
-            (PooledBuf::from_vec(bytes), stats)
-        }
+        codec::encode_values_v2(&heap, values, &mut policy, &mut payload)?
     };
 
     // Serialization walks the object graph; inside the enclave every
     // read goes through the MEE, hence the enclave factor on encode.
     // Bulk-encoded bytes bill at the cheap single-memcpy rate.
     let charged_ns = charge_serde(app, world, stats.element_bytes(), stats.bulk_bytes, true);
+    // Counted only once the encode has succeeded, so a failed marshal
+    // leaves `serde.encode_calls == serde.fast_path_hits`.
+    rec.incr(telemetry::Counter::SerdeEncodeCalls);
+    rec.incr(telemetry::Counter::SerdeFastPathHits);
     rec.add(telemetry::Counter::CodecBytesOut, payload.len() as u64);
-    if fast {
-        rec.incr(telemetry::Counter::SerdeFastPathHits);
-        rec.add(telemetry::Counter::SerdeBulkBytes, stats.bulk_bytes);
-        if payload.was_pooled() {
-            rec.add(telemetry::Counter::SerdePooledBytes, payload.len() as u64);
-        }
-        rec.record(telemetry::Hist::SerdeEncodeFastNs, charged_ns);
-    } else {
-        rec.incr(telemetry::Counter::SerdeSlowPathHits);
-        rec.record(telemetry::Hist::SerdeEncodeClassicNs, charged_ns);
+    rec.add(telemetry::Counter::SerdeBulkBytes, stats.bulk_bytes);
+    if payload.was_pooled() {
+        rec.add(telemetry::Counter::SerdePooledBytes, payload.len() as u64);
     }
+    rec.record(telemetry::Hist::SerdeEncodeFastNs, charged_ns);
     // The span name carries the payload size (`b=`), which the
     // trace-report CLI attributes to the enclosing rmi span's class.
+    // Readers parse only that suffix; the `fast` label stays so traces
+    // keep their span names.
     tracer.span_at(
         world.side.lane(),
         "serde",
@@ -624,7 +606,7 @@ fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, 
         begin_model_ns,
         app.cost.now_ns(),
         begin_wall_ns,
-        || format!("marshal:{} b={}", if fast { "fast" } else { "classic" }, payload.len()),
+        || format!("marshal:fast b={}", payload.len()),
     );
     Ok(WireMsg { recv_hash: None, hints, payload, trace: None })
 }
@@ -637,48 +619,19 @@ fn has_refs(v: &Value) -> bool {
     found
 }
 
-/// Produces a hint's class-name encoding, compiling the class's shape
-/// on its first crossing. Fast path: the full name crosses exactly once
-/// per class, the 4-byte intern id thereafter. Classic path: the full
-/// name every time (v1 wire behaviour), but shared out of the interner
-/// so no per-crossing `String` clone remains.
-fn hint_name(
-    app: &AppShared,
-    world: &World,
-    info: &ClassInfo,
-    class_id: ClassId,
-    fast: bool,
-) -> NameRef {
+/// Produces a hint's class-name encoding: the full name on the class's
+/// first crossing from this side (a shape-cache miss), the 4-byte
+/// intern id thereafter.
+fn hint_name(app: &AppShared, world: &World, info: &ClassInfo, class_id: ClassId) -> NameRef {
     let shapes = app.serde.shapes(world.side);
-    let (shape, first) = match shapes.get(class_id) {
-        Some(shape) => (shape, false),
-        None => {
-            app.cost.recorder().incr(telemetry::Counter::SerdeShapeCacheMisses);
-            (shapes.insert(class_id, compile_shape(app, info)), true)
-        }
-    };
-    if fast && !first {
-        NameRef::Id(shape.name_id)
-    } else {
-        let name =
-            app.serde.names.resolve(shape.name_id).expect("compiled shapes intern their name");
-        NameRef::Named(shape.name_id, name)
+    if let Some(name_id) = shapes.get(class_id) {
+        return NameRef::Id(name_id);
     }
-}
-
-/// Compiles the per-class facts reused on every later crossing of the
-/// class. Hints exist only for annotated classes, which always cross as
-/// a 17-byte hash reference (tag + 16 hash bytes), so their encoded
-/// width is fixed; a proxy's single field is the raw hash bytes, hence
-/// primitive-only.
-fn compile_shape(app: &AppShared, info: &ClassInfo) -> rmi::CompiledShape {
+    app.cost.recorder().incr(telemetry::Counter::SerdeShapeCacheMisses);
     let (name_id, _) = app.serde.names.intern(&info.def.name);
-    rmi::CompiledShape {
-        field_count: info.def.fields.len() as u32,
-        primitive_only: info.def.role == ClassRole::Proxy,
-        fixed_width: Some(17),
-        name_id,
-    }
+    shapes.insert(class_id, name_id);
+    let name = app.serde.names.resolve(name_id).expect("interned above");
+    NameRef::Named(name_id, name)
 }
 
 /// Reads the `__hash` field of a proxy object.
@@ -699,16 +652,34 @@ fn hash_value(hash: ProxyHash) -> Value {
 
 /// Unmarshals a message into `world`. Returns the decoded values plus
 /// the pin list (temporary roots) the caller must release after taking
-/// in-flight roots on whatever it keeps.
+/// in-flight roots on whatever it keeps. A message that fails to
+/// unmarshal leaves nothing pinned.
 fn unmarshal(
     app: &AppShared,
     world: &World,
     msg: &WireMsg,
 ) -> Result<(Vec<Value>, Vec<ObjId>), VmError> {
+    let mut pins: Vec<ObjId> = Vec::new();
+    match unmarshal_pinning(app, world, msg, &mut pins) {
+        Ok(values) => Ok((values, pins)),
+        Err(e) => {
+            release_pins(world, &pins);
+            Err(e)
+        }
+    }
+}
+
+/// The body of [`unmarshal`]. Every temporary root it takes goes into
+/// `pins` as it is taken, so the caller can release them on failure.
+fn unmarshal_pinning(
+    app: &AppShared,
+    world: &World,
+    msg: &WireMsg,
+    pins: &mut Vec<ObjId>,
+) -> Result<Vec<Value>, VmError> {
     let tracer = app.cost.tracer();
     let begin_model_ns = app.cost.now_ns();
     let begin_wall_ns = tracer.wall_now_ns();
-    let mut pins: Vec<ObjId> = Vec::new();
     let mut by_hash: std::collections::HashMap<ProxyHash, ObjId> = Default::default();
 
     // Resolve every hinted hash to a local object: the mirror if its
@@ -755,7 +726,7 @@ fn unmarshal(
     };
     // Decoding streams a linear buffer; enclave writes are charged by
     // the heap observer, so no extra factor here. Bytes that arrived
-    // through v2 bulk tags decode as straight copies at the bulk rate.
+    // through bulk tags decode as straight copies at the bulk rate.
     let element = (msg.payload.len() as u64).saturating_sub(decoded.bulk_bytes);
     charge_serde(app, world, element, decoded.bulk_bytes, false);
     app.cost.recorder().add(telemetry::Counter::CodecBytesIn, msg.payload.len() as u64);
@@ -770,8 +741,8 @@ fn unmarshal(
     );
     pins.extend(decoded.allocated.iter().copied());
     match decoded.value {
-        Value::List(vs) => Ok((vs, pins)),
-        other => Ok((vec![other], pins)),
+        Value::List(vs) => Ok(vs),
+        other => Ok(vec![other]),
     }
 }
 
@@ -779,7 +750,7 @@ fn unmarshal(
 /// A [`NameRef::Named`] hint populates the app's interner (the
 /// receiving side learns the name); a [`NameRef::Id`] hint must
 /// reference an already-interned name — i.e. the full name crossed
-/// earlier, which the fast-path encoder guarantees.
+/// earlier, which the encoder guarantees.
 fn resolve_hint_class<'w>(
     app: &AppShared,
     world: &'w World,
@@ -809,8 +780,7 @@ fn resolve_hint_class<'w>(
 /// per-element graph-walk rate, `bulk_bytes` (single-memcpy encodings)
 /// the cheap bulk rate. Encodes performed inside the enclave pay the
 /// enclave factor on both (MEE reads along the walk). Returns the
-/// modelled nanoseconds charged — recorded into the per-path encode
-/// histograms.
+/// modelled nanoseconds charged — recorded into the encode histogram.
 fn charge_serde(
     app: &AppShared,
     world: &World,
@@ -1161,42 +1131,126 @@ fn serve_relay_inner(
 
     let (args, pins) = unmarshal(app, callee, msg)?;
 
-    let result: Result<Value, VmError> = if *is_ctor {
-        let hash = msg.recv_hash.ok_or_else(|| {
-            VmError::BadRef(format!("constructor relay `{relay}` without a proxy hash"))
-        })?;
-        let mirror_val = construct_local(app, callee, info, &args)?;
-        let mirror = mirror_val.as_ref_id().expect("construct returns a reference");
-        {
-            let mut rmi = callee.rmi.lock();
-            let mut heap = callee.isolate.lock_heap();
-            rmi.registry.register(&mut heap, hash, mirror);
-            rmi.hash_of.insert(mirror, hash);
-            callee.stats.count_mirror();
+    // Dispatch in a closure so that every failure still reaches the
+    // pin release below.
+    let result = (|| -> Result<Value, VmError> {
+        if *is_ctor {
+            let hash = msg.recv_hash.ok_or_else(|| {
+                VmError::BadRef(format!("constructor relay `{relay}` without a proxy hash"))
+            })?;
+            let mirror_val = construct_local(app, callee, info, &args)?;
+            let mirror = mirror_val.as_ref_id().expect("construct returns a reference");
+            {
+                let mut rmi = callee.rmi.lock();
+                let mut heap = callee.isolate.lock_heap();
+                rmi.registry.register(&mut heap, hash, mirror);
+                rmi.hash_of.insert(mirror, hash);
+                callee.stats.count_mirror();
+            }
+            // The registry holds the mirror now; drop the in-flight root and
+            // return unit (the caller already holds the proxy).
+            release(callee, &mirror_val);
+            Ok(Value::Unit)
+        } else if target_def.kind == MethodKind::Static {
+            exec_method(app, callee, info, target_def, None, &args)
+        } else {
+            let hash = msg.recv_hash.ok_or_else(|| {
+                VmError::BadRef(format!("instance relay `{relay}` without a proxy hash"))
+            })?;
+            let mirror = {
+                let rmi = callee.rmi.lock();
+                rmi.registry.get(hash)
+            }
+            .ok_or_else(|| VmError::BadRef(format!("no mirror registered for hash {hash}")))?;
+            exec_method(app, callee, info, target_def, Some(mirror), &args)
         }
-        // The registry holds the mirror now; drop the in-flight root and
-        // return unit (the caller already holds the proxy).
-        release(callee, &mirror_val);
-        Ok(Value::Unit)
-    } else if target_def.kind == MethodKind::Static {
-        exec_method(app, callee, info, target_def, None, &args)
-    } else {
-        let hash = msg.recv_hash.ok_or_else(|| {
-            VmError::BadRef(format!("instance relay `{relay}` without a proxy hash"))
-        })?;
-        let mirror = {
-            let rmi = callee.rmi.lock();
-            rmi.registry.get(hash)
-        }
-        .ok_or_else(|| VmError::BadRef(format!("no mirror registered for hash {hash}")))?;
-        exec_method(app, callee, info, target_def, Some(mirror), &args)
-    };
+    })();
 
     let outcome = result.and_then(|ret| {
-        let wire = marshal(app, callee, std::slice::from_ref(&ret))?;
+        let wire = marshal(app, callee, std::slice::from_ref(&ret));
         release(callee, &ret);
-        Ok(wire)
+        wire
     });
     release_pins(callee, &pins);
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::class::MethodRef;
+    use crate::exec::app::{AppConfig, PartitionedApp};
+    use crate::image_builder::{build_partitioned_images, ImageOptions};
+    use crate::samples::bank_program;
+    use crate::transform::transform;
+
+    fn launch_bank() -> PartitionedApp {
+        let entries = vec![
+            MethodRef::new("Person", CTOR),
+            MethodRef::new("Person", "getAccount"),
+            MethodRef::new("Account", CTOR),
+            MethodRef::new("Account", "balance"),
+        ];
+        let tp = transform(&bank_program());
+        let options = ImageOptions::with_entry_points(entries);
+        let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
+        let config = AppConfig { gc_helper_interval: None, ..AppConfig::default() };
+        PartitionedApp::launch(&t, &u, config).unwrap()
+    }
+
+    /// A message into the untrusted world whose one hint names
+    /// `Account`, a class that world holds only as a proxy, so
+    /// unmarshalling it roots a fresh proxy before reading the payload.
+    fn hinted_msg(payload: Vec<u8>, recv_hash: Option<ProxyHash>) -> WireMsg {
+        WireMsg {
+            recv_hash,
+            hints: vec![(ProxyHash(0x5EED), NameRef::Named(0, "Account".into()))],
+            payload: payload.into(),
+            trace: None,
+        }
+    }
+
+    /// A well-formed one-int payload.
+    fn int_payload(world: &World) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let heap = world.isolate.lock_heap();
+        codec::encode_value_v2(&heap, &Value::Int(7), &mut codec::inline_all, &mut buf).unwrap();
+        buf
+    }
+
+    fn root_count(world: &World) -> usize {
+        world.isolate.with_heap(|h| h.root_count())
+    }
+
+    #[test]
+    fn a_rejected_payload_leaves_the_hint_proxies_unrooted() {
+        let app = launch_bank();
+        let world = app.shared.world(Side::Untrusted);
+        let roots = root_count(world);
+        let mut payload = int_payload(world);
+        payload.extend_from_slice(&[0xAA, 0xBB]);
+
+        let err = unmarshal(&app.shared, world, &hinted_msg(payload, None)).unwrap_err();
+        assert!(matches!(err, VmError::Codec(CodecError::TrailingBytes(2))), "{err}");
+        assert_eq!(app.world_stats(Side::Untrusted).proxies_created, 1, "the hint was resolved");
+        assert_eq!(root_count(world), roots, "the hint's proxy is no longer pinned");
+        app.shutdown();
+    }
+
+    #[test]
+    fn a_rejected_relay_dispatch_releases_its_argument_pins() {
+        let app = launch_bank();
+        let world = app.shared.world(Side::Untrusted);
+        let roots = root_count(world);
+        // An instance relay needs the receiver's hash; this message
+        // unmarshals cleanly but carries none.
+        let msg = hinted_msg(int_payload(world), None);
+
+        let err = serve_relay_inner(&app.shared, world, "Person", &relay_name("getAccount"), &msg)
+            .unwrap_err();
+        assert!(matches!(&err, VmError::BadRef(m) if m.contains("without a proxy hash")), "{err}");
+        assert_eq!(app.world_stats(Side::Untrusted).proxies_created, 1, "the hint was resolved");
+        assert_eq!(root_count(world), roots, "the hint's proxy is no longer pinned");
+        app.shutdown();
+    }
 }

@@ -517,7 +517,11 @@ mod tests {
             let (tx, rx) = bounded(1);
             let pool = Arc::clone(pool);
             std::thread::spawn(move || {
-                let _ = tx.send(pool.post(Side::Trusted, "C".into(), "r".into(), None, msg()));
+                let out = pool.post(Side::Trusted, "C".into(), "r".into(), None, msg());
+                // Release this handle before replying, so the test's
+                // closing `Arc::try_unwrap` cannot race it.
+                drop(pool);
+                let _ = tx.send(out);
             });
             rx.recv_timeout(Duration::from_secs(10)).expect("post must complete")
         };

@@ -1,11 +1,10 @@
-//! Allocation-count regression test for the boundary-serde fast path.
+//! Allocation-count regression test for boundary serde.
 //!
 //! Installs a counting global allocator and measures heap allocations
 //! per steady-state crossing on the kvstore-write shape (a bulk byte
-//! payload into a trusted sink). The v2 fast path must allocate at
-//! least 2× less than the classic v1 path: pooled encode buffers, no
-//! `values.to_vec()`/`Value::List` staging copies, and interned hint
-//! names remove the per-crossing malloc traffic.
+//! payload into a trusted sink). Pooled encode buffers, no staging
+//! copies of the arguments, and interned hint names keep a crossing at
+//! [`MAX_ALLOCS_PER_CROSSING`] or fewer.
 //!
 //! This file deliberately contains a single `#[test]` so no sibling
 //! test thread allocates while the window is measured.
@@ -74,7 +73,11 @@ fn sink_program() -> Program {
     Program::new(vec![sink, main], MethodRef::new("Main", "main")).unwrap()
 }
 
-fn launch(fastpath: bool) -> PartitionedApp {
+/// Heap allocations one steady-state crossing may make (the count
+/// measured when this bound was set, in debug and release alike).
+const MAX_ALLOCS_PER_CROSSING: u64 = 8;
+
+fn launch() -> PartitionedApp {
     let tp = transform(&sink_program());
     let options = ImageOptions::with_entry_points(vec![
         MethodRef::new("Sink", CTOR),
@@ -87,7 +90,6 @@ fn launch(fastpath: bool) -> PartitionedApp {
         // this thread's crossings.
         gc_helper_interval: None,
         switchless: None,
-        serde_fastpath: Some(fastpath),
         ..AppConfig::default()
     };
     PartitionedApp::launch(&t, &u, config).unwrap()
@@ -97,7 +99,7 @@ fn launch(fastpath: bool) -> PartitionedApp {
 fn allocs_per_window(app: &PartitionedApp, payload: &[Value], rounds: usize) -> u64 {
     app.enter_untrusted(|ctx| {
         let sink = ctx.new_object("Sink", &[])?;
-        // Warm up: intern names, compile shapes, grow the managed
+        // Warm up: intern names, fill the shape cache, grow the managed
         // heap, seed the thread-local buffer pool.
         for _ in 0..32 {
             ctx.call(&sink, "put", payload)?;
@@ -112,22 +114,17 @@ fn allocs_per_window(app: &PartitionedApp, payload: &[Value], rounds: usize) -> 
 }
 
 #[test]
-fn fast_path_halves_allocations_per_crossing() {
+fn fast_path_allocations_per_crossing_are_bounded() {
     const ROUNDS: usize = 64;
     let payload = [Value::Bytes(vec![0xEE; 1024])];
 
-    let classic_app = launch(false);
-    let classic = allocs_per_window(&classic_app, &payload, ROUNDS);
-    classic_app.shutdown();
+    let app = launch();
+    let allocs = allocs_per_window(&app, &payload, ROUNDS);
+    app.shutdown();
 
-    let fast_app = launch(true);
-    let fast = allocs_per_window(&fast_app, &payload, ROUNDS);
-    fast_app.shutdown();
-
-    assert!(classic > 0, "classic path allocates per crossing");
     assert!(
-        classic >= 2 * fast,
-        "fast path must allocate >=2x less per crossing: classic {classic} vs fast {fast} \
-         over {ROUNDS} crossings"
+        allocs <= MAX_ALLOCS_PER_CROSSING * ROUNDS as u64,
+        "at most {MAX_ALLOCS_PER_CROSSING} allocations per steady-state crossing: \
+         {allocs} over {ROUNDS} crossings"
     );
 }

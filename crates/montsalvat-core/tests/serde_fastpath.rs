@@ -1,9 +1,7 @@
-//! Behavioural tests for the boundary-serde fast path (wire format v2:
-//! shape-cached interned hints, pooled buffers, bulk primitive
-//! encoding — see `docs/SERDE.md`).
-//!
-//! Results must be identical in both modes; only the allocation
-//! profile, the wire bytes and the modelled serde cost may differ.
+//! Behavioural tests for boundary serde (wire format v2: shape-cached
+//! interned hints, pooled buffers, bulk primitive encoding — see
+//! `docs/SERDE.md`). The serde accounting invariants that tier-1 must
+//! hold live in the root `tests/serde_accounting.rs`.
 
 use montsalvat_core::class::{ClassDef, MethodDef, MethodKind, MethodRef, Program, CTOR};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
@@ -13,6 +11,7 @@ use montsalvat_core::samples::bank_program;
 use montsalvat_core::transform::transform;
 use montsalvat_core::Trust;
 use runtime_sim::value::Value;
+use sgx_sim::cost::CostParams;
 
 fn bank_entries() -> Vec<MethodRef> {
     vec![
@@ -27,14 +26,13 @@ fn bank_entries() -> Vec<MethodRef> {
     ]
 }
 
-fn launch_bank(fastpath: bool, switchless: bool) -> PartitionedApp {
+fn launch_bank(switchless: bool) -> PartitionedApp {
     let tp = transform(&bank_program());
     let options = ImageOptions::with_entry_points(bank_entries());
     let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
     let config = AppConfig {
         gc_helper_interval: None,
         switchless: switchless.then(SwitchlessConfig::default),
-        serde_fastpath: Some(fastpath),
         ..AppConfig::default()
     };
     PartitionedApp::launch(&t, &u, config).unwrap()
@@ -90,7 +88,7 @@ fn sink_program() -> Program {
     Program::new(vec![sink, main], MethodRef::new("Main", "main")).unwrap()
 }
 
-fn launch_sink(fastpath: bool) -> PartitionedApp {
+fn launch_sink(cost_params: CostParams) -> PartitionedApp {
     let tp = transform(&sink_program());
     let options = ImageOptions::with_entry_points(vec![
         MethodRef::new("Sink", CTOR),
@@ -98,47 +96,13 @@ fn launch_sink(fastpath: bool) -> PartitionedApp {
         MethodRef::new("Main", "main"),
     ]);
     let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
-    let config = AppConfig {
-        gc_helper_interval: None,
-        serde_fastpath: Some(fastpath),
-        ..AppConfig::default()
-    };
+    let config = AppConfig { gc_helper_interval: None, cost_params, ..AppConfig::default() };
     PartitionedApp::launch(&t, &u, config).unwrap()
 }
 
 #[test]
-fn fast_and_classic_modes_agree_on_results() {
-    let fast = launch_bank(true, false);
-    let classic = launch_bank(false, false);
-    assert_eq!(run_bank(&fast), run_bank(&classic));
-    assert_eq!(run_bank(&fast), Value::Int(75));
-    fast.shutdown();
-    classic.shutdown();
-}
-
-#[test]
-fn encode_calls_reconcile_with_path_hits() {
-    for fastpath in [true, false] {
-        let app = launch_bank(fastpath, false);
-        run_bank(&app);
-        let snap = app.telemetry_snapshot();
-        let calls = snap.counter(telemetry::Counter::SerdeEncodeCalls);
-        let fast = snap.counter(telemetry::Counter::SerdeFastPathHits);
-        let slow = snap.counter(telemetry::Counter::SerdeSlowPathHits);
-        assert!(calls > 0, "crossings marshalled");
-        assert_eq!(calls, fast + slow, "every encode is exactly one path");
-        if fastpath {
-            assert_eq!(slow, 0, "fast mode never takes the slow path");
-        } else {
-            assert_eq!(fast, 0, "classic mode never takes the fast path");
-        }
-        app.shutdown();
-    }
-}
-
-#[test]
 fn bulk_payloads_are_pooled_and_bulk_counted() {
-    let app = launch_sink(true);
+    let app = launch_sink(CostParams::paper_defaults());
     let payload = [Value::Bytes(vec![0xA5; 4096])];
     app.enter_untrusted(|ctx| {
         let sink = ctx.new_object("Sink", &[])?;
@@ -162,7 +126,7 @@ fn bulk_payloads_are_pooled_and_bulk_counted() {
 
 #[test]
 fn class_names_cross_once_and_shapes_cache() {
-    let app = launch_bank(true, false);
+    let app = launch_bank(false);
     assert_eq!(run_registry(&app), Value::Int(1));
     let names_after_first = app.shared.serde_interned_names();
     let misses_after_first =
@@ -179,54 +143,45 @@ fn class_names_cross_once_and_shapes_cache() {
     assert_eq!(
         app.telemetry_snapshot().counter(telemetry::Counter::SerdeShapeCacheMisses),
         misses_after_first,
-        "steady-state crossings compile no new shapes"
+        "steady-state crossings add no shape-cache misses"
     );
-    app.shutdown();
-}
-
-#[test]
-fn mode_can_toggle_mid_run_and_both_wire_formats_decode() {
-    // One app serves v1 (classic) and v2 (fast) payloads back to back:
-    // the decoder sniffs the format per message.
-    let app = launch_bank(false, false);
-    assert_eq!(run_bank(&app), Value::Int(75));
-    app.shared.set_serde_fastpath(true);
-    assert_eq!(run_bank(&app), Value::Int(75));
-    app.shared.set_serde_fastpath(false);
-    assert_eq!(run_bank(&app), Value::Int(75));
-    let snap = app.telemetry_snapshot();
-    assert!(snap.counter(telemetry::Counter::SerdeFastPathHits) > 0);
-    assert!(snap.counter(telemetry::Counter::SerdeSlowPathHits) > 0);
     app.shutdown();
 }
 
 #[test]
 fn fast_path_costs_less_model_time_on_bulk_payloads() {
-    let charged = |fastpath: bool| {
-        let app = launch_sink(fastpath);
+    let charged = |cost_params: CostParams| {
+        let app = launch_sink(cost_params);
         let payload = [Value::Bytes(vec![0x5A; 8192])];
-        app.enter_untrusted(|ctx| {
-            let sink = ctx.new_object("Sink", &[])?;
-            let before = ctx.cost_charged();
-            for _ in 0..8 {
-                ctx.call(&sink, "put", &payload)?;
-            }
-            Ok(ctx.cost_charged() - before)
-        })
-        .unwrap()
+        let charged = app
+            .enter_untrusted(|ctx| {
+                let sink = ctx.new_object("Sink", &[])?;
+                let before = ctx.cost_charged();
+                for _ in 0..8 {
+                    ctx.call(&sink, "put", &payload)?;
+                }
+                Ok(ctx.cost_charged() - before)
+            })
+            .unwrap();
+        app.shutdown();
+        charged
     };
-    let fast = charged(true);
-    let classic = charged(false);
+    let paper = CostParams::paper_defaults();
+    // The same run with bulk bytes billed at the graph-walk rate.
+    let flat = CostParams { serde_bulk_ns_per_byte: paper.serde_ns_per_byte, ..paper.clone() };
+    assert!(paper.serde_bulk_ns_per_byte < paper.serde_ns_per_byte);
+    let bulk = charged(paper);
+    let walked = charged(flat);
     assert!(
-        fast < classic,
-        "bulk fast path must be cheaper in model time: fast {fast:?} vs classic {classic:?}"
+        bulk < walked,
+        "bulk bytes must cost less model time: bulk rate {bulk:?} vs walk rate {walked:?}"
     );
 }
 
 #[test]
 fn switchless_reconciliation_holds_with_fast_path() {
-    let app = launch_bank(true, true);
-    run_bank(&app);
+    let app = launch_bank(true);
+    assert_eq!(run_bank(&app), Value::Int(75));
     let world = app.world_stats(montsalvat_core::annotation::Side::Untrusted);
     assert_eq!(
         world.rmi_calls,
@@ -237,7 +192,7 @@ fn switchless_reconciliation_holds_with_fast_path() {
     assert_eq!(
         snap.counter(telemetry::Counter::SerdeEncodeCalls),
         snap.counter(telemetry::Counter::SerdeFastPathHits)
-            + snap.counter(telemetry::Counter::SerdeSlowPathHits)
     );
+    assert_eq!(snap.counter(telemetry::Counter::SerdeSlowPathHits), 0);
     app.shutdown();
 }

@@ -2,35 +2,33 @@
 //!
 //! Relay methods pass primitives by value, annotated-class references by
 //! proxy hash, and *neutral* objects by serialized copy (§5.2). This
-//! module implements that wire format: a compact, self-describing binary
-//! encoding of [`Value`] graphs with
+//! module implements that wire format (`montsalvat.rmi/v2`, see
+//! `docs/SERDE.md`): a compact, self-describing binary encoding of
+//! [`Value`] graphs with
 //!
 //! - inline deep copies for neutral objects,
 //! - back-references so shared substructure and cycles encode finitely,
-//! - hash references for objects the caller maps to proxies/mirrors.
+//! - hash references for objects the caller maps to proxies/mirrors,
+//! - *bulk* runs: `Value::Bytes` and primitive-homogeneous
+//!   `Value::List`s encode as one length-prefixed memcpy instead of one
+//!   tag per element.
 //!
 //! The caller supplies the policy that decides, per object reference,
 //! whether to inline or hash-reference it — keeping the codec free of
 //! class-annotation knowledge.
 //!
-//! Two wire formats coexist (`docs/SERDE.md`):
+//! Every stream opens with [`WIRE_V2_MARKER`]. [`encode_value_v2`] /
+//! [`encode_values_v2`] write into a caller-supplied (typically pooled
+//! — see [`crate::pool`]) buffer and report how many payload bytes went
+//! through the bulk path so the cost model can charge them at the
+//! cheaper bulk rate.
 //!
-//! - **v1** (`montsalvat.rmi/v1`) — the original tag stream, produced
-//!   by [`encode_value`]. Still decoded for compatibility.
-//! - **v2** (`montsalvat.rmi/v2`) — opens with [`WIRE_V2_MARKER`]
-//!   (a byte no v1 stream can start with, so [`decode_value`] sniffs
-//!   the version) and adds *bulk* tags: `Value::Bytes` and
-//!   primitive-homogeneous `Value::List`s encode as one
-//!   length-prefixed memcpy instead of one tag per element.
-//!   [`encode_value_v2`] / [`encode_values_v2`] write into a
-//!   caller-supplied (typically pooled — see [`crate::pool`]) buffer
-//!   and report how many payload bytes went through the bulk path so
-//!   the cost model can charge them at the cheaper bulk rate.
-//!
-//! Decoding either format refuses nesting deeper than
-//! [`MAX_DECODE_DEPTH`] with [`CodecError::TooDeep`] — malformed or
-//! adversarial payloads must not overflow the stack inside the
-//! enclave.
+//! [`decode_value`] is where one runtime first reads bytes the other
+//! side produced, so it rejects malformed input instead of repairing
+//! it: an unmarked stream, an unknown tag, a truncated value, an
+//! out-of-range count or back-reference, invalid UTF-8 in a string,
+//! bytes after the top-level value, and nesting deeper than
+//! [`MAX_DECODE_DEPTH`] each end in a typed [`CodecError`].
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -91,7 +89,7 @@ pub enum RefEncoding {
     Hash(ProxyHash),
 }
 
-/// Errors produced by [`encode_value`] / [`decode_value`].
+/// Errors produced by [`encode_value_v2`] / [`decode_value`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CodecError {
@@ -116,6 +114,10 @@ pub enum CodecError {
     AllocFailed(String),
     /// The stream nested values deeper than [`MAX_DECODE_DEPTH`].
     TooDeep,
+    /// A string payload was not valid UTF-8.
+    BadUtf8,
+    /// Bytes remained after the top-level value; the count is how many.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for CodecError {
@@ -133,6 +135,8 @@ impl fmt::Display for CodecError {
             CodecError::TooDeep => {
                 write!(f, "value nesting exceeds the decode depth bound {MAX_DECODE_DEPTH}")
             }
+            CodecError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
+            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the value"),
         }
     }
 }
@@ -149,13 +153,13 @@ const TAG_LIST: u8 = 6;
 const TAG_OBJ: u8 = 7;
 const TAG_BACKREF: u8 = 8;
 const TAG_HASHREF: u8 = 9;
-// v2-only bulk tags: a homogeneous primitive list as one raw copy.
+// Bulk tags: a homogeneous primitive list as one raw copy.
 const TAG_INTS: u8 = 10;
 const TAG_FLOATS: u8 = 11;
 
-/// First byte of every v2 stream. No v1 stream can start with it (v1
-/// first bytes are the tags `0..=9`), so [`decode_value`] accepts both
-/// formats through one entry point.
+/// First byte of every stream. [`decode_value`] rejects any other
+/// first byte, so a payload from another format (or a corrupted one)
+/// cannot be mistaken for a value.
 pub const WIRE_V2_MARKER: u8 = 0xF2;
 
 /// Maximum value-nesting depth [`decode_value`] accepts before
@@ -164,7 +168,7 @@ pub const WIRE_V2_MARKER: u8 = 0xF2;
 /// shallow enough that decoding runs in bounded stack space.
 pub const MAX_DECODE_DEPTH: usize = 128;
 
-/// Byte accounting from a v2 encode, for split-rate cost charging:
+/// Byte accounting from an encode, for split-rate cost charging:
 /// `bulk_bytes` moved through a single-memcpy bulk tag and are charged
 /// at `serde_bulk_ns_per_byte`; the remaining
 /// [`EncodeStats::element_bytes`] paid the per-element graph walk.
@@ -183,25 +187,8 @@ impl EncodeStats {
     }
 }
 
-/// Encodes `value` against `heap`, consulting `policy` for every object
-/// reference encountered.
-///
-/// # Errors
-///
-/// Fails if the policy rejects a reference, or a reference is dead.
-pub fn encode_value(
-    heap: &Heap,
-    value: &Value,
-    policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
-) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    let mut seen: HashMap<ObjId, u32> = HashMap::new();
-    let mut bulk = 0;
-    encode_inner(heap, value, policy, &mut seen, &mut out, false, &mut bulk)?;
-    Ok(out)
-}
-
-/// Encodes `value` in wire format v2 into `out`, appending.
+/// Encodes `value` into `out`, appending, and consults `policy` for
+/// every object reference encountered.
 ///
 /// The buffer is caller-supplied so steady-state crossings can reuse a
 /// pooled one ([`crate::pool::acquire`]). Returns the byte accounting
@@ -209,7 +196,7 @@ pub fn encode_value(
 ///
 /// # Errors
 ///
-/// Same failure modes as [`encode_value`].
+/// Fails if the policy rejects a reference, or a reference is dead.
 pub fn encode_value_v2(
     heap: &Heap,
     value: &Value,
@@ -220,17 +207,16 @@ pub fn encode_value_v2(
     let mut seen: HashMap<ObjId, u32> = HashMap::new();
     let mut bulk = 0;
     out.push(WIRE_V2_MARKER);
-    encode_inner(heap, value, policy, &mut seen, out, true, &mut bulk)?;
+    encode_inner(heap, value, policy, &mut seen, out, &mut bulk)?;
     Ok(EncodeStats { total_bytes: (out.len() - start) as u64, bulk_bytes: bulk })
 }
 
-/// Encodes an argument slice as one v2 list without materialising a
-/// `Value::List` (the v1 marshal path cloned every argument into one).
-/// Decodes as a `Value::List` of the arguments.
+/// Encodes an argument slice as one list without materialising a
+/// `Value::List`. Decodes as a `Value::List` of the arguments.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`encode_value`].
+/// Same failure modes as [`encode_value_v2`].
 pub fn encode_values_v2(
     heap: &Heap,
     values: &[Value],
@@ -241,22 +227,21 @@ pub fn encode_values_v2(
     let mut seen: HashMap<ObjId, u32> = HashMap::new();
     let mut bulk = 0;
     out.push(WIRE_V2_MARKER);
-    encode_list(heap, values, policy, &mut seen, out, true, &mut bulk)?;
+    encode_list(heap, values, policy, &mut seen, out, &mut bulk)?;
     Ok(EncodeStats { total_bytes: (out.len() - start) as u64, bulk_bytes: bulk })
 }
 
-/// Encodes a list body, taking the bulk path (v2 only) when every
-/// element is the same fixed-width primitive.
+/// Encodes a list body, taking the bulk path when every element is the
+/// same fixed-width primitive.
 fn encode_list(
     heap: &Heap,
     vs: &[Value],
     policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
     seen: &mut HashMap<ObjId, u32>,
     out: &mut Vec<u8>,
-    v2: bool,
     bulk: &mut u64,
 ) -> Result<(), CodecError> {
-    if v2 && !vs.is_empty() {
+    if !vs.is_empty() {
         if vs.iter().all(|v| matches!(v, Value::Int(_))) {
             out.push(TAG_INTS);
             out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
@@ -283,7 +268,7 @@ fn encode_list(
     out.push(TAG_LIST);
     out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
     for v in vs {
-        encode_inner(heap, v, policy, seen, out, v2, bulk)?;
+        encode_inner(heap, v, policy, seen, out, bulk)?;
     }
     Ok(())
 }
@@ -294,7 +279,6 @@ fn encode_inner(
     policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
     seen: &mut HashMap<ObjId, u32>,
     out: &mut Vec<u8>,
-    v2: bool,
     bulk: &mut u64,
 ) -> Result<(), CodecError> {
     match value {
@@ -320,11 +304,9 @@ fn encode_inner(
             out.push(TAG_BYTES);
             out.extend_from_slice(&(b.len() as u32).to_le_bytes());
             out.extend_from_slice(b);
-            if v2 {
-                *bulk += b.len() as u64;
-            }
+            *bulk += b.len() as u64;
         }
-        Value::List(vs) => encode_list(heap, vs, policy, seen, out, v2, bulk)?,
+        Value::List(vs) => encode_list(heap, vs, policy, seen, out, bulk)?,
         Value::Ref(id) => {
             if let Some(&idx) = seen.get(id) {
                 out.push(TAG_BACKREF);
@@ -346,7 +328,7 @@ fn encode_inner(
                     out.extend_from_slice(&class.0.to_le_bytes());
                     out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
                     for f in fields {
-                        encode_inner(heap, f, policy, seen, out, v2, bulk)?;
+                        encode_inner(heap, f, policy, seen, out, bulk)?;
                     }
                 }
             }
@@ -366,11 +348,10 @@ pub struct DecodedValue {
     pub value: Value,
     /// Objects allocated by the decode, in allocation order.
     pub allocated: Vec<ObjId>,
-    /// Payload bytes that arrived through v2 bulk encodings
+    /// Payload bytes that arrived through bulk encodings
     /// ([`Value::Bytes`] bodies, `TAG_INTS`/`TAG_FLOATS` element
     /// blocks) and decode as straight copies — the cost model bills
-    /// them at the bulk rate instead of the graph-walk rate. Always
-    /// `0` for a v1 stream.
+    /// them at the bulk rate instead of the graph-walk rate.
     pub bulk_bytes: u64,
 }
 
@@ -386,28 +367,40 @@ impl DecodedValue {
 
 /// Decodes a value into `heap`, resolving hash references via `resolve`.
 ///
-/// Accepts both wire formats: a stream opening with
-/// [`WIRE_V2_MARKER`] decodes as v2 (bulk tags allowed), anything
-/// else as v1 — v1 payloads remain decodable unchanged.
+/// `bytes` must hold exactly one value, opened by [`WIRE_V2_MARKER`].
 ///
 /// # Errors
 ///
-/// Fails on malformed input, unresolvable hashes, allocation failure,
-/// or nesting beyond [`MAX_DECODE_DEPTH`].
+/// Fails on malformed input — an empty stream is
+/// [`CodecError::Truncated`], any first byte other than the marker is
+/// [`CodecError::BadTag`], invalid UTF-8 in a string is
+/// [`CodecError::BadUtf8`], and bytes after the value are
+/// [`CodecError::TrailingBytes`] — and on unresolvable hashes,
+/// allocation failure, or nesting beyond [`MAX_DECODE_DEPTH`].
 pub fn decode_value(
     heap: &mut Heap,
     bytes: &[u8],
     resolve: &mut impl FnMut(ProxyHash) -> Result<Value, CodecError>,
 ) -> Result<DecodedValue, CodecError> {
-    let (v2, body) = match bytes.first() {
-        Some(&WIRE_V2_MARKER) => (true, &bytes[1..]),
-        _ => (false, bytes),
-    };
-    let mut cursor = Cursor { bytes: body, pos: 0 };
+    let mut cursor = Cursor { bytes, pos: 0 };
+    match cursor.u8()? {
+        WIRE_V2_MARKER => {}
+        b => return Err(CodecError::BadTag(b)),
+    }
     let mut allocated = Vec::new();
     let mut bulk = 0u64;
-    let value = decode_inner(heap, &mut cursor, resolve, &mut allocated, v2, 0, &mut bulk)?;
-    Ok(DecodedValue { value, allocated, bulk_bytes: if v2 { bulk } else { 0 } })
+    let err = match decode_inner(heap, &mut cursor, resolve, &mut allocated, 0, &mut bulk) {
+        Ok(value) if cursor.remaining() == 0 => {
+            return Ok(DecodedValue { value, allocated, bulk_bytes: bulk });
+        }
+        Ok(_) => CodecError::TrailingBytes(cursor.remaining()),
+        Err(e) => e,
+    };
+    // A rejected stream leaves nothing rooted in the receiver.
+    for id in allocated {
+        heap.remove_root(id);
+    }
+    Err(err)
 }
 
 struct Cursor<'a> {
@@ -465,7 +458,6 @@ fn decode_inner(
     cur: &mut Cursor<'_>,
     resolve: &mut impl FnMut(ProxyHash) -> Result<Value, CodecError>,
     allocated: &mut Vec<ObjId>,
-    v2: bool,
     depth: usize,
     bulk: &mut u64,
 ) -> Result<Value, CodecError> {
@@ -480,7 +472,8 @@ fn decode_inner(
         TAG_STR => {
             let len = cur.u32()? as usize;
             let raw = cur.take(len)?;
-            Ok(Value::Str(String::from_utf8_lossy(raw).into_owned()))
+            let s = std::str::from_utf8(raw).map_err(|_| CodecError::BadUtf8)?;
+            Ok(Value::Str(s.to_owned()))
         }
         TAG_BYTES => {
             let len = cur.u32()? as usize;
@@ -492,11 +485,11 @@ fn decode_inner(
             let len = cur.checked_count(claimed)?;
             let mut vs = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
-                vs.push(decode_inner(heap, cur, resolve, allocated, v2, depth + 1, bulk)?);
+                vs.push(decode_inner(heap, cur, resolve, allocated, depth + 1, bulk)?);
             }
             Ok(Value::List(vs))
         }
-        TAG_INTS if v2 => {
+        TAG_INTS => {
             let claimed = cur.u32()?;
             let len = cur.checked_count(claimed)?;
             let raw = cur.take(len * 8)?;
@@ -507,7 +500,7 @@ fn decode_inner(
                     .collect(),
             ))
         }
-        TAG_FLOATS if v2 => {
+        TAG_FLOATS => {
             let claimed = cur.u32()?;
             let len = cur.checked_count(claimed)?;
             let raw = cur.take(len * 8)?;
@@ -529,7 +522,7 @@ fn decode_inner(
             heap.add_root(id);
             allocated.push(id);
             for idx in 0..nfields {
-                let v = decode_inner(heap, cur, resolve, allocated, v2, depth + 1, bulk)?;
+                let v = decode_inner(heap, cur, resolve, allocated, depth + 1, bulk)?;
                 heap.set_field(id, idx, v);
             }
             Ok(Value::Ref(id))
@@ -568,6 +561,17 @@ mod tests {
         Heap::new(HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() })
     }
 
+    /// Encodes `value` into a fresh buffer.
+    fn encode(
+        src: &Heap,
+        value: &Value,
+        policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        encode_value_v2(src, value, policy, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn trace_context_round_trips_and_rejects_short_input() {
         let ctx = TraceContext { trace_id: 0xDEAD_BEEF_0BAD_F00D, parent_span_id: 42 };
@@ -577,10 +581,12 @@ mod tests {
         assert_eq!(TraceContext::from_bytes(&bytes[..15]), None);
     }
 
-    fn roundtrip(value: &Value, src: &Heap, dst: &mut Heap) -> Value {
-        let bytes = encode_value(src, value, &mut inline_all).unwrap();
+    fn roundtrip(value: &Value, src: &Heap, dst: &mut Heap) -> (Value, EncodeStats) {
+        let mut bytes = Vec::new();
+        let stats = encode_value_v2(src, value, &mut inline_all, &mut bytes).unwrap();
+        assert_eq!(stats.total_bytes as usize, bytes.len());
         let decoded = decode_value(dst, &bytes, &mut resolve_none).unwrap();
-        decoded.unpin(dst)
+        (decoded.unpin(dst), stats)
     }
 
     #[test]
@@ -595,8 +601,9 @@ mod tests {
             Value::Str("héllo".into()),
             Value::Bytes(vec![1, 2, 3]),
             Value::List(vec![Value::Int(1), Value::Str("x".into())]),
+            Value::List(vec![]),
         ] {
-            assert_eq!(roundtrip(&v, &src, &mut dst), v);
+            assert_eq!(roundtrip(&v, &src, &mut dst).0, v);
         }
     }
 
@@ -608,7 +615,7 @@ mod tests {
         src.add_root(outer);
 
         let mut dst = heap();
-        let out = roundtrip(&Value::Ref(outer), &src, &mut dst);
+        let (out, _) = roundtrip(&Value::Ref(outer), &src, &mut dst);
         let new_outer = out.as_ref_id().unwrap();
         assert_eq!(dst.class_of(new_outer), Some(ClassId(6)));
         let new_inner = dst.field(new_outer, 0).unwrap().as_ref_id().unwrap();
@@ -626,7 +633,7 @@ mod tests {
         src.add_root(top);
 
         let mut dst = heap();
-        let out = roundtrip(&Value::Ref(top), &src, &mut dst);
+        let (out, _) = roundtrip(&Value::Ref(top), &src, &mut dst);
         let new_top = out.as_ref_id().unwrap();
         let a = dst.field(new_top, 0).unwrap().as_ref_id().unwrap();
         let b = dst.field(new_top, 1).unwrap().as_ref_id().unwrap();
@@ -643,7 +650,7 @@ mod tests {
         src.add_root(a);
 
         let mut dst = heap();
-        let out = roundtrip(&Value::Ref(a), &src, &mut dst);
+        let (out, _) = roundtrip(&Value::Ref(a), &src, &mut dst);
         let na = out.as_ref_id().unwrap();
         let nb = dst.field(na, 0).unwrap().as_ref_id().unwrap();
         assert_eq!(dst.field(nb, 0).unwrap().as_ref_id(), Some(na));
@@ -656,8 +663,7 @@ mod tests {
         src.add_root(trusted);
         let the_hash = ProxyHash(0xdead_beef);
         let bytes =
-            encode_value(&src, &Value::Ref(trusted), &mut |_id| Ok(RefEncoding::Hash(the_hash)))
-                .unwrap();
+            encode(&src, &Value::Ref(trusted), &mut |_id| Ok(RefEncoding::Hash(the_hash))).unwrap();
 
         let mut dst = heap();
         let mirror = dst.alloc(ClassId(9), vec![]).unwrap();
@@ -676,7 +682,7 @@ mod tests {
         let mut src = heap();
         let secret = src.alloc(ClassId(3), vec![Value::from("key")]).unwrap();
         src.add_root(secret);
-        let err = encode_value(&src, &Value::Ref(secret), &mut |id| {
+        let err = encode(&src, &Value::Ref(secret), &mut |id| {
             Err(CodecError::ForbiddenRef { id, reason: "trusted field would leak".into() })
         })
         .unwrap_err();
@@ -688,30 +694,26 @@ mod tests {
         let mut src = heap();
         let id = src.alloc(ClassId(0), vec![]).unwrap();
         src.collect(); // reclaims the unrooted object
-        let err = encode_value(&src, &Value::Ref(id), &mut inline_all).unwrap_err();
+        let err = encode(&src, &Value::Ref(id), &mut inline_all).unwrap_err();
         assert_eq!(err, CodecError::DeadRef(id));
     }
 
     #[test]
     fn truncated_and_bad_tag_inputs_error() {
         let mut dst = heap();
-        assert_eq!(
-            decode_value(&mut dst, &[], &mut resolve_none).unwrap_err(),
-            CodecError::Truncated
-        );
-        assert_eq!(
-            decode_value(&mut dst, &[TAG_INT, 1, 2], &mut resolve_none).unwrap_err(),
-            CodecError::Truncated
-        );
-        assert_eq!(
-            decode_value(&mut dst, &[42], &mut resolve_none).unwrap_err(),
-            CodecError::BadTag(42)
-        );
+        for (bytes, want) in [
+            (&[][..], CodecError::Truncated),
+            (&[WIRE_V2_MARKER][..], CodecError::Truncated),
+            (&[WIRE_V2_MARKER, TAG_INT, 1, 2][..], CodecError::Truncated),
+            (&[WIRE_V2_MARKER, 42][..], CodecError::BadTag(42)),
+        ] {
+            assert_eq!(decode_value(&mut dst, bytes, &mut resolve_none).unwrap_err(), want);
+        }
     }
 
     #[test]
     fn bad_backref_is_detected() {
-        let mut bytes = vec![TAG_BACKREF];
+        let mut bytes = vec![WIRE_V2_MARKER, TAG_BACKREF];
         bytes.extend_from_slice(&7u32.to_le_bytes());
         let mut dst = heap();
         assert_eq!(
@@ -720,56 +722,25 @@ mod tests {
         );
     }
 
-    fn roundtrip_v2(value: &Value, src: &Heap, dst: &mut Heap) -> (Value, EncodeStats) {
-        let mut bytes = Vec::new();
-        let stats = encode_value_v2(src, value, &mut inline_all, &mut bytes).unwrap();
-        assert_eq!(stats.total_bytes as usize, bytes.len());
-        let decoded = decode_value(dst, &bytes, &mut resolve_none).unwrap();
-        (decoded.unpin(dst), stats)
-    }
-
-    #[test]
-    fn v2_roundtrips_through_the_same_decoder() {
-        let mut src = heap();
-        let obj = src.alloc(ClassId(4), vec![Value::Int(1), Value::from("f")]).unwrap();
-        src.add_root(obj);
-        let mut dst = heap();
-        for v in [
-            Value::Unit,
-            Value::Bool(true),
-            Value::Int(-17),
-            Value::Float(3.5),
-            Value::Str("héllo".into()),
-            Value::Bytes(vec![1, 2, 3]),
-            Value::List(vec![Value::Int(1), Value::Str("x".into())]),
-            Value::List(vec![]),
-        ] {
-            assert_eq!(roundtrip_v2(&v, &src, &mut dst).0, v);
-        }
-        let (copied, _) = roundtrip_v2(&Value::Ref(obj), &src, &mut dst);
-        let new_id = copied.as_ref_id().unwrap();
-        assert_eq!(dst.class_of(new_id), Some(ClassId(4)));
-    }
-
     #[test]
     fn v2_bulk_encodes_homogeneous_primitive_lists() {
         let src = heap();
         let mut dst = heap();
         let ints = Value::List((0..100).map(Value::Int).collect());
-        let (out, stats) = roundtrip_v2(&ints, &src, &mut dst);
+        let (out, stats) = roundtrip(&ints, &src, &mut dst);
         assert_eq!(out, ints);
         assert_eq!(stats.bulk_bytes, 800, "one memcpy of 100 × 8 bytes");
         // marker + tag + count + payload
         assert_eq!(stats.total_bytes, 1 + 1 + 4 + 800);
 
         let floats = Value::List((0..10).map(|i| Value::Float(i as f64)).collect());
-        let (out, stats) = roundtrip_v2(&floats, &src, &mut dst);
+        let (out, stats) = roundtrip(&floats, &src, &mut dst);
         assert_eq!(out, floats);
         assert_eq!(stats.bulk_bytes, 80);
 
         // A mixed list takes the per-element path.
         let mixed = Value::List(vec![Value::Int(1), Value::Float(2.0)]);
-        let (out, stats) = roundtrip_v2(&mixed, &src, &mut dst);
+        let (out, stats) = roundtrip(&mixed, &src, &mut dst);
         assert_eq!(out, mixed);
         assert_eq!(stats.bulk_bytes, 0);
     }
@@ -779,20 +750,10 @@ mod tests {
         let src = heap();
         let mut dst = heap();
         let v = Value::Bytes(vec![7; 4096]);
-        let (out, stats) = roundtrip_v2(&v, &src, &mut dst);
+        let (out, stats) = roundtrip(&v, &src, &mut dst);
         assert_eq!(out, v);
         assert_eq!(stats.bulk_bytes, 4096);
         assert_eq!(stats.element_bytes(), 1 + 1 + 4, "marker, tag, length prefix");
-    }
-
-    #[test]
-    fn v2_bulk_lists_are_smaller_than_v1() {
-        let src = heap();
-        let ints = Value::List((0..64).map(Value::Int).collect());
-        let v1 = encode_value(&src, &ints, &mut inline_all).unwrap();
-        let mut v2 = Vec::new();
-        encode_value_v2(&src, &ints, &mut inline_all, &mut v2).unwrap();
-        assert!(v2.len() < v1.len(), "v2 {} vs v1 {}", v2.len(), v1.len());
     }
 
     #[test]
@@ -807,8 +768,8 @@ mod tests {
     }
 
     #[test]
-    fn bulk_tags_are_rejected_in_v1_streams() {
-        // A v1 stream (no marker) must not accept v2-only tags.
+    fn unmarked_streams_are_rejected() {
+        // A well-formed value body without the leading marker.
         let mut bytes = vec![TAG_INTS];
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&5i64.to_le_bytes());
@@ -817,37 +778,46 @@ mod tests {
             decode_value(&mut dst, &bytes, &mut resolve_none).unwrap_err(),
             CodecError::BadTag(TAG_INTS)
         );
-    }
-
-    #[test]
-    fn pinned_v1_wire_bytes_still_decode() {
-        // Golden v1 payload assembled by hand: [Int(7), Str("hi"),
-        // Bytes([1,2])]. Guards decode compatibility for payloads
-        // produced before the v2 marker existed.
-        let mut bytes = vec![TAG_LIST];
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.push(TAG_INT);
+        let mut bytes = vec![TAG_INT];
         bytes.extend_from_slice(&7i64.to_le_bytes());
-        bytes.push(TAG_STR);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(b"hi");
-        bytes.push(TAG_BYTES);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&[1, 2]);
-
-        let mut dst = heap();
-        let decoded = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap();
         assert_eq!(
-            decoded.unpin(&mut dst),
-            Value::List(vec![Value::Int(7), Value::Str("hi".into()), Value::Bytes(vec![1, 2]),])
+            decode_value(&mut dst, &bytes, &mut resolve_none).unwrap_err(),
+            CodecError::BadTag(TAG_INT)
         );
     }
 
-    fn nested_list_bytes(depth: usize, v2: bool) -> Vec<u8> {
+    #[test]
+    fn pinned_wire_bytes() {
+        // Golden payload assembled by hand: [Int(7), Str("hi"),
+        // Bytes([1,2])]. Pins the bytes a crossing puts on the wire,
+        // which every modelled wire length and seeded export depends on.
+        let mut golden = vec![WIRE_V2_MARKER, TAG_LIST];
+        golden.extend_from_slice(&3u32.to_le_bytes());
+        golden.push(TAG_INT);
+        golden.extend_from_slice(&7i64.to_le_bytes());
+        golden.push(TAG_STR);
+        golden.extend_from_slice(&2u32.to_le_bytes());
+        golden.extend_from_slice(b"hi");
+        golden.push(TAG_BYTES);
+        golden.extend_from_slice(&2u32.to_le_bytes());
+        golden.extend_from_slice(&[1, 2]);
+
+        let args = vec![Value::Int(7), Value::Str("hi".into()), Value::Bytes(vec![1, 2])];
+        let src = heap();
         let mut bytes = Vec::new();
-        if v2 {
-            bytes.push(WIRE_V2_MARKER);
-        }
+        encode_values_v2(&src, &args, &mut inline_all, &mut bytes).unwrap();
+        assert_eq!(bytes, golden, "argument-slice encoding");
+        let list = Value::List(args);
+        assert_eq!(encode(&src, &list, &mut inline_all).unwrap(), golden, "list encoding");
+
+        let mut dst = heap();
+        let decoded = decode_value(&mut dst, &golden, &mut resolve_none).unwrap();
+        assert_eq!(decoded.bulk_bytes, 2);
+        assert_eq!(decoded.unpin(&mut dst), list);
+    }
+
+    fn nested_list_bytes(depth: usize) -> Vec<u8> {
+        let mut bytes = vec![WIRE_V2_MARKER];
         for _ in 0..depth {
             bytes.push(TAG_LIST);
             bytes.extend_from_slice(&1u32.to_le_bytes());
@@ -857,18 +827,58 @@ mod tests {
     }
 
     #[test]
-    fn decode_depth_is_bounded_in_both_formats() {
+    fn decode_depth_is_bounded() {
         let mut dst = heap();
-        for v2 in [false, true] {
-            let deep = nested_list_bytes(MAX_DECODE_DEPTH + 1, v2);
-            assert_eq!(
-                decode_value(&mut dst, &deep, &mut resolve_none).unwrap_err(),
-                CodecError::TooDeep,
-                "v2={v2}"
-            );
-            let ok = nested_list_bytes(MAX_DECODE_DEPTH, v2);
-            assert!(decode_value(&mut dst, &ok, &mut resolve_none).is_ok(), "v2={v2}");
-        }
+        let deep = nested_list_bytes(MAX_DECODE_DEPTH + 1);
+        assert_eq!(
+            decode_value(&mut dst, &deep, &mut resolve_none).unwrap_err(),
+            CodecError::TooDeep
+        );
+        let ok = nested_list_bytes(MAX_DECODE_DEPTH);
+        assert!(decode_value(&mut dst, &ok, &mut resolve_none).is_ok());
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = vec![WIRE_V2_MARKER, TAG_INT];
+        bytes.extend_from_slice(&7i64.to_le_bytes());
+        bytes.extend_from_slice(&[0xAA, 0xBB]);
+        let mut dst = heap();
+        assert_eq!(
+            decode_value(&mut dst, &bytes, &mut resolve_none).unwrap_err(),
+            CodecError::TrailingBytes(2)
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_strings_are_rejected() {
+        let mut bytes = vec![WIRE_V2_MARKER, TAG_STR];
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(0xFF);
+        let mut dst = heap();
+        assert_eq!(
+            decode_value(&mut dst, &bytes, &mut resolve_none).unwrap_err(),
+            CodecError::BadUtf8
+        );
+    }
+
+    #[test]
+    fn rejected_streams_leave_nothing_rooted() {
+        // A valid object followed by garbage: the placeholder the
+        // decode allocated must not stay pinned in the receiver.
+        let mut src = heap();
+        let obj = src.alloc(ClassId(1), vec![Value::Int(5)]).unwrap();
+        src.add_root(obj);
+        let mut bytes = encode(&src, &Value::Ref(obj), &mut inline_all).unwrap();
+        bytes.push(0);
+
+        let mut dst = heap();
+        assert_eq!(
+            decode_value(&mut dst, &bytes, &mut resolve_none).unwrap_err(),
+            CodecError::TrailingBytes(1)
+        );
+        dst.collect();
+        assert_eq!(dst.live_objects(), 0, "decode allocations released on error");
     }
 
     #[test]
@@ -890,7 +900,7 @@ mod tests {
         let mut src = heap();
         let obj = src.alloc(ClassId(1), vec![Value::Int(5)]).unwrap();
         src.add_root(obj);
-        let bytes = encode_value(&src, &Value::Ref(obj), &mut inline_all).unwrap();
+        let bytes = encode(&src, &Value::Ref(obj), &mut inline_all).unwrap();
 
         let mut dst = heap();
         let decoded = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap();

@@ -9,16 +9,17 @@
 //!   with both the prototype's Java-identity scheme and the recommended
 //!   wide scheme;
 //! - [`codec`] — the wire format that deep-copies neutral objects,
-//!   preserves shared substructure/cycles, and hash-references
-//!   annotated objects;
+//!   preserves shared substructure/cycles, hash-references annotated
+//!   objects and moves primitive runs as bulk copies;
 //! - [`batch`] — batched wire frames: several queued switchless
 //!   requests cross the boundary as one length-prefixed frame, so a
 //!   worker wakeup that drains a batch pays one frame header;
 //! - [`pool`] — thread-local pooled encode/decode buffers with
 //!   high-water-mark trimming, so steady-state crossings allocate no
 //!   fresh payload memory;
-//! - [`shape`] — the per-app shape cache and class-name interner
-//!   behind the wire-format-v2 fast path (`docs/SERDE.md`);
+//! - [`shape`] — the per-app shape cache and class-name interner that
+//!   keep class names off the wire after their first crossing
+//!   (`docs/SERDE.md`);
 //! - [`registry`] — the mirror-proxy registry holding strong references
 //!   to mirror objects, keyed by proxy hash;
 //! - [`weaklist`] — the per-runtime weak-reference list of live proxies;
@@ -42,12 +43,12 @@ pub mod shape;
 pub mod weaklist;
 
 pub use codec::{
-    decode_value, encode_value, encode_value_v2, encode_values_v2, CodecError, DecodedValue,
-    EncodeStats, RefEncoding, TraceContext,
+    decode_value, encode_value_v2, encode_values_v2, CodecError, DecodedValue, EncodeStats,
+    RefEncoding, TraceContext,
 };
 pub use gc_helper::GcHelper;
 pub use hash::{HashScheme, ProxyHash, ProxyHasher};
 pub use pool::PooledBuf;
 pub use registry::MirrorProxyRegistry;
-pub use shape::{CompiledShape, NameInterner, NameRef, ShapeCache};
+pub use shape::{NameInterner, NameRef, ShapeCache};
 pub use weaklist::ProxyWeakList;

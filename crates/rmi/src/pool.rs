@@ -14,42 +14,26 @@
 //! Retention is bounded two ways:
 //!
 //! - at most [`MAX_POOLED_BUFS`] buffers are kept per thread, and no
-//!   buffer above the configured capacity cap is ever retained;
+//!   buffer above [`CAP_BYTES`] is ever retained;
 //! - a *high-water mark* of observed payload sizes is kept per
 //!   thread, and once per [`TRIM_WINDOW`] releases any retained
 //!   buffer whose capacity exceeds twice the recent high-water mark
 //!   is shrunk back to it — a burst of huge payloads cannot pin its
 //!   peak footprint forever.
 //!
-//! The capacity cap is read once per process from
-//! `MONTSALVAT_SERDE_POOL` (bytes; `0` disables pooling entirely),
-//! defaulting to [`DEFAULT_CAP_BYTES`]. See `docs/SERDE.md`.
+//! See `docs/SERDE.md`.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
-/// Default per-buffer retention cap: buffers that grew beyond this are
-/// dropped rather than pooled (1 MiB).
-pub const DEFAULT_CAP_BYTES: usize = 1 << 20;
+/// Per-buffer retention cap: buffers that grew beyond this are dropped
+/// rather than pooled (1 MiB).
+pub const CAP_BYTES: usize = 1 << 20;
 
 /// Maximum buffers retained per thread.
 pub const MAX_POOLED_BUFS: usize = 8;
 
 /// Releases between high-water-mark trim passes.
 pub const TRIM_WINDOW: u32 = 64;
-
-static CAP: OnceLock<usize> = OnceLock::new();
-
-/// The process-wide retention cap in bytes (`0` = pooling disabled),
-/// from `MONTSALVAT_SERDE_POOL` or [`DEFAULT_CAP_BYTES`].
-pub fn cap_bytes() -> usize {
-    *CAP.get_or_init(|| {
-        std::env::var("MONTSALVAT_SERDE_POOL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAP_BYTES)
-    })
-}
 
 /// The per-thread free list plus its trimming state.
 #[derive(Debug, Default)]
@@ -58,24 +42,20 @@ struct Pool {
     /// Largest payload length released since the last trim pass.
     high_water: usize,
     releases: u32,
-    reuses: u64,
 }
 
 impl Pool {
     fn acquire(&mut self) -> PooledBuf {
         match self.free.pop() {
-            Some(buf) => {
-                self.reuses += 1;
-                PooledBuf { buf, pooled: true }
-            }
+            Some(buf) => PooledBuf { buf, pooled: true },
             None => PooledBuf { buf: Vec::new(), pooled: false },
         }
     }
 
-    fn release(&mut self, mut buf: Vec<u8>, cap: usize) {
+    fn release(&mut self, mut buf: Vec<u8>) {
         self.high_water = self.high_water.max(buf.len());
         self.releases += 1;
-        if buf.capacity() > 0 && buf.capacity() <= cap && self.free.len() < MAX_POOLED_BUFS {
+        if buf.capacity() > 0 && buf.capacity() <= CAP_BYTES && self.free.len() < MAX_POOLED_BUFS {
             buf.clear();
             self.free.push(buf);
         }
@@ -116,51 +96,24 @@ pub struct PooledBuf {
 }
 
 impl PooledBuf {
-    /// Wraps an existing vector without touching the pool (its bytes
-    /// still return to the pool on drop).
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        PooledBuf { buf, pooled: false }
-    }
-
     /// Whether this buffer's capacity came from the pool rather than
     /// a fresh allocation.
     pub fn was_pooled(&self) -> bool {
         self.pooled
     }
-
-    /// Consumes the buffer without returning it to the pool.
-    pub fn into_vec(mut self) -> Vec<u8> {
-        self.pooled = false;
-        std::mem::take(&mut self.buf)
-    }
 }
 
 /// Hands out a cleared buffer, reusing pooled capacity when available.
-/// With pooling disabled (`MONTSALVAT_SERDE_POOL=0`) this is a plain
-/// fresh allocation.
 pub fn acquire() -> PooledBuf {
-    if cap_bytes() == 0 {
-        return PooledBuf { buf: Vec::new(), pooled: false };
-    }
     POOL.with(|p| p.borrow_mut().acquire())
-}
-
-/// Number of times this thread's pool satisfied an [`acquire`] from
-/// retained capacity.
-pub fn thread_reuses() -> u64 {
-    POOL.with(|p| p.borrow().reuses)
 }
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        let cap = cap_bytes();
-        if cap == 0 {
-            return;
-        }
         let buf = std::mem::take(&mut self.buf);
         // A panicking thread may drop after its TLS is torn down;
         // losing the buffer is fine then.
-        let _ = POOL.try_with(|p| p.borrow_mut().release(buf, cap));
+        let _ = POOL.try_with(|p| p.borrow_mut().release(buf));
     }
 }
 
@@ -193,9 +146,11 @@ impl PartialEq for PooledBuf {
 
 impl Eq for PooledBuf {}
 
+/// Wraps an existing vector without touching the pool (its bytes
+/// still return to the pool on drop).
 impl From<Vec<u8>> for PooledBuf {
     fn from(buf: Vec<u8>) -> Self {
-        PooledBuf::from_vec(buf)
+        PooledBuf { buf, pooled: false }
     }
 }
 
@@ -222,7 +177,6 @@ mod tests {
             assert!(b.was_pooled(), "released capacity must be reused");
             assert!(b.is_empty(), "pooled buffers come back cleared");
             assert_eq!(b.as_ptr(), ptr, "same allocation round-trips");
-            assert!(thread_reuses() >= 1);
         })
         .join()
         .unwrap();
@@ -231,9 +185,9 @@ mod tests {
     #[test]
     fn oversized_buffers_are_not_retained() {
         let mut pool = Pool::default();
-        pool.release(Vec::with_capacity(64), 32);
+        pool.release(Vec::with_capacity(CAP_BYTES + 1));
         assert!(pool.free.is_empty(), "beyond-cap buffer dropped");
-        pool.release(Vec::with_capacity(16), 32);
+        pool.release(Vec::with_capacity(CAP_BYTES));
         assert_eq!(pool.free.len(), 1);
     }
 
@@ -241,7 +195,7 @@ mod tests {
     fn retention_is_bounded() {
         let mut pool = Pool::default();
         for _ in 0..(MAX_POOLED_BUFS + 4) {
-            pool.release(Vec::with_capacity(8), 1024);
+            pool.release(Vec::with_capacity(8));
         }
         assert_eq!(pool.free.len(), MAX_POOLED_BUFS);
     }
@@ -250,13 +204,13 @@ mod tests {
     fn trim_shrinks_to_recent_high_water_mark() {
         let mut pool = Pool::default();
         // One burst-sized buffer gets retained...
-        pool.release(Vec::with_capacity(4096), 1 << 20);
+        pool.release(Vec::with_capacity(4096));
         // ...then a window of small payloads establishes a low mark
         // (the burst release already opened the window).
         for _ in 0..(TRIM_WINDOW - 1) {
             let mut small = Vec::with_capacity(16);
             small.extend_from_slice(&[0u8; 10]);
-            pool.release(small, 1 << 20);
+            pool.release(small);
         }
         assert!(
             pool.free.iter().all(|b| b.capacity() <= 2 * 16),
@@ -272,13 +226,5 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(b.as_ref(), b"payload");
-    }
-
-    #[test]
-    fn into_vec_detaches_from_the_pool() {
-        let mut a = acquire();
-        a.extend_from_slice(&[1, 2, 3]);
-        let v = a.into_vec();
-        assert_eq!(v, vec![1, 2, 3]);
     }
 }

@@ -1,46 +1,25 @@
-//! Shape-cached class metadata for the serde fast path.
+//! Per-class crossing-hint state for boundary serde.
 //!
-//! The v1 boundary path re-derived per-class layout facts on every
-//! crossing and cloned the class-name `String` into every proxy-hash
-//! hint. This module caches both, per app:
+//! A crossing *hint* tells the receiving world which annotated class a
+//! hash reference in the payload belongs to. This module keeps the
+//! class name off the wire after its first crossing, per app:
 //!
-//! - [`ShapeCache`] maps `ClassId → Arc<CompiledShape>` — field
-//!   count, primitive-only flag, fixed wire width and the interned
-//!   class-name id — compiled once on a class's first crossing and
-//!   read lock-free-in-spirit thereafter (the read path clones one
-//!   `Arc` under a briefly-held read lock; writes copy-on-write the
-//!   whole map so readers never block on a miss being filled).
+//! - [`ShapeCache`] maps `ClassId → u32`, the class name's interned
+//!   id, filled on a class's first crossing from a side (a miss,
+//!   counted by `serde.shape_cache_misses`).
 //! - [`NameInterner`] maps class names to dense `u32` ids. A name
-//!   crosses the wire in full exactly once per (class, peer) pair;
-//!   every later crossing references it by id (wire format v2's
-//!   interned hint encoding — see `docs/SERDE.md`).
+//!   crosses the wire in full exactly once per (class, side); every
+//!   later crossing references it by id (see `docs/SERDE.md`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use runtime_sim::value::ClassId;
 
-/// Per-class facts the encoder needs on every crossing, compiled once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledShape {
-    /// Number of declared fields.
-    pub field_count: u32,
-    /// Every field is a primitive (no heap references can occur), so
-    /// marshalling values of this class never needs the annotated-ref
-    /// scan pass.
-    pub primitive_only: bool,
-    /// Exact encoded width in bytes when every instance encodes to
-    /// the same size (fixed-width primitive fields only); `None` for
-    /// variable-width shapes. Used to pre-size encode buffers.
-    pub fixed_width: Option<u32>,
-    /// The class name's id in the app's [`NameInterner`].
-    pub name_id: u32,
-}
-
-/// Copy-on-write map from [`ClassId`] to its [`CompiledShape`].
+/// Map from [`ClassId`] to the interned id of the class's name.
 #[derive(Debug, Default)]
 pub struct ShapeCache {
-    map: RwLock<Arc<HashMap<ClassId, Arc<CompiledShape>>>>,
+    map: RwLock<HashMap<ClassId, u32>>,
 }
 
 impl ShapeCache {
@@ -49,33 +28,17 @@ impl ShapeCache {
         Self::default()
     }
 
-    /// Looks up a compiled shape; `None` means the caller should
-    /// compile one and [`ShapeCache::insert`] it (a *shape-cache
-    /// miss*, counted by `serde.shape_cache_misses`).
-    pub fn get(&self, class: ClassId) -> Option<Arc<CompiledShape>> {
-        self.map.read().expect("shape cache poisoned").get(&class).cloned()
+    /// The cached name id; `None` means the caller should intern the
+    /// name and [`ShapeCache::insert`] it (a *shape-cache miss*,
+    /// counted by `serde.shape_cache_misses`).
+    pub fn get(&self, class: ClassId) -> Option<u32> {
+        self.map.read().expect("shape cache poisoned").get(&class).copied()
     }
 
-    /// Publishes a compiled shape. Replaces the map copy-on-write so
-    /// concurrent readers keep their snapshot; inserting the same
-    /// class twice keeps the latest shape.
-    pub fn insert(&self, class: ClassId, shape: CompiledShape) -> Arc<CompiledShape> {
-        let shape = Arc::new(shape);
-        let mut guard = self.map.write().expect("shape cache poisoned");
-        let mut next: HashMap<ClassId, Arc<CompiledShape>> = (**guard).clone();
-        next.insert(class, Arc::clone(&shape));
-        *guard = Arc::new(next);
-        shape
-    }
-
-    /// Number of cached shapes.
-    pub fn len(&self) -> usize {
-        self.map.read().expect("shape cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Caches `name_id` for `class`; inserting the same class twice
+    /// keeps the latest id.
+    pub fn insert(&self, class: ClassId, name_id: u32) {
+        self.map.write().expect("shape cache poisoned").insert(class, name_id);
     }
 }
 
@@ -91,14 +54,6 @@ pub enum NameRef {
 }
 
 impl NameRef {
-    /// The intern id, whichever encoding is used.
-    pub fn id(&self) -> u32 {
-        match self {
-            NameRef::Named(id, _) => *id,
-            NameRef::Id(id) => *id,
-        }
-    }
-
     /// Modelled wire bytes this hint-name encoding occupies.
     pub fn wire_len(&self) -> usize {
         match self {
@@ -187,41 +142,19 @@ mod tests {
         let later = NameRef::Id(0);
         assert_eq!(first.wire_len(), 4 + "SomeClassName".len());
         assert_eq!(later.wire_len(), 4);
-        assert_eq!(first.id(), later.id());
     }
 
     #[test]
     fn shape_cache_round_trips_and_overwrites() {
         let cache = ShapeCache::new();
-        assert!(cache.get(ClassId(3)).is_none());
-        let shape = CompiledShape {
-            field_count: 2,
-            primitive_only: true,
-            fixed_width: Some(18),
-            name_id: 0,
-        };
-        cache.insert(ClassId(3), shape.clone());
-        assert_eq!(cache.get(ClassId(3)).as_deref(), Some(&shape));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(ClassId(3)), None);
+        cache.insert(ClassId(3), 0);
+        cache.insert(ClassId(4), 1);
+        assert_eq!(cache.get(ClassId(3)), Some(0));
+        assert_eq!(cache.get(ClassId(4)), Some(1));
 
-        let wider = CompiledShape { field_count: 3, ..shape };
-        cache.insert(ClassId(3), wider.clone());
-        assert_eq!(cache.get(ClassId(3)).as_deref(), Some(&wider));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn readers_keep_their_snapshot_across_inserts() {
-        let cache = ShapeCache::new();
-        let shape =
-            CompiledShape { field_count: 1, primitive_only: false, fixed_width: None, name_id: 7 };
-        let inserted = cache.insert(ClassId(1), shape);
-        let held = cache.get(ClassId(1)).unwrap();
-        cache.insert(
-            ClassId(2),
-            CompiledShape { field_count: 9, primitive_only: true, fixed_width: None, name_id: 8 },
-        );
-        assert_eq!(held, inserted, "snapshot unaffected by later inserts");
-        assert_eq!(cache.len(), 2);
+        cache.insert(ClassId(3), 7);
+        assert_eq!(cache.get(ClassId(3)), Some(7));
+        assert_eq!(cache.get(ClassId(4)), Some(1), "other classes untouched");
     }
 }

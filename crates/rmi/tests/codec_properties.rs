@@ -1,7 +1,7 @@
 //! Property-based tests for the cross-boundary value codec.
 
 use proptest::prelude::*;
-use rmi::codec::{decode_value, encode_value, encode_value_v2, inline_all, resolve_none};
+use rmi::codec::{decode_value, encode_value_v2, inline_all, resolve_none};
 use runtime_sim::heap::{Heap, HeapConfig};
 use runtime_sim::value::{ClassId, Value};
 
@@ -28,13 +28,20 @@ fn flat_value() -> impl Strategy<Value = Value> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Reference-free values roundtrip bit-exactly.
+    /// Reference-free values roundtrip bit-exactly (bulk paths
+    /// included via `Bytes` and the primitive-homogeneous lists
+    /// `flat_value` generates), and decode re-derives the encoder's
+    /// bulk-byte split.
     #[test]
     fn flat_values_roundtrip(v in flat_value()) {
         let src = fresh_heap();
         let mut dst = fresh_heap();
-        let bytes = encode_value(&src, &v, &mut inline_all).unwrap();
+        let mut bytes = Vec::new();
+        let stats = encode_value_v2(&src, &v, &mut inline_all, &mut bytes).unwrap();
+        prop_assert_eq!(stats.total_bytes as usize, bytes.len());
+        prop_assert!(stats.bulk_bytes <= stats.total_bytes);
         let decoded = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap();
+        prop_assert_eq!(decoded.bulk_bytes, stats.bulk_bytes, "decode re-derives bulk bytes");
         prop_assert_eq!(decoded.unpin(&mut dst), v);
     }
 
@@ -62,7 +69,8 @@ proptest! {
         }
         let top = *ids.last().unwrap();
 
-        let bytes = encode_value(&src, &Value::Ref(top), &mut inline_all).unwrap();
+        let mut bytes = Vec::new();
+        encode_value_v2(&src, &Value::Ref(top), &mut inline_all, &mut bytes).unwrap();
         let mut dst = fresh_heap();
         let decoded = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap();
         let new_top = decoded.value.as_ref_id().unwrap();
@@ -88,91 +96,8 @@ proptest! {
         }
     }
 
-    /// Reference-free values roundtrip bit-exactly through the v2
-    /// wire format (bulk fast paths included via `Bytes` and
-    /// primitive-homogeneous lists generated by `flat_value`).
-    #[test]
-    fn flat_values_roundtrip_v2(v in flat_value()) {
-        let src = fresh_heap();
-        let mut dst = fresh_heap();
-        let mut bytes = Vec::new();
-        let stats = encode_value_v2(&src, &v, &mut inline_all, &mut bytes).unwrap();
-        prop_assert_eq!(stats.total_bytes as usize, bytes.len());
-        prop_assert!(stats.bulk_bytes <= stats.total_bytes);
-        let decoded = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap();
-        prop_assert_eq!(decoded.bulk_bytes, stats.bulk_bytes, "decode re-derives bulk bytes");
-        prop_assert_eq!(decoded.unpin(&mut dst), v);
-    }
-
-    /// Object DAGs with shared substructure roundtrip isomorphically
-    /// through the v2 wire format, exactly like v1.
-    #[test]
-    fn object_graphs_roundtrip_isomorphically_v2(
-        specs in proptest::collection::vec(
-            (0u32..8, proptest::collection::vec(any::<u16>(), 0..4), flat_value()),
-            1..16,
-        )
-    ) {
-        let mut src = fresh_heap();
-        let mut ids = Vec::new();
-        for (class, links, payload) in &specs {
-            let mut fields = vec![payload.clone()];
-            for l in links {
-                if !ids.is_empty() {
-                    fields.push(Value::Ref(ids[*l as usize % ids.len()]));
-                }
-            }
-            let id = src.alloc(ClassId(*class), fields).unwrap();
-            src.add_root(id);
-            ids.push(id);
-        }
-        let top = *ids.last().unwrap();
-
-        let mut bytes = Vec::new();
-        encode_value_v2(&src, &Value::Ref(top), &mut inline_all, &mut bytes).unwrap();
-        let mut dst = fresh_heap();
-        let decoded = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap();
-        let new_top = decoded.value.as_ref_id().unwrap();
-
-        let mut stack = vec![(top, new_top)];
-        let mut seen = std::collections::HashMap::new();
-        while let Some((old, new)) = stack.pop() {
-            if let Some(prev) = seen.insert(old, new) {
-                prop_assert_eq!(prev, new, "sharing must map consistently");
-                continue;
-            }
-            prop_assert_eq!(src.class_of(old), dst.class_of(new));
-            let old_fields = src.fields(old).unwrap().to_vec();
-            let new_fields = dst.fields(new).unwrap().to_vec();
-            prop_assert_eq!(old_fields.len(), new_fields.len());
-            for (of, nf) in old_fields.iter().zip(new_fields.iter()) {
-                match (of, nf) {
-                    (Value::Ref(o), Value::Ref(n)) => stack.push((*o, *n)),
-                    (a, b) => prop_assert_eq!(a, b),
-                }
-            }
-        }
-    }
-
-    /// Both formats decode the same value: a v1 stream and a v2 stream
-    /// of the same source value agree after decoding.
-    #[test]
-    fn v1_and_v2_decode_agree(v in flat_value()) {
-        let src = fresh_heap();
-        let v1_bytes = encode_value(&src, &v, &mut inline_all).unwrap();
-        let mut v2_bytes = Vec::new();
-        encode_value_v2(&src, &v, &mut inline_all, &mut v2_bytes).unwrap();
-
-        let mut dst1 = fresh_heap();
-        let d1 = decode_value(&mut dst1, &v1_bytes, &mut resolve_none).unwrap();
-        prop_assert_eq!(d1.bulk_bytes, 0, "v1 streams charge no bulk bytes");
-        let mut dst2 = fresh_heap();
-        let d2 = decode_value(&mut dst2, &v2_bytes, &mut resolve_none).unwrap();
-        prop_assert_eq!(d1.unpin(&mut dst1), d2.unpin(&mut dst2));
-    }
-
-    /// Decoding arbitrary bytes never panics (it may error). The v2
-    /// marker prefix exercises the v2 decoder on the same garbage.
+    /// Decoding arbitrary bytes never panics (it may error). The
+    /// marker prefix takes the same garbage past the marker check.
     #[test]
     fn decode_is_total_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut dst = fresh_heap();
@@ -187,7 +112,8 @@ proptest! {
     fn encoding_overhead_is_bounded(payload in proptest::collection::vec(any::<u8>(), 0..1024)) {
         let src = fresh_heap();
         let v = Value::Bytes(payload.clone());
-        let bytes = encode_value(&src, &v, &mut inline_all).unwrap();
-        prop_assert_eq!(bytes.len(), payload.len() + 5, "tag + u32 length + payload");
+        let mut bytes = Vec::new();
+        encode_value_v2(&src, &v, &mut inline_all, &mut bytes).unwrap();
+        prop_assert_eq!(bytes.len(), payload.len() + 6, "marker + tag + u32 length + payload");
     }
 }

@@ -176,14 +176,15 @@ metric_enum! {
         WeakDeadFound => ("rmi.weak_dead_found", "objects"),
         /// Relay method dispatches executed on a receiving world.
         RelayDispatches => ("exec.relay_dispatches", "calls"),
-        /// Boundary payload encodes performed (marshal calls). Always
-        /// equals `serde.fast_path_hits + serde.slow_path_hits`.
+        /// Boundary payload encodes that succeeded (marshal calls).
+        /// Always equals `serde.fast_path_hits`.
         SerdeEncodeCalls => ("serde.encode_calls", "calls"),
-        /// Encodes that took the v2 fast path (shape-cached, pooled
-        /// buffer, bulk primitives).
+        /// Encodes in wire format v2 (shape-cached, pooled buffer, bulk
+        /// primitives), the only serde path.
         SerdeFastPathHits => ("serde.fast_path_hits", "calls"),
-        /// Encodes that took the classic v1 path (fast path disabled
-        /// or unavailable).
+        /// Always 0: it counted the classic v1 serde path, which was
+        /// removed. It stays so exports keep their shape, like the
+        /// `Sched*` metrics below.
         SerdeSlowPathHits => ("serde.slow_path_hits", "calls"),
         /// Bulk-copied payload bytes (single-memcpy `Bytes` /
         /// primitive-homogeneous lists) charged at the bulk serde rate.
@@ -191,8 +192,8 @@ metric_enum! {
         /// Payload bytes encoded into a reused pooled buffer instead
         /// of a fresh heap allocation.
         SerdePooledBytes => ("serde.pooled_bytes", "bytes"),
-        /// Shape-cache misses (first crossing of a class; compiles and
-        /// caches the shape, interns the class name).
+        /// Shape-cache misses (first crossing of a class from a side;
+        /// interns the class name and caches its id).
         SerdeShapeCacheMisses => ("serde.shape_cache_misses", "misses"),
         /// Trace events discarded because a ring buffer was full
         /// (see `telemetry::trace`; `rmi.calls` reconciles against
@@ -298,9 +299,9 @@ metric_enum! {
         GcPauseModelNs => ("gc.pause_model_ns", "model_ns"),
         /// Jobs served per switchless worker wakeup (batch drain size).
         SwitchlessBatchJobs => ("rmi.switchless_batch_jobs", "jobs"),
-        /// Model nanoseconds charged per classic (v1) payload encode.
+        /// Always empty (see [`Counter::SerdeSlowPathHits`]).
         SerdeEncodeClassicNs => ("serde.encode_classic_ns", "model_ns"),
-        /// Model nanoseconds charged per fast-path (v2) payload encode.
+        /// Model nanoseconds charged per payload encode.
         SerdeEncodeFastNs => ("serde.encode_fast_ns", "model_ns"),
         /// Model nanoseconds an open-loop traffic request spent in the
         /// system — queueing delay on the virtual arrival timeline plus
