@@ -84,7 +84,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     c.bench_function("trace_start_disabled", |b| {
         b.iter(|| {
             assert!(off
-                .start(Lane::Trusted, "bench", None, 0, || unreachable!("disabled never names"))
+                .start(Lane::Trusted, "bench", None, || 0, || unreachable!("disabled never names"))
                 .is_none());
         });
     });

@@ -56,7 +56,7 @@
 //! use montsalvat_core::analysis::advisor::{advise, AdvisorConfig, Verdict};
 //! use montsalvat_core::annotation::Trust;
 //! use sgx_sim::cost::CostParams;
-//! use telemetry::trace::{parse_chrome_trace, Lane, Tracer};
+//! use telemetry::trace::{parse_chrome_trace, Lane, Stamp, Tracer};
 //!
 //! let tracer = Tracer::new();
 //! tracer.enable_with_capacity(1024);
@@ -64,17 +64,19 @@
 //!     let t0 = i * 100_000;
 //!     // The proxy call, recorded on the caller's (untrusted) lane …
 //!     let call = tracer
-//!         .start(Lane::Untrusted, "rmi", None, t0, || "Store.relay$put".into())
+//!         .start(Lane::Untrusted, "rmi", None, || t0, || "Store.relay$put".into())
 //!         .expect("tracing enabled");
 //!     let ctx = call.context();
 //!     // … its marshalling, the enclave transition, and the remote serve.
-//!     tracer.span_at(Lane::Untrusted, "serde", Some(ctx), t0, t0 + 1_000, 0, || {
+//!     let begin = Some(Stamp { model_ns: t0, wall_ns: 0 });
+//!     tracer.span_at(Lane::Untrusted, "serde", Some(ctx), begin, || t0 + 1_000, || {
 //!         "marshal:fast b=128".into()
 //!     });
 //!     let ecall = tracer
-//!         .start(Lane::Trusted, "sgx", Some(ctx), t0 + 1_000, || "ecall:relay".into())
+//!         .start(Lane::Trusted, "sgx", Some(ctx), || t0 + 1_000, || "ecall:relay".into())
 //!         .expect("tracing enabled");
-//!     tracer.span_at(Lane::Trusted, "exec", Some(ecall.context()), t0 + 2_000, t0 + 3_000, 0, || {
+//!     let begin = Some(Stamp { model_ns: t0 + 2_000, wall_ns: 0 });
+//!     tracer.span_at(Lane::Trusted, "exec", Some(ecall.context()), begin, || t0 + 3_000, || {
 //!         "serve:Store.relay$put".into()
 //!     });
 //!     tracer.finish(ecall, t0 + 4_000);
@@ -879,39 +881,69 @@ mod tests {
 
     #[test]
     fn extraction_attributes_regions_and_nested_crossings() {
-        use telemetry::trace::{parse_chrome_trace, Lane, Tracer};
+        use telemetry::trace::{parse_chrome_trace, Lane, Stamp, Tracer};
         let tracer = Tracer::new();
         tracer.enable_with_capacity(256);
         // Untrusted main calls trusted Gateway; Gateway's serve calls
         // untrusted Ledger (a nested crossing back out).
         let call = tracer
-            .start(Lane::Untrusted, "rmi", None, 0, || "Gateway.relay$handle".into())
+            .start(Lane::Untrusted, "rmi", None, || 0, || "Gateway.relay$handle".into())
             .unwrap();
         let ctx = call.context();
-        tracer.span_at(Lane::Untrusted, "serde", Some(ctx), 0, 2_000, 0, || {
-            "marshal:fast b=64".into()
-        });
-        let ecall =
-            tracer.start(Lane::Trusted, "sgx", Some(ctx), 2_000, || "ecall:relay".into()).unwrap();
+        tracer.span_at(
+            Lane::Untrusted,
+            "serde",
+            Some(ctx),
+            Some(Stamp { model_ns: 0, wall_ns: 0 }),
+            || 2_000,
+            || "marshal:fast b=64".into(),
+        );
+        let ecall = tracer
+            .start(Lane::Trusted, "sgx", Some(ctx), || 2_000, || "ecall:relay".into())
+            .unwrap();
         let serve = tracer
-            .start(Lane::Trusted, "exec", Some(ecall.context()), 3_000, || {
-                "serve:Gateway.relay$handle".into()
-            })
+            .start(
+                Lane::Trusted,
+                "exec",
+                Some(ecall.context()),
+                || 3_000,
+                || "serve:Gateway.relay$handle".into(),
+            )
             .unwrap();
         let nested = tracer
-            .start(Lane::Trusted, "rmi", Some(serve.context()), 4_000, || {
-                "Ledger.relay$record".into()
-            })
+            .start(
+                Lane::Trusted,
+                "rmi",
+                Some(serve.context()),
+                || 4_000,
+                || "Ledger.relay$record".into(),
+            )
             .unwrap();
-        tracer.span_at(Lane::Trusted, "serde", Some(nested.context()), 4_000, 4_500, 0, || {
-            "marshal:fast b=32".into()
-        });
+        tracer.span_at(
+            Lane::Trusted,
+            "serde",
+            Some(nested.context()),
+            Some(Stamp { model_ns: 4_000, wall_ns: 0 }),
+            || 4_500,
+            || "marshal:fast b=32".into(),
+        );
         let ocall = tracer
-            .start(Lane::Untrusted, "sgx", Some(nested.context()), 4_500, || "ocall:relay".into())
+            .start(
+                Lane::Untrusted,
+                "sgx",
+                Some(nested.context()),
+                || 4_500,
+                || "ocall:relay".into(),
+            )
             .unwrap();
-        tracer.span_at(Lane::Untrusted, "exec", Some(ocall.context()), 5_000, 9_000, 0, || {
-            "serve:Ledger.relay$record".into()
-        });
+        tracer.span_at(
+            Lane::Untrusted,
+            "exec",
+            Some(ocall.context()),
+            Some(Stamp { model_ns: 5_000, wall_ns: 0 }),
+            || 9_000,
+            || "serve:Ledger.relay$record".into(),
+        );
         tracer.finish(ocall, 9_500);
         tracer.finish(nested, 10_000);
         tracer.finish(serve, 12_000);
@@ -949,17 +981,23 @@ mod tests {
         for i in 0..16u64 {
             let t0 = i * 1_000_000;
             let call = tracer
-                .start(Lane::Untrusted, "rmi", None, t0, || "Store.relay$put".into())
+                .start(Lane::Untrusted, "rmi", None, || t0, || "Store.relay$put".into())
                 .unwrap();
             let ecall = tracer
-                .start(Lane::Trusted, "sgx", Some(call.context()), t0, || "ecall:relay".into())
+                .start(Lane::Trusted, "sgx", Some(call.context()), || t0, || "ecall:relay".into())
                 .unwrap();
             tracer.finish(ecall, t0 + 1_000);
             tracer.finish(call, t0 + 2_000);
             // A two-sample class rides along.
             if i < 2 {
                 let c2 = tracer
-                    .start(Lane::Untrusted, "rmi", None, t0 + 10_000, || "Config.relay$get".into())
+                    .start(
+                        Lane::Untrusted,
+                        "rmi",
+                        None,
+                        || t0 + 10_000,
+                        || "Config.relay$get".into(),
+                    )
                     .unwrap();
                 tracer.finish(c2, t0 + 11_000);
             }

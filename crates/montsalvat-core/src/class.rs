@@ -221,10 +221,12 @@ pub enum MethodBody {
     /// Native Rust closure.
     Native(NativeFn),
     /// Transformer output: a stripped proxy method that crosses the
-    /// boundary to the named relay (Listing 2/3 of the paper).
+    /// boundary through its edge routine to the relay of the same
+    /// method in the opposite runtime (Listing 2/3 of the paper).
     ProxyCall {
-        /// Name of the relay routine invoked in the opposite runtime.
-        relay: String,
+        /// The EDL edge routine (ecall/ocall) the crossing transitions
+        /// through, as the transformer declared it.
+        routine: String,
     },
     /// Transformer output: a static `@CEntryPoint` relay wrapper that
     /// looks up the mirror and invokes the target method (Listing 4).
@@ -242,8 +244,8 @@ impl fmt::Debug for MethodBody {
         match self {
             MethodBody::Instrs(is) => f.debug_tuple("Instrs").field(&is.len()).finish(),
             MethodBody::Native(_) => f.write_str("Native(..)"),
-            MethodBody::ProxyCall { relay } => {
-                f.debug_struct("ProxyCall").field("relay", relay).finish()
+            MethodBody::ProxyCall { routine } => {
+                f.debug_struct("ProxyCall").field("routine", routine).finish()
             }
             MethodBody::Relay { target, is_ctor } => {
                 f.debug_struct("Relay").field("target", target).field("is_ctor", is_ctor).finish()
@@ -394,7 +396,12 @@ impl ClassDef {
 
     /// Looks up a method by name.
     pub fn find_method(&self, name: &str) -> Option<&MethodDef> {
-        self.methods.iter().find(|m| m.name == name)
+        self.method_index(name).map(|i| &self.methods[i])
+    }
+
+    /// Position of the method called `name` in [`ClassDef::methods`].
+    pub fn method_index(&self, name: &str) -> Option<usize> {
+        self.methods.iter().position(|m| m.name == name)
     }
 
     /// Whether instances of this class belong in `side`'s runtime.

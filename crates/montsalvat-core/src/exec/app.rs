@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use rmi::gc_helper::GcHelper;
@@ -22,11 +22,13 @@ use runtime_sim::heap::{CollectorKind, HeapConfig};
 use runtime_sim::value::Value;
 use sgx_sim::cost::{ClockMode, CostModel, CostParams};
 use sgx_sim::enclave::{Enclave, EnclaveConfig, TransitionStats};
+use sgx_sim::SgxError;
 
 use crate::annotation::Side;
 use crate::class::MethodRef;
 use crate::error::VmError;
-use crate::exec::ctx::Ctx;
+use crate::exec::ctx::{serve_relay, Ctx};
+use crate::exec::switchless::{ServeFn, SwitchlessPool};
 use crate::exec::world::{ClassIndex, ExecModel, World, WorldStatsSnapshot};
 use crate::image_builder::NativeImage;
 use crate::provider::{self, CrossingDir, EnclaveProvider, ProviderKind};
@@ -172,7 +174,9 @@ pub struct AppShared {
     pub cost: Arc<CostModel>,
     trusted: Arc<World>,
     untrusted: Arc<World>,
-    pub(crate) switchless: parking_lot::Mutex<Option<Arc<crate::exec::switchless::SwitchlessPool>>>,
+    /// The switchless pool, fixed at launch: crossings read it without
+    /// a lock, and it stops and joins its workers when the app drops.
+    pub(crate) switchless: Option<SwitchlessPool>,
     pub(crate) serde: SerdeState,
 }
 
@@ -224,11 +228,14 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
     // The sweep's crossing (and its transition span) parents under
     // this span, so helper activity shows up as its own call trees on
     // the sweeping side's lane.
-    let tracer = Arc::clone(shared.cost.tracer());
-    let sweep_span =
-        tracer.start(side.lane(), "gc", telemetry::trace::current(), shared.cost.now_ns(), || {
-            format!("gc-sweep:{side} dead={}", dead.len())
-        });
+    let tracer = shared.cost.tracer();
+    let sweep_span = tracer.start(
+        side.lane(),
+        "gc",
+        telemetry::trace::current(),
+        || shared.cost.now_ns(),
+        || format!("gc-sweep:{side} dead={}", dead.len()),
+    );
     let _scope = sweep_span.as_ref().map(|s| telemetry::trace::set_current(s.context()));
     let other = shared.world(side.opposite());
     let bytes = dead.len() * 16;
@@ -396,34 +403,30 @@ impl PartitionedApp {
         restore_image_heap(trusted_image, &trusted)?;
         restore_image_heap(untrusted_image, &untrusted)?;
 
-        let shared = Arc::new(AppShared {
-            enclave: Arc::clone(&enclave),
-            provider,
-            cost,
-            trusted,
-            untrusted,
-            switchless: parking_lot::Mutex::new(None),
-            serde: SerdeState::default(),
+        let shared = Arc::new_cyclic(|app: &Weak<AppShared>| {
+            let switchless = config.switchless.as_ref().map(|sw_config| {
+                // Workers hold the app weakly, so the pool inside it
+                // does not keep it alive. A serve's strong handle ends
+                // before its worker replies, while the caller still
+                // holds the app, so the app — and with it the pool,
+                // which joins its workers — never drops on a worker.
+                let app = Weak::clone(app);
+                let serve: ServeFn = Arc::new(move |side, crossing, msg| {
+                    let app = app.upgrade().ok_or(VmError::Sgx(SgxError::EnclaveLost))?;
+                    serve_relay(&app, app.world(side), crossing, msg)
+                });
+                SwitchlessPool::spawn(sw_config, serve, Arc::clone(&cost))
+            });
+            AppShared {
+                enclave: Arc::clone(&enclave),
+                provider,
+                cost,
+                trusted,
+                untrusted,
+                switchless,
+                serde: SerdeState::default(),
+            }
         });
-        if let Some(sw_config) = &config.switchless {
-            let serve_shared = Arc::clone(&shared);
-            let serve = Arc::new(
-                move |side: Side,
-                      class_name: &str,
-                      relay: &str,
-                      _hash: Option<rmi::hash::ProxyHash>,
-                      msg: &crate::exec::ctx::WireMsg| {
-                    let callee = Arc::clone(serve_shared.world(side));
-                    crate::exec::ctx::serve_relay(&serve_shared, &callee, class_name, relay, msg)
-                },
-            );
-            let pool = crate::exec::switchless::SwitchlessPool::spawn(
-                sw_config,
-                serve,
-                Arc::clone(&shared.cost),
-            );
-            *shared.switchless.lock() = Some(Arc::new(pool));
-        }
 
         let mut helpers = Vec::new();
         if let Some(interval) = config.gc_helper_interval {
@@ -527,7 +530,7 @@ impl PartitionedApp {
     /// Live worker/queue readings of the switchless pool, or `None`
     /// when the application runs classic crossings.
     pub fn switchless_stats(&self) -> Option<crate::exec::switchless::SwitchlessStats> {
-        self.shared.switchless.lock().as_ref().map(|pool| pool.stats())
+        self.shared.switchless.as_ref().map(|pool| pool.stats())
     }
 
     /// Number of live mirrors registered in `side`'s registry.
@@ -552,13 +555,8 @@ impl PartitionedApp {
         for helper in self.helpers.drain(..) {
             helper.stop();
         }
-        // A handle still held by an in-flight crossing keeps the pool
-        // alive; its threads then exit once the mailboxes drop.
-        if let Some(pool) = self.shared.switchless.lock().take() {
-            if let Ok(pool) = Arc::try_unwrap(pool) {
-                pool.shutdown();
-            }
-        }
+        // The switchless pool stops and joins its workers when the
+        // last handle on `shared` drops.
         self.enclave.destroy();
         if self.owns_workdir {
             let _ = std::fs::remove_dir_all(&self.workdir);
@@ -659,7 +657,7 @@ impl SingleWorldApp {
             cost,
             trusted: Arc::clone(&world),
             untrusted: world,
-            switchless: parking_lot::Mutex::new(None),
+            switchless: None,
             serde: SerdeState::default(),
         });
         let main = find_main(image)?;

@@ -29,7 +29,7 @@
 //! roots released). Values returned from calls carry one *in-flight*
 //! root per contained reference, which the caller adopts into its frame.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rmi::codec::{self, CodecError, RefEncoding, TraceContext};
@@ -38,16 +38,17 @@ use rmi::pool::PooledBuf;
 use rmi::shape::NameRef;
 use runtime_sim::heap::{GcOutcome, Heap};
 use runtime_sim::value::{ClassId, ObjId, Value};
+use sgx_sim::SgxError;
 use telemetry::trace::{self, SpanContext};
 
 use crate::annotation::Side;
-use crate::class::{ClassRole, MethodBody, MethodDef, MethodKind, CTOR};
+use crate::class::{ClassRole, MethodBody, MethodKind, CTOR};
 use crate::error::VmError;
 use crate::exec::app::AppShared;
 use crate::exec::interp;
 use crate::exec::switchless::PostOutcome;
 use crate::exec::world::{ClassInfo, IoFile, World};
-use crate::transform::{edge_routine_name, relay_name};
+use crate::transform::relay_name;
 
 /// Execution context handed to native method bodies and the interpreter.
 ///
@@ -148,11 +149,11 @@ impl<'a> Ctx<'a> {
         // path copies no `ClassInfo`/`MethodDef` (and no name strings).
         let world = Arc::clone(&self.world);
         let class = world.class_of_obj(id)?;
-        let def = class.def.find_method(method).ok_or_else(|| VmError::UnknownMethod {
+        let index = class.def.method_index(method).ok_or_else(|| VmError::UnknownMethod {
             class: class.def.name.clone(),
             method: method.to_owned(),
         })?;
-        let v = exec_method(self.app, &world, class, def, Some(id), args)?;
+        let v = exec_method(self.app, &world, class, index, Some(id), args)?;
         self.adopt(&v);
         Ok(v)
     }
@@ -171,14 +172,14 @@ impl<'a> Ctx<'a> {
     ) -> Result<Value, VmError> {
         let world = Arc::clone(&self.world);
         let class = world.class_by_name(class_name)?;
-        let def = class.def.find_method(method).ok_or_else(|| VmError::UnknownMethod {
+        let index = class.def.method_index(method).ok_or_else(|| VmError::UnknownMethod {
             class: class_name.to_owned(),
             method: method.to_owned(),
         })?;
-        if def.kind != MethodKind::Static {
+        if class.def.methods[index].kind != MethodKind::Static {
             return Err(VmError::Type(format!("`{class_name}.{method}` is not static")));
         }
-        let v = exec_method(self.app, &world, class, def, None, args)?;
+        let v = exec_method(self.app, &world, class, index, None, args)?;
         self.adopt(&v);
         Ok(v)
     }
@@ -509,8 +510,7 @@ impl WireMsg {
 fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, VmError> {
     let rec = app.cost.recorder();
     let tracer = app.cost.tracer();
-    let begin_model_ns = app.cost.now_ns();
-    let begin_wall_ns = tracer.wall_now_ns();
+    let begin = tracer.stamp(|| app.cost.now_ns());
 
     // Pass 1: find annotated references reachable through inline
     // (neutral) structure. Reference-free arguments (the common
@@ -603,9 +603,8 @@ fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, 
         world.side.lane(),
         "serde",
         trace::current(),
-        begin_model_ns,
-        app.cost.now_ns(),
-        begin_wall_ns,
+        begin,
+        || app.cost.now_ns(),
         || format!("marshal:fast b={}", payload.len()),
     );
     Ok(WireMsg { recv_hash: None, hints, payload, trace: None })
@@ -678,8 +677,7 @@ fn unmarshal_pinning(
     pins: &mut Vec<ObjId>,
 ) -> Result<Vec<Value>, VmError> {
     let tracer = app.cost.tracer();
-    let begin_model_ns = app.cost.now_ns();
-    let begin_wall_ns = tracer.wall_now_ns();
+    let begin = tracer.stamp(|| app.cost.now_ns());
     let mut by_hash: std::collections::HashMap<ProxyHash, ObjId> = Default::default();
 
     // Resolve every hinted hash to a local object: the mirror if its
@@ -734,9 +732,8 @@ fn unmarshal_pinning(
         world.side.lane(),
         "serde",
         trace::current(),
-        begin_model_ns,
-        app.cost.now_ns(),
-        begin_wall_ns,
+        begin,
+        || app.cost.now_ns(),
         || format!("unmarshal b={}", msg.payload.len()),
     );
     pins.extend(decoded.allocated.iter().copied());
@@ -823,31 +820,128 @@ fn release(world: &World, v: &Value) {
 // Dispatch
 // ---------------------------------------------------------------------
 
-/// Executes a method. The returned value carries one in-flight root per
-/// contained reference, which the caller must adopt or release.
+/// What a relay does with the receiver hash a crossing carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RelayKind {
+    /// Instantiates the mirror and registers it under the hash.
+    Ctor,
+    /// Calls a static method; there is no receiver.
+    Static,
+    /// Calls the method on the mirror registered under the hash.
+    Instance,
+}
+
+/// A proxy method's crossing, resolved against the opposite world on
+/// the method's first call and kept in the caller's [`ClassInfo`] —
+/// the run-time counterpart of the edge routine Edger8r generates once
+/// per EDL entry (§5.3). Later calls dispatch through it with no name
+/// lookup and no string formatting.
+#[derive(Debug)]
+pub(crate) struct Crossing {
+    /// The relay's class in the opposite world.
+    pub class: ClassId,
+    /// Index of the method the relay forwards to, in that class.
+    pub target: usize,
+    /// What the relay does with the receiver.
+    pub kind: RelayKind,
+    /// The EDL edge routine the crossing transitions through.
+    pub routine: Box<str>,
+    /// `Class.relay$method`: names the crossing's trace spans and
+    /// errors.
+    pub name: Box<str>,
+}
+
+/// The crossing behind proxy method `method` of `class`, one of
+/// `caller`'s classes: resolved on the method's first call, read from
+/// its slot on every later one. A failed resolution leaves the slot
+/// empty, so the next call fails the same way.
+fn crossing<'c>(
+    app: &AppShared,
+    caller: &World,
+    class: &'c ClassInfo,
+    method: usize,
+) -> Result<&'c Arc<Crossing>, VmError> {
+    let slots =
+        class.crossings.get_or_init(|| class.def.methods.iter().map(|_| OnceLock::new()).collect());
+    let slot = &slots[method];
+    if let Some(resolved) = slot.get() {
+        return Ok(resolved);
+    }
+    let resolved = Arc::new(resolve_crossing(app, caller, class, method)?);
+    Ok(slot.get_or_init(|| resolved))
+}
+
+/// Finds the relay the transformer generated for a proxy method in the
+/// opposite world. A relay missing from the opposite image is an
+/// interface mismatch on the method's edge routine.
+fn resolve_crossing(
+    app: &AppShared,
+    caller: &World,
+    class: &ClassInfo,
+    method: usize,
+) -> Result<Crossing, VmError> {
+    let def = &class.def.methods[method];
+    let MethodBody::ProxyCall { routine } = &def.body else {
+        return Err(VmError::Type(format!(
+            "`{}.{}` is not a proxy method",
+            class.def.name, def.name
+        )));
+    };
+    let info = app.world(caller.side.opposite()).class_by_name(&class.def.name)?;
+    let relay = info
+        .def
+        .find_method(&relay_name(&def.name))
+        .ok_or_else(|| VmError::Sgx(SgxError::InterfaceMismatch { routine: routine.clone() }))?;
+    let MethodBody::Relay { target, is_ctor } = &relay.body else {
+        return Err(VmError::Type(format!("`{}.{}` is not a relay", info.def.name, relay.name)));
+    };
+    let index = info.def.method_index(target).ok_or_else(|| VmError::UnknownMethod {
+        class: info.def.name.clone(),
+        method: target.clone(),
+    })?;
+    let kind = if *is_ctor {
+        RelayKind::Ctor
+    } else if info.def.methods[index].kind == MethodKind::Static {
+        RelayKind::Static
+    } else {
+        RelayKind::Instance
+    };
+    Ok(Crossing {
+        class: info.id,
+        target: index,
+        kind,
+        routine: routine.as_str().into(),
+        name: format!("{}.{}", info.def.name, relay.name).into(),
+    })
+}
+
+/// Executes method `method` (an index into `class.def.methods`). The
+/// returned value carries one in-flight root per contained reference,
+/// which the caller must adopt or release.
 pub(crate) fn exec_method(
     app: &AppShared,
     world: &Arc<World>,
     class: &ClassInfo,
-    method: &MethodDef,
+    method: usize,
     this: Option<ObjId>,
     args: &[Value],
 ) -> Result<Value, VmError> {
-    if args.len() != method.param_count {
+    let def = &class.def.methods[method];
+    if args.len() != def.param_count {
         return Err(VmError::Arity {
             class: class.def.name.clone(),
-            method: method.name.clone(),
-            expected: method.param_count,
+            method: def.name.clone(),
+            expected: def.param_count,
             got: args.len(),
         });
     }
     if world.exec_model.call_overhead_ns > 0 {
         app.cost.charge_ns(world.exec_model.call_overhead_ns);
     }
-    match &method.body {
+    match &def.body {
         MethodBody::Instrs(instrs) => {
             let mut ctx = Ctx::new(app, Arc::clone(world));
-            let out = interp::run(&mut ctx, &class.def, method, instrs, this, args)?;
+            let out = interp::run(&mut ctx, &class.def, def, instrs, this, args)?;
             promote(world, &out);
             Ok(out)
         }
@@ -857,7 +951,8 @@ pub(crate) fn exec_method(
             promote(world, &out);
             Ok(out)
         }
-        MethodBody::ProxyCall { relay } => {
+        MethodBody::ProxyCall { .. } => {
+            let crossing = crossing(app, world, class, method)?;
             let recv_hash = match this {
                 Some(proxy) => {
                     let heap = world.isolate.lock_heap();
@@ -865,11 +960,11 @@ pub(crate) fn exec_method(
                 }
                 None => None,
             };
-            cross_call(app, world, &class.def.name, relay, recv_hash, args)
+            cross_call(app, world, crossing, recv_hash, args)
         }
         MethodBody::Relay { .. } => Err(VmError::Type(format!(
             "relay `{}.{}` is an entry point; it is invoked by crossings only",
-            class.def.name, method.name
+            class.def.name, def.name
         ))),
     }
 }
@@ -903,7 +998,7 @@ fn construct_local(
         h.add_root(id); // in-flight
         Ok::<_, runtime_sim::heap::OutOfMemory>(id)
     })?;
-    if let Some(ctor) = info.def.find_method(CTOR) {
+    if let Some(ctor) = info.def.method_index(CTOR) {
         match exec_method(app, world, info, ctor, Some(obj), args) {
             Ok(ret) => release(world, &ret), // constructors return unit
             Err(e) => {
@@ -930,6 +1025,11 @@ fn construct_proxy(
     info: &ClassInfo,
     args: &[Value],
 ) -> Result<Value, VmError> {
+    let ctor = info.def.method_index(CTOR).ok_or_else(|| VmError::UnknownMethod {
+        class: info.def.name.clone(),
+        method: CTOR.into(),
+    })?;
+    let crossing = crossing(app, world, info, ctor)?;
     let hash = world.hasher.next_hash();
     let proxy = {
         let mut rmi = world.rmi.lock();
@@ -941,7 +1041,7 @@ fn construct_proxy(
         world.stats.count_proxy();
         proxy
     };
-    match cross_call(app, world, &info.def.name, &relay_name(CTOR), Some(hash), args) {
+    match cross_call(app, world, crossing, Some(hash), args) {
         Ok(ret) => {
             release(world, &ret);
             Ok(Value::Ref(proxy))
@@ -958,12 +1058,11 @@ fn construct_proxy(
 fn cross_call(
     app: &AppShared,
     caller: &Arc<World>,
-    class_name: &str,
-    relay: &str,
+    crossing: &Arc<Crossing>,
     recv_hash: Option<ProxyHash>,
     args: &[Value],
 ) -> Result<Value, VmError> {
-    let callee = Arc::clone(app.world(caller.side.opposite()));
+    let callee = app.world(caller.side.opposite());
     let charged_at_entry = app.cost.charged();
     // One cat-"rmi" span per crossing, covering marshal, the transition
     // (or switchless hand-off), the remote relay and the return-value
@@ -972,11 +1071,14 @@ fn cross_call(
     // `trace.dropped`). The span is the crossing's trace parent: the
     // thread-local context carries it through classic same-thread
     // serves, the wire context through cross-thread switchless serves.
-    let tracer = Arc::clone(app.cost.tracer());
-    let rmi_span =
-        tracer.start(caller.side.lane(), "rmi", trace::current(), app.cost.now_ns(), || {
-            format!("{class_name}.{relay}")
-        });
+    let tracer = app.cost.tracer();
+    let rmi_span = tracer.start(
+        caller.side.lane(),
+        "rmi",
+        trace::current(),
+        || app.cost.now_ns(),
+        || crossing.name.to_string(),
+    );
     let rmi_ctx = rmi_span.as_ref().map(|s| s.context());
     let _scope = rmi_ctx.map(trace::set_current);
 
@@ -987,16 +1089,6 @@ fn cross_call(
         msg.trace =
             rmi_ctx.map(|c| TraceContext { trace_id: c.trace_id, parent_span_id: c.span_id });
         caller.stats.count_rmi(msg.payload.len() as u64);
-
-        let trust = callee.side;
-        let routine = edge_routine_name(
-            match trust {
-                Side::Trusted => crate::annotation::Trust::Trusted,
-                Side::Untrusted => crate::annotation::Trust::Untrusted,
-            },
-            class_name,
-            relay,
-        );
         let wire_len = msg.wire_len();
 
         // The classic crossing: the relay software itself (isolate attach,
@@ -1007,14 +1099,12 @@ fn cross_call(
         // when its mailbox is full.
         let classic = || -> Result<WireMsg, VmError> {
             app.provider.charge_relay_overhead();
-            let serve = || serve_relay(app, &callee, class_name, relay, &msg);
-            let dir = match trust {
+            let serve = || serve_relay(app, callee, crossing, &msg);
+            let dir = match callee.side {
                 Side::Trusted => crate::provider::CrossingDir::Enter,
                 Side::Untrusted => crate::provider::CrossingDir::Exit,
             };
-            let served: Result<WireMsg, VmError> =
-                app.provider.cross(dir, &routine, wire_len, serve)?;
-            served
+            app.provider.cross(dir, &crossing.routine, wire_len, serve)?
         };
 
         // Switchless mode (§7 future work): post to the opposite side's
@@ -1025,15 +1115,8 @@ fn cross_call(
         // which then pays the classic crossing on top. A nested
         // crossing posted from a pool worker blocks that worker until
         // its reply arrives.
-        let pool = app.switchless.lock().clone();
-        let ret_msg = if let Some(pool) = pool {
-            match pool.post(
-                trust,
-                class_name.to_owned(),
-                relay.to_owned(),
-                recv_hash,
-                msg.clone(),
-            )? {
+        let ret_msg = if let Some(pool) = &app.switchless {
+            match pool.post(callee.side, Arc::clone(crossing), msg.clone())? {
                 PostOutcome::Served(served) => {
                     switchless_hit = true;
                     caller.stats.count_switchless();
@@ -1076,12 +1159,11 @@ fn cross_call(
     result
 }
 
-/// Receiving side of a crossing: dispatches a relay method.
+/// Receiving side of a crossing: dispatches its relay in `callee`.
 pub(crate) fn serve_relay(
     app: &AppShared,
     callee: &Arc<World>,
-    class_name: &str,
-    relay: &str,
+    crossing: &Crossing,
     msg: &WireMsg,
 ) -> Result<WireMsg, VmError> {
     app.cost.recorder().incr(telemetry::Counter::RelayDispatches);
@@ -1090,16 +1172,16 @@ pub(crate) fn serve_relay(
     // transition span) is the parent; a switchless serve runs on a
     // worker thread, where the wire context posted with the message
     // reconnects the tree.
-    let tracer = Arc::clone(app.cost.tracer());
+    let tracer = app.cost.tracer();
     let exec_span = tracer.start(
         callee.side.lane(),
         "exec",
         trace::current().or_else(|| msg.parent_span()),
-        app.cost.now_ns(),
-        || format!("serve:{class_name}.{relay}"),
+        || app.cost.now_ns(),
+        || format!("serve:{}", crossing.name),
     );
     let _scope = exec_span.as_ref().map(|s| trace::set_current(s.context()));
-    let outcome = serve_relay_inner(app, callee, class_name, relay, msg);
+    let outcome = serve_relay_inner(app, callee, crossing, msg);
     if let Some(span) = exec_span {
         tracer.finish(span, app.cost.now_ns());
     }
@@ -1111,58 +1193,48 @@ pub(crate) fn serve_relay(
 fn serve_relay_inner(
     app: &AppShared,
     callee: &Arc<World>,
-    class_name: &str,
-    relay: &str,
+    crossing: &Crossing,
     msg: &WireMsg,
 ) -> Result<WireMsg, VmError> {
-    let info = callee.class_by_name(class_name)?;
-    let relay_def = info.def.find_method(relay).ok_or_else(|| {
-        VmError::Sgx(sgx_sim::SgxError::InterfaceMismatch {
-            routine: format!("{class_name}.{relay}"),
-        })
-    })?;
-    let MethodBody::Relay { target, is_ctor } = &relay_def.body else {
-        return Err(VmError::Type(format!("`{class_name}.{relay}` is not a relay")));
-    };
-    let target_def = info.def.find_method(target).ok_or_else(|| VmError::UnknownMethod {
-        class: class_name.into(),
-        method: target.clone(),
-    })?;
-
+    let info = callee.classes.by_id(crossing.class).expect("crossings resolve against the callee");
     let (args, pins) = unmarshal(app, callee, msg)?;
 
     // Dispatch in a closure so that every failure still reaches the
     // pin release below.
     let result = (|| -> Result<Value, VmError> {
-        if *is_ctor {
-            let hash = msg.recv_hash.ok_or_else(|| {
-                VmError::BadRef(format!("constructor relay `{relay}` without a proxy hash"))
-            })?;
-            let mirror_val = construct_local(app, callee, info, &args)?;
-            let mirror = mirror_val.as_ref_id().expect("construct returns a reference");
-            {
-                let mut rmi = callee.rmi.lock();
-                let mut heap = callee.isolate.lock_heap();
-                rmi.registry.register(&mut heap, hash, mirror);
-                rmi.hash_of.insert(mirror, hash);
-                callee.stats.count_mirror();
+        let receiver = || {
+            msg.recv_hash.ok_or_else(|| {
+                VmError::BadRef(format!("relay `{}` without a proxy hash", crossing.name))
+            })
+        };
+        match crossing.kind {
+            RelayKind::Ctor => {
+                let hash = receiver()?;
+                let mirror_val = construct_local(app, callee, info, &args)?;
+                let mirror = mirror_val.as_ref_id().expect("construct returns a reference");
+                {
+                    let mut rmi = callee.rmi.lock();
+                    let mut heap = callee.isolate.lock_heap();
+                    rmi.registry.register(&mut heap, hash, mirror);
+                    rmi.hash_of.insert(mirror, hash);
+                    callee.stats.count_mirror();
+                }
+                // The registry holds the mirror now; drop the in-flight
+                // root and return unit (the caller already holds the
+                // proxy).
+                release(callee, &mirror_val);
+                Ok(Value::Unit)
             }
-            // The registry holds the mirror now; drop the in-flight root and
-            // return unit (the caller already holds the proxy).
-            release(callee, &mirror_val);
-            Ok(Value::Unit)
-        } else if target_def.kind == MethodKind::Static {
-            exec_method(app, callee, info, target_def, None, &args)
-        } else {
-            let hash = msg.recv_hash.ok_or_else(|| {
-                VmError::BadRef(format!("instance relay `{relay}` without a proxy hash"))
-            })?;
-            let mirror = {
-                let rmi = callee.rmi.lock();
-                rmi.registry.get(hash)
+            RelayKind::Static => exec_method(app, callee, info, crossing.target, None, &args),
+            RelayKind::Instance => {
+                let hash = receiver()?;
+                let mirror = {
+                    let rmi = callee.rmi.lock();
+                    rmi.registry.get(hash)
+                }
+                .ok_or_else(|| VmError::BadRef(format!("no mirror registered for hash {hash}")))?;
+                exec_method(app, callee, info, crossing.target, Some(mirror), &args)
             }
-            .ok_or_else(|| VmError::BadRef(format!("no mirror registered for hash {hash}")))?;
-            exec_method(app, callee, info, target_def, Some(mirror), &args)
         }
     })();
 
@@ -1222,6 +1294,35 @@ mod tests {
         world.isolate.with_heap(|h| h.root_count())
     }
 
+    /// The crossing behind proxy method `class.method` of `side`'s
+    /// world, resolved as a call would resolve it.
+    fn resolved(app: &PartitionedApp, side: Side, class: &str, method: &str) -> Arc<Crossing> {
+        let world = app.shared.world(side);
+        let info = world.class_by_name(class).unwrap();
+        let index = info.def.method_index(method).unwrap();
+        Arc::clone(crossing(&app.shared, world, info, index).unwrap())
+    }
+
+    #[test]
+    fn a_crossing_is_resolved_on_its_first_call_and_kept() {
+        let app = launch_bank();
+        let world = app.shared.world(Side::Untrusted);
+        let account = world.class_by_name("Account").unwrap();
+        assert!(account.crossings.get().is_none(), "launch resolves nothing");
+
+        let balance = resolved(&app, Side::Untrusted, "Account", "balance");
+        assert_eq!(&*balance.routine, "ecall_relay_Account_balance");
+        assert_eq!(&*balance.name, "Account.relay$balance");
+        assert_eq!(balance.kind, RelayKind::Instance);
+        let callee = app.shared.world(Side::Trusted).classes.by_id(balance.class).unwrap();
+        assert_eq!(callee.def.methods[balance.target].name, "balance");
+        assert!(Arc::ptr_eq(&balance, &resolved(&app, Side::Untrusted, "Account", "balance")));
+        let slots = account.crossings.get().expect("the first crossing allocates the slots");
+        let filled = slots.iter().filter(|slot| slot.get().is_some()).count();
+        assert_eq!(filled, 1, "only the called method's slot is filled");
+        app.shutdown();
+    }
+
     #[test]
     fn a_rejected_payload_leaves_the_hint_proxies_unrooted() {
         let app = launch_bank();
@@ -1246,8 +1347,8 @@ mod tests {
         // unmarshals cleanly but carries none.
         let msg = hinted_msg(int_payload(world), None);
 
-        let err = serve_relay_inner(&app.shared, world, "Person", &relay_name("getAccount"), &msg)
-            .unwrap_err();
+        let get_account = resolved(&app, Side::Trusted, "Person", "getAccount");
+        let err = serve_relay_inner(&app.shared, world, &get_account, &msg).unwrap_err();
         assert!(matches!(&err, VmError::BadRef(m) if m.contains("without a proxy hash")), "{err}");
         assert_eq!(app.world_stats(Side::Untrusted).proxies_created, 1, "the hint was resolved");
         assert_eq!(root_count(world), roots, "the hint's proxy is no longer pinned");

@@ -39,13 +39,12 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
-use rmi::hash::ProxyHash;
 use sgx_sim::cost::CostModel;
 
 use super::{PostOutcome, ServeFn, SideStats, SwitchlessConfig, SwitchlessJob, SwitchlessStats};
 use crate::annotation::Side;
 use crate::error::VmError;
-use crate::exec::ctx::WireMsg;
+use crate::exec::ctx::{Crossing, WireMsg};
 
 /// Worker-shared state of one side's pool.
 struct SideState {
@@ -60,18 +59,20 @@ struct SideState {
     queued: AtomicUsize,
     /// Misses accumulated since the last scale-up.
     misses: AtomicU64,
-    /// Set by shutdown; parked workers exit at their next poll.
+    /// Set when the pool drops; parked workers exit at their next poll.
     stop: AtomicBool,
 }
 
 /// The per-application switchless machinery: one bounded mailbox per
-/// side, served by that side's adaptively-sized worker pool.
+/// side, served by that side's adaptively-sized worker pool. Dropping
+/// the pool stops and joins every worker.
 pub(crate) struct SwitchlessPool {
     config: SwitchlessConfig,
     serve: ServeFn,
     cost: Arc<CostModel>,
-    trusted_tx: Sender<SwitchlessJob>,
-    untrusted_tx: Sender<SwitchlessJob>,
+    /// The trusted then the untrusted mailbox; emptied on drop, which
+    /// disconnects the workers.
+    mailboxes: Vec<Sender<SwitchlessJob>>,
     trusted: Arc<SideState>,
     untrusted: Arc<SideState>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -115,8 +116,7 @@ impl SwitchlessPool {
             config,
             serve,
             cost,
-            trusted_tx,
-            untrusted_tx,
+            mailboxes: vec![trusted_tx, untrusted_tx],
             trusted: side_state(Side::Trusted, trusted_rx),
             untrusted: side_state(Side::Untrusted, untrusted_rx),
             workers: Mutex::new(Vec::new()),
@@ -147,8 +147,8 @@ impl SwitchlessPool {
 
     fn tx(&self, side: Side) -> &Sender<SwitchlessJob> {
         match side {
-            Side::Trusted => &self.trusted_tx,
-            Side::Untrusted => &self.untrusted_tx,
+            Side::Trusted => &self.mailboxes[0],
+            Side::Untrusted => &self.mailboxes[1],
         }
     }
 
@@ -169,9 +169,7 @@ impl SwitchlessPool {
     pub(crate) fn post(
         &self,
         side: Side,
-        class_name: String,
-        relay: String,
-        recv_hash: Option<ProxyHash>,
+        crossing: Arc<Crossing>,
         msg: WireMsg,
     ) -> Result<PostOutcome, VmError> {
         let state = self.side(side);
@@ -184,9 +182,8 @@ impl SwitchlessPool {
             self.maybe_scale_up(state);
         }
         let (reply_tx, reply_rx) = bounded(1);
-        let tracer = self.cost.tracer();
-        let posted = tracer.is_enabled().then(|| (self.cost.now_ns(), tracer.wall_now_ns()));
-        let job = SwitchlessJob { class_name, relay, recv_hash, msg, reply: reply_tx, posted };
+        let posted = self.cost.tracer().stamp(|| self.cost.now_ns());
+        let job = SwitchlessJob { crossing, msg, reply: reply_tx, posted };
         state.queued.fetch_add(1, Ordering::Relaxed);
         match self.tx(side).try_send(job) {
             Ok(()) => {
@@ -255,14 +252,15 @@ impl SwitchlessPool {
             .expect("spawn switchless worker");
         self.workers.lock().push(handle);
     }
+}
 
-    /// Stops the workers: parked workers exit at their next poll,
-    /// then the mailboxes are closed and every thread joined.
-    pub(crate) fn shutdown(self) {
+impl Drop for SwitchlessPool {
+    /// Stops the workers: parked workers exit at their next poll, the
+    /// mailboxes are closed, and every thread is joined.
+    fn drop(&mut self) {
         self.trusted.stop.store(true, Ordering::Relaxed);
         self.untrusted.stop.store(true, Ordering::Relaxed);
-        drop(self.trusted_tx);
-        drop(self.untrusted_tx);
+        self.mailboxes.clear();
         let handles = std::mem::take(&mut *self.workers.lock());
         for handle in handles {
             let _ = handle.join();
@@ -328,31 +326,30 @@ fn worker_loop(
                     // Queue wait — post to pickup — attributed as its
                     // own span under the caller's rmi span, never
                     // inside the execution span.
-                    if let Some((posted_model, posted_wall)) = job.posted {
+                    if let Some(posted) = job.posted {
                         let picked_up = cost.now_ns();
                         tracer.span_at(
                             state.side.lane(),
                             "queue",
                             job.msg.parent_span(),
-                            posted_model,
-                            picked_up.max(posted_model),
-                            posted_wall,
-                            || format!("queue-wait:{}.{}", job.class_name, job.relay),
+                            job.posted,
+                            || picked_up,
+                            || format!("queue-wait:{}", job.crossing.name),
                         );
                         recorder.record(
                             telemetry::Hist::SwitchlessQueueWaitNs,
-                            picked_up.saturating_sub(posted_model),
+                            picked_up.saturating_sub(posted.model_ns),
                         );
                     }
                     // A panicking relay body fails only its own call:
                     // the worker keeps its `active` slot and serves on.
                     let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        serve(state.side, &job.class_name, &job.relay, job.recv_hash, &job.msg)
+                        serve(state.side, &job.crossing, &job.msg)
                     }))
                     .unwrap_or_else(|_| {
                         Err(VmError::App(format!(
-                            "switchless relay {}.{} panicked",
-                            job.class_name, job.relay
+                            "switchless relay {} panicked",
+                            job.crossing.name
                         )))
                     });
                     let _ = job.reply.send(out);
@@ -406,19 +403,31 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::exec::ctx::RelayKind;
+    use runtime_sim::value::ClassId;
     use sgx_sim::cost::{ClockMode, CostParams};
 
     fn echo_serve() -> ServeFn {
-        Arc::new(|_side, _class, _relay, _hash, msg| Ok(msg.clone()))
+        Arc::new(|_side, _crossing, msg| Ok(msg.clone()))
     }
 
     /// A serve fn that blocks until `release` is signalled, so tests
     /// can hold the single worker busy deterministically.
     fn gated_serve(entered: Arc<AtomicUsize>, release: Receiver<()>) -> ServeFn {
-        Arc::new(move |_side, _class, _relay, _hash, msg| {
+        Arc::new(move |_side, _crossing, msg| {
             entered.fetch_add(1, Ordering::SeqCst);
             let _ = release.recv();
             Ok(msg.clone())
+        })
+    }
+
+    fn crossing() -> Arc<Crossing> {
+        Arc::new(Crossing {
+            class: ClassId(0),
+            target: 0,
+            kind: RelayKind::Static,
+            routine: "ecall_relay_C_r".into(),
+            name: "C.r".into(),
         })
     }
 
@@ -434,12 +443,12 @@ mod tests {
     fn served_posts_round_trip() {
         let pool = SwitchlessPool::spawn(&SwitchlessConfig::default(), echo_serve(), model());
         for _ in 0..10 {
-            match pool.post(Side::Trusted, "C".into(), "r".into(), None, msg()).unwrap() {
+            match pool.post(Side::Trusted, crossing(), msg()).unwrap() {
                 PostOutcome::Served(out) => assert_eq!(out.unwrap(), msg()),
                 PostOutcome::Fallback => panic!("idle pool must not fall back"),
             }
         }
-        pool.shutdown();
+        drop(pool);
     }
 
     /// The saturation scenario: one worker, a one-slot mailbox, the
@@ -461,24 +470,20 @@ mod tests {
 
         // Post A on a helper thread; wait until the worker holds it.
         let pool_a = Arc::clone(&pool);
-        let a = std::thread::spawn(move || {
-            pool_a.post(Side::Trusted, "C".into(), "r".into(), None, msg()).unwrap()
-        });
+        let a = std::thread::spawn(move || pool_a.post(Side::Trusted, crossing(), msg()).unwrap());
         while entered.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
         // Post B on a helper thread; wait until it occupies the slot.
         let pool_b = Arc::clone(&pool);
-        let b = std::thread::spawn(move || {
-            pool_b.post(Side::Trusted, "C".into(), "r".into(), None, msg()).unwrap()
-        });
+        let b = std::thread::spawn(move || pool_b.post(Side::Trusted, crossing(), msg()).unwrap());
         while pool.stats().trusted.queued == 0 {
             std::thread::yield_now();
         }
 
         // The mailbox is now provably full: this post must fall back.
         let before = cost.recorder().counter(telemetry::Counter::SwitchlessFallbacks);
-        match pool.post(Side::Trusted, "C".into(), "r".into(), None, msg()).unwrap() {
+        match pool.post(Side::Trusted, crossing(), msg()).unwrap() {
             PostOutcome::Fallback => {}
             PostOutcome::Served(_) => panic!("full mailbox must fall back"),
         }
@@ -493,7 +498,7 @@ mod tests {
         assert!(matches!(a.join().unwrap(), PostOutcome::Served(Ok(_))));
         assert!(matches!(b.join().unwrap(), PostOutcome::Served(Ok(_))));
         match Arc::try_unwrap(pool) {
-            Ok(pool) => pool.shutdown(),
+            Ok(pool) => drop(pool),
             Err(_) => panic!("no other pool handles remain"),
         }
     }
@@ -504,7 +509,7 @@ mod tests {
     #[test]
     fn panicking_relay_fails_its_call_and_the_worker_serves_on() {
         let first = Arc::new(AtomicBool::new(true));
-        let serve: ServeFn = Arc::new(move |_side, _class, _relay, _hash, msg| {
+        let serve: ServeFn = Arc::new(move |_side, _crossing, msg| {
             if first.swap(false, Ordering::SeqCst) {
                 panic!("relay body failure");
             }
@@ -517,7 +522,7 @@ mod tests {
             let (tx, rx) = bounded(1);
             let pool = Arc::clone(pool);
             std::thread::spawn(move || {
-                let out = pool.post(Side::Trusted, "C".into(), "r".into(), None, msg());
+                let out = pool.post(Side::Trusted, crossing(), msg());
                 // Release this handle before replying, so the test's
                 // closing `Arc::try_unwrap` cannot race it.
                 drop(pool);
@@ -542,7 +547,7 @@ mod tests {
         }
         assert_eq!(pool.stats().trusted.workers, 1, "the worker keeps its slot");
         match Arc::try_unwrap(pool) {
-            Ok(pool) => pool.shutdown(),
+            Ok(pool) => drop(pool),
             Err(_) => panic!("no other pool handles remain"),
         }
     }
@@ -576,7 +581,7 @@ mod tests {
         for _ in 0..6 {
             let pool = Arc::clone(&pool);
             posters.push(std::thread::spawn(move || {
-                pool.post(Side::Untrusted, "C".into(), "r".into(), None, msg()).unwrap();
+                pool.post(Side::Untrusted, crossing(), msg()).unwrap();
             }));
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -606,7 +611,7 @@ mod tests {
         assert_eq!(pool.stats().untrusted.workers, config.min_workers);
         assert!(cost.recorder().counter(telemetry::Counter::SwitchlessScaleDowns) >= 1);
         match Arc::try_unwrap(pool) {
-            Ok(pool) => pool.shutdown(),
+            Ok(pool) => drop(pool),
             Err(_) => panic!("no other pool handles remain"),
         }
     }
@@ -631,7 +636,7 @@ mod tests {
         {
             let pool = Arc::clone(&pool);
             posters.push(std::thread::spawn(move || {
-                pool.post(Side::Trusted, "C".into(), "r".into(), None, msg()).unwrap();
+                pool.post(Side::Trusted, crossing(), msg()).unwrap();
             }));
         }
         while entered.load(Ordering::SeqCst) == 0 {
@@ -640,7 +645,7 @@ mod tests {
         for _ in 0..3 {
             let pool = Arc::clone(&pool);
             posters.push(std::thread::spawn(move || {
-                pool.post(Side::Trusted, "C".into(), "r".into(), None, msg()).unwrap();
+                pool.post(Side::Trusted, crossing(), msg()).unwrap();
             }));
         }
         while pool.stats().trusted.queued < 3 {
@@ -657,7 +662,7 @@ mod tests {
         assert_eq!(batches.sum, 4, "all four jobs served");
         assert!(batches.count < 4, "at least one wakeup drained a batch: {batches:?}");
         match Arc::try_unwrap(pool) {
-            Ok(pool) => pool.shutdown(),
+            Ok(pool) => drop(pool),
             Err(_) => panic!("no other pool handles remain"),
         }
     }

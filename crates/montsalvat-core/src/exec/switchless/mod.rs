@@ -28,11 +28,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Sender;
-use rmi::hash::ProxyHash;
+use telemetry::trace::Stamp;
 
 use crate::annotation::Side;
 use crate::error::VmError;
-use crate::exec::ctx::WireMsg;
+use crate::exec::ctx::{Crossing, WireMsg};
 
 pub(crate) use engine::SwitchlessPool;
 
@@ -106,23 +106,20 @@ impl SwitchlessConfig {
 }
 
 /// The relay dispatcher the pool serves posts with: bound to the
-/// application, it executes `class.relay` on the given side.
-pub(crate) type ServeFn = Arc<
-    dyn Fn(Side, &str, &str, Option<ProxyHash>, &WireMsg) -> Result<WireMsg, VmError> + Send + Sync,
->;
+/// application, it serves the crossing's relay on the given side.
+pub(crate) type ServeFn =
+    Arc<dyn Fn(Side, &Crossing, &WireMsg) -> Result<WireMsg, VmError> + Send + Sync>;
 
-/// One posted request: serve `class.relay` with `msg` in the worker's
+/// One posted request: serve `crossing` with `msg` in the worker's
 /// world, reply on `reply`.
 pub(crate) struct SwitchlessJob {
-    pub class_name: String,
-    pub relay: String,
-    pub recv_hash: Option<ProxyHash>,
+    pub crossing: Arc<Crossing>,
     pub msg: WireMsg,
     pub reply: Sender<Result<WireMsg, VmError>>,
-    /// `(model_ns, wall_ns)` at post time when tracing was on, so the
-    /// serving worker can attribute queue wait separately from
-    /// execution; `None` when the post was untraced.
-    pub posted: Option<(u64, u64)>,
+    /// The post time when tracing was on, so the serving worker can
+    /// attribute queue wait separately from execution; `None` when the
+    /// post was untraced.
+    pub posted: Option<Stamp>,
 }
 
 /// Outcome of posting a call to the pool.

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::io::SeekFrom;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rmi::hash::{HashScheme, ProxyHash, ProxyHasher};
@@ -27,6 +27,7 @@ use sgx_sim::shim::{HostFile, ShimFile};
 use crate::annotation::Side;
 use crate::class::ClassDef;
 use crate::error::VmError;
+use crate::exec::ctx::Crossing;
 
 /// A class with its runtime id.
 #[derive(Debug, Clone)]
@@ -35,6 +36,10 @@ pub struct ClassInfo {
     pub id: ClassId,
     /// The definition.
     pub def: ClassDef,
+    /// One slot per method of `def`, allocated on the class's first
+    /// crossing: a proxy method's crossing, resolved against the
+    /// opposite world on the method's first call.
+    pub(crate) crossings: OnceLock<Box<[OnceLock<Arc<Crossing>>]>>,
 }
 
 /// Name ↔ id index over one image's classes.
@@ -50,7 +55,11 @@ impl ClassIndex {
         let mut index = ClassIndex::default();
         for (i, def) in classes.iter().enumerate() {
             index.by_name.insert(def.name.clone(), i);
-            index.infos.push(ClassInfo { id: ClassId(i as u32), def: def.clone() });
+            index.infos.push(ClassInfo {
+                id: ClassId(i as u32),
+                def: def.clone(),
+                crossings: OnceLock::new(),
+            });
         }
         index
     }

@@ -35,16 +35,18 @@ pub fn is_relay_name(method: &str) -> bool {
     method.starts_with("relay$")
 }
 
-/// Name of the edge routine (ecall/ocall) generated for a relay.
+/// Name of the edge routine (ecall/ocall) generated for `method` of
+/// `class`. The transformer declares it in the EDL and stamps it on the
+/// proxy method that crosses through it.
 pub fn edge_routine_name(trust: Trust, class: &str, method: &str) -> String {
     let prefix = match trust {
         Trust::Trusted => "ecall",
         Trust::Untrusted => "ocall",
         Trust::Neutral => "local",
     };
-    let sanitized: String =
-        method.chars().map(|c| if c.is_alphanumeric() { c } else { '_' }).collect();
-    format!("{prefix}_relay_{class}_{sanitized}")
+    let mut name = format!("{prefix}_relay_{class}_");
+    name.extend(method.chars().map(|c| if c.is_alphanumeric() { c } else { '_' }));
+    name
 }
 
 /// Output of the bytecode transformer: the three class sets consumed by
@@ -101,14 +103,14 @@ pub fn transform(program: &Program) -> TransformedProgram {
             Trust::Trusted => {
                 let concrete = with_relays(class);
                 let proxy = make_proxy(class);
-                declare_edges(&mut edl, class, Direction::Ecall);
+                declare_edges(&mut edl, &proxy, Direction::Ecall);
                 trusted_set.push(concrete);
                 untrusted_set.push(proxy);
             }
             Trust::Untrusted => {
                 let concrete = with_relays(class);
                 let proxy = make_proxy(class);
-                declare_edges(&mut edl, class, Direction::Ocall);
+                declare_edges(&mut edl, &proxy, Direction::Ocall);
                 untrusted_set.push(concrete);
                 trusted_set.push(proxy);
             }
@@ -140,7 +142,7 @@ fn with_relays(class: &ClassDef) -> ClassDef {
 }
 
 /// Builds the proxy class: fields replaced by `__hash`, methods stripped
-/// to transitions.
+/// to transitions through their edge routines.
 fn make_proxy(class: &ClassDef) -> ClassDef {
     ClassDef {
         name: class.name.clone(),
@@ -155,18 +157,25 @@ fn make_proxy(class: &ClassDef) -> ClassDef {
                 kind: m.kind,
                 param_count: m.param_count,
                 locals: m.param_count,
-                body: MethodBody::ProxyCall { relay: relay_name(&m.name) },
+                body: MethodBody::ProxyCall {
+                    routine: edge_routine_name(class.trust, &class.name, &m.name),
+                },
                 declared_calls: Vec::new(),
             })
             .collect(),
     }
 }
 
-/// Declares one edge routine per method of `class` in the EDL.
-fn declare_edges(edl: &mut EdlSpec, class: &ClassDef, direction: Direction) {
-    for method in &class.methods {
+/// Declares in the EDL the edge routine each method of `proxy` crosses
+/// through.
+fn declare_edges(edl: &mut EdlSpec, proxy: &ClassDef, direction: Direction) {
+    let routines = proxy.methods.iter().filter_map(|m| match &m.body {
+        MethodBody::ProxyCall { routine } => Some(routine),
+        _ => None,
+    });
+    for routine in routines {
         edl.push(EdlFn {
-            name: edge_routine_name(class.trust, &class.name, &method.name),
+            name: routine.clone(),
             ret: EdlType::Buffer { size_param: "ret_len".into() },
             params: vec![
                 EdlParam::new("hash", EdlType::Long),
@@ -226,7 +235,10 @@ mod tests {
         assert_eq!(proxy_account.fields, vec![PROXY_HASH_FIELD.to_owned()]);
         for m in &proxy_account.methods {
             match &m.body {
-                MethodBody::ProxyCall { relay } => assert!(is_relay_name(relay)),
+                MethodBody::ProxyCall { routine } => {
+                    assert_eq!(*routine, edge_routine_name(Trust::Trusted, "Account", &m.name));
+                    assert!(tp.edl.contains(routine), "{routine} is declared in the EDL");
+                }
                 other => panic!("proxy method must be a transition, got {other:?}"),
             }
         }

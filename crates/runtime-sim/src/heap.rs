@@ -821,7 +821,7 @@ impl Heap {
                 sink.lane,
                 "gc",
                 telemetry::trace::current(),
-                (sink.model_clock)(),
+                || (sink.model_clock)(),
                 || match kind {
                     CollectKind::Minor => "gc:minor".to_owned(),
                     CollectKind::Major => "gc:collect".to_owned(),

@@ -272,9 +272,13 @@ impl Enclave {
     ) -> R {
         let tracer = self.cost.tracer();
         let prefix = if lane == Lane::Trusted { "ecall" } else { "ocall" };
-        let Some(span) = tracer.start(lane, cat, trace::current(), self.cost.now_ns(), || {
-            format!("{prefix}:{routine}")
-        }) else {
+        let Some(span) = tracer.start(
+            lane,
+            cat,
+            trace::current(),
+            || self.cost.now_ns(),
+            || format!("{prefix}:{routine}"),
+        ) else {
             return f();
         };
         let out = {
@@ -376,7 +380,7 @@ impl Enclave {
             Lane::Trusted,
             "sgx",
             trace::current(),
-            self.cost.now_ns(),
+            || self.cost.now_ns(),
             || format!("aex:epc_faults={faults}"),
         );
     }

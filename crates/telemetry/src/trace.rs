@@ -18,8 +18,10 @@
 //!    The reserved slot is written under a per-slot mutex that is
 //!    uncontended by construction (each index is handed to exactly
 //!    one writer; only an export in progress can briefly share it).
-//! 2. **Allocation-free when disabled.** Event names are built by
-//!    closures that only run once the enabled check has passed.
+//! 2. **Allocation- and clock-free when disabled.** Event names and
+//!    timestamps are closures that only run once the enabled check
+//!    has passed, so a disabled tracer reads no clock: every record
+//!    call costs one relaxed load.
 //! 3. **Two clocks.** Every event carries model time (from the cost
 //!    clock — deterministic under `ClockMode::Virtual`) *and* wall
 //!    time from the tracer's origin. The exported timeline is model
@@ -159,6 +161,17 @@ impl ActiveSpan {
     pub fn context(&self) -> SpanContext {
         self.ctx
     }
+}
+
+/// The begin timestamps of a span recorded after the fact with
+/// [`Tracer::span_at`]. [`Tracer::stamp`] takes one only while the
+/// tracer is enabled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    /// Model time (cost-clock nanoseconds) at the span's begin.
+    pub model_ns: u64,
+    /// Wall nanoseconds since the tracer was created, at the begin.
+    pub wall_ns: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -321,11 +334,11 @@ impl Tracer {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Wall-clock nanoseconds since this tracer's origin — the same
-    /// clock events stamp into their `wall_ns` field. Use it to take a
-    /// begin timestamp for a later [`Tracer::span_at`].
-    pub fn wall_now_ns(&self) -> u64 {
-        self.wall_ns()
+    /// Takes the begin timestamps of a span that [`Tracer::span_at`]
+    /// records later. Returns `None`, evaluating `model_ns` and reading
+    /// no clock, when disabled.
+    pub fn stamp(&self, model_ns: impl FnOnce() -> u64) -> Option<Stamp> {
+        self.is_enabled().then(|| Stamp { model_ns: model_ns(), wall_ns: self.wall_ns() })
     }
 
     fn push(&self, lane: Lane, event: TraceEvent) {
@@ -339,8 +352,8 @@ impl Tracer {
         }
     }
 
-    /// Opens a span. Returns `None` without evaluating `name` (and
-    /// without allocating) when disabled.
+    /// Opens a span. Returns `None` without evaluating `model_ns` or
+    /// `name` (so without reading a clock or allocating) when disabled.
     ///
     /// `parent = None` starts a new call tree; otherwise the span
     /// joins the parent's tree.
@@ -349,12 +362,13 @@ impl Tracer {
         lane: Lane,
         cat: &'static str,
         parent: Option<SpanContext>,
-        model_ns: u64,
+        model_ns: impl FnOnce() -> u64,
         name: impl FnOnce() -> String,
     ) -> Option<ActiveSpan> {
         if !self.is_enabled() {
             return None;
         }
+        let model_ns = model_ns();
         let span_id = self.next_id();
         let (trace_id, parent_span_id) = match parent {
             Some(p) => (p.trace_id, p.span_id),
@@ -398,24 +412,26 @@ impl Tracer {
         );
     }
 
-    /// Records a complete span from explicit begin/end timestamps —
-    /// used when the duration is only known after the fact (e.g.
-    /// switchless queue wait, reconstructed from the job's posting
-    /// timestamp at drain time).
-    #[allow(clippy::too_many_arguments)]
+    /// Records a complete span that began at `begin` (a
+    /// [`Tracer::stamp`]) and ends now — used when the span is only
+    /// recorded after the fact (e.g. switchless queue wait,
+    /// reconstructed from the job's posting stamp at drain time).
+    /// Evaluates nothing when disabled or when `begin` is `None` (the
+    /// tracer was off when the span began).
     pub fn span_at(
         &self,
         lane: Lane,
         cat: &'static str,
         parent: Option<SpanContext>,
-        begin_model_ns: u64,
-        end_model_ns: u64,
-        begin_wall_ns: u64,
+        begin: Option<Stamp>,
+        end_model_ns: impl FnOnce() -> u64,
         name: impl FnOnce() -> String,
     ) {
-        if !self.is_enabled() {
+        let Some(Stamp { model_ns: begin_model_ns, wall_ns: begin_wall_ns }) =
+            begin.filter(|_| self.is_enabled())
+        else {
             return;
-        }
+        };
         let span_id = self.next_id();
         let (trace_id, parent_span_id) = match parent {
             Some(p) => (p.trace_id, p.span_id),
@@ -446,20 +462,20 @@ impl Tracer {
                 trace_id,
                 span_id,
                 parent_span_id: 0,
-                model_ns: end_model_ns.max(begin_model_ns),
+                model_ns: end_model_ns().max(begin_model_ns),
                 wall_ns: self.wall_ns(),
             },
         );
     }
 
     /// Records a point event (e.g. an AEX) attributed to `parent`'s
-    /// tree when given.
+    /// tree when given. Evaluates neither closure when disabled.
     pub fn instant(
         &self,
         lane: Lane,
         cat: &'static str,
         parent: Option<SpanContext>,
-        model_ns: u64,
+        model_ns: impl FnOnce() -> u64,
         name: impl FnOnce() -> String,
     ) {
         if !self.is_enabled() {
@@ -479,7 +495,7 @@ impl Tracer {
                 trace_id,
                 span_id: 0,
                 parent_span_id,
-                model_ns,
+                model_ns: model_ns(),
                 wall_ns: self.wall_ns(),
             },
         );
@@ -843,13 +859,13 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing_and_skips_name_closures() {
         let tracer = Tracer::new();
-        let span = tracer.start(Lane::Trusted, "rmi", None, 0, || {
-            panic!("name closure must not run while disabled")
-        });
-        assert!(span.is_none());
-        tracer.instant(Lane::Trusted, "sgx", None, 0, || {
-            panic!("name closure must not run while disabled")
-        });
+        let clock = || -> u64 { panic!("no clock is read while disabled") };
+        let name = || -> String { panic!("name closure must not run while disabled") };
+        assert!(tracer.start(Lane::Trusted, "rmi", None, clock, name).is_none());
+        tracer.instant(Lane::Trusted, "sgx", None, clock, name);
+        let begin = tracer.stamp(clock);
+        assert!(begin.is_none());
+        tracer.span_at(Lane::Trusted, "serde", None, begin, clock, name);
         assert_eq!(tracer.event_count(), 0);
         assert_eq!(tracer.dropped(), 0);
     }
@@ -858,7 +874,7 @@ mod tests {
     fn span_names_round_trip_through_escaping() {
         let tracer = enabled(8);
         let name = "say \"hi\" C:\\dir\nnext\u{1}end";
-        tracer.instant(Lane::Trusted, "rmi", None, 0, || name.into());
+        tracer.instant(Lane::Trusted, "rmi", None, || 0, || name.into());
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         assert_eq!(parsed.events.len(), 1);
         assert_eq!(parsed.events[0].name, name);
@@ -872,9 +888,9 @@ mod tests {
     #[test]
     fn spans_nest_and_export_balances() {
         let tracer = enabled(64);
-        let root = tracer.start(Lane::Untrusted, "rmi", None, 100, || "call".into()).unwrap();
+        let root = tracer.start(Lane::Untrusted, "rmi", None, || 100, || "call".into()).unwrap();
         let child = tracer
-            .start(Lane::Trusted, "sgx", Some(root.context()), 200, || "ecall".into())
+            .start(Lane::Trusted, "sgx", Some(root.context()), || 200, || "ecall".into())
             .unwrap();
         assert_eq!(child.context().trace_id, root.context().trace_id);
         let root_ctx = root.context();
@@ -903,7 +919,8 @@ mod tests {
         tracer.attach_recorder(&recorder);
         let mut kept = Vec::new();
         for i in 0..20 {
-            let span = tracer.start(Lane::Trusted, "rmi", None, i, || format!("call{i}")).unwrap();
+            let span =
+                tracer.start(Lane::Trusted, "rmi", None, || i, || format!("call{i}")).unwrap();
             kept.push(span.context());
             tracer.finish(span, i + 1);
         }
@@ -929,11 +946,11 @@ mod tests {
     fn export_synthesizes_missing_ends_and_drops_orphan_ends() {
         let tracer = enabled(64);
         let abandoned =
-            tracer.start(Lane::Untrusted, "rmi", None, 10, || "abandoned".into()).unwrap();
+            tracer.start(Lane::Untrusted, "rmi", None, || 10, || "abandoned".into()).unwrap();
         let _ = abandoned; // dropped without finish (simulates an error path)
                            // Hand-craft an orphan end by finishing a span twice worth of
                            // ends: start+finish, then push another end via span_at trick.
-        let done = tracer.start(Lane::Untrusted, "rmi", None, 20, || "done".into()).unwrap();
+        let done = tracer.start(Lane::Untrusted, "rmi", None, || 20, || "done".into()).unwrap();
         tracer.finish(done, 30);
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         let b = parsed.events.iter().filter(|e| e.ph == 'B').count();
@@ -945,7 +962,14 @@ mod tests {
     #[test]
     fn span_at_records_explicit_interval() {
         let tracer = enabled(16);
-        tracer.span_at(Lane::Trusted, "queue", None, 50, 90, 0, || "queue_wait".into());
+        tracer.span_at(
+            Lane::Trusted,
+            "queue",
+            None,
+            Some(Stamp { model_ns: 50, wall_ns: 0 }),
+            || 90,
+            || "queue_wait".into(),
+        );
         let events = tracer.snapshot_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].model_ns, 50);
@@ -973,21 +997,22 @@ mod tests {
     fn clear_resets_rings_and_drop_counts() {
         let tracer = enabled(8);
         for i in 0..20 {
-            tracer.instant(Lane::Untrusted, "gc", None, i, || "tick".into());
+            tracer.instant(Lane::Untrusted, "gc", None, || i, || "tick".into());
         }
         assert!(tracer.dropped() > 0);
         tracer.clear();
         assert_eq!(tracer.event_count(), 0);
         assert_eq!(tracer.dropped(), 0);
-        tracer.instant(Lane::Untrusted, "gc", None, 1, || "tick".into());
+        tracer.instant(Lane::Untrusted, "gc", None, || 1, || "tick".into());
         assert_eq!(tracer.event_count(), 1);
     }
 
     #[test]
     fn names_with_quotes_round_trip() {
         let tracer = enabled(16);
-        let span =
-            tracer.start(Lane::Trusted, "exec", None, 1, || "weird \"name\"\\path".into()).unwrap();
+        let span = tracer
+            .start(Lane::Trusted, "exec", None, || 1, || "weird \"name\"\\path".into())
+            .unwrap();
         tracer.finish(span, 2);
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         assert_eq!(parsed.events[0].name, "weird \"name\"\\path");
@@ -1002,7 +1027,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
                     let span = tracer
-                        .start(Lane::Untrusted, "rmi", None, t * 1000 + i, || "c".into())
+                        .start(Lane::Untrusted, "rmi", None, || t * 1000 + i, || "c".into())
                         .unwrap();
                     tracer.finish(span, t * 1000 + i + 1);
                 }

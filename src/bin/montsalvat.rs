@@ -859,17 +859,29 @@ mod tests {
 
     #[test]
     fn trace_report_attributes_serde_to_enclosing_call() {
-        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Tracer};
+        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Stamp, Tracer};
         let tracer = Tracer::new();
         tracer.enable_with_capacity(64);
         let call = tracer
-            .start(Lane::Untrusted, "rmi", None, 0, || "Account.relay$get".into())
+            .start(Lane::Untrusted, "rmi", None, || 0, || "Account.relay$get".into())
             .expect("tracing enabled");
         let ctx = call.context();
-        tracer.span_at(Lane::Untrusted, "serde", Some(ctx), 10, 30, 10, || {
-            "marshal:fast b=64".into()
-        });
-        tracer.span_at(Lane::Untrusted, "serde", Some(ctx), 40, 50, 40, || "unmarshal b=36".into());
+        tracer.span_at(
+            Lane::Untrusted,
+            "serde",
+            Some(ctx),
+            Some(Stamp { model_ns: 10, wall_ns: 10 }),
+            || 30,
+            || "marshal:fast b=64".into(),
+        );
+        tracer.span_at(
+            Lane::Untrusted,
+            "serde",
+            Some(ctx),
+            Some(Stamp { model_ns: 40, wall_ns: 40 }),
+            || 50,
+            || "unmarshal b=36".into(),
+        );
         tracer.finish(call, 100);
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         let report = render_trace_report(&parsed, 3);
@@ -892,10 +904,10 @@ mod tests {
         for i in 0..16u64 {
             let t0 = i * 100_000;
             let call = tracer
-                .start(Lane::Untrusted, "rmi", None, t0, || "Account.relay$balance".into())
+                .start(Lane::Untrusted, "rmi", None, || t0, || "Account.relay$balance".into())
                 .expect("tracing enabled");
             let ecall = tracer
-                .start(Lane::Trusted, "sgx", Some(call.context()), t0, || "ecall:relay".into())
+                .start(Lane::Trusted, "sgx", Some(call.context()), || t0, || "ecall:relay".into())
                 .expect("tracing enabled");
             tracer.finish(ecall, t0 + 1_000);
             tracer.finish(call, t0 + 2_000);
@@ -939,10 +951,10 @@ mod tests {
         for i in 0..16u64 {
             let t0 = i * 100_000;
             let call = tracer
-                .start(Lane::Untrusted, "rmi", None, t0, || "Ev\"il.relay$get".into())
+                .start(Lane::Untrusted, "rmi", None, || t0, || "Ev\"il.relay$get".into())
                 .expect("tracing enabled");
             let ecall = tracer
-                .start(Lane::Trusted, "sgx", Some(call.context()), t0, || "ecall:relay".into())
+                .start(Lane::Trusted, "sgx", Some(call.context()), || t0, || "ecall:relay".into())
                 .expect("tracing enabled");
             tracer.finish(ecall, t0 + 1_000);
             tracer.finish(call, t0 + 2_000);
@@ -960,10 +972,17 @@ mod tests {
 
     #[test]
     fn advise_errors_on_a_trace_without_crossings() {
-        use montsalvat::telemetry::trace::{Lane, Tracer};
+        use montsalvat::telemetry::trace::{Lane, Stamp, Tracer};
         let tracer = Tracer::new();
         tracer.enable_with_capacity(16);
-        tracer.span_at(Lane::Trusted, "gc", None, 0, 10, 0, || "gc".into());
+        tracer.span_at(
+            Lane::Trusted,
+            "gc",
+            None,
+            Some(Stamp { model_ns: 0, wall_ns: 0 }),
+            || 10,
+            || "gc".into(),
+        );
         let dir = std::env::temp_dir().join("montsalvat-advise-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("no-rmi.json");
@@ -1039,11 +1058,18 @@ mod tests {
 
     #[test]
     fn trace_report_warns_on_dropped_events() {
-        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Tracer};
+        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Stamp, Tracer};
         let tracer = Tracer::new();
         tracer.enable_with_capacity(4);
         for i in 0..16u64 {
-            tracer.span_at(Lane::Trusted, "gc", None, i * 10, i * 10 + 5, i * 10, || "gc".into());
+            tracer.span_at(
+                Lane::Trusted,
+                "gc",
+                None,
+                Some(Stamp { model_ns: i * 10, wall_ns: i * 10 }),
+                || i * 10 + 5,
+                || "gc".into(),
+            );
         }
         assert!(tracer.dropped() > 0);
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();

@@ -3,7 +3,8 @@
 //! ecall span on the trusted lane with nested shim-ocall children on
 //! the untrusted lane — exports as balanced Chrome trace-event JSON,
 //! and reconciles against telemetry (`rmi.calls` == traced rmi spans
-//! when nothing was dropped). A second test pins the overflow path:
+//! when nothing was dropped). Every traced transition names an edge
+//! routine the EDL declares. A further test pins the overflow path:
 //! a tiny ring counts drops into `trace.dropped` without corrupting
 //! the capture.
 
@@ -104,6 +105,37 @@ fn crossing_produces_one_connected_tree_across_both_lanes() {
 
     // Instrumentation never leaks a context past the crossing.
     assert!(trace::current().is_none(), "no dangling thread-local context");
+}
+
+/// Every transition the bank run traces on cat `sgx` names an edge
+/// routine the transformer declared in the EDL — the routines the
+/// generated C bridges define — except the runtime's own entry and
+/// GC-release routines, which are not per-method relays.
+#[test]
+fn every_traced_transition_names_an_edl_routine() {
+    const RUNTIME_ROUTINES: [&str; 4] =
+        ["ecall_enter", "ecall_main", "ecall_gc_release", "ocall_gc_release"];
+    let tracer = Tracer::new();
+    tracer.enable_with_capacity(65_536);
+    let (app, _recorder) = traced_run(&tracer);
+    let json = tracer.to_chrome_json(&[]);
+    app.shutdown();
+
+    let edl = transform(&bank_program()).edl;
+    let parsed = parse_chrome_trace(&json).unwrap();
+    let routines: Vec<&str> = parsed
+        .events
+        .iter()
+        .filter(|e| e.ph == 'B' && e.cat == "sgx")
+        .filter_map(|e| e.name.strip_prefix("ecall:").or_else(|| e.name.strip_prefix("ocall:")))
+        .collect();
+    assert!(
+        routines.iter().any(|r| r.starts_with("ecall_relay_")),
+        "the run crosses through relays: {routines:?}"
+    );
+    for routine in routines.iter().filter(|r| !RUNTIME_ROUTINES.contains(r)) {
+        assert!(edl.contains(routine), "`{routine}` is not declared in the EDL");
+    }
 }
 
 /// Regression: trace/telemetry reconciliation must survive the
