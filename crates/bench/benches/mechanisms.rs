@@ -9,8 +9,10 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
+use montsalvat_core::exec::app::{AppConfig, PartitionedApp, Placement, SingleWorldApp};
+use montsalvat_core::image_builder::{
+    build_partitioned_images, build_unpartitioned_image, ImageOptions,
+};
 use montsalvat_core::transform::transform;
 use runtime_sim::heap::{Heap, HeapConfig};
 use runtime_sim::value::{ClassId, Value};
@@ -153,10 +155,56 @@ fn bench_graphchi(c: &mut Criterion) {
     });
 }
 
+/// The kernels whose model costs are counted constants: each row's
+/// median is the wall time one constant is derived from (see the
+/// constants' doc comments). Runs under `ClockMode::Virtual`, so the
+/// constants' own charges add no wall time.
 fn bench_kernels(c: &mut Criterion) {
     for w in specjvm::Workload::all() {
         c.bench_function(&format!("kernel_{w}"), |b| b.iter(|| std::hint::black_box(w.run_once())));
     }
+    let program = experiments::progs::specjvm_program(specjvm::Workload::Fft);
+    let image = build_unpartitioned_image(&program, &ImageOptions::default()).expect("image");
+    let config = AppConfig { gc_helper_interval: None, ..AppConfig::default() };
+    let app = SingleWorldApp::launch(&image, Placement::Host, config).expect("launch");
+    c.bench_function("kernel_compute_1mib_x2", |b| {
+        app.enter(|ctx| {
+            b.iter(|| ctx.compute(1024 * 1024, 2));
+            Ok(())
+        })
+        .unwrap()
+    });
+    c.bench_function("io_write_4kib", |b| {
+        app.enter(|ctx| {
+            b.iter(|| ctx.io_write(4096));
+            Ok(())
+        })
+        .unwrap()
+    });
+    let path = std::env::temp_dir().join(format!("bench_paldb_{}.paldb", std::process::id()));
+    let host = kvstore::Backend::Host;
+    c.bench_function("paldb_write_1k_keys", |b| {
+        b.iter(|| {
+            let mut rng = specjvm::montecarlo::Lcg::new(77);
+            let mut w = kvstore::StoreWriter::create(&host, &path).unwrap();
+            for _ in 0..1000 {
+                let (k, v) = experiments::progs::paldb_pair(&mut rng);
+                w.put(k.as_bytes(), v.as_bytes()).unwrap();
+            }
+            w.finalize().unwrap();
+        })
+    });
+    let reader = kvstore::StoreReader::open(&host, &path).unwrap();
+    c.bench_function("paldb_read_1k_keys", |b| {
+        b.iter(|| {
+            let mut rng = specjvm::montecarlo::Lcg::new(77);
+            for _ in 0..1000 {
+                let (k, _) = experiments::progs::paldb_pair(&mut rng);
+                assert!(reader.get(k.as_bytes()).unwrap().is_some());
+            }
+        })
+    });
+    std::fs::remove_file(&path).ok();
 }
 
 criterion_group! {

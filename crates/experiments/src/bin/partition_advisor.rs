@@ -298,19 +298,14 @@ fn verify_workload(
     let observed = charged0 as i64 - charged1 as i64;
     let rel_error =
         if predicted != 0 { (observed - predicted).abs() as f64 / predicted as f64 } else { 0.0 };
-    // Span durations mix model charges with a dribble of real elapsed
-    // time (docs/PARTITIONING.md, "Known approximations"); unoptimised
-    // builds dribble more, so they get double the band. CI runs the
-    // release build against the documented tolerance.
-    let tolerance = if cfg!(debug_assertions) { cfg.tolerance * 2.0 } else { cfg.tolerance };
     Verified {
         name,
         plan,
         predicted_savings_ns: predicted,
         observed_savings_ns: observed,
         rel_error,
-        tolerance,
-        within_tolerance: rel_error <= tolerance,
+        tolerance: cfg.tolerance,
+        within_tolerance: rel_error <= cfg.tolerance,
     }
 }
 

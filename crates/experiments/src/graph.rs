@@ -17,7 +17,7 @@ use montsalvat_core::VmError;
 use runtime_sim::value::Value;
 
 use crate::progs::{graphchi_entries, graphchi_program};
-use crate::report::{Measure, Scale};
+use crate::report::Scale;
 
 /// A GraphChi deployment under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +53,7 @@ impl GraphConfig {
 pub struct GraphRun {
     /// Shard count used.
     pub shards: u32,
-    /// Total simulation seconds (startup included).
+    /// Total model seconds (startup included).
     pub total: f64,
     /// Seconds spent in the sharding phase.
     pub sharding: f64,
@@ -64,10 +64,12 @@ pub struct GraphRun {
 /// PageRank iterations per run.
 pub const ITERATIONS: i64 = 4;
 
+/// A fresh shard directory; the pid is zero-padded for the reason
+/// given at `paldb::store_path`.
 fn work_dir(tag: &str) -> std::path::PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "graphchi_exp_{tag}_{}_{}",
+        "graphchi_exp_{tag}_{:010}_{}",
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ))
@@ -84,14 +86,9 @@ fn drive(
     vertices: i64,
     edges: i64,
     shards: i64,
-    measure: Measure,
 ) -> Result<Phases, VmError> {
-    let clock = |ctx: &montsalvat_core::Ctx<'_>| match measure {
-        Measure::Simulation => ctx.cost_now(),
-        Measure::ChargedOnly => ctx.cost_charged(),
-    };
     let sharder = ctx.new_object("FastSharder", &[])?;
-    let t0 = clock(ctx);
+    let t0 = ctx.cost_charged();
     ctx.call(
         &sharder,
         "shard",
@@ -103,10 +100,10 @@ fn drive(
             Value::Int(4242),
         ],
     )?;
-    let t1 = clock(ctx);
+    let t1 = ctx.cost_charged();
     let engine = ctx.new_object("GraphChiEngine", &[])?;
     let checksum = ctx.call(&engine, "run", &[Value::from(dir), Value::Int(ITERATIONS)])?;
-    let t2 = clock(ctx);
+    let t2 = ctx.cost_charged();
     let sum = checksum.as_float().ok_or_else(|| VmError::Type("run must return a float".into()))?;
     if !sum.is_finite() || sum <= 0.0 {
         return Err(VmError::App(format!("pagerank checksum {sum} out of range")));
@@ -115,21 +112,9 @@ fn drive(
 }
 
 /// Runs one configuration on a `(vertices, edges)` graph with `shards`
-/// shards, in simulation time (see [`Measure::Simulation`]).
+/// shards. Phase times are model charges: a pure function of the
+/// configuration, the graph seed and the cost table.
 pub fn run_config(config: GraphConfig, vertices: i64, edges: i64, shards: i64) -> GraphRun {
-    run_config_measured(config, vertices, edges, shards, Measure::Simulation)
-}
-
-/// Runs one configuration under the given measurement.
-/// [`Measure::ChargedOnly`] phase times are pure model charges — the
-/// deterministic variant the shape tests assert on.
-pub fn run_config_measured(
-    config: GraphConfig,
-    vertices: i64,
-    edges: i64,
-    shards: i64,
-    measure: Measure,
-) -> GraphRun {
     let dir = work_dir(config.label());
     let dir_str = dir.to_string_lossy().into_owned();
     let jvm = JvmModel::default();
@@ -144,7 +129,7 @@ pub fn run_config_measured(
             let app = PartitionedApp::launch(&trusted, &untrusted, app_config)
                 .expect("launch partitioned graphchi");
             let phases = app
-                .enter_untrusted(|ctx| drive(ctx, &dir_str, vertices, edges, shards, measure))
+                .enter_untrusted(|ctx| drive(ctx, &dir_str, vertices, edges, shards))
                 .expect("graphchi runs");
             GraphRun {
                 shards: shards as u32,
@@ -172,7 +157,7 @@ pub fn run_config_measured(
             let app = SingleWorldApp::launch(&image, deployment.placement(), app_config)
                 .expect("launch single-world graphchi");
             let phases = app
-                .enter(|ctx| drive(ctx, &dir_str, vertices, edges, shards, measure))
+                .enter(|ctx| drive(ctx, &dir_str, vertices, edges, shards))
                 .expect("graphchi runs");
             GraphRun {
                 shards: shards as u32,

@@ -51,8 +51,8 @@ impl PaldbConfig {
 /// Outcome of one PalDB run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaldbRun {
-    /// End-to-end time (write all + read all), seconds of simulation
-    /// time, startup included.
+    /// End-to-end time (write all + read all), model seconds, startup
+    /// included.
     pub seconds: f64,
     /// Keys found by the read phase.
     pub hits: i64,
@@ -62,26 +62,22 @@ pub struct PaldbRun {
     pub ecalls: u64,
 }
 
+/// A fresh store path. The pid is zero-padded so the path's length —
+/// which in-enclave opens charge per byte — is the same in every
+/// process.
 fn store_path(tag: &str) -> std::path::PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "paldb_{tag}_{}_{}.store",
+        "paldb_{tag}_{:010}_{}.store",
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ))
 }
 
 /// The fixed seed every PalDB run drives its workload RNG with. With
-/// the key stream pinned, a [`Measure::ChargedOnly`] run is a pure
-/// function of the cost parameters — reproducible bit-for-bit, which
-/// is what the `--quick` shape checks rely on.
+/// the key stream pinned, a run is a pure function of the cost
+/// parameters — reproducible bit-for-bit.
 pub const WORKLOAD_SEED: i64 = 77;
-
-/// How a run's elapsed `seconds` are read off the cost model
-/// (re-exported from [`crate::report`]; [`Measure::ChargedOnly`] is
-/// deterministic for a fixed [`WORKLOAD_SEED`], used at
-/// [`Scale::Quick`] so CI shape checks need no retries).
-pub use crate::report::Measure;
 
 fn drive(ctx: &mut montsalvat_core::Ctx<'_>, path: &str, n: i64) -> Result<i64, VmError> {
     let seed = WORKLOAD_SEED;
@@ -92,21 +88,12 @@ fn drive(ctx: &mut montsalvat_core::Ctx<'_>, path: &str, n: i64) -> Result<i64, 
     hits.as_int().ok_or_else(|| VmError::Type("read must return an integer".into()))
 }
 
-/// Runs one configuration at `n` keys in simulation time (see
-/// [`Measure::Simulation`]).
+/// Runs one configuration at `n` keys; `seconds` is the model time
+/// the run charged.
 pub fn run_config(config: PaldbConfig, n: i64) -> PaldbRun {
-    run_config_measured(config, n, Measure::Simulation)
-}
-
-/// Runs one configuration at `n` keys under the given measurement.
-pub fn run_config_measured(config: PaldbConfig, n: i64, measure: Measure) -> PaldbRun {
     let path = store_path(config.label());
     let path_str = path.to_string_lossy().into_owned();
     let jvm = JvmModel::default();
-    let clock = |cost: &sgx_sim::cost::CostModel| match measure {
-        Measure::Simulation => cost.now(),
-        Measure::ChargedOnly => cost.charged(),
-    };
 
     let run = match config {
         PaldbConfig::Rtwu | PaldbConfig::Ruwt => {
@@ -120,9 +107,9 @@ pub fn run_config_measured(config: PaldbConfig, n: i64, measure: Measure) -> Pal
             let app = PartitionedApp::launch(&trusted, &untrusted, app_config)
                 .expect("launch partitioned paldb");
             let cost = std::sync::Arc::clone(&app.shared.cost);
-            let start = clock(&cost);
+            let start = cost.charged();
             let hits = app.enter_untrusted(|ctx| drive(ctx, &path_str, n)).expect("paldb runs");
-            let seconds = (clock(&cost) - start).as_secs_f64();
+            let seconds = (cost.charged() - start).as_secs_f64();
             let stats = app.sgx_stats();
             PaldbRun { seconds, hits, ocalls: stats.ocalls, ecalls: stats.ecalls }
         }
@@ -144,9 +131,9 @@ pub fn run_config_measured(config: PaldbConfig, n: i64, measure: Measure) -> Pal
             let app = SingleWorldApp::launch(&image, deployment.placement(), app_config)
                 .expect("launch single-world paldb");
             let cost = std::sync::Arc::clone(&app.shared.cost);
-            let start = clock(&cost);
+            let start = cost.charged();
             let hits = app.enter(|ctx| drive(ctx, &path_str, n)).expect("paldb runs");
-            let seconds = (clock(&cost) - start).as_secs_f64() + startup as f64 * 1e-9;
+            let seconds = (cost.charged() - start).as_secs_f64() + startup as f64 * 1e-9;
             let stats = app.sgx_stats();
             PaldbRun { seconds, hits, ocalls: stats.ocalls, ecalls: stats.ecalls }
         }
@@ -182,16 +169,10 @@ pub fn fig10(scale: Scale) -> Vec<Series> {
 }
 
 fn run_set(configs: &[PaldbConfig], scale: Scale) -> Vec<Series> {
-    // Quick runs feed CI shape checks: measure model charges only, so
-    // the numbers are deterministic and the checks need no retries.
-    let measure = match scale {
-        Scale::Full => Measure::Simulation,
-        Scale::Quick => Measure::ChargedOnly,
-    };
     let mut series: Vec<Series> = configs.iter().map(|c| Series::new(c.label())).collect();
     for n in key_counts(scale) {
         for (idx, config) in configs.iter().enumerate() {
-            let run = run_config_measured(*config, n, measure);
+            let run = run_config(*config, n);
             assert!(run.hits >= n * 9 / 10, "{}: most keys must be found", config.label());
             series[idx].push(n as f64, run.seconds);
         }

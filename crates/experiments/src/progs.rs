@@ -159,6 +159,19 @@ pub fn paldb_pair(rng: &mut Lcg) -> (String, String) {
     (key, value)
 }
 
+/// Model cost of one `DBWriter.write` key (draw the pair, append the
+/// record), in ns: the median of the `paldb_write_1k_keys` row of
+/// `cargo bench -p bench --bench mechanisms` divided by 1,000, from one
+/// release run on a 2-core x86-64 host. Charged like any application
+/// compute (`Ctx::charge_compute_ns`), so a run outside the enclave
+/// still costs its work.
+pub const PALDB_PUT_NS: u64 = 1_848;
+
+/// Model cost of one `DBReader.read` key (draw the key, probe the
+/// store), in ns: the `paldb_read_1k_keys` row of the same run divided
+/// by 1,000.
+pub const PALDB_GET_NS: u64 = 535;
+
 fn db_writer_body() -> NativeFn {
     Arc::new(|ctx, _this, args| {
         let path = arg_str(args, 0)?.to_owned();
@@ -170,6 +183,7 @@ fn db_writer_body() -> NativeFn {
         for _ in 0..n {
             let (k, v) = paldb_pair(&mut rng);
             writer.put(k.as_bytes(), v.as_bytes()).map_err(app_err)?;
+            ctx.charge_compute_ns(PALDB_PUT_NS);
         }
         writer.finalize().map_err(app_err)?;
         Ok(Value::Int(n))
@@ -190,6 +204,7 @@ fn db_reader_body() -> NativeFn {
             if reader.get(k.as_bytes()).map_err(app_err)?.is_some() {
                 hits += 1;
             }
+            ctx.charge_compute_ns(PALDB_GET_NS);
         }
         Ok(Value::Int(hits))
     })
@@ -269,7 +284,9 @@ fn engine_body() -> NativeFn {
         let backend = ctx.io_backend();
         let graph = graphchi::sharder::load_meta(&backend, &dir).map_err(app_err)?;
         let working_set = graph.num_vertices as usize * 16 + graph.edge_count() as usize * 8;
-        let result = ctx.compute_with(working_set, || {
+        // The engine's work is the Java per-edge charge below, so the
+        // kernel itself adds only its working set's first touch.
+        let result = ctx.compute_with(working_set, 0, || {
             graphchi::engine::run(
                 &backend,
                 &graph,
@@ -333,8 +350,9 @@ fn spec_body(workload: specjvm::Workload) -> NativeFn {
         }
         // Short-lived allocation churn driving the collector.
         ctx.alloc_garbage(workload.managed_alloc_bytes_per_run() / divisor, 64 * 1024);
-        let checksum =
-            ctx.compute_with(workload.working_set_bytes(), || workload.run_scaled(divisor));
+        let work_ns = workload.scaled_reps(divisor) * workload.ns_per_rep();
+        let checksum = ctx
+            .compute_with(workload.working_set_bytes(), work_ns, || workload.run_scaled(divisor));
         for v in &held {
             ctx.forget(v);
         }

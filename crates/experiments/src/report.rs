@@ -99,21 +99,6 @@ pub fn print_params(params: &CostParams) {
     );
 }
 
-/// How a run's elapsed `seconds` are read off the cost model — shared
-/// by every harness that reports timings (PalDB, GraphChi, SPECjvm).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Measure {
-    /// Simulation time: real elapsed time plus model charges
-    /// ([`CostModel::now`](sgx_sim::cost::CostModel::now)). Matches how
-    /// the paper timed its runs, but inherits host noise.
-    Simulation,
-    /// Model charges only
-    /// ([`CostModel::charged`](sgx_sim::cost::CostModel::charged)):
-    /// deterministic for a pinned workload seed, so shape assertions
-    /// on these numbers need no retries and no wall-clock thresholds.
-    ChargedOnly,
-}
-
 /// Experiment scale: `Full` reproduces the paper's parameter ranges;
 /// `Quick` shrinks them for CI and Criterion runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

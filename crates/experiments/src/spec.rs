@@ -8,7 +8,7 @@ use runtime_sim::value::Value;
 use specjvm::Workload;
 
 use crate::progs::{specjvm_entries, specjvm_program};
-use crate::report::{Measure, Scale};
+use crate::report::Scale;
 
 /// One measured cell of Figure 12.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,26 +17,14 @@ pub struct SpecRun {
     pub workload: Workload,
     /// The deployment.
     pub deployment: Deployment,
-    /// Simulation seconds (startup included).
+    /// Model seconds (startup included).
     pub seconds: f64,
 }
 
-/// Runs one workload under one deployment in simulation time (see
-/// [`Measure::Simulation`]).
+/// Runs one workload under one deployment. `seconds` is the model
+/// time the run charged plus the deployment's constant startup: a pure
+/// function of the workload and the cost table.
 pub fn run_one(workload: Workload, deployment: Deployment, scale: Scale) -> SpecRun {
-    run_one_measured(workload, deployment, scale, Measure::Simulation)
-}
-
-/// Runs one workload under the given measurement.
-/// [`Measure::ChargedOnly`] reads pure model charges (plus the
-/// deployment's constant startup), the deterministic variant the shape
-/// tests assert on.
-pub fn run_one_measured(
-    workload: Workload,
-    deployment: Deployment,
-    scale: Scale,
-    measure: Measure,
-) -> SpecRun {
     let divisor = match scale {
         Scale::Full => 1i64,
         Scale::Quick => 16,
@@ -51,11 +39,7 @@ pub fn run_one_measured(
     let app = SingleWorldApp::launch(&image, deployment.placement(), app_config)
         .expect("launch specjvm app");
     let cost = std::sync::Arc::clone(&app.shared.cost);
-    let clock = |cost: &sgx_sim::cost::CostModel| match measure {
-        Measure::Simulation => cost.now(),
-        Measure::ChargedOnly => cost.charged(),
-    };
-    let start = clock(&cost);
+    let start = cost.charged();
     app.enter(|ctx| {
         let bench = ctx.new_object("Bench", &[])?;
         let checksum = ctx.call(&bench, "run", &[Value::Int(divisor)])?;
@@ -66,7 +50,7 @@ pub fn run_one_measured(
         Ok(())
     })
     .expect("specjvm bench runs");
-    let seconds = (clock(&cost) - start).as_secs_f64() + startup;
+    let seconds = (cost.charged() - start).as_secs_f64() + startup;
     SpecRun { workload, deployment, seconds }
 }
 

@@ -10,23 +10,14 @@ use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::transform::transform;
 
 use crate::progs::{synthetic_program, WorkKind};
-use crate::report::{Measure, Scale, Series};
+use crate::report::{Scale, Series};
 
-/// Runs one sweep for a workload kind; x = % untrusted classes.
-///
-/// Quick-scale runs measure model charges only
-/// ([`Measure::ChargedOnly`]): the generated workload is
-/// deterministic, so the shape assertion in `tests/paper_shapes.rs`
-/// holds without wall-clock noise. Full scale keeps the paper's
-/// simulation-time measurement.
+/// Runs one sweep for a workload kind; x = % untrusted classes, y =
+/// model seconds charged by `main`.
 pub fn sweep(kind: WorkKind, scale: Scale) -> Series {
     let (n_classes, percents): (usize, Vec<u32>) = match scale {
         Scale::Full => (100, (0..=10).map(|i| i * 10).collect()),
         Scale::Quick => (12, vec![0, 50, 100]),
-    };
-    let measure = match scale {
-        Scale::Full => Measure::Simulation,
-        Scale::Quick => Measure::ChargedOnly,
     };
     let label = match kind {
         WorkKind::Cpu => "CPU intensive operations",
@@ -43,13 +34,9 @@ pub fn sweep(kind: WorkKind, scale: Scale) -> Series {
         let app =
             PartitionedApp::launch(&trusted, &untrusted, config).expect("launch synthetic app");
         let cost = std::sync::Arc::clone(&app.shared.cost);
-        let read = |cost: &sgx_sim::cost::CostModel| match measure {
-            Measure::Simulation => cost.now(),
-            Measure::ChargedOnly => cost.charged(),
-        };
-        let start = read(&cost);
+        let start = cost.charged();
         app.run_main().expect("synthetic main runs");
-        let elapsed = read(&cost) - start;
+        let elapsed = cost.charged() - start;
         series.push(pct as f64, elapsed.as_secs_f64());
     }
     series

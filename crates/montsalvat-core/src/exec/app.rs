@@ -233,7 +233,7 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
         side.lane(),
         "gc",
         telemetry::trace::current(),
-        || shared.cost.now_ns(),
+        || shared.cost.charged_ns(),
         || format!("gc-sweep:{side} dead={}", dead.len()),
     );
     let _scope = sweep_span.as_ref().map(|s| telemetry::trace::set_current(s.context()));
@@ -262,15 +262,18 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
         }
     };
     if let Some(span) = sweep_span {
-        tracer.finish(span, shared.cost.now_ns());
+        tracer.finish(span, shared.cost.charged_ns());
     }
     Ok(released?)
 }
 
+/// A fresh scratch directory. The pid is zero-padded so the scratch
+/// path's length — which in-enclave opens charge per byte — is the
+/// same in every process.
 fn fresh_workdir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("montsalvat-{tag}-{}-{n}", std::process::id()))
+    std::env::temp_dir().join(format!("montsalvat-{tag}-{:010}-{n}", std::process::id()))
 }
 
 fn find_main(image: &NativeImage) -> Result<MethodRef, VmError> {
@@ -388,16 +391,12 @@ impl PartitionedApp {
         );
         trusted.attach_recorder(Arc::clone(cost.recorder()));
         untrusted.attach_recorder(Arc::clone(cost.recorder()));
-        let model_clock: Arc<dyn Fn() -> u64 + Send + Sync> = {
-            let cost = Arc::clone(&cost);
-            Arc::new(move || cost.now_ns())
-        };
         let charge_clock: Arc<dyn Fn() -> u64 + Send + Sync> = {
             let cost = Arc::clone(&cost);
-            Arc::new(move || cost.charged().as_nanos() as u64)
+            Arc::new(move || cost.charged_ns())
         };
-        trusted.attach_tracer(Arc::clone(cost.tracer()), Arc::clone(&model_clock));
-        untrusted.attach_tracer(Arc::clone(cost.tracer()), model_clock);
+        trusted.attach_tracer(Arc::clone(cost.tracer()));
+        untrusted.attach_tracer(Arc::clone(cost.tracer()));
         trusted.attach_charge_clock(Arc::clone(&charge_clock));
         untrusted.attach_charge_clock(charge_clock);
         restore_image_heap(trusted_image, &trusted)?;
@@ -641,13 +640,10 @@ impl SingleWorldApp {
             in_enclave.then_some(&enclave),
         );
         world.attach_recorder(Arc::clone(cost.recorder()));
-        world.attach_tracer(Arc::clone(cost.tracer()), {
-            let cost = Arc::clone(&cost);
-            Arc::new(move || cost.now_ns())
-        });
+        world.attach_tracer(Arc::clone(cost.tracer()));
         world.attach_charge_clock({
             let cost = Arc::clone(&cost);
-            Arc::new(move || cost.charged().as_nanos() as u64)
+            Arc::new(move || cost.charged_ns())
         });
         restore_image_heap(image, &world)?;
 

@@ -30,9 +30,8 @@
 //! root per contained reference, which the caller adopts into its frame.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
-use rmi::codec::{self, CodecError, RefEncoding, TraceContext};
+use rmi::codec::{self, CodecError, RefEncoding};
 use rmi::hash::ProxyHash;
 use rmi::pool::PooledBuf;
 use rmi::shape::NameRef;
@@ -86,15 +85,9 @@ impl<'a> Ctx<'a> {
         self.world.in_enclave
     }
 
-    /// Reading of the application's simulation clock (real elapsed time
-    /// plus modelled charges) — the clock experiments measure with.
-    pub fn cost_now(&self) -> std::time::Duration {
-        self.app.cost.now()
-    }
-
-    /// Total modelled charges so far (pure model time, excluding the
-    /// simulator's own execution overhead) — what the micro-benchmarks
-    /// measure deltas of.
+    /// Reading of the application's model clock: the total of every
+    /// modelled charge so far — the clock every experiment measures
+    /// with. The simulator's own execution time never enters it.
     pub fn cost_charged(&self) -> std::time::Duration {
         self.app.cost.charged()
     }
@@ -246,6 +239,8 @@ impl<'a> Ctx<'a> {
 
     /// Writes `bytes` of scratch data to this world's file: direct host
     /// I/O outside the enclave, one ocall per write inside it (§5.4).
+    /// Either way the host write itself costs
+    /// [`HOST_IO_NS_PER_BYTE`] per byte.
     ///
     /// # Errors
     ///
@@ -262,11 +257,13 @@ impl<'a> Ctx<'a> {
         let crate::exec::world::WorldIo { file, buf, bytes_written } = &mut *io;
         file.as_mut().expect("opened above").write_all(&buf[..bytes])?;
         *bytes_written += bytes as u64;
+        self.app.cost.charge_ns((bytes as f64 * HOST_IO_NS_PER_BYTE) as u64);
         Ok(())
     }
 
     /// Reads up to `bytes` of scratch data back (from the start of the
-    /// scratch file). Returns the number of bytes actually read.
+    /// scratch file). Returns the number of bytes actually read; each
+    /// costs [`HOST_IO_NS_PER_BYTE`], like a write.
     ///
     /// # Errors
     ///
@@ -286,33 +283,45 @@ impl<'a> Ctx<'a> {
         file.seek(std::io::SeekFrom::Start(0))?;
         file.read_exact(&mut buf[..n])?;
         file.seek(std::io::SeekFrom::End(0))?;
+        self.app.cost.charge_ns((n as f64 * HOST_IO_NS_PER_BYTE) as u64);
         Ok(n)
     }
 
-    /// Runs a CPU kernel with the given working set, applying the
-    /// enclave's MEE costs (first-touch encryption of the working set,
-    /// plus the compute surcharge when the set spills the LLC) and the
-    /// world's execution-model factor.
+    /// Runs a CPU kernel with the given working set, charging its
+    /// counted work ([`COMPUTE_NS_PER_BYTE_PASS`] per byte per pass)
+    /// through [`Ctx::compute_with`].
     pub fn compute(&mut self, working_set_bytes: usize, passes: u32) -> f64 {
-        self.compute_with(working_set_bytes, || compute_kernel(working_set_bytes, passes))
+        let work_ns = working_set_bytes as f64 * passes as f64 * COMPUTE_NS_PER_BYTE_PASS;
+        self.compute_with(working_set_bytes, work_ns as u64, || {
+            compute_kernel(working_set_bytes, passes)
+        })
     }
 
-    /// Runs an arbitrary compute closure under the same enclave/compute
-    /// cost model as [`Ctx::compute`]. Used by native workloads that
-    /// bring their own kernels (FFT, PageRank, ...).
-    pub fn compute_with<R>(&mut self, working_set_bytes: usize, f: impl FnOnce() -> R) -> R {
-        let started = Instant::now();
-        let out = if self.world.in_enclave {
+    /// Runs a compute kernel `f` and charges `work_ns` for it: the
+    /// kernel's counted work (operations × a per-operation cost, never
+    /// a host-time reading), scaled by the world's execution-model
+    /// factor. Inside the enclave the first touch of the working set
+    /// also moves it through the MEE, and the work pays the MEE compute
+    /// factor when the working set spills the LLC
+    /// ([`Enclave::charge_compute`](sgx_sim::enclave::Enclave::charge_compute)).
+    /// Used by native workloads that bring their own kernels (FFT,
+    /// PageRank, ...).
+    pub fn compute_with<R>(
+        &mut self,
+        working_set_bytes: usize,
+        work_ns: u64,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        if self.world.in_enclave {
             // First touch of the working set moves it through the MEE.
             self.app.enclave.charge_heap_traffic(working_set_bytes as u64);
-            self.app.enclave.run_compute(working_set_bytes as u64, f)
+        }
+        let out = f();
+        let work_ns = (work_ns as f64 * self.world.exec_model.compute_factor) as u64;
+        if self.world.in_enclave {
+            self.app.enclave.charge_compute(working_set_bytes as u64, work_ns);
         } else {
-            f()
-        };
-        let factor = self.world.exec_model.compute_factor;
-        if factor > 1.0 {
-            let extra = (started.elapsed().as_nanos() as f64 * (factor - 1.0)) as u64;
-            self.app.cost.charge_ns(extra);
+            self.app.cost.charge_ns(work_ns);
         }
         out
     }
@@ -427,6 +436,19 @@ impl Drop for Ctx<'_> {
     }
 }
 
+/// Model cost of [`Ctx::compute`]'s kernel per working-set byte per
+/// pass, in ns: the median of `cargo bench -p bench --bench
+/// mechanisms`'s `kernel_compute_1mib_x2` row divided by 2 MiB (one
+/// release run on a 2-core x86-64 host).
+pub const COMPUTE_NS_PER_BYTE_PASS: f64 = 0.646;
+
+/// Model cost of one byte of scratch-file I/O on the host, in ns: the
+/// median of `cargo bench -p bench --bench mechanisms`'s
+/// `io_write_4kib` row divided by 4 KiB (same run as
+/// [`COMPUTE_NS_PER_BYTE_PASS`]). An in-enclave write pays its ocall on
+/// top.
+pub const HOST_IO_NS_PER_BYTE: f64 = 0.763;
+
 /// The dense float kernel behind [`Ctx::compute`].
 fn compute_kernel(working_set_bytes: usize, passes: u32) -> f64 {
     let n = (working_set_bytes / 8).max(1);
@@ -459,8 +481,10 @@ fn open_scratch(app: &AppShared, world: &World) -> Result<IoFile, VmError> {
 
 /// A marshalled crossing message: receiver hash, class hints for every
 /// hash reference in the payload, the codec-encoded payload, and — when
-/// tracing is on — the caller's trace context, so a request served on
-/// another thread (switchless) still parents under the caller's span.
+/// tracing is on — the caller's rmi span, so a request served on
+/// another thread (switchless) still parents under it. The span rides
+/// alongside the message in memory the two sides share; it is not
+/// wire bytes and costs nothing.
 ///
 /// The payload buffer is pooled ([`rmi::pool`]): steady-state crossings
 /// reuse encode capacity instead of allocating, and each hint carries a
@@ -471,32 +495,17 @@ pub(crate) struct WireMsg {
     pub recv_hash: Option<ProxyHash>,
     pub hints: Vec<(ProxyHash, NameRef)>,
     pub payload: PooledBuf,
-    pub trace: Option<TraceContext>,
+    pub trace: Option<SpanContext>,
 }
 
 impl WireMsg {
     /// Total bytes that cross the boundary for this message: a 17-byte
     /// header, per hint 16 hash bytes plus its [`NameRef::wire_len`], a
-    /// 4-byte payload length and the payload. A trace context costs its
-    /// wire bytes plus the presence flag.
+    /// 4-byte payload length and the payload.
     pub(crate) fn wire_len(&self) -> usize {
         17 + self.hints.iter().map(|(_, n)| 16 + n.wire_len()).sum::<usize>()
             + 4
             + self.payload.len()
-            + self.trace.map_or(0, |_| 1 + TraceContext::WIRE_LEN)
-    }
-
-    /// The caller's span as a parent for spans on the serving side.
-    pub(crate) fn parent_span(&self) -> Option<SpanContext> {
-        self.trace.map(|t| SpanContext { trace_id: t.trace_id, span_id: t.parent_span_id })
-    }
-
-    /// Wire bytes excluding the trace-context suffix. A traced batch
-    /// frame charges this as the payload length — the frame re-encodes
-    /// the context in its own per-payload slot (see
-    /// [`rmi::batch::traced_frame_len`]).
-    pub(crate) fn wire_len_sans_trace(&self) -> usize {
-        self.wire_len() - self.trace.map_or(0, |_| 1 + TraceContext::WIRE_LEN)
     }
 }
 
@@ -510,7 +519,7 @@ impl WireMsg {
 fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, VmError> {
     let rec = app.cost.recorder();
     let tracer = app.cost.tracer();
-    let begin = tracer.stamp(|| app.cost.now_ns());
+    let begin = tracer.stamp(|| app.cost.charged_ns());
 
     // Pass 1: find annotated references reachable through inline
     // (neutral) structure. Reference-free arguments (the common
@@ -604,7 +613,7 @@ fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, 
         "serde",
         trace::current(),
         begin,
-        || app.cost.now_ns(),
+        || app.cost.charged_ns(),
         || format!("marshal:fast b={}", payload.len()),
     );
     Ok(WireMsg { recv_hash: None, hints, payload, trace: None })
@@ -677,7 +686,7 @@ fn unmarshal_pinning(
     pins: &mut Vec<ObjId>,
 ) -> Result<Vec<Value>, VmError> {
     let tracer = app.cost.tracer();
-    let begin = tracer.stamp(|| app.cost.now_ns());
+    let begin = tracer.stamp(|| app.cost.charged_ns());
     let mut by_hash: std::collections::HashMap<ProxyHash, ObjId> = Default::default();
 
     // Resolve every hinted hash to a local object: the mirror if its
@@ -733,7 +742,7 @@ fn unmarshal_pinning(
         "serde",
         trace::current(),
         begin,
-        || app.cost.now_ns(),
+        || app.cost.charged_ns(),
         || format!("unmarshal b={}", msg.payload.len()),
     );
     pins.extend(decoded.allocated.iter().copied());
@@ -1070,13 +1079,14 @@ fn cross_call(
     // "rmi" Begin events in a trace therefore reconcile (modulo
     // `trace.dropped`). The span is the crossing's trace parent: the
     // thread-local context carries it through classic same-thread
-    // serves, the wire context through cross-thread switchless serves.
+    // serves, the message's context through cross-thread switchless
+    // serves.
     let tracer = app.cost.tracer();
     let rmi_span = tracer.start(
         caller.side.lane(),
         "rmi",
         trace::current(),
-        || app.cost.now_ns(),
+        || app.cost.charged_ns(),
         || crossing.name.to_string(),
     );
     let rmi_ctx = rmi_span.as_ref().map(|s| s.context());
@@ -1086,8 +1096,7 @@ fn cross_call(
     let result = (|| -> Result<Value, VmError> {
         let mut msg = marshal(app, caller, args)?;
         msg.recv_hash = recv_hash;
-        msg.trace =
-            rmi_ctx.map(|c| TraceContext { trace_id: c.trace_id, parent_span_id: c.span_id });
+        msg.trace = rmi_ctx;
         caller.stats.count_rmi(msg.payload.len() as u64);
         let wire_len = msg.wire_len();
 
@@ -1097,9 +1106,9 @@ fn cross_call(
         // hardware transition under SimSgx, nothing under PassThrough).
         // Also the target the adaptive switchless engine degrades to
         // when its mailbox is full.
-        let classic = || -> Result<WireMsg, VmError> {
+        let classic = |msg: &WireMsg| -> Result<WireMsg, VmError> {
             app.provider.charge_relay_overhead();
-            let serve = || serve_relay(app, callee, crossing, &msg);
+            let serve = || serve_relay(app, callee, crossing, msg);
             let dir = match callee.side {
                 Side::Trusted => crate::provider::CrossingDir::Enter,
                 Side::Untrusted => crate::provider::CrossingDir::Exit,
@@ -1116,19 +1125,19 @@ fn cross_call(
         // crossing posted from a pool worker blocks that worker until
         // its reply arrives.
         let ret_msg = if let Some(pool) = &app.switchless {
-            match pool.post(callee.side, Arc::clone(crossing), msg.clone())? {
+            match pool.post(callee.side, Arc::clone(crossing), msg)? {
                 PostOutcome::Served(served) => {
                     switchless_hit = true;
                     caller.stats.count_switchless();
                     served?
                 }
-                PostOutcome::Fallback => {
+                PostOutcome::Fallback(msg) => {
                     caller.stats.count_switchless_fallback();
-                    classic()?
+                    classic(&msg)?
                 }
             }
         } else {
-            classic()?
+            classic(&msg)?
         };
 
         // Decode the return value in the caller's world.
@@ -1140,7 +1149,7 @@ fn cross_call(
     })();
 
     if let Some(span) = rmi_span {
-        tracer.finish(span, app.cost.now_ns());
+        tracer.finish(span, app.cost.charged_ns());
     }
     if result.is_ok() {
         // Record the modelled latency of the whole crossing (marshal,
@@ -1170,20 +1179,20 @@ pub(crate) fn serve_relay(
     // The serving side of the crossing. A classic serve runs on the
     // caller's thread, so the thread-local context (the ecall/ocall
     // transition span) is the parent; a switchless serve runs on a
-    // worker thread, where the wire context posted with the message
+    // worker thread, where the span context posted with the message
     // reconnects the tree.
     let tracer = app.cost.tracer();
     let exec_span = tracer.start(
         callee.side.lane(),
         "exec",
-        trace::current().or_else(|| msg.parent_span()),
-        || app.cost.now_ns(),
+        trace::current().or(msg.trace),
+        || app.cost.charged_ns(),
         || format!("serve:{}", crossing.name),
     );
     let _scope = exec_span.as_ref().map(|s| trace::set_current(s.context()));
     let outcome = serve_relay_inner(app, callee, crossing, msg);
     if let Some(span) = exec_span {
-        tracer.finish(span, app.cost.now_ns());
+        tracer.finish(span, app.cost.charged_ns());
     }
     outcome
 }

@@ -163,9 +163,9 @@ impl SwitchlessPool {
     }
 
     /// Posts a call to `side`'s mailbox. On a hit, blocks for the
-    /// reply; on a full mailbox, charges the probe and returns
-    /// [`PostOutcome::Fallback`] so the caller performs a classic
-    /// crossing instead of blocking.
+    /// reply; on a full mailbox, charges the probe and hands the unsent
+    /// message back in [`PostOutcome::Fallback`] so the caller performs
+    /// a classic crossing with it instead of blocking.
     pub(crate) fn post(
         &self,
         side: Side,
@@ -182,7 +182,7 @@ impl SwitchlessPool {
             self.maybe_scale_up(state);
         }
         let (reply_tx, reply_rx) = bounded(1);
-        let posted = self.cost.tracer().stamp(|| self.cost.now_ns());
+        let posted = self.cost.tracer().stamp(|| self.cost.charged_ns());
         let job = SwitchlessJob { crossing, msg, reply: reply_tx, posted };
         state.queued.fetch_add(1, Ordering::Relaxed);
         match self.tx(side).try_send(job) {
@@ -198,14 +198,14 @@ impl SwitchlessPool {
                     Err(_) => Err(VmError::Sgx(sgx_sim::SgxError::EnclaveLost)),
                 }
             }
-            Err(TrySendError::Full(_)) => {
+            Err(TrySendError::Full(job)) => {
                 state.queued.fetch_sub(1, Ordering::Relaxed);
                 recorder.incr(telemetry::Counter::SwitchlessFallbacks);
                 recorder.incr(telemetry::Counter::SwitchlessMisses);
                 state.misses.fetch_add(1, Ordering::Relaxed);
                 self.maybe_scale_up(state);
                 self.cost.charge_ns(self.cost.params().switchless_fallback_ns);
-                Ok(PostOutcome::Fallback)
+                Ok(PostOutcome::Fallback(job.msg))
             }
             Err(TrySendError::Disconnected(_)) => {
                 state.queued.fetch_sub(1, Ordering::Relaxed);
@@ -306,32 +306,23 @@ fn worker_loop(
                 }
                 recorder.record(telemetry::Hist::SwitchlessBatchJobs, batch.len() as u64);
                 // The whole drained batch crosses as one batch frame:
-                // one header, then each request's wire bytes. Traced
-                // requests cross as a traced frame, whose per-payload
-                // slot carries the trace context (and a flag byte even
-                // when absent).
+                // one header, then each request's wire bytes. Tracing
+                // adds nothing to the frame, so it cannot change the
+                // charge.
+                let wire_lens: Vec<usize> = batch.iter().map(|j| j.msg.wire_len()).collect();
+                let frame_bytes = rmi::batch::frame_len(&wire_lens);
                 let tracer = cost.tracer();
-                let frame_bytes = if tracer.is_enabled() {
-                    let payloads: Vec<(usize, bool)> = batch
-                        .iter()
-                        .map(|j| (j.msg.wire_len_sans_trace(), j.msg.trace.is_some()))
-                        .collect();
-                    rmi::batch::traced_frame_len(&payloads)
-                } else {
-                    let wire_lens: Vec<usize> = batch.iter().map(|j| j.msg.wire_len()).collect();
-                    rmi::batch::frame_len(&wire_lens)
-                };
                 cost.charge_ns((frame_bytes as f64 * params.copy_ns_per_byte) as u64);
                 for job in batch {
                     // Queue wait — post to pickup — attributed as its
                     // own span under the caller's rmi span, never
                     // inside the execution span.
                     if let Some(posted) = job.posted {
-                        let picked_up = cost.now_ns();
+                        let picked_up = cost.charged_ns();
                         tracer.span_at(
                             state.side.lane(),
                             "queue",
-                            job.msg.parent_span(),
+                            job.msg.trace,
                             job.posted,
                             || picked_up,
                             || format!("queue-wait:{}", job.crossing.name),
@@ -445,7 +436,7 @@ mod tests {
         for _ in 0..10 {
             match pool.post(Side::Trusted, crossing(), msg()).unwrap() {
                 PostOutcome::Served(out) => assert_eq!(out.unwrap(), msg()),
-                PostOutcome::Fallback => panic!("idle pool must not fall back"),
+                PostOutcome::Fallback(_) => panic!("idle pool must not fall back"),
             }
         }
         drop(pool);
@@ -484,7 +475,7 @@ mod tests {
         // The mailbox is now provably full: this post must fall back.
         let before = cost.recorder().counter(telemetry::Counter::SwitchlessFallbacks);
         match pool.post(Side::Trusted, crossing(), msg()).unwrap() {
-            PostOutcome::Fallback => {}
+            PostOutcome::Fallback(unsent) => assert_eq!(unsent, msg(), "the message comes back"),
             PostOutcome::Served(_) => panic!("full mailbox must fall back"),
         }
         assert_eq!(
@@ -537,12 +528,12 @@ mod tests {
             Ok(PostOutcome::Served(other)) => {
                 panic!("expected the typed panic error, got {other:?}")
             }
-            Ok(PostOutcome::Fallback) => panic!("idle pool must not fall back"),
+            Ok(PostOutcome::Fallback(_)) => panic!("idle pool must not fall back"),
             Err(e) => panic!("expected the typed panic error, got {e:?}"),
         }
         match post(&pool) {
             Ok(PostOutcome::Served(out)) => assert_eq!(out.unwrap(), msg()),
-            Ok(PostOutcome::Fallback) => panic!("idle pool must not fall back"),
+            Ok(PostOutcome::Fallback(_)) => panic!("idle pool must not fall back"),
             Err(e) => panic!("the worker must survive the panic, got {e:?}"),
         }
         assert_eq!(pool.stats().trusted.workers, 1, "the worker keeps its slot");

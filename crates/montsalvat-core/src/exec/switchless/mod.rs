@@ -127,9 +127,9 @@ pub(crate) enum PostOutcome {
     /// A worker served the call; this is the relay's reply.
     Served(Result<WireMsg, VmError>),
     /// The pool could not serve the call (full mailbox) — the caller
-    /// must perform a classic crossing (the probe charge has already
-    /// been paid).
-    Fallback,
+    /// must perform a classic crossing with the returned, unsent
+    /// message (the probe charge has already been paid).
+    Fallback(WireMsg),
 }
 
 /// Live worker/queue readings for one side of the pool.

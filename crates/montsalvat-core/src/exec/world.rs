@@ -392,21 +392,18 @@ impl World {
     }
 
     /// Routes this world's heap GC pauses into the application's trace
-    /// sink, on this world's lane and in model time. Called once at
-    /// application launch, right after [`World::attach_recorder`].
-    pub fn attach_tracer(
-        &self,
-        tracer: Arc<telemetry::trace::Tracer>,
-        model_clock: Arc<dyn Fn() -> u64 + Send + Sync>,
-    ) {
+    /// sink, on this world's lane. Called once at application launch,
+    /// right after [`World::attach_recorder`].
+    pub fn attach_tracer(&self, tracer: Arc<telemetry::trace::Tracer>) {
         let lane = self.side.lane();
-        self.isolate.with_heap(|h| h.set_tracer(Arc::clone(&tracer), lane, model_clock));
+        self.isolate.with_heap(|h| h.set_tracer(Arc::clone(&tracer), lane));
     }
 
-    /// Installs the deterministic charge clock on this world's heap so
-    /// GC pauses are also recorded in model time (`gc.pause_model_ns`);
-    /// typically `move || cost.charged().as_nanos() as u64`. Called once
-    /// at application launch, right after [`World::attach_tracer`].
+    /// Installs the application's model clock on this world's heap, so
+    /// GC pauses are recorded in model time (`gc.pause_model_ns`) and
+    /// their trace spans are stamped with it; typically
+    /// `move || cost.charged_ns()`. Called once at application launch,
+    /// right after [`World::attach_tracer`].
     pub fn attach_charge_clock(&self, clock: Arc<dyn Fn() -> u64 + Send + Sync>) {
         self.isolate.with_heap(|h| h.set_charge_clock(clock));
     }

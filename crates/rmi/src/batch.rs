@@ -8,7 +8,9 @@
 //! boundary copy once per frame, so a drained batch pays one header
 //! instead of `k`.
 //!
-//! The format is deliberately minimal and self-describing:
+//! The requests already sit in memory the worker shares with the
+//! caller, so no frame is ever materialised: the engine charges the
+//! boundary copy on [`frame_len`] of this layout.
 //!
 //! ```text
 //! magic  (2 bytes)  0x4D 0x42          "MB"
@@ -21,30 +23,8 @@
 //! ```
 //! use rmi::batch;
 //!
-//! let frame = batch::encode(&[b"first".as_slice(), b"second".as_slice()]);
-//! assert_eq!(frame.len(), batch::frame_len(&[5, 6]));
-//! let decoded = batch::decode(&frame).unwrap();
-//! assert_eq!(decoded, vec![b"first".to_vec(), b"second".to_vec()]);
+//! assert_eq!(batch::frame_len(&[5, 6]), batch::HEADER_LEN + 2 * batch::PER_PAYLOAD_LEN + 11);
 //! ```
-
-//! When tracing is enabled the switchless engine uses the *traced*
-//! variant instead ([`encode_traced`] / [`decode_traced`], magic
-//! `"MT"`): each payload gains a one-byte flag and, when set, a
-//! 16-byte [`TraceContext`] so the serving side can parent its spans
-//! under the caller's — queued jobs hop threads, so the thread-local
-//! context used by classic crossings does not reach them.
-
-use crate::codec::TraceContext;
-use crate::pool::{self, PooledBuf};
-
-/// The two magic bytes opening every batch frame.
-pub const MAGIC: [u8; 2] = *b"MB";
-
-/// The two magic bytes opening every *traced* batch frame.
-pub const TRACED_MAGIC: [u8; 2] = *b"MT";
-
-/// Per-payload overhead added by the traced format's context flag.
-pub const PER_PAYLOAD_FLAG_LEN: usize = 1;
 
 /// Fixed overhead of one frame: magic plus the payload count.
 pub const HEADER_LEN: usize = 6;
@@ -52,196 +32,15 @@ pub const HEADER_LEN: usize = 6;
 /// Per-payload overhead inside a frame (the length prefix).
 pub const PER_PAYLOAD_LEN: usize = 4;
 
-/// Errors from [`decode`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchError {
-    /// The buffer does not start with [`MAGIC`] or is shorter than a
-    /// frame header.
-    BadHeader,
-    /// A length prefix points past the end of the buffer.
-    Truncated,
-    /// Bytes remain after the declared payloads.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for BatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchError::BadHeader => write!(f, "batch frame has a bad header"),
-            BatchError::Truncated => write!(f, "batch frame is truncated"),
-            BatchError::TrailingBytes => write!(f, "batch frame has trailing bytes"),
-        }
-    }
-}
-
-impl std::error::Error for BatchError {}
-
-/// Total wire bytes of a frame holding payloads of the given lengths,
-/// computed without materialising it. This is what the switchless
-/// engine charges boundary-copy costs on.
+/// Total wire bytes of a frame holding payloads of the given lengths.
+/// This is what the switchless engine charges boundary-copy costs on.
 pub fn frame_len(payload_lens: &[usize]) -> usize {
     HEADER_LEN + payload_lens.iter().map(|l| PER_PAYLOAD_LEN + l).sum::<usize>()
-}
-
-/// Encodes `payloads` into one batch frame. The frame buffer comes
-/// from the thread-local [`crate::pool`], so a drain loop assembling
-/// one frame per wakeup reuses the same allocation.
-pub fn encode(payloads: &[&[u8]]) -> PooledBuf {
-    let mut out = pool::acquire();
-    out.reserve(frame_len(&payloads.iter().map(|p| p.len()).collect::<Vec<_>>()));
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for p in payloads {
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(p);
-    }
-    out
-}
-
-/// Decodes a batch frame back into its payloads.
-///
-/// # Errors
-///
-/// Fails on a missing/foreign header, a length prefix running past the
-/// buffer, or trailing bytes after the declared payload count.
-pub fn decode(frame: &[u8]) -> Result<Vec<Vec<u8>>, BatchError> {
-    if frame.len() < HEADER_LEN || frame[..2] != MAGIC {
-        return Err(BatchError::BadHeader);
-    }
-    let count = u32::from_le_bytes(frame[2..6].try_into().expect("4 bytes")) as usize;
-    let mut payloads = Vec::with_capacity(count.min(1024));
-    let mut at = HEADER_LEN;
-    for _ in 0..count {
-        if frame.len() < at + PER_PAYLOAD_LEN {
-            return Err(BatchError::Truncated);
-        }
-        let len = u32::from_le_bytes(frame[at..at + PER_PAYLOAD_LEN].try_into().expect("4 bytes"))
-            as usize;
-        at += PER_PAYLOAD_LEN;
-        if frame.len() < at + len {
-            return Err(BatchError::Truncated);
-        }
-        payloads.push(frame[at..at + len].to_vec());
-        at += len;
-    }
-    if at != frame.len() {
-        return Err(BatchError::TrailingBytes);
-    }
-    Ok(payloads)
-}
-
-/// Total wire bytes of a *traced* frame: per payload, its length and
-/// whether it carries a [`TraceContext`]. What the switchless engine
-/// charges boundary-copy costs on when tracing rides the wire.
-pub fn traced_frame_len(payloads: &[(usize, bool)]) -> usize {
-    HEADER_LEN
-        + payloads
-            .iter()
-            .map(|&(len, has_ctx)| {
-                PER_PAYLOAD_FLAG_LEN
-                    + if has_ctx { TraceContext::WIRE_LEN } else { 0 }
-                    + PER_PAYLOAD_LEN
-                    + len
-            })
-            .sum::<usize>()
-}
-
-/// Encodes payloads plus optional per-payload trace contexts into one
-/// traced batch frame, assembled in a pooled buffer like [`encode`].
-pub fn encode_traced(payloads: &[(&[u8], Option<TraceContext>)]) -> PooledBuf {
-    let lens: Vec<(usize, bool)> = payloads.iter().map(|(p, c)| (p.len(), c.is_some())).collect();
-    let mut out = pool::acquire();
-    out.reserve(traced_frame_len(&lens));
-    out.extend_from_slice(&TRACED_MAGIC);
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for (payload, ctx) in payloads {
-        match ctx {
-            Some(ctx) => {
-                out.push(1);
-                out.extend_from_slice(&ctx.to_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// One payload decoded from a traced frame, with the trace context
-/// it carried (if any).
-pub type TracedPayload = (Vec<u8>, Option<TraceContext>);
-
-/// Decodes a traced batch frame back into payloads and their
-/// contexts.
-///
-/// # Errors
-///
-/// Same failure modes as [`decode`]; an unknown context flag byte is
-/// reported as [`BatchError::BadHeader`].
-pub fn decode_traced(frame: &[u8]) -> Result<Vec<TracedPayload>, BatchError> {
-    if frame.len() < HEADER_LEN || frame[..2] != TRACED_MAGIC {
-        return Err(BatchError::BadHeader);
-    }
-    let count = u32::from_le_bytes(frame[2..6].try_into().expect("4 bytes")) as usize;
-    let mut payloads = Vec::with_capacity(count.min(1024));
-    let mut at = HEADER_LEN;
-    for _ in 0..count {
-        if frame.len() < at + PER_PAYLOAD_FLAG_LEN {
-            return Err(BatchError::Truncated);
-        }
-        let ctx = match frame[at] {
-            0 => {
-                at += PER_PAYLOAD_FLAG_LEN;
-                None
-            }
-            1 => {
-                at += PER_PAYLOAD_FLAG_LEN;
-                if frame.len() < at + TraceContext::WIRE_LEN {
-                    return Err(BatchError::Truncated);
-                }
-                let ctx = TraceContext::from_bytes(&frame[at..]).expect("length checked");
-                at += TraceContext::WIRE_LEN;
-                Some(ctx)
-            }
-            _ => return Err(BatchError::BadHeader),
-        };
-        if frame.len() < at + PER_PAYLOAD_LEN {
-            return Err(BatchError::Truncated);
-        }
-        let len = u32::from_le_bytes(frame[at..at + PER_PAYLOAD_LEN].try_into().expect("4 bytes"))
-            as usize;
-        at += PER_PAYLOAD_LEN;
-        if frame.len() < at + len {
-            return Err(BatchError::Truncated);
-        }
-        payloads.push((frame[at..at + len].to_vec(), ctx));
-        at += len;
-    }
-    if at != frame.len() {
-        return Err(BatchError::TrailingBytes);
-    }
-    Ok(payloads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_frame_round_trips() {
-        let frame = encode(&[]);
-        assert_eq!(frame.len(), HEADER_LEN);
-        assert_eq!(decode(&frame).unwrap(), Vec::<Vec<u8>>::new());
-    }
-
-    #[test]
-    fn frame_len_matches_encode() {
-        let payloads: Vec<Vec<u8>> = vec![vec![1; 3], vec![], vec![9; 300]];
-        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        let lens: Vec<usize> = payloads.iter().map(|p| p.len()).collect();
-        assert_eq!(encode(&refs).len(), frame_len(&lens));
-    }
 
     #[test]
     fn batching_amortises_headers() {
@@ -250,68 +49,6 @@ mod tests {
         let batched = frame_len(&lens);
         let separate: usize = lens.iter().map(|&l| frame_len(&[l])).sum();
         assert!(batched < separate, "batched {batched} vs separate {separate}");
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        assert_eq!(decode(b"XX\0\0\0\0"), Err(BatchError::BadHeader));
-        assert_eq!(decode(b"MB"), Err(BatchError::BadHeader));
-        let mut frame = encode(&[b"abc".as_slice()]);
-        let cut = frame.len() - 1;
-        frame.truncate(cut);
-        assert_eq!(decode(&frame), Err(BatchError::Truncated));
-        let mut padded = encode(&[b"abc".as_slice()]);
-        padded.push(0);
-        assert_eq!(decode(&padded), Err(BatchError::TrailingBytes));
-    }
-
-    #[test]
-    fn payload_order_is_preserved() {
-        let frame = encode(&[b"a".as_slice(), b"bb".as_slice(), b"ccc".as_slice()]);
-        let decoded = decode(&frame).unwrap();
-        assert_eq!(decoded, vec![b"a".to_vec(), b"bb".to_vec(), b"ccc".to_vec()]);
-    }
-
-    #[test]
-    fn traced_frame_round_trips_mixed_contexts() {
-        let ctx = TraceContext { trace_id: 7, parent_span_id: 3 };
-        let items: Vec<(&[u8], Option<TraceContext>)> =
-            vec![(b"with".as_slice(), Some(ctx)), (b"without".as_slice(), None)];
-        let frame = encode_traced(&items);
-        assert_eq!(frame.len(), traced_frame_len(&[(4, true), (7, false)]));
-        let decoded = decode_traced(&frame).unwrap();
-        assert_eq!(decoded, vec![(b"with".to_vec(), Some(ctx)), (b"without".to_vec(), None)]);
-    }
-
-    #[test]
-    fn traced_and_classic_magics_are_disjoint() {
-        let classic = encode(&[b"x".as_slice()]);
-        assert_eq!(decode_traced(&classic), Err(BatchError::BadHeader));
-        let traced = encode_traced(&[(b"x".as_slice(), None)]);
-        assert_eq!(decode(&traced), Err(BatchError::BadHeader));
-    }
-
-    #[test]
-    fn traced_frame_rejects_corruption() {
-        let ctx = TraceContext { trace_id: 1, parent_span_id: 2 };
-        let mut frame = encode_traced(&[(b"abc".as_slice(), Some(ctx))]);
-        let cut = frame.len() - 1;
-        frame.truncate(cut);
-        assert_eq!(decode_traced(&frame), Err(BatchError::Truncated));
-        let mut bad_flag = encode_traced(&[(b"abc".as_slice(), None)]);
-        bad_flag[HEADER_LEN] = 9;
-        assert_eq!(decode_traced(&bad_flag), Err(BatchError::BadHeader));
-        let mut padded = encode_traced(&[(b"abc".as_slice(), None)]);
-        padded.push(0);
-        assert_eq!(decode_traced(&padded), Err(BatchError::TrailingBytes));
-    }
-
-    #[test]
-    fn traced_context_cost_is_only_paid_when_present() {
-        let with = traced_frame_len(&[(64, true)]);
-        let without = traced_frame_len(&[(64, false)]);
-        assert_eq!(with - without, TraceContext::WIRE_LEN);
-        // An untraced traced-frame costs one flag byte over classic.
-        assert_eq!(without, frame_len(&[64]) + PER_PAYLOAD_FLAG_LEN);
+        assert_eq!(frame_len(&[]), HEADER_LEN);
     }
 }

@@ -39,47 +39,6 @@ use runtime_sim::value::{ClassId, ObjId, Value};
 
 use crate::hash::ProxyHash;
 
-/// The compact trace-context header an RMI message can carry across
-/// the boundary so a call entering the other runtime continues the
-/// caller's trace (see `telemetry::trace` and `docs/TRACING.md`).
-///
-/// Wire format: `trace_id` then `parent_span_id`, both u64
-/// little-endian — [`TraceContext::WIRE_LEN`] bytes total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The call tree the message belongs to.
-    pub trace_id: u64,
-    /// The caller-side span the receiving side should parent its
-    /// spans under.
-    pub parent_span_id: u64,
-}
-
-impl TraceContext {
-    /// Encoded size in bytes.
-    pub const WIRE_LEN: usize = 16;
-
-    /// Serialises the context for the wire.
-    pub fn to_bytes(self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        out[..8].copy_from_slice(&self.trace_id.to_le_bytes());
-        out[8..].copy_from_slice(&self.parent_span_id.to_le_bytes());
-        out
-    }
-
-    /// Reads a context back from [`TraceContext::to_bytes`] output.
-    /// Returns `None` when fewer than [`TraceContext::WIRE_LEN`]
-    /// bytes are given.
-    pub fn from_bytes(bytes: &[u8]) -> Option<TraceContext> {
-        if bytes.len() < Self::WIRE_LEN {
-            return None;
-        }
-        Some(TraceContext {
-            trace_id: u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
-            parent_span_id: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        })
-    }
-}
-
 /// How a heap reference crosses the boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefEncoding {
@@ -570,15 +529,6 @@ mod tests {
         let mut out = Vec::new();
         encode_value_v2(src, value, policy, &mut out)?;
         Ok(out)
-    }
-
-    #[test]
-    fn trace_context_round_trips_and_rejects_short_input() {
-        let ctx = TraceContext { trace_id: 0xDEAD_BEEF_0BAD_F00D, parent_span_id: 42 };
-        let bytes = ctx.to_bytes();
-        assert_eq!(bytes.len(), TraceContext::WIRE_LEN);
-        assert_eq!(TraceContext::from_bytes(&bytes), Some(ctx));
-        assert_eq!(TraceContext::from_bytes(&bytes[..15]), None);
     }
 
     fn roundtrip(value: &Value, src: &Heap, dst: &mut Heap) -> (Value, EncodeStats) {

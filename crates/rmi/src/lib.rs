@@ -11,9 +11,9 @@
 //! - [`codec`] — the wire format that deep-copies neutral objects,
 //!   preserves shared substructure/cycles, hash-references annotated
 //!   objects and moves primitive runs as bulk copies;
-//! - [`batch`] — batched wire frames: several queued switchless
-//!   requests cross the boundary as one length-prefixed frame, so a
-//!   worker wakeup that drains a batch pays one frame header;
+//! - [`batch`] — the batched wire-frame length: several queued
+//!   switchless requests cross the boundary as one length-prefixed
+//!   frame, so a worker wakeup that drains a batch pays one header;
 //! - [`pool`] — thread-local pooled encode/decode buffers with
 //!   high-water-mark trimming, so steady-state crossings allocate no
 //!   fresh payload memory;
@@ -44,7 +44,7 @@ pub mod weaklist;
 
 pub use codec::{
     decode_value, encode_value_v2, encode_values_v2, CodecError, DecodedValue, EncodeStats,
-    RefEncoding, TraceContext,
+    RefEncoding,
 };
 pub use gc_helper::GcHelper;
 pub use hash::{HashScheme, ProxyHash, ProxyHasher};

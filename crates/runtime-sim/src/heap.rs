@@ -512,18 +512,17 @@ pub struct Heap {
     observer: Option<std::sync::Arc<dyn HeapObserver>>,
     recorder: Option<std::sync::Arc<telemetry::Recorder>>,
     trace: Option<TraceSink>,
-    /// Deterministic model-time clock (total charged nanoseconds);
-    /// when installed, GC pauses are also recorded in model time.
+    /// The owner's model clock (total charged nanoseconds; the heap
+    /// itself has no cost clock). When installed, GC pauses are also
+    /// recorded in model time, and pause spans are stamped with it.
     charge_clock: Option<std::sync::Arc<dyn Fn() -> u64 + Send + Sync>>,
 }
 
-/// Trace wiring installed by [`Heap::set_tracer`]: the sink, which
-/// runtime lane this heap's pauses belong to, and how to read model
-/// time (the heap itself has no cost clock — its owner lends one).
+/// Trace wiring installed by [`Heap::set_tracer`]: the sink and which
+/// runtime lane this heap's pauses belong to.
 struct TraceSink {
     tracer: std::sync::Arc<telemetry::trace::Tracer>,
     lane: telemetry::trace::Lane,
-    model_clock: std::sync::Arc<dyn Fn() -> u64 + Send + Sync>,
 }
 
 impl std::fmt::Debug for TraceSink {
@@ -584,24 +583,23 @@ impl Heap {
     }
 
     /// Installs the trace sink GC pauses are reported into: `lane`
-    /// says which runtime this isolate's heap belongs to and
-    /// `model_clock` reads the owning cost model's clock (typically
-    /// `move || cost.now_ns()`). A pause triggered mid-call nests
+    /// says which runtime this isolate's heap belongs to. Pause spans
+    /// are stamped with the charge clock ([`Heap::set_charge_clock`];
+    /// 0 until one is installed). A pause triggered mid-call nests
     /// under the span active on the allocating thread.
     pub fn set_tracer(
         &mut self,
         tracer: std::sync::Arc<telemetry::trace::Tracer>,
         lane: telemetry::trace::Lane,
-        model_clock: std::sync::Arc<dyn Fn() -> u64 + Send + Sync>,
     ) {
-        self.trace = Some(TraceSink { tracer, lane, model_clock });
+        self.trace = Some(TraceSink { tracer, lane });
     }
 
-    /// Installs a deterministic charge clock (typically
-    /// `move || cost.charged().as_nanos() as u64`). When present, each
-    /// collection also records its pause in *model* nanoseconds — the
-    /// charged-cost delta across the cycle — into `gc.pause_model_ns`,
-    /// which is reproducible run-to-run unlike the wall-clock pause.
+    /// Installs the owner's model clock (typically
+    /// `move || cost.charged_ns()`). When present, each collection also
+    /// records its pause in *model* nanoseconds — the charged-cost delta
+    /// across the cycle — into `gc.pause_model_ns`, which is
+    /// reproducible run-to-run unlike the wall-clock pause.
     pub fn set_charge_clock(&mut self, clock: std::sync::Arc<dyn Fn() -> u64 + Send + Sync>) {
         self.charge_clock = Some(clock);
     }
@@ -821,7 +819,7 @@ impl Heap {
                 sink.lane,
                 "gc",
                 telemetry::trace::current(),
-                || (sink.model_clock)(),
+                || self.charge_clock.as_ref().map_or(0, |clock| clock()),
                 || match kind {
                     CollectKind::Minor => "gc:minor".to_owned(),
                     CollectKind::Major => "gc:collect".to_owned(),
@@ -911,7 +909,7 @@ impl Heap {
             }
         }
         if let (Some(sink), Some(span)) = (&self.trace, gc_span) {
-            sink.tracer.finish(span, (sink.model_clock)());
+            sink.tracer.finish(span, self.charge_clock.as_ref().map_or(0, |clock| clock()));
         }
         outcome
     }

@@ -9,11 +9,16 @@
 //! cost in one place ([`CostParams`]) and lets the rest of the simulator
 //! *charge* nanoseconds against a clock ([`CostModel`]).
 //!
+//! Modelled time is the sum of every charge: counted events times their
+//! unit costs. [`CostModel::charged`] is the only model clock — every
+//! figure, trace timestamp and model-time histogram reads it, so a run
+//! reports the same time however loaded the host is.
+//!
 //! Two clock modes are supported:
 //!
-//! - [`ClockMode::Virtual`] — charges accumulate in an atomic counter;
-//!   [`CostModel::now`] reports *real elapsed time + charged time*. This is
-//!   fast and is what the experiment binaries use.
+//! - [`ClockMode::Virtual`] — charges accumulate in an atomic counter
+//!   that [`CostModel::charged`] reads. This is fast and is what the
+//!   experiment binaries use.
 //! - [`ClockMode::Spin`] — charges busy-wait for the charged duration, so
 //!   plain wall-clock measurement (e.g. Criterion) observes the model.
 //!
@@ -23,9 +28,9 @@
 //! use sgx_sim::cost::{ClockMode, CostModel, CostParams};
 //!
 //! let model = CostModel::new(CostParams::default(), ClockMode::Virtual);
-//! let before = model.now();
+//! let before = model.charged();
 //! model.charge_ns(1_000_000); // simulate 1 ms of modelled work
-//! assert!(model.now() - before >= std::time::Duration::from_millis(1));
+//! assert_eq!(model.charged() - before, std::time::Duration::from_millis(1));
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,7 +249,7 @@ impl ClockMode {
     }
 }
 
-/// A clock that merges real elapsed time with modelled charges.
+/// The model clock: the running total of modelled charges.
 ///
 /// Cloneable handles are not provided; share it behind an
 /// [`std::sync::Arc`]. All operations are lock-free.
@@ -252,7 +257,6 @@ impl ClockMode {
 pub struct CostModel {
     params: CostParams,
     mode: ClockMode,
-    origin: Instant,
     charged_ns: AtomicU64,
     recorder: Arc<Recorder>,
     tracer: Arc<Tracer>,
@@ -284,14 +288,7 @@ impl CostModel {
         tracer: Arc<Tracer>,
     ) -> Self {
         tracer.attach_recorder(&recorder);
-        CostModel {
-            params,
-            mode,
-            origin: Instant::now(),
-            charged_ns: AtomicU64::new(0),
-            recorder,
-            tracer,
-        }
+        CostModel { params, mode, charged_ns: AtomicU64::new(0), recorder, tracer }
     }
 
     /// The unit-cost table this model charges with.
@@ -307,12 +304,6 @@ impl CostModel {
     /// The trace sink shared by every layer built on this model.
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
-    }
-
-    /// [`CostModel::now`] as integer nanoseconds — the model-time
-    /// timestamp trace events carry.
-    pub fn now_ns(&self) -> u64 {
-        self.now().as_nanos() as u64
     }
 
     /// The clock mode selected at construction.
@@ -339,20 +330,13 @@ impl CostModel {
     /// Total modelled time charged so far (zero in spin mode, where the
     /// charges were realised as real time instead).
     pub fn charged(&self) -> Duration {
-        Duration::from_nanos(self.charged_ns.load(Ordering::Relaxed))
+        Duration::from_nanos(self.charged_ns())
     }
 
-    /// Simulation-time reading: real time elapsed since construction plus
-    /// all virtual charges.
-    pub fn now(&self) -> Duration {
-        self.origin.elapsed() + self.charged()
-    }
-
-    /// Times `f` in simulation time (real elapsed + charges it incurred).
-    pub fn measure<R>(&self, f: impl FnOnce() -> R) -> (R, Duration) {
-        let start = self.now();
-        let out = f();
-        (out, self.now() - start)
+    /// [`CostModel::charged`] as integer nanoseconds — the model-time
+    /// timestamp trace events carry.
+    pub fn charged_ns(&self) -> u64 {
+        self.charged_ns.load(Ordering::Relaxed)
     }
 }
 
@@ -395,12 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn virtual_charges_advance_now() {
+    fn virtual_charges_advance_the_clock() {
         let m = CostModel::new(CostParams::default(), ClockMode::Virtual);
-        let t0 = m.now();
         m.charge_ns(5_000_000);
-        assert!(m.now() - t0 >= Duration::from_millis(5));
         assert_eq!(m.charged(), Duration::from_millis(5));
+        assert_eq!(m.charged_ns(), 5_000_000);
     }
 
     #[test]
@@ -410,13 +393,6 @@ mod tests {
         m.charge_ns(2_000_000);
         assert!(wall.elapsed() >= Duration::from_millis(2));
         assert_eq!(m.charged(), Duration::ZERO);
-    }
-
-    #[test]
-    fn measure_includes_charges() {
-        let m = CostModel::new(CostParams::default(), ClockMode::Virtual);
-        let ((), d) = m.measure(|| m.charge_ns(1_000_000));
-        assert!(d >= Duration::from_millis(1));
     }
 
     #[test]

@@ -276,7 +276,7 @@ impl Enclave {
             lane,
             cat,
             trace::current(),
-            || self.cost.now_ns(),
+            || self.cost.charged_ns(),
             || format!("{prefix}:{routine}"),
         ) else {
             return f();
@@ -285,7 +285,7 @@ impl Enclave {
             let _scope = trace::set_current(span.context());
             f()
         };
-        tracer.finish(span, self.cost.now_ns());
+        tracer.finish(span, self.cost.charged_ns());
         out
     }
 
@@ -380,7 +380,7 @@ impl Enclave {
             Lane::Trusted,
             "sgx",
             trace::current(),
-            || self.cost.now_ns(),
+            || self.cost.charged_ns(),
             || format!("aex:epc_faults={faults}"),
         );
     }
@@ -439,21 +439,16 @@ impl Enclave {
         self.trace_aex(epc_charge.faults);
     }
 
-    /// Runs a compute kernel inside the enclave, surcharging MEE costs
-    /// when `working_set_bytes` spills out of the last-level cache.
-    ///
-    /// The kernel's real execution time is measured and the surcharge is
-    /// `(mee_compute_factor - 1) ×` that time.
-    pub fn run_compute<R>(&self, working_set_bytes: u64, f: impl FnOnce() -> R) -> R {
+    /// Charges `work_ns` of compute done inside the enclave, scaled by
+    /// `mee_compute_factor` when `working_set_bytes` spills out of the
+    /// last-level cache (§6.5: the MEE makes cache-missing CPU work more
+    /// expensive). `work_ns` is counted work — operations times a
+    /// per-operation cost — never a host-time reading.
+    pub fn charge_compute(&self, working_set_bytes: u64, work_ns: u64) {
         let params = self.cost.params();
-        let start = std::time::Instant::now();
-        let out = f();
-        let real_ns = start.elapsed().as_nanos() as u64;
-        if working_set_bytes > params.llc_bytes {
-            let surcharge = (real_ns as f64 * (params.mee_compute_factor - 1.0)) as u64;
-            self.cost.charge_ns(surcharge);
-        }
-        out
+        let factor =
+            if working_set_bytes > params.llc_bytes { params.mee_compute_factor } else { 1.0 };
+        self.cost.charge_ns((work_ns as f64 * factor) as u64);
     }
 
     /// Produces an attestation quote binding `report_data` to this
@@ -650,10 +645,10 @@ mod tests {
     fn compute_surcharge_applies_only_to_large_working_sets() {
         let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
         let e = Enclave::create(&EnclaveConfig::default(), b"i", cost).unwrap();
-        let before = e.cost().charged();
-        e.run_compute(1024, || std::thread::sleep(std::time::Duration::from_millis(2)));
-        assert_eq!(e.cost().charged(), before, "small working set is free");
-        e.run_compute(64 * 1024 * 1024, || std::thread::sleep(std::time::Duration::from_millis(2)));
-        assert!(e.cost().charged() > before, "large working set pays MEE surcharge");
+        e.charge_compute(1024, 1_000);
+        assert_eq!(e.cost().charged_ns(), 1_000, "small working set pays the work only");
+        e.charge_compute(64 * 1024 * 1024, 1_000);
+        let factor = e.cost().params().mee_compute_factor;
+        assert_eq!(e.cost().charged_ns(), 1_000 + (1_000.0 * factor) as u64, "MEE surcharge");
     }
 }

@@ -12,7 +12,7 @@
 //!   [`enclave::Enclave::ocall`];
 //! - memory-encryption-engine (MEE) work on in-enclave heap traffic and
 //!   cache-spilling compute — [`enclave::Enclave::charge_heap_traffic`] /
-//!   [`enclave::Enclave::run_compute`];
+//!   [`enclave::Enclave::charge_compute`];
 //! - EPC paging once the resident set exceeds the usable EPC
 //!   (93.5 MB on the paper's platform) — [`epc::EpcState`];
 //! - the in-enclave libc **shim** that relays unsupported calls to an

@@ -62,6 +62,13 @@ fn transform(data: &mut [Complex], sign: f64) {
     }
 }
 
+/// Model cost of one [`crate::Workload::Fft`] rep (`run(1 << 16)`), in
+/// ns: the median of the `kernel_fft` row of
+/// `cargo bench -p bench --bench mechanisms`, from one release run on a
+/// 2-core x86-64 host. The harness charges this per rep instead of
+/// timing the kernel, so modelled time never depends on the host.
+pub const NS_PER_REP: u64 = 6_797_266;
+
 /// Runs the benchmark kernel: forward+inverse FFT over `n` complex
 /// samples (`n` must be a power of two), returning a checksum.
 ///

@@ -97,15 +97,32 @@ impl Workload {
         }
     }
 
-    /// Runs `reps() / divisor` kernel iterations (at least one) and
-    /// returns the accumulated checksum.
+    /// `reps() / divisor` kernel iterations, at least one.
+    pub fn scaled_reps(&self, divisor: u64) -> u64 {
+        (self.reps() / divisor.max(1)).max(1)
+    }
+
+    /// Runs [`Workload::scaled_reps`] kernel iterations and returns the
+    /// accumulated checksum.
     pub fn run_scaled(&self, divisor: u64) -> f64 {
-        let reps = (self.reps() / divisor.max(1)).max(1);
         let mut acc = 0.0;
-        for _ in 0..reps {
+        for _ in 0..self.scaled_reps(divisor) {
             acc += self.run_once();
         }
         acc
+    }
+
+    /// Model cost of one [`Workload::run_once`] rep in nanoseconds — the
+    /// kernel module's `NS_PER_REP`, measured once on a release build.
+    pub fn ns_per_rep(&self) -> u64 {
+        match self {
+            Workload::MpegAudio => mpegaudio::NS_PER_REP,
+            Workload::Fft => fft::NS_PER_REP,
+            Workload::MonteCarlo => montecarlo::NS_PER_REP,
+            Workload::Sor => sor::NS_PER_REP,
+            Workload::Lu => lu::NS_PER_REP,
+            Workload::Sparse => sparse::NS_PER_REP,
+        }
     }
 
     /// Default working-set size in bytes (drives the MEE compute

@@ -120,6 +120,13 @@ pub fn solve(f: &LuFactors, b: &[f64]) -> Vec<f64> {
     x
 }
 
+/// Model cost of one [`crate::Workload::Lu`] rep (`run(256)`), in
+/// ns: the median of the `kernel_lu` row of
+/// `cargo bench -p bench --bench mechanisms`, from one release run on a
+/// 2-core x86-64 host. The harness charges this per rep instead of
+/// timing the kernel, so modelled time never depends on the host.
+pub const NS_PER_REP: u64 = 2_448_024;
+
 /// Benchmark kernel: factor a synthetic `n × n` matrix and solve one
 /// system; returns a checksum.
 pub fn run(n: usize) -> f64 {

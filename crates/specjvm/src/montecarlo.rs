@@ -27,6 +27,13 @@ impl Lcg {
     }
 }
 
+/// Model cost of one [`crate::Workload::MonteCarlo`] rep (`run(400_000, 20210)`), in
+/// ns: the median of the `kernel_monte_carlo` row of
+/// `cargo bench -p bench --bench mechanisms`, from one release run on a
+/// 2-core x86-64 host. The harness charges this per rep instead of
+/// timing the kernel, so modelled time never depends on the host.
+pub const NS_PER_REP: u64 = 2_178_745;
+
 /// Estimates π from `samples` dart throws.
 pub fn run(samples: u64, seed: u64) -> f64 {
     let mut rng = Lcg::new(seed);

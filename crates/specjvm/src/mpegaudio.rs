@@ -73,6 +73,13 @@ pub fn filterbank(pcm: &[f64]) -> Vec<[f64; BANDS]> {
     out
 }
 
+/// Model cost of one [`crate::Workload::MpegAudio`] rep (`run(WINDOW + BANDS * 512)`), in
+/// ns: the median of the `kernel_mpegaudio` row of
+/// `cargo bench -p bench --bench mechanisms`, from one release run on a
+/// 2-core x86-64 host. The harness charges this per rep instead of
+/// timing the kernel, so modelled time never depends on the host.
+pub const NS_PER_REP: u64 = 20_172_676;
+
 /// Benchmark kernel: filterbank analysis over `samples` PCM samples;
 /// returns total spectral energy.
 pub fn run(samples: usize) -> f64 {

@@ -1,5 +1,12 @@
 //! Jacobi successive over-relaxation (the SciMark `sor` kernel).
 
+/// Model cost of one [`crate::Workload::Sor`] rep (`run(128, 60, 1.25)`), in
+/// ns: the median of the `kernel_sor` row of
+/// `cargo bench -p bench --bench mechanisms`, from one release run on a
+/// 2-core x86-64 host. The harness charges this per rep instead of
+/// timing the kernel, so modelled time never depends on the host.
+pub const NS_PER_REP: u64 = 7_402_823;
+
 /// Runs `iterations` of SOR with factor `omega` on an `n × n` grid and
 /// returns the final centre value (a stable checksum).
 pub fn run(n: usize, iterations: u32, omega: f64) -> f64 {

@@ -99,6 +99,13 @@ impl CsrMatrix {
     }
 }
 
+/// Model cost of one [`crate::Workload::Sparse`] rep (`run(4096, 6, 40)`), in
+/// ns: the median of the `kernel_sparse` row of
+/// `cargo bench -p bench --bench mechanisms`, from one release run on a
+/// 2-core x86-64 host. The harness charges this per rep instead of
+/// timing the kernel, so modelled time never depends on the host.
+pub const NS_PER_REP: u64 = 2_265_400;
+
 /// Benchmark kernel: `iterations` repeated mat-vec products on a
 /// synthetic matrix; returns a checksum.
 pub fn run(n: usize, nnz_per_row: usize, iterations: u32) -> f64 {

@@ -114,9 +114,9 @@ impl Recorder {
     }
 
     /// Starts a model-clock span: `clock` is sampled now and again
-    /// when the guard drops (typically `|| cost.charged().as_nanos()`
-    /// or `|| cost.now().as_nanos()`), and the difference is recorded
-    /// into `hist`. `hist` must be a `model_ns` histogram.
+    /// when the guard drops (typically `|| cost.charged_ns()`), and the
+    /// difference is recorded into `hist`. `hist` must be a `model_ns`
+    /// histogram.
     pub fn span_model<F: Fn() -> u64>(self: &Arc<Self>, hist: Hist, clock: F) -> SpanModel<F> {
         debug_assert_eq!(hist.unit(), "model_ns", "{} is not model-clock", hist.metric_name());
         let start = clock();

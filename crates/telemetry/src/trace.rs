@@ -22,10 +22,10 @@
 //!    timestamps are closures that only run once the enabled check
 //!    has passed, so a disabled tracer reads no clock: every record
 //!    call costs one relaxed load.
-//! 3. **Two clocks.** Every event carries model time (from the cost
-//!    clock — deterministic under `ClockMode::Virtual`) *and* wall
-//!    time from the tracer's origin. The exported timeline is model
-//!    time; wall time rides along in `args`.
+//! 3. **Two timestamps.** Every event carries model time (the charged
+//!    clock — a function of the run's inputs only) *and* wall time
+//!    from the tracer's origin. The exported timeline is model time;
+//!    wall time rides along in `args`.
 //!
 //! Sizing knobs (read when a tracer is enabled):
 //! `MONTSALVAT_TRACE_BUFFER` — events per lane (default 65536);
@@ -110,7 +110,7 @@ impl TracePhase {
 }
 
 /// The compact identity a span hands to its children — the part of an
-/// event that crosses the enclave boundary inside the RMI wire frame.
+/// event that travels with an RMI message across the enclave boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
     /// Identifies the whole call tree (one per root span).

@@ -100,7 +100,7 @@ fn run_scheme(name: &str, reader_trust: Trust, writer_trust: Trust, n: i64) {
     let path = std::env::temp_dir().join(format!("secure_kv_{name}_{}.store", std::process::id()));
     let path_str = path.to_string_lossy().into_owned();
     let cost = Arc::clone(&app.shared.cost);
-    let start = cost.now();
+    let start = cost.charged();
     let hits = app
         .enter_untrusted(|ctx| {
             let w = ctx.new_object("DBWriter", &[])?;
@@ -109,11 +109,11 @@ fn run_scheme(name: &str, reader_trust: Trust, writer_trust: Trust, n: i64) {
             ctx.call(&r, "read", &[Value::from(path_str.as_str()), Value::Int(n)])
         })
         .expect("kv app runs");
-    let elapsed = cost.now() - start;
+    let elapsed = cost.charged() - start;
 
     let stats = app.sgx_stats();
     println!(
-        "{name}: {n} keys written+read ({} hits) in {:.3}s simulated | ecalls {}, ocalls {} \
+        "{name}: {n} keys written+read ({} hits) in {:.6} model s | ecalls {}, ocalls {} \
          (write-induced crossings {})",
         hits.as_int().unwrap_or(0),
         elapsed.as_secs_f64(),

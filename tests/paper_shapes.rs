@@ -5,7 +5,7 @@
 //! authors' SGX testbed); these tests pin down *who wins and by
 //! roughly what kind of factor* for every figure.
 
-use experiments::report::{mean_ratio, Measure, Scale};
+use experiments::report::{mean_ratio, Scale};
 
 /// Fig. 3: proxy object creation is orders of magnitude more expensive
 /// than concrete creation (paper: 3–4 orders).
@@ -86,9 +86,9 @@ fn fig6_more_untrusted_classes_is_faster() {
 /// Fig. 7: partitioning helps PalDB; RTWU (writer outside) helps much
 /// more than WTRU; NoSGX is fastest.
 ///
-/// Quick-scale runs measure model charges only over a fixed workload
-/// seed (`paldb::WORKLOAD_SEED`), so the numbers are deterministic and
-/// one attempt suffices — no retry loop.
+/// Runs read model charges over a fixed workload seed
+/// (`paldb::WORKLOAD_SEED`), so the numbers are deterministic and one
+/// attempt suffices — no retry loop.
 #[test]
 fn fig7_partitioning_speeds_up_paldb() {
     fig7_shape().unwrap_or_else(|e| panic!("fig7 shape failed: {e}"));
@@ -132,16 +132,16 @@ fn fig7_wtru_does_many_more_ocalls() {
 /// Fig. 9: partitioned GraphChi beats the unpartitioned enclave
 /// deployment, mainly by returning sharding to native cost.
 ///
-/// Phase times are model charges only ([`Measure::ChargedOnly`]): the
-/// workload is deterministic, so the assertion needs no wall-clock
-/// slack and cannot flake under host load.
+/// Phase times are model charges: the workload is deterministic, so
+/// the assertion needs no wall-clock slack and cannot flake under host
+/// load.
 #[test]
 fn fig9_partitioned_graphchi_wins() {
-    use experiments::graph::{run_config_measured, GraphConfig};
+    use experiments::graph::{run_config, GraphConfig};
     // Use a slightly larger graph than Quick so I/O effects are visible.
-    let nopart = run_config_measured(GraphConfig::NoPartNi, 4_000, 16_000, 3, Measure::ChargedOnly);
-    let part = run_config_measured(GraphConfig::PartNi, 4_000, 16_000, 3, Measure::ChargedOnly);
-    let nosgx = run_config_measured(GraphConfig::NoSgxNi, 4_000, 16_000, 3, Measure::ChargedOnly);
+    let nopart = run_config(GraphConfig::NoPartNi, 4_000, 16_000, 3);
+    let part = run_config(GraphConfig::PartNi, 4_000, 16_000, 3);
+    let nosgx = run_config(GraphConfig::NoSgxNi, 4_000, 16_000, 3);
     assert!(part.total < nopart.total, "part {} vs nopart {}", part.total, nopart.total);
     // Partitioned sharding is close to native sharding.
     assert!(
@@ -156,35 +156,23 @@ fn fig9_partitioned_graphchi_wins() {
 /// compute-bound workloads; the monte_carlo anomaly (native-image GC)
 /// flips the sign at full pressure.
 ///
-/// Gains are ratios of model charges ([`Measure::ChargedOnly`]): the
-/// workloads are seeded and single-threaded, so both sides of each
-/// ratio are exact and the thresholds carry no wall-clock slack.
+/// Gains are ratios of model charges: the workloads are seeded and
+/// single-threaded, so both sides of each ratio are exact and the
+/// thresholds carry no wall-clock slack.
 #[test]
 fn table1_shape_holds_under_full_gc_pressure() {
     use baselines::Deployment;
-    use experiments::spec::run_one_measured;
+    use experiments::spec::run_one;
     use specjvm::Workload;
     // Full pressure for monte_carlo (the anomaly needs the real churn),
     // quick elsewhere.
-    let mc_ni = run_one_measured(
-        Workload::MonteCarlo,
-        Deployment::SgxNative,
-        Scale::Full,
-        Measure::ChargedOnly,
-    );
-    let mc_jvm = run_one_measured(
-        Workload::MonteCarlo,
-        Deployment::SconeJvm,
-        Scale::Full,
-        Measure::ChargedOnly,
-    );
+    let mc_ni = run_one(Workload::MonteCarlo, Deployment::SgxNative, Scale::Full);
+    let mc_jvm = run_one(Workload::MonteCarlo, Deployment::SconeJvm, Scale::Full);
     let gain = mc_jvm.seconds / mc_ni.seconds;
     assert!(gain < 1.0, "monte_carlo anomaly: SGX-NI must lose, gain {gain}");
 
-    let fft_ni =
-        run_one_measured(Workload::Fft, Deployment::SgxNative, Scale::Full, Measure::ChargedOnly);
-    let fft_jvm =
-        run_one_measured(Workload::Fft, Deployment::SconeJvm, Scale::Full, Measure::ChargedOnly);
+    let fft_ni = run_one(Workload::Fft, Deployment::SgxNative, Scale::Full);
+    let fft_jvm = run_one(Workload::Fft, Deployment::SconeJvm, Scale::Full);
     let fft_gain = fft_jvm.seconds / fft_ni.seconds;
     assert!(fft_gain > 1.3, "fft: SGX-NI must win clearly, gain {fft_gain}");
 }
