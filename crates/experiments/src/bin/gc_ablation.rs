@@ -1,5 +1,5 @@
 //! Ablation: the semispace stop-and-copy reference collector vs the
-//! segmented generational block heap (`MONTSALVAT_GC`, see
+//! segmented generational block heap (`HeapConfig::collector`, see
 //! `docs/GC.md`) on the two GC shapes of the evaluation:
 //!
 //! - **heap-churn**: a standing live set larger than usable EPC plus a
@@ -67,7 +67,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn launch(collector: CollectorKind, heap: HeapConfig, params: CostParams) -> PartitionedApp {
+fn launch(heap: HeapConfig, params: CostParams) -> PartitionedApp {
     let tp = transform(&proxy_bench_program());
     let options = ImageOptions::with_entry_points(proxy_bench_entries());
     let (trusted, untrusted) =
@@ -77,10 +77,16 @@ fn launch(collector: CollectorKind, heap: HeapConfig, params: CostParams) -> Par
         clock_mode: ClockMode::Virtual,
         heap_config: heap,
         cost_params: params,
-        collector: Some(collector),
         ..AppConfig::default()
     };
     PartitionedApp::launch(&trusted, &untrusted, config).expect("launch gc ablation")
+}
+
+/// The heap-churn shape's costs: usable EPC below the live set, so
+/// residency is over-committed and paging charges separate the two
+/// collectors' touch patterns.
+fn churn_params() -> CostParams {
+    CostParams { epc_usable_bytes: 1024 * 1024, ..CostParams::default() }
 }
 
 /// The heap-churn shape: `standing_bytes` of rooted blobs (the live
@@ -96,12 +102,10 @@ fn run_churn(collector: CollectorKind, scale: Scale) -> RunResult {
     let heap = HeapConfig {
         gc_threshold_bytes: 512 * 1024,
         nursery_bytes: 64 * 1024,
+        collector,
         ..HeapConfig::default()
     };
-    // Usable EPC below the live set, so residency is over-committed and
-    // paging charges separate the two collectors' touch patterns.
-    let params = CostParams { epc_usable_bytes: 1024 * 1024, ..CostParams::default() };
-    let app = launch(collector, heap, params);
+    let app = launch(heap, churn_params());
     let charged0 = app.shared.cost.charged();
     let checksum = app
         .enter_trusted(|ctx| {
@@ -144,9 +148,10 @@ fn run_consistency(collector: CollectorKind, scale: Scale) -> RunResult {
     let heap = HeapConfig {
         gc_threshold_bytes: u64::MAX,
         nursery_bytes: 256 * 1024,
+        collector,
         ..HeapConfig::default()
     };
-    let app = launch(collector, heap, CostParams::default());
+    let app = launch(heap, CostParams::default());
     let charged0 = app.shared.cost.charged();
     let mut held: Vec<Value> = Vec::new();
     let mut checksum = 0xCBF2_9CE4_8422_2325u64;
@@ -268,6 +273,8 @@ fn main() {
     };
     println!("gc ablation: semispace vs block collector, scale {scale_name} (model time)");
     print_params(&CostParams::default());
+    print!("heap-churn ");
+    print_params(&churn_params());
 
     let runs: Vec<RunResult> = vec![
         run_churn(CollectorKind::Semispace, scale),

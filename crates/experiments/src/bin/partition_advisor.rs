@@ -40,7 +40,7 @@ use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::transform::transform;
 use montsalvat_core::Trust;
 use runtime_sim::value::Value;
-use sgx_sim::cost::{ClockMode, CostParams};
+use sgx_sim::cost::ClockMode;
 use specjvm::montecarlo::Lcg;
 use telemetry::trace::Tracer;
 use telemetry::{Counter, Recorder};
@@ -376,7 +376,9 @@ fn main() {
         "partition advisor loop: {records} kvstore records, {batches} graphchi batches x \
          {batch_len} edges (model time, ClockMode::Virtual)"
     );
-    print_params(&CostParams::from_env());
+    // Every run below launches with this set, so it is also the set
+    // the advisor prices each trace with (`cost.params()`).
+    print_params(&AppConfig::default().cost_params);
 
     let results = [
         verify_workload("kvstore", kvstore_program, records, batches, batch_len, &cfg),

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 
 use experiments::report::Scale;
 use experiments::traffic::{lanes, run_lane, GcInjection, LaneResult, TrafficConfig};
-use telemetry::timeseries::{detect_spikes, Series, SpikeReport, WindowView, DEFAULT_SPIKE_FACTOR};
+use telemetry::timeseries::{detect_spikes, SpikeReport, WindowView, DEFAULT_SPIKE_FACTOR};
 use telemetry::Counter;
 
 /// Schema identifier of the emitted report.
@@ -53,16 +53,15 @@ fn arg_value(name: &str) -> Option<PathBuf> {
 
 struct RunOutcome {
     lane: LaneResult,
-    series: Series,
     report: SpikeReport,
 }
 
 fn run(cfg: &TrafficConfig) -> RunOutcome {
     let lane = run_lane(lanes()[0], cfg).expect("classic lane runs");
-    let series = lane.timeseries.clone().expect("flight recorder on");
-    let views: Vec<WindowView> = series.windows.iter().map(WindowView::from_window).collect();
+    let views: Vec<WindowView> =
+        lane.timeseries.windows.iter().map(WindowView::from_window).collect();
     let report = detect_spikes(&views, DEFAULT_SPIKE_FACTOR);
-    RunOutcome { lane, series, report }
+    RunOutcome { lane, report }
 }
 
 fn gc_attributed(report: &SpikeReport) -> usize {
@@ -78,7 +77,7 @@ struct Reconciliation {
 fn reconcile(outcome: &RunOutcome, counter: Counter, metric: &'static str) -> Reconciliation {
     Reconciliation {
         metric,
-        window_sum: outcome.series.windows.iter().map(|w| w.delta.counter(counter)).sum(),
+        window_sum: outcome.lane.timeseries.windows.iter().map(|w| w.delta.counter(counter)).sum(),
         aggregate: outcome.lane.snap.counter(counter),
     }
 }
@@ -142,9 +141,9 @@ fn report_json(
          \"control\": {{\"count\": {ccount}, \"gc_attributed\": {cgc}}}\n}}\n",
         at = injection.at_request,
         pause = injection.pause_ns,
-        window_ns = injected.series.window_ns,
-        windows = injected.series.windows.len(),
-        dropped = injected.series.dropped,
+        window_ns = injected.lane.timeseries.window_ns,
+        windows = injected.lane.timeseries.windows.len(),
+        dropped = injected.lane.timeseries.dropped,
         recs = recs_json.join(",\n"),
         median = injected.report.median_p95,
         threshold = injected.report.threshold,
@@ -187,8 +186,8 @@ fn main() {
     // Determinism: same seed, same config → byte-identical export.
     let replay = run(&injected_cfg);
     assert_eq!(
-        injected.series.to_json(),
-        replay.series.to_json(),
+        injected.lane.timeseries.to_json(),
+        replay.lane.timeseries.to_json(),
         "seeded runs must export byte-identical montsalvat.timeseries/v1 documents"
     );
 
@@ -231,7 +230,7 @@ fn main() {
         "ok: {} window(s), {} spike(s), {} gc-attributed (median p95 {} ns, threshold {} ns); \
          control: {} spike(s), 0 gc-attributed; reconciliation holds for rmi.calls and \
          traffic.requests",
-        injected.series.windows.len(),
+        injected.lane.timeseries.windows.len(),
         injected.report.spikes.len(),
         gc_attributed(&injected.report),
         injected.report.median_p95,
@@ -245,11 +244,11 @@ fn main() {
         println!("report ({ABLATION_SCHEMA}): {}", path.display());
     }
     if let Some(path) = arg_value("--timeseries-out") {
-        std::fs::write(&path, injected.series.to_json()).expect("write timeseries export");
+        std::fs::write(&path, injected.lane.timeseries.to_json()).expect("write timeseries export");
         println!("timeseries ({}): {}", telemetry::timeseries::SCHEMA, path.display());
     }
     if let Some(path) = arg_value("--prom-out") {
-        std::fs::write(&path, injected.series.to_prometheus()).expect("write exposition");
+        std::fs::write(&path, injected.lane.timeseries.to_prometheus()).expect("write exposition");
         println!("exposition (prometheus text): {}", path.display());
     }
 }

@@ -48,7 +48,7 @@ use montsalvat_core::exec::switchless::SwitchlessConfig;
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::transform::transform;
 use montsalvat_core::{ProviderKind, Trust};
-use runtime_sim::heap::CollectorKind;
+use runtime_sim::heap::{CollectorKind, HeapConfig};
 use runtime_sim::value::Value;
 use sgx_sim::cost::ClockMode;
 use specjvm::montecarlo::Lcg;
@@ -91,11 +91,11 @@ pub struct TrafficConfig {
     /// detect and attribute (`timeline_ablation`). `None` for real
     /// measurement runs — the CI latency baseline assumes no injection.
     pub inject_gc: Option<GcInjection>,
-    /// Collector the lanes run under (`None` keeps the
-    /// `AppConfig` default resolution: `MONTSALVAT_GC` env, then the
-    /// semispace reference collector). The whole schedule is identical
-    /// either way; only GC pauses and `gc.*` telemetry differ.
-    pub collector: Option<CollectorKind>,
+    /// Collector the lanes run under, set as their
+    /// `HeapConfig::collector` (the semispace reference collector by
+    /// default). The whole schedule is identical either way; only GC
+    /// pauses and `gc.*` telemetry differ.
+    pub collector: CollectorKind,
     /// Optional managed-heap churn riding on the request stream, so GC
     /// telemetry (pauses, block gauges) flows through the windowed
     /// time-series. `None` for measurement runs — the CI latency
@@ -140,7 +140,7 @@ impl TrafficConfig {
             read_pct: 80,
             value_bytes: 96,
             inject_gc: None,
-            collector: None,
+            collector: CollectorKind::Semispace,
             gc_churn: None,
         }
     }
@@ -373,9 +373,8 @@ pub struct LaneResult {
     /// Per-lane telemetry (each lane runs under its own recorder).
     pub snap: telemetry::Snapshot,
     /// Windowed time series of the lane (`montsalvat.timeseries/v1`),
-    /// ticked on the virtual completion timeline. `None` when
-    /// `MONTSALVAT_TIMESERIES=0`.
-    pub timeseries: Option<Series>,
+    /// ticked on the virtual completion timeline.
+    pub timeseries: Series,
 }
 
 impl LaneResult {
@@ -492,23 +491,20 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
     // windowed stream too and the per-window deltas sum exactly to the
     // lane's end-of-run aggregate.
     let recorder = telemetry::Recorder::new();
-    let ts_config = TimeseriesConfig::from_env();
-    let mut flight =
-        ts_config.enabled.then(|| FlightRecorder::new(Arc::clone(&recorder), ts_config));
+    let mut flight = FlightRecorder::new(Arc::clone(&recorder), TimeseriesConfig::from_env());
     let config = AppConfig {
         gc_helper_interval: None,
         clock_mode: ClockMode::Virtual,
         provider: Some(spec.provider),
         switchless: spec.switchless.then(SwitchlessConfig::default),
         telemetry: Some(Arc::clone(&recorder)),
-        collector: cfg.collector,
+        heap_config: HeapConfig { collector: cfg.collector, ..HeapConfig::default() },
         ..AppConfig::default()
     };
     let app = PartitionedApp::launch(&trusted, &untrusted, config)?;
     let cost = Arc::clone(&app.shared.cost);
     let model_start_ns = cost.charged().as_nanos() as u64;
 
-    let flight_ref = &mut flight;
     let (latencies_ns, checksum, hits, misses, puts, horizon_ns) = app.enter_untrusted(|ctx| {
         let service = ctx.new_object("KvService", &[])?;
         let mut latencies = Vec::with_capacity(ops.len());
@@ -558,9 +554,7 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
             // request's metrics — and the injected GC evidence — land
             // in the window containing its completion.
             horizon_ns = completion_ns;
-            if let Some(flight) = flight_ref.as_mut() {
-                flight.tick(horizon_ns);
-            }
+            flight.tick(horizon_ns);
             if let Some(inj) = injected {
                 recorder.incr(Counter::GcCollections);
                 recorder.record(Hist::GcPauseNs, inj.pause_ns);
@@ -591,7 +585,7 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
     // Seal the series before the final snapshot: nothing records
     // between the two, so window sums reconcile with `snap` exactly
     // on the deterministic (non-switchless) lanes.
-    let timeseries = flight.map(|f| f.finish(horizon_ns));
+    let timeseries = flight.finish(horizon_ns);
     let snap = app.telemetry_snapshot();
     app.shutdown();
 
@@ -704,7 +698,7 @@ mod tests {
     fn windowed_deltas_sum_to_lane_totals() {
         let cfg = tiny();
         let lane = run_lane(lanes()[0], &cfg).expect("classic lane runs");
-        let series = lane.timeseries.as_ref().expect("timeseries on by default");
+        let series = &lane.timeseries;
         assert_eq!(series.dropped, 0, "tiny run fits the ring");
         assert!(series.windows.len() > 1, "the run spans several windows");
         for counter in [Counter::RmiCalls, Counter::TrafficRequests] {
@@ -729,7 +723,7 @@ mod tests {
             ..tiny()
         };
         let lane = run_lane(lanes()[0], &cfg).expect("classic lane runs");
-        let series = lane.timeseries.as_ref().expect("timeseries on by default");
+        let series = &lane.timeseries;
         let views: Vec<WindowView> = series.windows.iter().map(WindowView::from_window).collect();
         let report = detect_spikes(&views, DEFAULT_SPIKE_FACTOR);
         assert!(!report.spikes.is_empty(), "the injected stall must register as a spike");

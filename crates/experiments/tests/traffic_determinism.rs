@@ -23,7 +23,7 @@ fn tiny() -> TrafficConfig {
 /// the collector actually runs during the lane.
 fn churny(collector: CollectorKind) -> TrafficConfig {
     TrafficConfig {
-        collector: Some(collector),
+        collector,
         gc_churn: Some(GcChurn { every: 10, garbage_bytes: 64 * 1024 }),
         ..tiny()
     }
@@ -71,8 +71,7 @@ fn gated_lane_timeseries_exports_are_byte_identical_across_runs() {
     let _ = run_lane(gated, &cfg).expect("warm-up run");
     let a = run_lane(gated, &cfg).expect("first run");
     let b = run_lane(gated, &cfg).expect("second run");
-    let a = a.timeseries.expect("flight recorder on by default");
-    let b = b.timeseries.expect("flight recorder on by default");
+    let (a, b) = (a.timeseries, b.timeseries);
     assert!(!a.windows.is_empty(), "the run spans at least one window");
     assert_eq!(a.dropped, 0, "the tiny run fits the default ring");
     assert_eq!(
@@ -120,7 +119,7 @@ fn gated_lane_is_byte_identical_per_collector_and_checksums_agree_across_them() 
 fn gc_gauges_and_counters_reconcile_with_flight_recorder_windows() {
     let cfg = churny(CollectorKind::Block);
     let lane = run_lane(lanes()[0], &cfg).expect("block-collector lane runs");
-    let series = lane.timeseries.as_ref().expect("flight recorder on by default");
+    let series = &lane.timeseries;
     assert!(lane.snap.counter(Counter::GcMinorCollections) > 0, "churn drives minors");
     assert!(lane.snap.counter(Counter::GcMajorCollections) > 0, "churn escalates to majors");
 

@@ -41,11 +41,10 @@
 //! predicted_savings = X + nested_X + W·(1 − move_factor)
 //! ```
 //!
-//! Every term maps to a [`CostParams`] field with a `MONTSALVAT_*`
-//! override; `docs/PARTITIONING.md` documents the contract term by
-//! term, including the decision rule, its thresholds, and the
-//! tolerance band the self-verifying `partition_advisor` experiment
-//! asserts.
+//! Every term maps to a [`CostParams`] field; `docs/PARTITIONING.md`
+//! documents the contract term by term, including the decision rule,
+//! its thresholds, and the tolerance band the self-verifying
+//! `partition_advisor` experiment asserts.
 //!
 //! # Example
 //!

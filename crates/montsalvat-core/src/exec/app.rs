@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use rmi::gc_helper::GcHelper;
 use rmi::hash::HashScheme;
-use runtime_sim::heap::{CollectorKind, HeapConfig};
+use runtime_sim::heap::HeapConfig;
 use runtime_sim::value::Value;
 use sgx_sim::cost::{ClockMode, CostModel, CostParams};
 use sgx_sim::enclave::{Enclave, EnclaveConfig, TransitionStats};
@@ -29,7 +29,7 @@ use crate::class::MethodRef;
 use crate::error::VmError;
 use crate::exec::ctx::{serve_relay, Ctx};
 use crate::exec::switchless::{ServeFn, SwitchlessPool};
-use crate::exec::world::{ClassIndex, ExecModel, World, WorldStatsSnapshot};
+use crate::exec::world::{ClassIndex, ExecModel, World};
 use crate::image_builder::NativeImage;
 use crate::provider::{self, CrossingDir, EnclaveProvider, ProviderKind};
 use crate::transform::is_relay_name;
@@ -45,7 +45,10 @@ pub struct AppConfig {
     /// Enclave configuration (paper: 4 GB heap, 8 MB stack; §6.1).
     pub enclave_config: EnclaveConfig,
     /// Managed-heap configuration per isolate (paper: images built with
-    /// 2 GB maximum heap; §6.1).
+    /// 2 GB maximum heap; §6.1). Its `collector` picks the garbage
+    /// collector each isolate runs; the block collector's geometry is
+    /// seeded from [`CostParams::gc_block_bytes`] so heap blocks and
+    /// EPC charging agree.
     pub heap_config: HeapConfig,
     /// Proxy hashing scheme.
     pub hash_scheme: HashScheme,
@@ -77,14 +80,6 @@ pub struct AppConfig {
     /// [`ProviderKind::SimSgx`]; `Some(_)` pins the deployment mode
     /// regardless of the environment.
     pub provider: Option<ProviderKind>,
-    /// Which garbage collector each isolate runs. `None` consults
-    /// `MONTSALVAT_GC` at launch and falls back to
-    /// `heap_config.collector` (default semispace); `Some(_)` pins the
-    /// collector regardless of the environment — the same precedence
-    /// the provider detector uses. The block collector's geometry is
-    /// seeded from [`CostParams::gc_block_bytes`] so heap blocks and
-    /// EPC charging agree.
-    pub collector: Option<CollectorKind>,
 }
 
 impl Default for AppConfig {
@@ -102,21 +97,16 @@ impl Default for AppConfig {
             telemetry: None,
             trace: None,
             provider: None,
-            collector: None,
         }
     }
 }
 
 /// Resolves the heap configuration an app's isolates actually launch
-/// with: collector selection flows `AppConfig::collector` →
-/// `MONTSALVAT_GC` → `heap_config.collector`, and the block size is
-/// taken from the cost model (`CostParams::gc_block_bytes`) so the
-/// collector's blocks are the same granule the EPC charges per.
+/// with: the block size is taken from the cost model
+/// (`CostParams::gc_block_bytes`) so the collector's blocks are the
+/// same granule the EPC charges per.
 fn effective_heap_config(config: &AppConfig) -> HeapConfig {
-    let collector =
-        config.collector.or_else(CollectorKind::from_env).unwrap_or(config.heap_config.collector);
     HeapConfig {
-        collector,
         block_bytes: config.cost_params.gc_block_bytes.max(1),
         ..config.heap_config.clone()
     }
@@ -519,11 +509,6 @@ impl PartitionedApp {
     /// into.
     pub fn telemetry(&self) -> &Arc<telemetry::Recorder> {
         self.shared.cost.recorder()
-    }
-
-    /// RMI counters for one world.
-    pub fn world_stats(&self, side: Side) -> WorldStatsSnapshot {
-        self.shared.world(side).stats.snapshot()
     }
 
     /// Live worker/queue readings of the switchless pool, or `None`

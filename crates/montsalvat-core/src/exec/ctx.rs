@@ -719,7 +719,7 @@ fn unmarshal_pinning(
             pins.push(proxy);
             rmi.proxies.insert(*hash, proxy);
             rmi.weaklist.track(&mut heap, proxy, *hash);
-            world.stats.count_proxy();
+            app.cost.recorder().incr(telemetry::Counter::ProxiesCreated);
             by_hash.insert(*hash, proxy);
         }
     }
@@ -1047,7 +1047,7 @@ fn construct_proxy(
         heap.add_root(proxy); // in-flight
         rmi.proxies.insert(hash, proxy);
         rmi.weaklist.track(&mut heap, proxy, hash);
-        world.stats.count_proxy();
+        app.cost.recorder().incr(telemetry::Counter::ProxiesCreated);
         proxy
     };
     match cross_call(app, world, crossing, Some(hash), args) {
@@ -1097,7 +1097,9 @@ fn cross_call(
         let mut msg = marshal(app, caller, args)?;
         msg.recv_hash = recv_hash;
         msg.trace = rmi_ctx;
-        caller.stats.count_rmi(msg.payload.len() as u64);
+        let recorder = app.cost.recorder();
+        recorder.incr(telemetry::Counter::RmiCalls);
+        recorder.add(telemetry::Counter::BytesSerialized, msg.payload.len() as u64);
         let wire_len = msg.wire_len();
 
         // The classic crossing: the relay software itself (isolate attach,
@@ -1128,13 +1130,11 @@ fn cross_call(
             match pool.post(callee.side, Arc::clone(crossing), msg)? {
                 PostOutcome::Served(served) => {
                     switchless_hit = true;
-                    caller.stats.count_switchless();
+                    recorder.incr(telemetry::Counter::SwitchlessCalls);
                     served?
                 }
-                PostOutcome::Fallback(msg) => {
-                    caller.stats.count_switchless_fallback();
-                    classic(&msg)?
-                }
+                // The pool counted the fallback at the probe that failed.
+                PostOutcome::Fallback(msg) => classic(&msg)?,
             }
         } else {
             classic(&msg)?
@@ -1226,7 +1226,7 @@ fn serve_relay_inner(
                     let mut heap = callee.isolate.lock_heap();
                     rmi.registry.register(&mut heap, hash, mirror);
                     rmi.hash_of.insert(mirror, hash);
-                    callee.stats.count_mirror();
+                    app.cost.recorder().incr(telemetry::Counter::MirrorsCreated);
                 }
                 // The registry holds the mirror now; drop the in-flight
                 // root and return unit (the caller already holds the
@@ -1342,7 +1342,8 @@ mod tests {
 
         let err = unmarshal(&app.shared, world, &hinted_msg(payload, None)).unwrap_err();
         assert!(matches!(err, VmError::Codec(CodecError::TrailingBytes(2))), "{err}");
-        assert_eq!(app.world_stats(Side::Untrusted).proxies_created, 1, "the hint was resolved");
+        let proxies = app.telemetry_snapshot().counter(telemetry::Counter::ProxiesCreated);
+        assert_eq!(proxies, 1, "the hint was resolved");
         assert_eq!(root_count(world), roots, "the hint's proxy is no longer pinned");
         app.shutdown();
     }
@@ -1359,7 +1360,8 @@ mod tests {
         let get_account = resolved(&app, Side::Trusted, "Person", "getAccount");
         let err = serve_relay_inner(&app.shared, world, &get_account, &msg).unwrap_err();
         assert!(matches!(&err, VmError::BadRef(m) if m.contains("without a proxy hash")), "{err}");
-        assert_eq!(app.world_stats(Side::Untrusted).proxies_created, 1, "the hint was resolved");
+        let proxies = app.telemetry_snapshot().counter(telemetry::Counter::ProxiesCreated);
+        assert_eq!(proxies, 1, "the hint was resolved");
         assert_eq!(root_count(world), roots, "the hint's proxy is no longer pinned");
         app.shutdown();
     }

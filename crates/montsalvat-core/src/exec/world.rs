@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::io::SeekFrom;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -141,91 +140,6 @@ impl ExecModel {
     }
 }
 
-/// Counters for one world's RMI activity.
-///
-/// The per-world atomics remain the authoritative source for
-/// [`WorldStatsSnapshot`]; when a telemetry recorder is attached (see
-/// [`World::attach_recorder`]) every count is mirrored into it so the
-/// exported JSON agrees with these counters by construction.
-#[derive(Debug, Default)]
-pub struct WorldStats {
-    rmi_calls: AtomicU64,
-    switchless_calls: AtomicU64,
-    switchless_fallbacks: AtomicU64,
-    bytes_serialized: AtomicU64,
-    proxies_created: AtomicU64,
-    mirrors_created: AtomicU64,
-    recorder: std::sync::OnceLock<Arc<telemetry::Recorder>>,
-}
-
-/// Snapshot of [`WorldStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorldStatsSnapshot {
-    /// Cross-world method invocations initiated from this world.
-    pub rmi_calls: u64,
-    /// Subset of `rmi_calls` served switchlessly (no transition).
-    pub switchless_calls: u64,
-    /// Subset of `rmi_calls` that attempted a switchless post, found
-    /// the mailbox full and fell back to a classic crossing.
-    pub switchless_fallbacks: u64,
-    /// Bytes serialized for crossings initiated from this world.
-    pub bytes_serialized: u64,
-    /// Proxy objects created in this world.
-    pub proxies_created: u64,
-    /// Mirror objects created in this world.
-    pub mirrors_created: u64,
-}
-
-impl WorldStats {
-    pub(crate) fn count_rmi(&self, bytes: u64) {
-        self.rmi_calls.fetch_add(1, Ordering::Relaxed);
-        self.bytes_serialized.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.get() {
-            rec.incr(telemetry::Counter::RmiCalls);
-            rec.add(telemetry::Counter::BytesSerialized, bytes);
-        }
-    }
-
-    pub(crate) fn count_switchless(&self) {
-        self.switchless_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.get() {
-            rec.incr(telemetry::Counter::SwitchlessCalls);
-        }
-    }
-
-    /// No recorder mirror here: the switchless engine already counts
-    /// `rmi.switchless_fallbacks` at the mailbox probe that failed.
-    pub(crate) fn count_switchless_fallback(&self) {
-        self.switchless_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_proxy(&self) {
-        self.proxies_created.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.get() {
-            rec.incr(telemetry::Counter::ProxiesCreated);
-        }
-    }
-
-    pub(crate) fn count_mirror(&self) {
-        self.mirrors_created.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.get() {
-            rec.incr(telemetry::Counter::MirrorsCreated);
-        }
-    }
-
-    /// Reads the counters.
-    pub fn snapshot(&self) -> WorldStatsSnapshot {
-        WorldStatsSnapshot {
-            rmi_calls: self.rmi_calls.load(Ordering::Relaxed),
-            switchless_calls: self.switchless_calls.load(Ordering::Relaxed),
-            switchless_fallbacks: self.switchless_fallbacks.load(Ordering::Relaxed),
-            bytes_serialized: self.bytes_serialized.load(Ordering::Relaxed),
-            proxies_created: self.proxies_created.load(Ordering::Relaxed),
-            mirrors_created: self.mirrors_created.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The scratch I/O channel of a world (backs `Instr::IoWrite` and the
 /// `Ctx::io_*` operations).
 #[derive(Debug, Default)]
@@ -336,8 +250,6 @@ pub struct World {
     pub rmi: Mutex<RmiState>,
     /// Proxy-hash allocator.
     pub hasher: ProxyHasher,
-    /// RMI counters.
-    pub stats: WorldStats,
     /// Execution-model knobs.
     pub exec_model: ExecModel,
     /// Scratch-file path for `Ctx::io_*`.
@@ -371,7 +283,6 @@ impl World {
             classes,
             rmi: Mutex::new(RmiState::default()),
             hasher: ProxyHasher::new(hash_scheme, side as u64 + 1),
-            stats: WorldStats::default(),
             exec_model,
             scratch_path,
             io: Mutex::new(WorldIo::default()),
@@ -379,12 +290,10 @@ impl World {
     }
 
     /// Attaches a telemetry recorder to every instrumented surface this
-    /// world owns: its RMI counters, its heap (allocation/GC metrics),
-    /// its mirror-proxy registry and its proxy weak list. Called once at
-    /// application launch; attaching twice is a no-op for the stats
-    /// mirror and replaces the heap/RMI recorders.
+    /// world owns: its heap (allocation/GC metrics), its mirror-proxy
+    /// registry and its proxy weak list. Called once at application
+    /// launch; attaching again replaces the recorders.
     pub fn attach_recorder(&self, recorder: Arc<telemetry::Recorder>) {
-        let _ = self.stats.recorder.set(Arc::clone(&recorder));
         self.isolate.with_heap(|h| h.set_recorder(Arc::clone(&recorder)));
         let mut rmi = self.rmi.lock();
         rmi.registry.set_recorder(Arc::clone(&recorder));
@@ -455,19 +364,5 @@ mod tests {
         );
         assert!(world.class_by_name("A").is_ok());
         assert!(matches!(world.class_by_name("Zed"), Err(VmError::UnknownClass(_))));
-    }
-
-    #[test]
-    fn stats_count() {
-        let stats = WorldStats::default();
-        stats.count_rmi(100);
-        stats.count_rmi(50);
-        stats.count_proxy();
-        stats.count_mirror();
-        let snap = stats.snapshot();
-        assert_eq!(snap.rmi_calls, 2);
-        assert_eq!(snap.bytes_serialized, 150);
-        assert_eq!(snap.proxies_created, 1);
-        assert_eq!(snap.mirrors_created, 1);
     }
 }

@@ -15,6 +15,7 @@ use montsalvat_core::transform::transform;
 use montsalvat_core::VmError;
 use runtime_sim::value::Value;
 use sgx_sim::enclave::EnclaveConfig;
+use telemetry::Counter;
 
 /// Methods this harness drives dynamically (the reflection-config
 /// analogue; without these the closed-world analysis prunes them).
@@ -73,9 +74,12 @@ fn run_main_executes_listing_1() {
     app.run_main().unwrap();
     // main creates two Accounts and one AccountRegistry in the enclave.
     assert_eq!(app.registry_len(Side::Trusted), 3);
-    assert_eq!(app.world_stats(Side::Trusted).mirrors_created, 3);
-    assert!(app.world_stats(Side::Untrusted).proxies_created >= 3);
+    // Nothing crosses out, so every proxy is the untrusted side's and
+    // every mirror the enclave's.
     assert_eq!(app.sgx_stats().ocalls, 0, "nothing in this program calls out");
+    let snap = app.telemetry_snapshot();
+    assert_eq!(snap.counter(Counter::MirrorsCreated), 3);
+    assert_eq!(snap.counter(Counter::ProxiesCreated), 3);
 }
 
 #[test]
@@ -111,7 +115,7 @@ fn neutral_arguments_are_deep_copied() {
         })
         .unwrap();
     assert_eq!(owner_dependent_balance, Value::Int(7));
-    assert!(app.world_stats(Side::Untrusted).bytes_serialized > 0);
+    assert_eq!(app.telemetry_snapshot().counter(Counter::BytesSerialized), 31);
 }
 
 #[test]

@@ -182,13 +182,14 @@ fn fast_path_costs_less_model_time_on_bulk_payloads() {
 fn switchless_reconciliation_holds_with_fast_path() {
     let app = launch_bank(true);
     assert_eq!(run_bank(&app), Value::Int(75));
-    let world = app.world_stats(montsalvat_core::annotation::Side::Untrusted);
+    let snap = app.telemetry_snapshot();
+    assert_eq!(snap.counter(telemetry::Counter::RmiCalls), 5);
     assert_eq!(
-        world.rmi_calls,
-        world.switchless_calls + world.switchless_fallbacks,
+        snap.counter(telemetry::Counter::RmiCalls),
+        snap.counter(telemetry::Counter::SwitchlessCalls)
+            + snap.counter(telemetry::Counter::SwitchlessFallbacks),
         "every crossing is a switchless hit or a fallback"
     );
-    let snap = app.telemetry_snapshot();
     assert_eq!(
         snap.counter(telemetry::Counter::SerdeEncodeCalls),
         snap.counter(telemetry::Counter::SerdeFastPathHits)

@@ -10,6 +10,7 @@ use montsalvat_core::samples::bank_program;
 use montsalvat_core::transform::transform;
 use montsalvat_core::MethodRef;
 use runtime_sim::value::Value;
+use telemetry::Counter;
 
 fn entries() -> Vec<MethodRef> {
     vec![
@@ -61,9 +62,9 @@ fn switchless_performs_no_transitions() {
     let sgx = app.sgx_stats();
     assert_eq!(sgx.ecalls, 0, "no hardware ecalls in switchless mode");
     assert_eq!(sgx.ocalls, 0);
-    let world = app.world_stats(Side::Untrusted);
-    assert!(world.switchless_calls >= 5, "calls were served switchlessly: {world:?}");
-    assert_eq!(world.switchless_calls, world.rmi_calls);
+    let snap = app.telemetry_snapshot();
+    assert_eq!(snap.counter(Counter::RmiCalls), 5);
+    assert_eq!(snap.counter(Counter::SwitchlessCalls), 5, "calls were served switchlessly");
     app.shutdown();
 }
 

@@ -99,25 +99,8 @@ pub enum CollectorKind {
 }
 
 impl CollectorKind {
-    /// Parses a selector string (`"semispace"` | `"block"`,
-    /// case-insensitive). Returns `None` for anything else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "semispace" => Some(CollectorKind::Semispace),
-            "block" => Some(CollectorKind::Block),
-            _ => None,
-        }
-    }
-
-    /// Reads the `MONTSALVAT_GC` environment selector. Unset or
-    /// unrecognised values read as `None` (callers fall back to their
-    /// configured default), mirroring the provider detector.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("MONTSALVAT_GC").ok().and_then(|v| Self::parse(&v))
-    }
-
-    /// Stable lowercase name (`"semispace"` | `"block"`), matching what
-    /// [`CollectorKind::parse`] accepts.
+    /// Stable lowercase name (`"semispace"` | `"block"`), as reports
+    /// and exports print it.
     pub fn name(&self) -> &'static str {
         match self {
             CollectorKind::Semispace => "semispace",
@@ -164,7 +147,8 @@ pub struct HeapConfig {
     /// Hard cap on live bytes; exceeded means the managed application is
     /// out of memory. `u64::MAX` disables the cap.
     pub max_heap_bytes: u64,
-    /// Which collector implementation to run.
+    /// Which collector implementation to run: the only collector
+    /// switch (default semispace).
     pub collector: CollectorKind,
     /// Block size for the block collector (ignored by semispace). The
     /// app layer seeds this from `CostParams::gc_block_bytes` so heap
@@ -1166,21 +1150,11 @@ mod tests {
     }
 
     #[test]
-    fn collector_kind_parses_selector_strings() {
-        assert_eq!(CollectorKind::parse("semispace"), Some(CollectorKind::Semispace));
-        assert_eq!(CollectorKind::parse("Block"), Some(CollectorKind::Block));
-        assert_eq!(CollectorKind::parse(" block "), Some(CollectorKind::Block));
-        assert_eq!(CollectorKind::parse("shenandoah"), None);
-        assert_eq!(CollectorKind::parse(""), None);
-        assert_eq!(CollectorKind::Semispace.name(), "semispace");
-        assert_eq!(CollectorKind::Block.name(), "block");
-        assert_eq!(CollectorKind::parse(CollectorKind::Block.name()), Some(CollectorKind::Block));
-    }
-
-    #[test]
     fn semispace_has_no_block_stats_and_promotes_minor() {
         let mut h = heap();
         assert_eq!(h.collector_kind(), CollectorKind::Semispace);
+        assert_eq!(CollectorKind::Semispace.name(), "semispace");
+        assert_eq!(CollectorKind::Block.name(), "block");
         assert!(h.block_stats().is_none());
         let id = h.alloc(ClassId(0), vec![]).unwrap();
         let out = h.collect_minor();

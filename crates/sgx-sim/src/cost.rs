@@ -44,8 +44,9 @@ use telemetry::Recorder;
 ///
 /// Defaults reproduce the evaluation platform of the paper (§6.1): a
 /// quad-core Xeon E3-1270 at 3.80 GHz with 93.5 MB of usable EPC, SGX SDK
-/// v2.11. Every field may be overridden to explore other platforms; the
-/// experiment harness prints the parameter set it ran with.
+/// v2.11. A run changes them only through the parameter set it is
+/// launched with (`AppConfig::cost_params` in `montsalvat-core`); the
+/// experiment harness prints the set it ran with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// CPU clock in GHz, used to convert cycles to nanoseconds.
@@ -154,60 +155,6 @@ impl CostParams {
         }
     }
 
-    /// Paper defaults with per-field overrides read from `MONTSALVAT_*`
-    /// environment variables.
-    ///
-    /// Each [`CostParams`] field maps to one variable named after it in
-    /// upper snake case — `MONTSALVAT_CPU_GHZ`,
-    /// `MONTSALVAT_TRANSITION_CYCLES`, `MONTSALVAT_RELAY_OVERHEAD_NS`,
-    /// `MONTSALVAT_COPY_NS_PER_BYTE`, `MONTSALVAT_SERDE_NS_PER_BYTE`,
-    /// `MONTSALVAT_SERDE_ENCLAVE_FACTOR`,
-    /// `MONTSALVAT_SERDE_BULK_NS_PER_BYTE`, `MONTSALVAT_MEE_NS_PER_BYTE`,
-    /// `MONTSALVAT_MEE_GC_NS_PER_BYTE`, `MONTSALVAT_MEE_COMPUTE_FACTOR`,
-    /// `MONTSALVAT_LLC_BYTES`, `MONTSALVAT_EPC_USABLE_BYTES`,
-    /// `MONTSALVAT_EPC_FAULT_NS`, `MONTSALVAT_EPC_PAGE_BYTES`,
-    /// `MONTSALVAT_SWITCHLESS_CALL_NS`,
-    /// `MONTSALVAT_SWITCHLESS_WAKE_NS`,
-    /// `MONTSALVAT_SWITCHLESS_FALLBACK_NS`,
-    /// `MONTSALVAT_GC_BLOCK_BYTES`,
-    /// `MONTSALVAT_GC_MARK_NS_PER_OBJ` — documented field-by-field in
-    /// `docs/COST_MODEL.md`. Unset or unparseable variables keep the
-    /// paper default, so with a clean environment this equals
-    /// [`CostParams::paper_defaults`].
-    pub fn from_env() -> Self {
-        fn get<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
-        let d = Self::paper_defaults();
-        CostParams {
-            cpu_ghz: get("MONTSALVAT_CPU_GHZ", d.cpu_ghz),
-            transition_cycles: get("MONTSALVAT_TRANSITION_CYCLES", d.transition_cycles),
-            relay_overhead_ns: get("MONTSALVAT_RELAY_OVERHEAD_NS", d.relay_overhead_ns),
-            copy_ns_per_byte: get("MONTSALVAT_COPY_NS_PER_BYTE", d.copy_ns_per_byte),
-            serde_ns_per_byte: get("MONTSALVAT_SERDE_NS_PER_BYTE", d.serde_ns_per_byte),
-            serde_enclave_factor: get("MONTSALVAT_SERDE_ENCLAVE_FACTOR", d.serde_enclave_factor),
-            serde_bulk_ns_per_byte: get(
-                "MONTSALVAT_SERDE_BULK_NS_PER_BYTE",
-                d.serde_bulk_ns_per_byte,
-            ),
-            mee_ns_per_byte: get("MONTSALVAT_MEE_NS_PER_BYTE", d.mee_ns_per_byte),
-            mee_gc_ns_per_byte: get("MONTSALVAT_MEE_GC_NS_PER_BYTE", d.mee_gc_ns_per_byte),
-            mee_compute_factor: get("MONTSALVAT_MEE_COMPUTE_FACTOR", d.mee_compute_factor),
-            llc_bytes: get("MONTSALVAT_LLC_BYTES", d.llc_bytes),
-            epc_usable_bytes: get("MONTSALVAT_EPC_USABLE_BYTES", d.epc_usable_bytes),
-            epc_fault_ns: get("MONTSALVAT_EPC_FAULT_NS", d.epc_fault_ns),
-            epc_page_bytes: get("MONTSALVAT_EPC_PAGE_BYTES", d.epc_page_bytes),
-            switchless_call_ns: get("MONTSALVAT_SWITCHLESS_CALL_NS", d.switchless_call_ns),
-            switchless_wake_ns: get("MONTSALVAT_SWITCHLESS_WAKE_NS", d.switchless_wake_ns),
-            switchless_fallback_ns: get(
-                "MONTSALVAT_SWITCHLESS_FALLBACK_NS",
-                d.switchless_fallback_ns,
-            ),
-            gc_block_bytes: get("MONTSALVAT_GC_BLOCK_BYTES", d.gc_block_bytes),
-            gc_mark_ns_per_obj: get("MONTSALVAT_GC_MARK_NS_PER_OBJ", d.gc_mark_ns_per_obj),
-        }
-    }
-
     /// Nanoseconds for the hardware part of one enclave transition.
     pub fn transition_ns(&self) -> u64 {
         (self.transition_cycles as f64 / self.cpu_ghz) as u64
@@ -236,17 +183,6 @@ pub enum ClockMode {
     Virtual,
     /// Busy-wait for every charge so wall-clock time observes the model.
     Spin,
-}
-
-impl ClockMode {
-    /// Reads the mode from the `MONTSALVAT_CLOCK` environment variable
-    /// (`"spin"` selects [`ClockMode::Spin`]), defaulting to `Virtual`.
-    pub fn from_env() -> Self {
-        match std::env::var("MONTSALVAT_CLOCK").as_deref() {
-            Ok("spin") => ClockMode::Spin,
-            _ => ClockMode::Virtual,
-        }
-    }
 }
 
 /// The model clock: the running total of modelled charges.
@@ -393,13 +329,6 @@ mod tests {
         m.charge_ns(2_000_000);
         assert!(wall.elapsed() >= Duration::from_millis(2));
         assert_eq!(m.charged(), Duration::ZERO);
-    }
-
-    #[test]
-    fn from_env_defaults_to_paper_values() {
-        // No MONTSALVAT_* variables are set in the test environment, so
-        // the env constructor must reproduce the paper platform.
-        assert_eq!(CostParams::from_env(), CostParams::paper_defaults());
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //! with a confidence note. `montsalvat timeline <export>` renders the
 //! aligned timelines and the spike report (see `docs/TELEMETRY.md`).
 //!
-//! Knobs: `MONTSALVAT_TIMESERIES=0` disables windowed capture in the
-//! traffic harness (default on there); `MONTSALVAT_TIMESERIES_WINDOW`
-//! sets the window width in model nanoseconds (default
-//! [`DEFAULT_WINDOW_NS`]).
+//! Knob: `MONTSALVAT_TIMESERIES_WINDOW` sets the window width in model
+//! nanoseconds (default [`DEFAULT_WINDOW_NS`]). Every traffic lane
+//! records its series.
 
 use std::sync::Arc;
 
@@ -50,9 +49,6 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// Sizing read from the environment (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeseriesConfig {
-    /// Whether windowed capture is enabled (`MONTSALVAT_TIMESERIES`,
-    /// default true — the flag exists to switch the harness *off*).
-    pub enabled: bool,
     /// Window width in model nanoseconds
     /// (`MONTSALVAT_TIMESERIES_WINDOW`, default [`DEFAULT_WINDOW_NS`]).
     pub window_ns: u64,
@@ -62,21 +58,20 @@ pub struct TimeseriesConfig {
 
 impl Default for TimeseriesConfig {
     fn default() -> Self {
-        TimeseriesConfig { enabled: true, window_ns: DEFAULT_WINDOW_NS, capacity: DEFAULT_CAPACITY }
+        TimeseriesConfig { window_ns: DEFAULT_WINDOW_NS, capacity: DEFAULT_CAPACITY }
     }
 }
 
 impl TimeseriesConfig {
-    /// Reads `MONTSALVAT_TIMESERIES` / `MONTSALVAT_TIMESERIES_WINDOW`,
-    /// falling back to the defaults for anything unset or unparsable.
+    /// Reads `MONTSALVAT_TIMESERIES_WINDOW`, falling back to the
+    /// default for anything unset or unparsable.
     pub fn from_env() -> TimeseriesConfig {
-        let enabled = std::env::var("MONTSALVAT_TIMESERIES").map(|v| v != "0").unwrap_or(true);
         let window_ns = std::env::var("MONTSALVAT_TIMESERIES_WINDOW")
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok())
             .map(|n| n.max(1))
             .unwrap_or(DEFAULT_WINDOW_NS);
-        TimeseriesConfig { enabled, window_ns, capacity: DEFAULT_CAPACITY }
+        TimeseriesConfig { window_ns, capacity: DEFAULT_CAPACITY }
     }
 }
 
@@ -796,10 +791,8 @@ mod tests {
 
     fn recorder_and_flight(window_ns: u64, capacity: usize) -> (Arc<Recorder>, FlightRecorder) {
         let recorder = Recorder::new();
-        let flight = FlightRecorder::new(
-            Arc::clone(&recorder),
-            TimeseriesConfig { enabled: true, window_ns, capacity },
-        );
+        let flight =
+            FlightRecorder::new(Arc::clone(&recorder), TimeseriesConfig { window_ns, capacity });
         (recorder, flight)
     }
 
@@ -1010,7 +1003,6 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let config = TimeseriesConfig::default();
-        assert!(config.enabled);
         assert_eq!(config.window_ns, DEFAULT_WINDOW_NS);
         assert_eq!(config.capacity, DEFAULT_CAPACITY);
     }

@@ -11,6 +11,7 @@ use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat::core::samples::bank_program;
 use montsalvat::core::transform::transform;
+use montsalvat::telemetry::Counter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 1+2: annotated program -> bytecode transformation.
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  bytes marshalled in: {}", stats.bytes_in);
     println!("  MEE-charged enclave heap traffic: {} B", stats.mee_bytes);
     println!("  mirrors in enclave registry: {}", app.registry_len(Side::Trusted));
-    println!("  proxies created outside: {}", app.world_stats(Side::Untrusted).proxies_created);
+    println!("  proxies created: {}", app.telemetry().counter(Counter::ProxiesCreated));
     app.shutdown();
     Ok(())
 }

@@ -17,6 +17,7 @@ use montsalvat::core::transform::transform;
 use montsalvat::core::VmError;
 use montsalvat::kvstore::{StoreReader, StoreWriter};
 use montsalvat::runtime::value::Value;
+use montsalvat::telemetry::Counter;
 
 /// Builds the partitioned KV application with the given annotations.
 fn kv_program(reader_trust: Trust, writer_trust: Trust) -> montsalvat::core::Program {
@@ -122,9 +123,9 @@ fn run_scheme(name: &str, reader_trust: Trust, writer_trust: Trust, n: i64) {
         if writer_trust == Trust::Trusted { "inside -> ocall per record" } else { "none" },
     );
     println!(
-        "   trusted mirrors: {}, untrusted proxies created: {}",
+        "   trusted mirrors: {}, proxies created: {}",
         app.registry_len(Side::Trusted),
-        app.world_stats(Side::Untrusted).proxies_created
+        app.telemetry().counter(Counter::ProxiesCreated)
     );
     std::fs::remove_file(&path).ok();
 }

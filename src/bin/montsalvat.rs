@@ -451,8 +451,9 @@ struct AdviseOpts {
 }
 
 /// Reads a `--trace-out` document, runs the partition advisor over it
-/// with `MONTSALVAT_*`-overridable cost parameters, and renders the
-/// plan (table or JSON). See `docs/PARTITIONING.md` for the equations.
+/// with the paper's cost parameters (the set `AppConfig::default()`
+/// launches every app with), and renders the plan (table or JSON). See
+/// `docs/PARTITIONING.md` for the equations.
 fn run_advise(input: &str, opts: &AdviseOpts) -> Result<String, String> {
     use montsalvat::core::analysis::advisor::{advise, advise_with_classes, AdvisorConfig};
     use montsalvat::sgx::cost::CostParams;
@@ -460,7 +461,7 @@ fn run_advise(input: &str, opts: &AdviseOpts) -> Result<String, String> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("reading {input}: {e}"))?;
     let trace = montsalvat::telemetry::trace::parse_chrome_trace(&text)
         .map_err(|e| format!("parsing {input}: {e}"))?;
-    let params = CostParams::from_env();
+    let params = CostParams::paper_defaults();
     let mut cfg = AdvisorConfig::default();
     if let Some(n) = opts.min_samples {
         cfg.min_samples = n;
@@ -999,7 +1000,7 @@ mod tests {
         use montsalvat::telemetry::timeseries::{FlightRecorder, TimeseriesConfig};
         use montsalvat::telemetry::{Counter, Hist, Recorder};
         let recorder = Recorder::new();
-        let cfg = TimeseriesConfig { enabled: true, window_ns: 1_000, capacity };
+        let cfg = TimeseriesConfig { window_ns: 1_000, capacity };
         let mut flight = FlightRecorder::new(std::sync::Arc::clone(&recorder), cfg);
         for w in 0..5u64 {
             recorder.incr(Counter::TrafficRequests);

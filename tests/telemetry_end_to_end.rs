@@ -60,11 +60,10 @@ fn exported_json_matches_sgx_stats() {
     assert_eq!(extract_counter(&json, "sgx.epc_faults"), Some(stats.epc_faults));
 
     // The RMI layer reports into the same recorder.
-    let world = app.world_stats(montsalvat::core::annotation::Side::Untrusted);
-    let rmi_calls = extract_counter(&json, "rmi.calls").unwrap();
-    assert!(rmi_calls >= world.rmi_calls, "both worlds report into one recorder");
-    assert!(extract_counter(&json, "rmi.proxies_created").unwrap() > 0);
-    assert!(extract_counter(&json, "rmi.mirrors_created").unwrap() > 0);
+    assert_eq!(extract_counter(&json, "rmi.calls"), Some(6));
+    assert_eq!(extract_counter(&json, "rmi.bytes_serialized"), Some(105));
+    assert_eq!(extract_counter(&json, "rmi.proxies_created"), Some(3));
+    assert_eq!(extract_counter(&json, "rmi.mirrors_created"), Some(3));
     app.shutdown();
 }
 
