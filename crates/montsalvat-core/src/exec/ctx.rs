@@ -802,6 +802,19 @@ fn charge_serde(
     ns
 }
 
+/// The temporary roots a relay's argument unmarshal took, released on
+/// drop.
+struct Pins<'w> {
+    world: &'w World,
+    ids: Vec<ObjId>,
+}
+
+impl Drop for Pins<'_> {
+    fn drop(&mut self) {
+        release_pins(self.world, &self.ids);
+    }
+}
+
 fn release_pins(world: &World, pins: &[ObjId]) {
     if pins.is_empty() {
         return;
@@ -1207,9 +1220,9 @@ fn serve_relay_inner(
 ) -> Result<WireMsg, VmError> {
     let info = callee.classes.by_id(crossing.class).expect("crossings resolve against the callee");
     let (args, pins) = unmarshal(app, callee, msg)?;
+    // Released when this returns, and also when a relay body unwinds.
+    let _pins = Pins { world: callee, ids: pins };
 
-    // Dispatch in a closure so that every failure still reaches the
-    // pin release below.
     let result = (|| -> Result<Value, VmError> {
         let receiver = || {
             msg.recv_hash.ok_or_else(|| {
@@ -1247,13 +1260,11 @@ fn serve_relay_inner(
         }
     })();
 
-    let outcome = result.and_then(|ret| {
+    result.and_then(|ret| {
         let wire = marshal(app, callee, std::slice::from_ref(&ret));
         release(callee, &ret);
         wire
-    });
-    release_pins(callee, &pins);
-    outcome
+    })
 }
 
 #[cfg(test)]

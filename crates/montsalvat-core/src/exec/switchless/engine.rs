@@ -3,9 +3,14 @@
 //! This module implements the *adaptive* engine modeled on the Intel
 //! SGX switchless library:
 //!
-//! - **Per-side worker pools** whose workers park when idle (a bounded
-//!   wait on the mailbox) and are woken on demand; a wakeup from a
-//!   parked state is charged [`CostParams::switchless_wake_ns`].
+//! - **Per-side worker pools** whose workers poll the mailbox after
+//!   each batch, then park in a bounded wait on it and are woken on
+//!   demand; a job that finds its worker idle past the park interval
+//!   is charged [`CostParams::switchless_wake_ns`].
+//! - **Poll-then-park hand-off**: a poster waits for its reply on a
+//!   reusable per-thread slot, polling it before it parks, so a
+//!   crossing served promptly costs no futex sleep and wake on either
+//!   side.
 //! - **A bounded mailbox with classic fallback**: a caller that finds
 //!   the mailbox full does not block — it pays a small probe charge
 //!   ([`CostParams::switchless_fallback_ns`]) and performs a classic
@@ -33,9 +38,10 @@
 //! [`CostParams::switchless_fallback_ns`]: sgx_sim::cost::CostParams::switchless_fallback_ns
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
@@ -46,6 +52,120 @@ use crate::annotation::Side;
 use crate::error::VmError;
 use crate::exec::ctx::{Crossing, WireMsg};
 
+/// Mailbox polls a worker makes after serving a batch before it parks
+/// (the analogue of Intel's `retries_before_sleep`). Not a knob: see
+/// `docs/SWITCHLESS.md` §"Hand-off".
+const WORKER_POLLS: u32 = 16;
+
+/// Reply-slot polls a poster makes before it parks. Not a knob either.
+const POSTER_POLLS: u32 = 1024;
+
+/// A polling poster yields its core once every this many polls, so on
+/// a host with fewer cores than busy threads the worker it waits on
+/// still runs.
+const YIELD_EVERY: u32 = 64;
+
+/// [`ReplySlot::state`]: posted, the poster polling.
+const PENDING: u8 = 0;
+/// [`ReplySlot::state`]: posted, the poster parked.
+const PARKED: u8 = 1;
+/// [`ReplySlot::state`]: the worker is done with the post.
+const DONE: u8 = 2;
+
+/// A posting thread's one-shot reply slot, reused post after post:
+/// [`SwitchlessPool::post`] blocks until its reply arrives, so a thread
+/// has at most one post outstanding.
+struct ReplySlot {
+    state: AtomicU8,
+    /// The relay's reply; `None` once the post is done means the job
+    /// was dropped unanswered.
+    reply: Mutex<Option<Result<WireMsg, VmError>>>,
+    /// The posting thread, unparked if it parked before the reply.
+    poster: Thread,
+}
+
+thread_local! {
+    static REPLY_SLOT: Arc<ReplySlot> = Arc::new(ReplySlot::new());
+}
+
+impl ReplySlot {
+    fn new() -> Self {
+        ReplySlot {
+            state: AtomicU8::new(DONE),
+            reply: Mutex::new(None),
+            poster: std::thread::current(),
+        }
+    }
+
+    /// This thread's slot, armed for one post.
+    fn arm() -> Arc<ReplySlot> {
+        // A post during thread teardown, after the slot is destroyed,
+        // gets a slot of its own.
+        let slot = REPLY_SLOT.try_with(Arc::clone).unwrap_or_else(|_| Arc::new(ReplySlot::new()));
+        // The mailbox send that follows orders this store before the
+        // worker's completion.
+        slot.state.store(PENDING, Ordering::Relaxed);
+        slot
+    }
+
+    /// Stores the worker's outcome and releases the poster, waking it
+    /// only if it has already parked. The swap's Release half publishes
+    /// the reply, and all the worker did before it, to the Acquire
+    /// loads in [`ReplySlot::wait`].
+    fn complete(&self, reply: Option<Result<WireMsg, VmError>>) {
+        *self.reply.lock() = reply;
+        if self.state.swap(DONE, Ordering::AcqRel) == PARKED {
+            self.poster.unpark();
+        }
+    }
+
+    /// Polls for the outcome, then parks until the worker completes the
+    /// post. `None` means the job was dropped unanswered.
+    fn wait(&self) -> Option<Result<WireMsg, VmError>> {
+        for polls in 1..=POSTER_POLLS {
+            if self.state.load(Ordering::Acquire) == DONE {
+                return self.reply.lock().take();
+            }
+            if polls % YIELD_EVERY == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        // Fails only if the worker completed the post meanwhile.
+        if self.state.compare_exchange(PENDING, PARKED, Ordering::AcqRel, Ordering::Acquire).is_ok()
+        {
+            // A stale unpark from an earlier post, or a spurious one,
+            // only costs another look at the state.
+            while self.state.load(Ordering::Acquire) != DONE {
+                std::thread::park();
+            }
+        }
+        self.reply.lock().take()
+    }
+}
+
+/// The worker's end of a post's reply slot. Dropped unanswered, it
+/// completes the post with no reply, which a waiting poster reports as
+/// a lost enclave.
+pub(crate) struct Reply(Option<Arc<ReplySlot>>);
+
+impl Reply {
+    fn send(mut self, out: Result<WireMsg, VmError>) {
+        if let Some(slot) = self.0.take() {
+            slot.complete(Some(out));
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.complete(None);
+        }
+    }
+}
+
 /// Worker-shared state of one side's pool.
 struct SideState {
     side: Side,
@@ -53,7 +173,10 @@ struct SideState {
     /// Resident workers; the scaling invariant
     /// `min_workers ≤ active ≤ max_workers` is maintained by CAS.
     active: AtomicUsize,
-    /// Workers parked on (or about to poll) the mailbox.
+    /// Workers polling or parked on the mailbox. A worker counts as
+    /// idle from before its spawn and again before it sends the last
+    /// reply of a batch, so the next post of the caller it just served
+    /// finds it idle.
     idle: AtomicUsize,
     /// Jobs posted and not yet picked up.
     queued: AtomicUsize,
@@ -162,10 +285,11 @@ impl SwitchlessPool {
         SwitchlessStats { trusted: read(&self.trusted), untrusted: read(&self.untrusted) }
     }
 
-    /// Posts a call to `side`'s mailbox. On a hit, blocks for the
-    /// reply; on a full mailbox, charges the probe and hands the unsent
-    /// message back in [`PostOutcome::Fallback`] so the caller performs
-    /// a classic crossing with it instead of blocking.
+    /// Posts a call to `side`'s mailbox. On a hit, waits for the reply
+    /// on this thread's reply slot, polling and then parked; on a full
+    /// mailbox, charges the probe and hands the unsent message back in
+    /// [`PostOutcome::Fallback`] so the caller performs a classic
+    /// crossing with it instead of blocking.
     pub(crate) fn post(
         &self,
         side: Side,
@@ -181,9 +305,9 @@ impl SwitchlessPool {
             state.misses.fetch_add(1, Ordering::Relaxed);
             self.maybe_scale_up(state);
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let slot = ReplySlot::arm();
         let posted = self.cost.tracer().stamp(|| self.cost.charged_ns());
-        let job = SwitchlessJob { crossing, msg, reply: reply_tx, posted };
+        let job = SwitchlessJob { crossing, msg, reply: Reply(Some(Arc::clone(&slot))), posted };
         state.queued.fetch_add(1, Ordering::Relaxed);
         match self.tx(side).try_send(job) {
             Ok(()) => {
@@ -193,9 +317,9 @@ impl SwitchlessPool {
                 // The hand-off itself; the worker charges the wake and
                 // the batched boundary copy when it drains the mailbox.
                 self.cost.charge_ns(self.cost.params().switchless_call_ns);
-                match reply_rx.recv() {
-                    Ok(out) => Ok(PostOutcome::Served(out)),
-                    Err(_) => Err(VmError::Sgx(sgx_sim::SgxError::EnclaveLost)),
+                match slot.wait() {
+                    Some(out) => Ok(PostOutcome::Served(out)),
+                    None => Err(VmError::Sgx(sgx_sim::SgxError::EnclaveLost)),
                 }
             }
             Err(TrySendError::Full(job)) => {
@@ -239,8 +363,10 @@ impl SwitchlessPool {
     }
 
     /// Spawns one worker thread for `state`'s side. The caller has
-    /// already counted it in `state.active`.
+    /// already counted it in `state.active`; it counts as idle before
+    /// it runs, so no post can take the new worker for a busy one.
     fn spawn_worker(&self, state: &Arc<SideState>) {
+        state.idle.fetch_add(1, Ordering::Relaxed);
         let seq = self.worker_seq.fetch_add(1, Ordering::Relaxed);
         let state = Arc::clone(state);
         let serve = Arc::clone(&self.serve);
@@ -268,9 +394,9 @@ impl Drop for SwitchlessPool {
     }
 }
 
-/// One worker: park on the mailbox, wake for a job, drain a small
-/// batch, serve it, repeat; retire when idle past the park interval
-/// and the pool is above its minimum.
+/// One worker: wait for a job, drain a small batch, serve it, poll
+/// for the next, repeat; retire when idle past the park interval and
+/// the pool is above its minimum.
 fn worker_loop(
     state: &SideState,
     serve: &ServeFn,
@@ -281,9 +407,12 @@ fn worker_loop(
     let params = cost.params().clone();
     // A fresh worker is parked until its first job: waking it costs.
     let mut parked = true;
-    state.idle.fetch_add(1, Ordering::Relaxed);
+    // A fresh worker parks at once; one that has just served polls
+    // first.
+    let mut polls = 0;
+    let mut batch = Vec::with_capacity(config.max_batch);
     loop {
-        match state.rx.recv_timeout(config.idle_park) {
+        match next_job(state, polls, config.idle_park) {
             Ok(job) => {
                 state.idle.fetch_sub(1, Ordering::Relaxed);
                 state.queued.fetch_sub(1, Ordering::Relaxed);
@@ -294,7 +423,7 @@ fn worker_loop(
                 }
                 // Batch drain: serve whatever else is already queued,
                 // up to the batch bound, on this same wakeup.
-                let mut batch = vec![job];
+                batch.push(job);
                 while batch.len() < config.max_batch {
                     match state.rx.try_recv() {
                         Ok(next) => {
@@ -309,11 +438,11 @@ fn worker_loop(
                 // one header, then each request's wire bytes. Tracing
                 // adds nothing to the frame, so it cannot change the
                 // charge.
-                let wire_lens: Vec<usize> = batch.iter().map(|j| j.msg.wire_len()).collect();
-                let frame_bytes = rmi::batch::frame_len(&wire_lens);
+                let frame_bytes = rmi::batch::frame_len(batch.iter().map(|j| j.msg.wire_len()));
                 let tracer = cost.tracer();
                 cost.charge_ns((frame_bytes as f64 * params.copy_ns_per_byte) as u64);
-                for job in batch {
+                let last = batch.len() - 1;
+                for (i, job) in batch.drain(..).enumerate() {
                     // Queue wait — post to pickup — attributed as its
                     // own span under the caller's rmi span, never
                     // inside the execution span.
@@ -343,9 +472,16 @@ fn worker_loop(
                             job.crossing.name
                         )))
                     });
-                    let _ = job.reply.send(out);
+                    // Idle before the batch's last reply: that caller's
+                    // next post must find this worker free. The reply
+                    // slot's Release store publishes the count to the
+                    // caller's Acquire load of it.
+                    if i == last {
+                        state.idle.fetch_add(1, Ordering::Relaxed);
+                    }
+                    job.reply.send(out);
                 }
-                state.idle.fetch_add(1, Ordering::Relaxed);
+                polls = WORKER_POLLS;
             }
             Err(RecvTimeoutError::Timeout) => {
                 if state.stop.load(Ordering::Relaxed) {
@@ -365,6 +501,7 @@ fn worker_loop(
                     return;
                 }
                 parked = true;
+                polls = 0;
             }
             Err(RecvTimeoutError::Disconnected) => {
                 state.idle.fetch_sub(1, Ordering::Relaxed);
@@ -373,6 +510,22 @@ fn worker_loop(
             }
         }
     }
+}
+
+/// The next job from `state`'s mailbox: `polls` non-blocking tries, each
+/// failed one yielding the core, then a wait of at most `park`.
+fn next_job(
+    state: &SideState,
+    polls: u32,
+    park: Duration,
+) -> Result<SwitchlessJob, RecvTimeoutError> {
+    for _ in 0..polls {
+        if let Ok(job) = state.rx.try_recv() {
+            return Ok(job);
+        }
+        std::thread::yield_now();
+    }
+    state.rx.recv_timeout(park)
 }
 
 /// Decrements `state.active` unless that would drop the pool below
@@ -428,6 +581,31 @@ mod tests {
 
     fn model() -> Arc<CostModel> {
         Arc::new(CostModel::new(CostParams::paper_defaults(), ClockMode::Virtual))
+    }
+
+    /// The poster's slow path: the reply arrives only after the poster
+    /// has used up its polls and parked, and the worker's `unpark`
+    /// must wake it.
+    #[test]
+    fn a_parked_poster_is_woken_by_its_reply() {
+        let slot = ReplySlot::arm();
+        let reply = Reply(Some(Arc::clone(&slot)));
+        let watched = Arc::clone(&slot);
+        let worker = std::thread::spawn(move || {
+            while watched.state.load(Ordering::Acquire) != PARKED {
+                std::thread::yield_now();
+            }
+            reply.send(Ok(msg()));
+        });
+        assert_eq!(slot.wait().unwrap().unwrap(), msg());
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_job_dropped_unanswered_completes_its_post_as_lost() {
+        let slot = ReplySlot::arm();
+        drop(Reply(Some(Arc::clone(&slot))));
+        assert!(slot.wait().is_none(), "no reply: the poster reports a lost enclave");
     }
 
     #[test]

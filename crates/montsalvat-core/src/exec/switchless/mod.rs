@@ -27,13 +27,13 @@ pub(crate) mod engine;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use telemetry::trace::Stamp;
 
 use crate::annotation::Side;
 use crate::error::VmError;
 use crate::exec::ctx::{Crossing, WireMsg};
 
+use engine::Reply;
 pub(crate) use engine::SwitchlessPool;
 
 /// Configuration of the switchless call machinery.
@@ -111,11 +111,11 @@ pub(crate) type ServeFn =
     Arc<dyn Fn(Side, &Crossing, &WireMsg) -> Result<WireMsg, VmError> + Send + Sync>;
 
 /// One posted request: serve `crossing` with `msg` in the worker's
-/// world, reply on `reply`.
+/// world, reply into the poster's slot through `reply`.
 pub(crate) struct SwitchlessJob {
     pub crossing: Arc<Crossing>,
     pub msg: WireMsg,
-    pub reply: Sender<Result<WireMsg, VmError>>,
+    pub reply: Reply,
     /// The post time when tracing was on, so the serving worker can
     /// attribute queue wait separately from execution; `None` when the
     /// post was untraced.
@@ -137,7 +137,7 @@ pub(crate) enum PostOutcome {
 pub struct SideStats {
     /// Resident workers (parked + serving).
     pub workers: usize,
-    /// Workers currently parked on the mailbox.
+    /// Workers polling or parked on the mailbox.
     pub idle: usize,
     /// Posted jobs not yet picked up by a worker.
     pub queued: usize,

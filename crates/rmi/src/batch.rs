@@ -23,7 +23,7 @@
 //! ```
 //! use rmi::batch;
 //!
-//! assert_eq!(batch::frame_len(&[5, 6]), batch::HEADER_LEN + 2 * batch::PER_PAYLOAD_LEN + 11);
+//! assert_eq!(batch::frame_len([5, 6]), batch::HEADER_LEN + 2 * batch::PER_PAYLOAD_LEN + 11);
 //! ```
 
 /// Fixed overhead of one frame: magic plus the payload count.
@@ -34,8 +34,8 @@ pub const PER_PAYLOAD_LEN: usize = 4;
 
 /// Total wire bytes of a frame holding payloads of the given lengths.
 /// This is what the switchless engine charges boundary-copy costs on.
-pub fn frame_len(payload_lens: &[usize]) -> usize {
-    HEADER_LEN + payload_lens.iter().map(|l| PER_PAYLOAD_LEN + l).sum::<usize>()
+pub fn frame_len(payload_lens: impl IntoIterator<Item = usize>) -> usize {
+    HEADER_LEN + payload_lens.into_iter().map(|l| PER_PAYLOAD_LEN + l).sum::<usize>()
 }
 
 #[cfg(test)]
@@ -46,9 +46,9 @@ mod tests {
     fn batching_amortises_headers() {
         // k messages in one frame must cost less wire than k frames.
         let lens = [64usize, 64, 64, 64];
-        let batched = frame_len(&lens);
-        let separate: usize = lens.iter().map(|&l| frame_len(&[l])).sum();
+        let batched = frame_len(lens);
+        let separate: usize = lens.iter().map(|&l| frame_len([l])).sum();
         assert!(batched < separate, "batched {batched} vs separate {separate}");
-        assert_eq!(frame_len(&[]), HEADER_LEN);
+        assert_eq!(frame_len([]), HEADER_LEN);
     }
 }

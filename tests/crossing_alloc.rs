@@ -10,98 +10,22 @@
 //! This file deliberately contains a single `#[test]` so no sibling
 //! test thread allocates while the window is measured.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+#[path = "common/counter.rs"]
+mod counter;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-use montsalvat::core::class::{ClassDef, MethodDef, MethodKind, MethodRef, Program, CTOR};
-use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
-use montsalvat::core::transform::transform;
-use montsalvat::core::Trust;
+use counting_alloc::allocations;
 use montsalvat::runtime::value::Value;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// update has no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Heap allocations one steady-state crossing makes (the count measured
 /// when this bound was set, in debug and release alike).
 const ALLOCS_PER_CROSSING: u64 = 2;
 
-/// A trusted counter whose `add` takes and returns an int.
-fn counter_program() -> Program {
-    let counter = ClassDef::new("Counter")
-        .trust(Trust::Trusted)
-        .method(MethodDef::interpreted(CTOR, MethodKind::Constructor, 0, 0, vec![]))
-        .method(MethodDef::native(
-            "add",
-            MethodKind::Instance,
-            1,
-            vec![],
-            Arc::new(|_ctx, _this, args: &[Value]| match args[0] {
-                Value::Int(n) => Ok(Value::Int(n + 1)),
-                ref other => Ok(other.clone()),
-            }),
-        ));
-    let main = ClassDef::new("Main").trust(Trust::Untrusted).method(MethodDef::interpreted(
-        "main",
-        MethodKind::Static,
-        0,
-        0,
-        vec![],
-    ));
-    Program::new(vec![counter, main], MethodRef::new("Main", "main")).unwrap()
-}
-
-fn launch() -> PartitionedApp {
-    let tp = transform(&counter_program());
-    let options = ImageOptions::with_entry_points(vec![
-        MethodRef::new("Counter", CTOR),
-        MethodRef::new("Counter", "add"),
-        MethodRef::new("Main", "main"),
-    ]);
-    let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
-    let config = AppConfig {
-        // No helper/worker threads: the measured window must only see
-        // this thread's crossings.
-        gc_helper_interval: None,
-        switchless: None,
-        ..AppConfig::default()
-    };
-    PartitionedApp::launch(&t, &u, config).unwrap()
-}
-
 #[test]
 fn a_steady_state_classic_crossing_allocates_a_pinned_count() {
     const ROUNDS: u64 = 64;
-    let app = launch();
+    let app = counter::launch(None);
     let allocs = app
         .enter_untrusted(|ctx| {
             let counter = ctx.new_object("Counter", &[])?;
@@ -110,11 +34,11 @@ fn a_steady_state_classic_crossing_allocates_a_pinned_count() {
             for i in 0..32 {
                 ctx.call(&counter, "add", &[Value::Int(i)])?;
             }
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = allocations();
             for i in 0..ROUNDS as i64 {
                 ctx.call(&counter, "add", &[Value::Int(i)])?;
             }
-            Ok(ALLOCS.load(Ordering::Relaxed) - before)
+            Ok(allocations() - before)
         })
         .unwrap();
     app.shutdown();

@@ -10,89 +10,21 @@
 //! and the same number of crossings, and every switchless crossing must
 //! resolve as exactly one hit or one fallback.
 
+#[path = "common/nested.rs"]
+mod nested;
+
 use std::sync::Arc;
 
-use montsalvat::core::class::{
-    ClassDef, Instr, MethodDef, MethodKind, MethodRef, Operand, Program, CTOR,
-};
 use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat::core::exec::switchless::SwitchlessConfig;
-use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
+use montsalvat::core::image_builder::build_partitioned_images;
 use montsalvat::core::transform::transform;
-use montsalvat::core::Trust;
 use montsalvat::runtime::value::Value;
 use montsalvat::sgx::cost::ClockMode;
 use montsalvat::telemetry::{Counter, Gauge, Hist, Snapshot};
 
 const CALLERS: usize = 4;
 const CALLS_PER_CALLER: i64 = 24;
-
-/// `TNest.ping(x)` echoes `x` through a freshly constructed untrusted
-/// `UObj`: one ecall plus two nested ocalls per ping.
-fn nested_program() -> Program {
-    let uobj = ClassDef::new("UObj")
-        .trust(Trust::Untrusted)
-        .field("val")
-        .method(MethodDef::interpreted(
-            CTOR,
-            MethodKind::Constructor,
-            1,
-            1,
-            vec![
-                Instr::SetField {
-                    recv: Operand::This,
-                    field: "val".into(),
-                    value: Operand::Local(0),
-                },
-                Instr::Return { value: None },
-            ],
-        ))
-        .method(MethodDef::interpreted(
-            "get",
-            MethodKind::Instance,
-            0,
-            1,
-            vec![
-                Instr::GetField { dst: 0, recv: Operand::This, field: "val".into() },
-                Instr::Return { value: Some(Operand::Local(0)) },
-            ],
-        ));
-    let tnest = ClassDef::new("TNest")
-        .trust(Trust::Trusted)
-        .method(MethodDef::interpreted(
-            CTOR,
-            MethodKind::Constructor,
-            0,
-            0,
-            vec![Instr::Return { value: None }],
-        ))
-        .method(MethodDef::interpreted(
-            "ping",
-            MethodKind::Instance,
-            1,
-            2,
-            vec![
-                Instr::New { dst: 1, class: "UObj".into(), args: vec![Operand::Local(0)] },
-                Instr::Call {
-                    dst: Some(1),
-                    class: "UObj".into(),
-                    recv: Operand::Local(1),
-                    method: "get".into(),
-                    args: vec![],
-                },
-                Instr::Return { value: Some(Operand::Local(1)) },
-            ],
-        ));
-    let main = ClassDef::new("Main").trust(Trust::Untrusted).method(MethodDef::interpreted(
-        "main",
-        MethodKind::Static,
-        0,
-        0,
-        vec![Instr::Return { value: None }],
-    ));
-    Program::new(vec![uobj, tnest, main], MethodRef::new("Main", "main"))
-        .expect("nested program is well-formed")
-}
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -111,13 +43,8 @@ struct Run {
 /// pings through one crossing mode (`None` = classic) and folds every
 /// reply, in caller-then-call order, into a checksum.
 fn run(switchless: Option<SwitchlessConfig>) -> Run {
-    let tp = transform(&nested_program());
-    let options = ImageOptions::with_entry_points(vec![
-        MethodRef::new("TNest", CTOR),
-        MethodRef::new("TNest", "ping"),
-        MethodRef::new("UObj", CTOR),
-        MethodRef::new("UObj", "get"),
-    ]);
+    let tp = transform(&nested::nested_program());
+    let options = nested::nested_options();
     let (t, u) = build_partitioned_images(&tp, &options, &options).expect("images build");
     let config = AppConfig {
         gc_helper_interval: None,
