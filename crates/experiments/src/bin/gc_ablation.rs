@@ -25,11 +25,8 @@
 //! `montsalvat.gc-ablation/v1` report CI gates on; `--quick` shrinks
 //! the churn volume.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
 use experiments::progs::{proxy_bench_entries, proxy_bench_program};
-use experiments::report::{print_params, print_table, telemetry_out_from_args, Scale};
+use experiments::report::{arg_value, print_params, print_table, Scale};
 use montsalvat_core::annotation::Side;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
@@ -37,6 +34,7 @@ use montsalvat_core::transform::transform;
 use runtime_sim::heap::{CollectorKind, HeapConfig};
 use runtime_sim::value::Value;
 use sgx_sim::cost::{ClockMode, CostParams};
+use telemetry::json::Json;
 use telemetry::{Counter, Gauge, Hist};
 
 /// Schema identifier of the emitted report.
@@ -227,43 +225,6 @@ fn finish(
     }
 }
 
-fn run_json(r: &RunResult) -> String {
-    let mut out = String::new();
-    write!(
-        out,
-        "    {{\"shape\": \"{shape}\", \"collector\": \"{collector}\", \
-         \"checksum\": \"{checksum:#018x}\",\n     \"model_time_ns\": {model}, \
-         \"p95_pause_model_ns\": {p95},\n     \
-         \"gc\": {{\"minor_collections\": {minor}, \"major_collections\": {major}}},\n     \
-         \"epc_faults\": {faults}, \"blocks_live\": {live}, \"blocks_free\": {free}}}",
-        shape = r.shape,
-        collector = r.collector.name(),
-        checksum = r.checksum,
-        model = r.charged_ns,
-        p95 = r.p95_pause_ns,
-        minor = r.minor_collections,
-        major = r.major_collections,
-        faults = r.epc_faults,
-        live = r.blocks_live,
-        free = r.blocks_free,
-    )
-    .expect("write to string");
-    out
-}
-
-fn arg_value(name: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
-
 fn main() {
     experiments::report::init_tracing_from_args();
     let scale = Scale::from_args();
@@ -367,30 +328,51 @@ fn main() {
         churn_block.major_collections,
     );
 
-    let runs_json: Vec<String> = runs.iter().map(run_json).collect();
-    let report = format!(
-        "{{\n  \"schema\": \"{GC_ABLATION_SCHEMA}\",\n  \"scale\": \"{scale_name}\",\n  \
-         \"runs\": [\n{runs}\n  ],\n  \
-         \"crossover\": {{\n    \"heap_churn\": {{\"semispace_p95_pause_ns\": {sp95}, \
-         \"block_p95_pause_ns\": {bp95}, \"semispace_epc_faults\": {sfault}, \
-         \"block_epc_faults\": {bfault}}}\n  }},\n  \
-         \"checks\": {{\"checksums_match\": true, \"block_p95_lower\": {p95_lower}, \
-         \"block_fewer_epc_faults\": {fewer_faults}, \
-         \"block_ran_minors_and_majors\": {ran_both}}}\n}}\n",
-        runs = runs_json.join(",\n"),
-        sp95 = churn_semi.p95_pause_ns,
-        bp95 = churn_block.p95_pause_ns,
-        sfault = churn_semi.epc_faults,
-        bfault = churn_block.epc_faults,
-        p95_lower = churn_block.p95_pause_ns < churn_semi.p95_pause_ns,
-        fewer_faults = churn_block.epc_faults < churn_semi.epc_faults,
-        ran_both = churn_block.minor_collections > 0 && churn_block.major_collections > 0,
-    );
+    let runs_json: Vec<Json> = runs
+        .iter()
+        .map(|r| {
+            Json::obj()
+                .with("shape", r.shape)
+                .with("collector", r.collector.name())
+                .with("checksum", format!("{:#018x}", r.checksum))
+                .with("model_time_ns", r.charged_ns)
+                .with("p95_pause_model_ns", r.p95_pause_ns)
+                .with(
+                    "gc",
+                    Json::obj()
+                        .with("minor_collections", r.minor_collections)
+                        .with("major_collections", r.major_collections),
+                )
+                .with("epc_faults", r.epc_faults)
+                .with("blocks_live", r.blocks_live)
+                .with("blocks_free", r.blocks_free)
+        })
+        .collect();
+    let heap_churn = Json::obj()
+        .with("semispace_p95_pause_ns", churn_semi.p95_pause_ns)
+        .with("block_p95_pause_ns", churn_block.p95_pause_ns)
+        .with("semispace_epc_faults", churn_semi.epc_faults)
+        .with("block_epc_faults", churn_block.epc_faults);
+    let checks = Json::obj()
+        .with("checksums_match", true)
+        .with("block_p95_lower", churn_block.p95_pause_ns < churn_semi.p95_pause_ns)
+        .with("block_fewer_epc_faults", churn_block.epc_faults < churn_semi.epc_faults)
+        .with(
+            "block_ran_minors_and_majors",
+            churn_block.minor_collections > 0 && churn_block.major_collections > 0,
+        );
+    let report = Json::obj()
+        .with("schema", GC_ABLATION_SCHEMA)
+        .with("scale", scale_name)
+        .with("runs", runs_json)
+        .with("crossover", Json::obj().with("heap_churn", heap_churn))
+        .with("checks", checks)
+        .to_pretty();
     if let Some(path) = arg_value("--json-out") {
         std::fs::write(&path, &report).expect("write gc ablation report");
         println!("report ({GC_ABLATION_SCHEMA}): {}", path.display());
     }
-    if let Some(path) = telemetry_out_from_args() {
+    if let Some(path) = arg_value("--telemetry-out") {
         for r in &runs {
             let run_path = path.with_extension(format!("{}.{}.json", r.shape, r.collector.name()));
             std::fs::write(&run_path, r.snap.to_json()).expect("write run telemetry");

@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use experiments::report::{print_params, print_table, trace_out_from_args, Scale};
+use experiments::report::{arg_value, print_params, print_table, Scale};
 use montsalvat_core::analysis::advisor::{advise_with_classes, AdvicePlan, AdvisorConfig, Verdict};
 use montsalvat_core::class::{ClassDef, MethodDef, MethodKind, MethodRef, Program, CTOR};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
@@ -42,6 +42,7 @@ use montsalvat_core::Trust;
 use runtime_sim::value::Value;
 use sgx_sim::cost::ClockMode;
 use specjvm::montecarlo::Lcg;
+use telemetry::json::Json;
 use telemetry::trace::Tracer;
 use telemetry::{Counter, Recorder};
 
@@ -276,7 +277,7 @@ fn verify_workload(
     app.shutdown();
     let tracer = tracer.expect("baseline run is traced");
     let trace_json = tracer.to_chrome_json(&[("rmi_calls", rmi_calls)]);
-    if let Some(path) = trace_out_from_args() {
+    if let Some(path) = arg_value("--trace-out") {
         let run_path = path.with_extension(format!("{name}.json"));
         std::fs::write(&run_path, &trace_json).expect("write baseline trace");
         println!("trace ({name} baseline): {}", run_path.display());
@@ -309,50 +310,27 @@ fn verify_workload(
     }
 }
 
-fn json_out_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--json-out=") {
-            return Some(std::path::PathBuf::from(p));
-        }
-    }
-    None
-}
-
 /// The verification document CI gates on with jq.
 fn verification_json(results: &[Verified]) -> String {
-    let mut out =
-        String::from("{\n\"schema\": \"montsalvat.advice-verify/v1\",\n\"workloads\": [\n");
-    for (i, v) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
+    let workloads = results.iter().map(|v| {
         let names = |verdict: Verdict| {
-            v.plan
-                .recommendations
-                .iter()
-                .filter(|r| r.verdict == verdict)
-                .map(|r| format!("\"{}\"", r.class))
-                .collect::<Vec<_>>()
-                .join(", ")
+            let classes = v.plan.recommendations.iter().filter(|r| r.verdict == verdict);
+            classes.map(|r| Json::from(r.class.as_str())).collect::<Vec<_>>()
         };
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"predicted_savings_ns\": {}, \"observed_savings_ns\": {}, \
-             \"rel_error\": {:.4}, \"tolerance\": {}, \"within_tolerance\": {}, \
-             \"moves\": [{}], \"holds\": [{}]}}{comma}\n",
-            v.name,
-            v.predicted_savings_ns,
-            v.observed_savings_ns,
-            v.rel_error,
-            v.tolerance,
-            v.within_tolerance,
-            names(Verdict::Move),
-            names(Verdict::Hold),
-        ));
-    }
-    out.push_str("]\n}\n");
-    out
+        Json::obj()
+            .with("name", v.name)
+            .with("predicted_savings_ns", v.predicted_savings_ns)
+            .with("observed_savings_ns", v.observed_savings_ns)
+            .with("rel_error", Json::fixed(v.rel_error, 4))
+            .with("tolerance", v.tolerance)
+            .with("within_tolerance", v.within_tolerance)
+            .with("moves", names(Verdict::Move))
+            .with("holds", names(Verdict::Hold))
+    });
+    Json::obj()
+        .with("schema", "montsalvat.advice-verify/v1")
+        .with("workloads", workloads.collect::<Vec<_>>())
+        .to_pretty()
 }
 
 fn suggestion<'p>(
@@ -404,7 +382,7 @@ fn main() {
         &rows,
     );
 
-    if let Some(path) = json_out_from_args() {
+    if let Some(path) = arg_value("--json-out") {
         std::fs::write(&path, verification_json(&results)).expect("write verification json");
         println!("verification: {}", path.display());
     }

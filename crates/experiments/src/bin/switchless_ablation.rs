@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use experiments::report::{print_table, telemetry_out_from_args, Scale};
+use experiments::report::{arg_value, print_table, Scale};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::exec::switchless::SwitchlessConfig;
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
@@ -179,7 +179,7 @@ fn main() {
     let [classic, fixed, adaptive] = &modes;
 
     // Per-mode telemetry export next to the aggregate.
-    if let Some(path) = telemetry_out_from_args() {
+    if let Some(path) = arg_value("--telemetry-out") {
         for m in &modes {
             let mode_path = path.with_extension(format!("{}.json", m.label));
             std::fs::write(&mode_path, m.snap.to_json()).expect("write mode telemetry");

@@ -23,11 +23,9 @@
 //! jq to get the safety — the jq gates in bench-smoke just make the
 //! numbers visible in the job log.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use experiments::report::Scale;
+use experiments::report::{arg_value, Scale};
 use experiments::traffic::{lanes, run_lane, GcInjection, LaneResult, TrafficConfig};
+use telemetry::json::Json;
 use telemetry::timeseries::{detect_spikes, SpikeReport, WindowView, DEFAULT_SPIKE_FACTOR};
 use telemetry::Counter;
 
@@ -37,19 +35,6 @@ const ABLATION_SCHEMA: &str = "montsalvat.timeline-ablation/v1";
 /// The synthetic stall: ~2.5 ms of model time, two orders of
 /// magnitude above the lane's typical per-request service cost.
 const INJECTED_PAUSE_NS: u64 = 2_500_000;
-
-fn arg_value(name: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
 
 struct RunOutcome {
     lane: LaneResult,
@@ -82,35 +67,6 @@ fn reconcile(outcome: &RunOutcome, counter: Counter, metric: &'static str) -> Re
     }
 }
 
-fn spikes_json(report: &SpikeReport) -> String {
-    let mut out = String::new();
-    for (i, spike) in report.spikes.iter().enumerate() {
-        let causes: Vec<String> = spike
-            .causes
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"cause\": \"{}\", \"confidence\": \"{}\", \"evidence\": \"{}\"}}",
-                    c.cause,
-                    c.confidence.label(),
-                    c.evidence
-                )
-            })
-            .collect();
-        let comma = if i + 1 == report.spikes.len() { "" } else { "," };
-        writeln!(
-            out,
-            "      {{\"start_ns\": {}, \"end_ns\": {}, \"p95_ns\": {}, \"causes\": [{}]}}{comma}",
-            spike.start_ns,
-            spike.end_ns,
-            spike.latency_p95,
-            causes.join(", ")
-        )
-        .expect("write to string");
-    }
-    out
-}
-
 fn report_json(
     scale_name: &str,
     injection: GcInjection,
@@ -118,42 +74,56 @@ fn report_json(
     control: &RunOutcome,
     recs: &[Reconciliation],
 ) -> String {
-    let recs_json: Vec<String> = recs
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{\"window_sum\": {}, \"aggregate\": {}, \"equal\": {}}}",
-                r.metric,
-                r.window_sum,
-                r.aggregate,
-                r.window_sum == r.aggregate
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"{ABLATION_SCHEMA}\",\n  \"scale\": \"{scale_name}\",\n  \
-         \"injection\": {{\"at_request\": {at}, \"pause_ns\": {pause}}},\n  \
-         \"window_ns\": {window_ns},\n  \"windows\": {windows},\n  \"dropped\": {dropped},\n  \
-         \"reconciliation\": {{\n{recs}\n  }},\n  \
-         \"spikes\": {{\"median_p95_ns\": {median}, \"threshold_ns\": {threshold}, \
-         \"active_windows\": {active}, \"count\": {count}, \"gc_attributed\": {gc}, \
-         \"detail\": [\n{detail}    ]}},\n  \
-         \"control\": {{\"count\": {ccount}, \"gc_attributed\": {cgc}}}\n}}\n",
-        at = injection.at_request,
-        pause = injection.pause_ns,
-        window_ns = injected.lane.timeseries.window_ns,
-        windows = injected.lane.timeseries.windows.len(),
-        dropped = injected.lane.timeseries.dropped,
-        recs = recs_json.join(",\n"),
-        median = injected.report.median_p95,
-        threshold = injected.report.threshold,
-        active = injected.report.active_windows,
-        count = injected.report.spikes.len(),
-        gc = gc_attributed(&injected.report),
-        detail = spikes_json(&injected.report),
-        ccount = control.report.spikes.len(),
-        cgc = gc_attributed(&control.report),
-    )
+    let mut reconciliation = Json::obj();
+    for r in recs {
+        let rec = Json::obj()
+            .with("window_sum", r.window_sum)
+            .with("aggregate", r.aggregate)
+            .with("equal", r.window_sum == r.aggregate);
+        reconciliation.push(r.metric, rec);
+    }
+    let detail = injected.report.spikes.iter().map(|spike| {
+        let causes = spike.causes.iter().map(|c| {
+            Json::obj()
+                .with("cause", c.cause)
+                .with("confidence", c.confidence.label())
+                .with("evidence", c.evidence.as_str())
+        });
+        Json::obj()
+            .with("start_ns", spike.start_ns)
+            .with("end_ns", spike.end_ns)
+            .with("p95_ns", spike.latency_p95)
+            .with("causes", causes.collect::<Vec<_>>())
+    });
+    let spikes = Json::obj()
+        .with("median_p95_ns", injected.report.median_p95)
+        .with("threshold_ns", injected.report.threshold)
+        .with("active_windows", injected.report.active_windows)
+        .with("count", injected.report.spikes.len())
+        .with("gc_attributed", gc_attributed(&injected.report))
+        .with("detail", detail.collect::<Vec<_>>());
+    let series = &injected.lane.timeseries;
+    Json::obj()
+        .with("schema", ABLATION_SCHEMA)
+        .with("scale", scale_name)
+        .with(
+            "injection",
+            Json::obj()
+                .with("at_request", injection.at_request)
+                .with("pause_ns", injection.pause_ns),
+        )
+        .with("window_ns", series.window_ns)
+        .with("windows", series.windows.len())
+        .with("dropped", series.dropped)
+        .with("reconciliation", reconciliation)
+        .with("spikes", spikes)
+        .with(
+            "control",
+            Json::obj()
+                .with("count", control.report.spikes.len())
+                .with("gc_attributed", gc_attributed(&control.report)),
+        )
+        .to_pretty()
 }
 
 fn main() {

@@ -23,11 +23,11 @@
 //! switchless lane's crossings must reconcile
 //! (`rmi.calls == hits + fallbacks`).
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use experiments::report::{print_table, telemetry_out_from_args, Scale};
+use experiments::report::{arg_value, print_table, Scale};
 use experiments::traffic::{run_all, LaneResult, TrafficConfig};
+use telemetry::json::Json;
 
 /// Schema identifier of the emitted report.
 const TRAFFIC_SCHEMA: &str = "montsalvat.traffic/v1";
@@ -43,40 +43,6 @@ const DEFAULT_TOLERANCE: f64 = 0.25;
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
-}
-
-fn arg_value(name: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
-
-/// Minimal JSON number extraction for the flat baseline document:
-/// finds `"key":` and parses the number after it. Adequate because the
-/// baseline is machine-written by `--update-baseline` with unique keys.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_string(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
 }
 
 struct Baseline {
@@ -104,21 +70,23 @@ fn load_baseline(path: &PathBuf, scale_name: &str) -> Baseline {
         tol_p99: DEFAULT_TOLERANCE,
     };
     let Ok(doc) = std::fs::read_to_string(path) else { return missing };
-    if json_string(&doc, "schema").as_deref() != Some(BASELINE_SCHEMA) {
+    let doc = Json::parse(&doc).unwrap_or(Json::Null);
+    let text = |key| doc.get(key).and_then(Json::as_str);
+    if text("schema") != Some(BASELINE_SCHEMA) {
         eprintln!("baseline {}: unexpected schema, ignoring", path.display());
         return missing;
     }
-    let scale_matches = json_string(&doc, "scale").as_deref() == Some(scale_name);
+    let number = |key, default| doc.get(key).and_then(Json::as_f64).unwrap_or(default);
     Baseline {
         path: path.clone(),
         found: true,
-        scale_matches,
-        p50_ns: json_number(&doc, "p50_ns").unwrap_or(0.0),
-        p95_ns: json_number(&doc, "p95_ns").unwrap_or(0.0),
-        p99_ns: json_number(&doc, "p99_ns").unwrap_or(0.0),
-        tol_p50: json_number(&doc, "tol_p50").unwrap_or(DEFAULT_TOLERANCE),
-        tol_p95: json_number(&doc, "tol_p95").unwrap_or(DEFAULT_TOLERANCE),
-        tol_p99: json_number(&doc, "tol_p99").unwrap_or(DEFAULT_TOLERANCE),
+        scale_matches: text("scale") == Some(scale_name),
+        p50_ns: number("p50_ns", 0.0),
+        p95_ns: number("p95_ns", 0.0),
+        p99_ns: number("p99_ns", 0.0),
+        tol_p50: number("tol_p50", DEFAULT_TOLERANCE),
+        tol_p95: number("tol_p95", DEFAULT_TOLERANCE),
+        tol_p99: number("tol_p99", DEFAULT_TOLERANCE),
     }
 }
 
@@ -155,57 +123,17 @@ fn write_baseline(path: &PathBuf, scale_name: &str, gated: &LaneResult) -> std::
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let doc = format!(
-        "{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n  \"lane\": \"{GATED_LANE}\",\n  \
-         \"scale\": \"{scale_name}\",\n  \"p50_ns\": {},\n  \"p95_ns\": {},\n  \
-         \"p99_ns\": {},\n  \"tol_p50\": {DEFAULT_TOLERANCE},\n  \"tol_p95\": \
-         {DEFAULT_TOLERANCE},\n  \"tol_p99\": {DEFAULT_TOLERANCE}\n}}\n",
-        gated.latency.p50_ns, gated.latency.p95_ns, gated.latency.p99_ns,
-    );
-    std::fs::write(path, doc)
-}
-
-fn lane_json(lane: &LaneResult) -> String {
-    let mut out = String::new();
-    let h50 = lane.snap.hist(telemetry::Hist::TrafficLatencyNs).quantile(0.50);
-    let h95 = lane.snap.hist(telemetry::Hist::TrafficLatencyNs).quantile(0.95);
-    let h99 = lane.snap.hist(telemetry::Hist::TrafficLatencyNs).quantile(0.99);
-    write!(
-        out,
-        "    {{\n      \"name\": \"{name}\", \"provider\": \"{provider}\", \
-         \"switchless\": {switchless},\n      \"requests\": {requests}, \
-         \"hits\": {hits}, \"misses\": {misses}, \"puts\": {puts},\n      \
-         \"checksum\": \"{checksum:#018x}\",\n      \
-         \"latency_ns\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \
-         \"mean\": {mean}, \"max\": {max}}},\n      \
-         \"hist_latency_ns\": {{\"p50\": {h50}, \"p95\": {h95}, \"p99\": {h99}}},\n      \
-         \"throughput_rps\": {rps:.1}, \"horizon_ns\": {horizon}, \
-         \"model_time_ns\": {model},\n      \
-         \"rmi\": {{\"calls\": {calls}, \"hits\": {shits}, \"fallbacks\": {sfb}}},\n      \
-         \"sgx\": {{\"transitions\": {transitions}}}\n    }}",
-        name = lane.spec.name,
-        provider = lane.spec.provider,
-        switchless = lane.spec.switchless,
-        requests = lane.latencies_ns.len(),
-        hits = lane.hits,
-        misses = lane.misses,
-        puts = lane.puts,
-        checksum = lane.checksum,
-        p50 = lane.latency.p50_ns,
-        p95 = lane.latency.p95_ns,
-        p99 = lane.latency.p99_ns,
-        mean = lane.latency.mean_ns,
-        max = lane.latency.max_ns,
-        rps = lane.throughput_rps,
-        horizon = lane.horizon_ns,
-        model = lane.model_time_ns,
-        calls = lane.rmi_calls(),
-        shits = lane.switchless_hits(),
-        sfb = lane.switchless_fallbacks(),
-        transitions = lane.transitions(),
-    )
-    .expect("write to string");
-    out
+    let doc = Json::obj()
+        .with("schema", BASELINE_SCHEMA)
+        .with("lane", GATED_LANE)
+        .with("scale", scale_name)
+        .with("p50_ns", gated.latency.p50_ns)
+        .with("p95_ns", gated.latency.p95_ns)
+        .with("p99_ns", gated.latency.p99_ns)
+        .with("tol_p50", DEFAULT_TOLERANCE)
+        .with("tol_p95", DEFAULT_TOLERANCE)
+        .with("tol_p99", DEFAULT_TOLERANCE);
+    std::fs::write(path, doc.to_pretty())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -220,59 +148,94 @@ fn report_json(
     passthrough: &LaneResult,
     sim_sgx: &LaneResult,
 ) -> String {
-    let lanes_json: Vec<String> = lanes.iter().map(lane_json).collect();
-    let checks_json: Vec<String> = checks
-        .iter()
-        .map(|c| {
-            format!(
-                "      {{\"name\": \"{}\", \"observed_ns\": {}, \"expected_ns\": {}, \
-                 \"tolerance\": {}, \"within\": {}}}",
-                c.name, c.observed_ns, c.expected_ns, c.tolerance, c.within
+    let lanes_json = lanes.iter().map(|lane| {
+        let hist = lane.snap.hist(telemetry::Hist::TrafficLatencyNs);
+        Json::obj()
+            .with("name", lane.spec.name)
+            .with("provider", lane.spec.provider.name())
+            .with("switchless", lane.spec.switchless)
+            .with("requests", lane.latencies_ns.len())
+            .with("hits", lane.hits)
+            .with("misses", lane.misses)
+            .with("puts", lane.puts)
+            .with("checksum", format!("{:#018x}", lane.checksum))
+            .with(
+                "latency_ns",
+                Json::obj()
+                    .with("p50", lane.latency.p50_ns)
+                    .with("p95", lane.latency.p95_ns)
+                    .with("p99", lane.latency.p99_ns)
+                    .with("mean", lane.latency.mean_ns)
+                    .with("max", lane.latency.max_ns),
             )
-        })
-        .collect();
-    let within: Vec<String> = checks.iter().map(|c| c.within.to_string()).collect();
-    let reconciled = switchless_lane.rmi_calls()
-        == switchless_lane.switchless_hits() + switchless_lane.switchless_fallbacks();
-    format!(
-        "{{\n  \"schema\": \"{TRAFFIC_SCHEMA}\",\n  \"scale\": \"{scale_name}\",\n  \
-         \"seed\": {seed},\n  \"config\": {{\"requests\": {requests}, \"key_space\": \
-         {key_space}, \"zipf_exponent\": {zipf}, \"mean_interarrival_ns\": {mean_ia}, \
-         \"burst_factor\": {burst}, \"read_pct\": {read_pct}, \"value_bytes\": \
-         {value_bytes}}},\n  \"lanes\": [\n{lanes}\n  ],\n  \
-         \"rmi\": {{\"calls\": {calls}, \"hits\": {hits}, \"fallbacks\": {fallbacks}, \
-         \"reconciled\": {reconciled}}},\n  \
-         \"equivalence\": {{\"checksums_match\": {checksums_match}, \
-         \"passthrough_transitions\": {pt_transitions}, \"passthrough_model_ns\": \
-         {pt_model}, \"sim_sgx_model_ns\": {sgx_model}, \"passthrough_faster\": \
-         {pt_faster}}},\n  \
-         \"baseline\": {{\"path\": \"{bpath}\", \"found\": {bfound}, \
-         \"scale_matches\": {bscale}, \"lane\": \"{GATED_LANE}\", \"checks\": \
-         [\n{checks}\n    ]}},\n  \
-         \"percentiles_within_band\": [{within}]\n}}\n",
-        seed = cfg.seed,
-        requests = cfg.requests,
-        key_space = cfg.key_space,
-        zipf = cfg.zipf_exponent,
-        mean_ia = cfg.mean_interarrival_ns,
-        burst = cfg.burst_factor,
-        read_pct = cfg.read_pct,
-        value_bytes = cfg.value_bytes,
-        lanes = lanes_json.join(",\n"),
-        calls = switchless_lane.rmi_calls(),
-        hits = switchless_lane.switchless_hits(),
-        fallbacks = switchless_lane.switchless_fallbacks(),
-        reconciled = reconciled,
-        pt_transitions = passthrough.transitions(),
-        pt_model = passthrough.model_time_ns,
-        sgx_model = sim_sgx.model_time_ns,
-        pt_faster = passthrough.model_time_ns < sim_sgx.model_time_ns,
-        bpath = telemetry::escape_json(&baseline.path.display().to_string()),
-        bfound = baseline.found,
-        bscale = baseline.scale_matches,
-        checks = checks_json.join(",\n"),
-        within = within.join(", "),
-    )
+            .with(
+                "hist_latency_ns",
+                Json::obj()
+                    .with("p50", hist.quantile(0.50))
+                    .with("p95", hist.quantile(0.95))
+                    .with("p99", hist.quantile(0.99)),
+            )
+            .with("throughput_rps", Json::fixed(lane.throughput_rps, 1))
+            .with("horizon_ns", lane.horizon_ns)
+            .with("model_time_ns", lane.model_time_ns)
+            .with(
+                "rmi",
+                Json::obj()
+                    .with("calls", lane.rmi_calls())
+                    .with("hits", lane.switchless_hits())
+                    .with("fallbacks", lane.switchless_fallbacks()),
+            )
+            .with("sgx", Json::obj().with("transitions", lane.transitions()))
+    });
+    let checks_json = checks.iter().map(|c| {
+        Json::obj()
+            .with("name", c.name)
+            .with("observed_ns", c.observed_ns)
+            .with("expected_ns", c.expected_ns)
+            .with("tolerance", c.tolerance)
+            .with("within", c.within)
+    });
+    let config = Json::obj()
+        .with("requests", cfg.requests)
+        .with("key_space", cfg.key_space)
+        .with("zipf_exponent", cfg.zipf_exponent)
+        .with("mean_interarrival_ns", cfg.mean_interarrival_ns)
+        .with("burst_factor", cfg.burst_factor)
+        .with("read_pct", u64::from(cfg.read_pct))
+        .with("value_bytes", cfg.value_bytes);
+    let rmi = Json::obj()
+        .with("calls", switchless_lane.rmi_calls())
+        .with("hits", switchless_lane.switchless_hits())
+        .with("fallbacks", switchless_lane.switchless_fallbacks())
+        .with(
+            "reconciled",
+            switchless_lane.rmi_calls()
+                == switchless_lane.switchless_hits() + switchless_lane.switchless_fallbacks(),
+        );
+    let equivalence = Json::obj()
+        .with("checksums_match", checksums_match)
+        .with("passthrough_transitions", passthrough.transitions())
+        .with("passthrough_model_ns", passthrough.model_time_ns)
+        .with("sim_sgx_model_ns", sim_sgx.model_time_ns)
+        .with("passthrough_faster", passthrough.model_time_ns < sim_sgx.model_time_ns);
+    let baseline_json = Json::obj()
+        .with("path", baseline.path.display().to_string())
+        .with("found", baseline.found)
+        .with("scale_matches", baseline.scale_matches)
+        .with("lane", GATED_LANE)
+        .with("checks", checks_json.collect::<Vec<_>>());
+    let within = checks.iter().map(|c| Json::from(c.within));
+    Json::obj()
+        .with("schema", TRAFFIC_SCHEMA)
+        .with("scale", scale_name)
+        .with("seed", cfg.seed)
+        .with("config", config)
+        .with("lanes", lanes_json.collect::<Vec<_>>())
+        .with("rmi", rmi)
+        .with("equivalence", equivalence)
+        .with("baseline", baseline_json)
+        .with("percentiles_within_band", within.collect::<Vec<_>>())
+        .to_pretty()
 }
 
 fn main() {
@@ -405,7 +368,7 @@ fn main() {
         std::fs::write(&path, &report).expect("write traffic report");
         println!("report ({TRAFFIC_SCHEMA}): {}", path.display());
     }
-    if let Some(path) = telemetry_out_from_args() {
+    if let Some(path) = arg_value("--telemetry-out") {
         for lane in &lanes {
             let lane_path = path.with_extension(format!("{}.json", lane.spec.name));
             std::fs::write(&lane_path, lane.snap.to_json()).expect("write lane telemetry");

@@ -121,15 +121,15 @@ impl Scale {
     }
 }
 
-/// Parses `--telemetry-out <path>` (or `--telemetry-out=<path>`) from
-/// the CLI arguments.
-pub fn telemetry_out_from_args() -> Option<std::path::PathBuf> {
+/// The path after `flag` on the command line, given as `<flag> <path>`
+/// or `<flag>=<path>` (e.g. `arg_value("--telemetry-out")`).
+pub fn arg_value(flag: &str) -> Option<std::path::PathBuf> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
-        if a == "--telemetry-out" {
+        if a == flag {
             return args.next().map(std::path::PathBuf::from);
         }
-        if let Some(p) = a.strip_prefix("--telemetry-out=") {
+        if let Some(p) = a.strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
             return Some(std::path::PathBuf::from(p));
         }
     }
@@ -164,26 +164,11 @@ pub fn export_telemetry(path: &std::path::Path) -> std::io::Result<()> {
 /// binary calls this as its last step. Export failures are reported on
 /// stderr but do not fail the experiment.
 pub fn maybe_export_telemetry() {
-    if let Some(path) = telemetry_out_from_args() {
+    if let Some(path) = arg_value("--telemetry-out") {
         if let Err(e) = export_telemetry(&path) {
             eprintln!("telemetry: failed to write {}: {e}", path.display());
         }
     }
-}
-
-/// Parses `--trace-out <path>` (or `--trace-out=<path>`) from the CLI
-/// arguments.
-pub fn trace_out_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(std::path::PathBuf::from(p));
-        }
-    }
-    None
 }
 
 /// Enables the process-global tracer when `--trace-out` was passed.
@@ -192,7 +177,7 @@ pub fn trace_out_from_args() -> Option<std::path::PathBuf> {
 /// ([`maybe_export_trace`] writes it out at the end). Returns whether
 /// tracing is on.
 pub fn init_tracing_from_args() -> bool {
-    if trace_out_from_args().is_some() {
+    if arg_value("--trace-out").is_some() {
         telemetry::trace::Tracer::global().enable();
         true
     } else {
@@ -208,7 +193,7 @@ pub fn init_tracing_from_args() -> bool {
 /// trace against telemetry. Export failures are reported on stderr but
 /// do not fail the experiment.
 pub fn maybe_export_trace() {
-    let Some(path) = trace_out_from_args() else { return };
+    let Some(path) = arg_value("--trace-out") else { return };
     let tracer = telemetry::trace::Tracer::global();
     let aggregate = telemetry::aggregate();
     let json =

@@ -93,6 +93,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use sgx_sim::cost::CostParams;
+use telemetry::json::Json;
 use telemetry::trace::ParsedTrace;
 
 use crate::annotation::{Side, Trust};
@@ -491,42 +492,31 @@ impl AdvicePlan {
     /// Serialises the plan as versioned JSON (schema
     /// [`ADVICE_SCHEMA`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.recommendations.len() * 256);
-        out.push_str("{\n");
-        out.push_str(&format!("\"schema\": \"{ADVICE_SCHEMA}\",\n"));
-        out.push_str(&format!(
-            "\"total_predicted_savings_ns\": {},\n\"rmi_spans\": {},\n",
-            self.total_predicted_savings_ns, self.rmi_spans
-        ));
+        let recommendations = self.recommendations.iter().map(|r| {
+            Json::obj()
+                .with("class", r.class.as_str())
+                .with("current", r.current.annotation_name())
+                .with("suggested", r.suggested.annotation_name())
+                .with("verdict", r.verdict.label())
+                .with("calls", r.calls)
+                .with("crossing_overhead_ns", r.crossing_overhead_ns)
+                .with("exec_ns", r.exec_ns)
+                .with("predicted_savings_ns", r.predicted_savings_ns)
+                .with("savings_frac", Json::fixed(r.savings_frac, 4))
+                .with("confidence", Json::fixed(r.confidence, 4))
+                .with("rationale", r.rationale.as_str())
+        });
+        let mut doc = Json::obj()
+            .with("schema", ADVICE_SCHEMA)
+            .with("total_predicted_savings_ns", self.total_predicted_savings_ns)
+            .with("rmi_spans", self.rmi_spans);
         if let Some(calls) = self.rmi_calls {
-            out.push_str(&format!("\"rmi_calls\": {calls},\n"));
+            doc.push("rmi_calls", calls);
         }
-        out.push_str(&format!(
-            "\"dropped\": {},\n\"tolerance\": {},\n\"recommendations\": [\n",
-            self.dropped, self.tolerance
-        ));
-        for (i, r) in self.recommendations.iter().enumerate() {
-            let comma = if i + 1 == self.recommendations.len() { "" } else { "," };
-            out.push_str(&format!(
-                "{{\"class\": \"{}\", \"current\": \"{}\", \"suggested\": \"{}\", \
-                 \"verdict\": \"{}\", \"calls\": {}, \"crossing_overhead_ns\": {}, \
-                 \"exec_ns\": {}, \"predicted_savings_ns\": {}, \"savings_frac\": {:.4}, \
-                 \"confidence\": {:.4}, \"rationale\": \"{}\"}}{comma}\n",
-                telemetry::escape_json(&r.class),
-                r.current.annotation_name(),
-                r.suggested.annotation_name(),
-                r.verdict.label(),
-                r.calls,
-                r.crossing_overhead_ns,
-                r.exec_ns,
-                r.predicted_savings_ns,
-                r.savings_frac,
-                r.confidence,
-                telemetry::escape_json(&r.rationale)
-            ));
-        }
-        out.push_str("]\n}\n");
-        out
+        doc.with("dropped", self.dropped)
+            .with("tolerance", self.tolerance)
+            .with("recommendations", recommendations.collect::<Vec<_>>())
+            .to_pretty()
     }
 }
 
@@ -538,23 +528,6 @@ pub const ADVICE_SCHEMA: &str = "montsalvat.advice/v1";
 // ---------------------------------------------------------------------------
 // Trace extraction
 // ---------------------------------------------------------------------------
-
-/// One reconstructed span.
-struct Span {
-    cat: String,
-    name: String,
-    pid: u64,
-    parent: u64,
-    begin_ns: u64,
-    end_ns: u64,
-    children: Vec<usize>,
-}
-
-impl Span {
-    fn dur_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.begin_ns)
-    }
-}
 
 /// Per-crossing-region components, before pricing.
 #[derive(Default, Clone, Copy)]
@@ -581,49 +554,13 @@ impl Region {
     }
 }
 
-fn payload_bytes(name: &str) -> u64 {
-    name.rsplit_once("b=").and_then(|(_, n)| n.trim().parse().ok()).unwrap_or(0)
-}
-
 /// Computes per-class boundary costs from a parsed trace.
 ///
 /// `params` prices the transition terms and the overhead of nested
 /// crossings; the serde, queue and exec terms are read off the trace's
 /// model-time spans directly.
 pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<ClassCosts> {
-    // Reconstruct the span forest from begin/end events.
-    let mut spans: Vec<Span> = Vec::new();
-    let mut by_id: HashMap<u64, usize> = HashMap::new();
-    for ev in &trace.events {
-        match ev.ph {
-            'B' => {
-                by_id.insert(ev.span, spans.len());
-                spans.push(Span {
-                    cat: ev.cat.clone(),
-                    name: ev.name.clone(),
-                    pid: ev.pid,
-                    parent: ev.parent,
-                    begin_ns: ev.model_ns,
-                    end_ns: ev.model_ns,
-                    children: Vec::new(),
-                });
-            }
-            'E' => {
-                if let Some(&i) = by_id.get(&ev.span) {
-                    spans[i].end_ns = spans[i].end_ns.max(ev.model_ns);
-                }
-            }
-            _ => {}
-        }
-    }
-    for i in 0..spans.len() {
-        let parent = spans[i].parent;
-        if parent != 0 {
-            if let Some(&p) = by_id.get(&parent) {
-                spans[p].children.push(i);
-            }
-        }
-    }
+    let spans = trace.spans();
 
     // Walk each rmi span's region: the subtree up to (exclusive of)
     // nested rmi spans. Exclusive time strips child durations so the
@@ -632,21 +569,21 @@ pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<Clas
         let kids: u64 = spans[i].children.iter().map(|&k| spans[k].dur_ns()).sum();
         spans[i].dur_ns().saturating_sub(kids)
     };
-    let rmi_spans: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].cat == "rmi").collect();
+    let rmi_spans: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].event.cat == "rmi").collect();
     let mut regions: HashMap<usize, (Region, Vec<usize>)> = HashMap::new();
     for &r in &rmi_spans {
         let mut region = Region::default();
         let mut nested = Vec::new();
         let mut stack = spans[r].children.clone();
         while let Some(i) = stack.pop() {
-            match spans[i].cat.as_str() {
+            match spans[i].event.cat.as_str() {
                 "rmi" => {
                     nested.push(i);
                     continue; // the nested crossing owns its subtree
                 }
                 "serde" => {
                     region.serde_ns += spans[i].dur_ns();
-                    region.payload_bytes += payload_bytes(&spans[i].name);
+                    region.payload_bytes += spans[i].payload_bytes;
                 }
                 "queue" => region.queue_ns += spans[i].dur_ns(),
                 "exec" | "gc" => region.exec_ns += exclusive(i),
@@ -667,13 +604,13 @@ pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<Clas
     let mut by_class: BTreeMap<String, ClassCosts> = BTreeMap::new();
     for &r in &rmi_spans {
         let (region, nested) = &regions[&r];
-        let class = spans[r].name.split('.').next().unwrap_or("").to_owned();
+        let class = spans[r].event.name.split('.').next().unwrap_or("").to_owned();
         if class.is_empty() {
             continue;
         }
         // The rmi span lives on the caller's lane; its target class
         // lives on the opposite side.
-        let home = if spans[r].pid == telemetry::trace::Lane::Untrusted.pid() {
+        let home = if spans[r].event.pid == telemetry::trace::Lane::Untrusted.pid() {
             Side::Trusted
         } else {
             Side::Untrusted

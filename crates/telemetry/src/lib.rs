@@ -13,7 +13,8 @@
 //! [`Snapshot`], snapshots [`Snapshot::merge`] across recorders, and
 //! [`Snapshot::to_json`] exports the versioned, machine-readable
 //! document that `--telemetry-out` writes (schema
-//! [`SCHEMA`], documented in `docs/TELEMETRY.md`).
+//! [`SCHEMA`], documented in `docs/TELEMETRY.md`). Every document the
+//! crate writes or reads goes through [`json`].
 //!
 //! # Example
 //!
@@ -38,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod hist;
+pub mod json;
 mod recorder;
 mod snapshot;
 pub mod timeseries;
@@ -47,8 +49,7 @@ pub use hist::{
     bucket_index, bucket_upper_bound, nearest_rank, AtomicHistogram, HistogramSnapshot, BUCKETS,
 };
 pub use recorder::{aggregate, Recorder, Span, SpanModel};
-pub use snapshot::{extract_counter, Snapshot};
-pub use trace::escape_json;
+pub use snapshot::Snapshot;
 
 /// Identifier of the JSON schema emitted by [`Snapshot::to_json`].
 ///

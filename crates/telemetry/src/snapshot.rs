@@ -1,6 +1,7 @@
 //! Frozen metric sets and the versioned JSON export.
 
 use crate::hist::HistogramSnapshot;
+use crate::json::Json;
 use crate::{bucket_upper_bound, Counter, Gauge, Hist, SCHEMA};
 
 /// A point-in-time copy of every metric in a recorder (or a merge of
@@ -83,72 +84,31 @@ impl Snapshot {
     /// contract). Metric order is stable across runs, so documents
     /// diff cleanly.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-
-        out.push_str("  \"counters\": {\n");
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            let comma = if i + 1 == Counter::ALL.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{}\": {{\"value\": {}, \"unit\": \"{}\"}}{comma}\n",
-                c.metric_name(),
-                self.counter(*c),
-                c.unit(),
-            ));
-        }
-        out.push_str("  },\n");
-
-        out.push_str("  \"gauges\": {\n");
-        for (i, g) in Gauge::ALL.iter().enumerate() {
-            let comma = if i + 1 == Gauge::ALL.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{}\": {{\"value\": {}, \"unit\": \"{}\"}}{comma}\n",
-                g.metric_name(),
-                self.gauge(*g),
-                g.unit(),
-            ));
-        }
-        out.push_str("  },\n");
-
-        out.push_str("  \"histograms\": {\n");
-        for (i, h) in Hist::ALL.iter().enumerate() {
-            let comma = if i + 1 == Hist::ALL.len() { "" } else { "," };
-            let snap = self.hist(*h);
-            out.push_str(&format!(
-                "    \"{}\": {{\"unit\": \"{}\", \"count\": {}, \"sum\": {}, \"buckets\": [",
-                h.metric_name(),
-                h.unit(),
-                snap.count,
-                snap.sum,
-            ));
-            let mut first = true;
-            for (idx, &n) in snap.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(&format!("{{\"lt\": {}, \"count\": {}}}", bucket_upper_bound(idx), n));
-            }
-            out.push_str(&format!("]}}{comma}\n"));
-        }
-        out.push_str("  }\n}\n");
-        out
+        let metric = |name: &str, value: u64, unit: &str| {
+            (name.to_owned(), Json::obj().with("value", value).with("unit", unit))
+        };
+        let counters =
+            Counter::ALL.iter().map(|&c| metric(c.metric_name(), self.counter(c), c.unit()));
+        let gauges = Gauge::ALL.iter().map(|&g| metric(g.metric_name(), self.gauge(g), g.unit()));
+        let hists = Hist::ALL.iter().map(|&h| {
+            let snap = self.hist(h);
+            let buckets = (0..snap.buckets.len()).filter(|&i| snap.buckets[i] != 0).map(|i| {
+                Json::obj().with("lt", bucket_upper_bound(i)).with("count", snap.buckets[i])
+            });
+            let stats = Json::obj()
+                .with("unit", h.unit())
+                .with("count", snap.count)
+                .with("sum", snap.sum)
+                .with("buckets", buckets.collect::<Vec<_>>());
+            (h.metric_name().to_owned(), stats)
+        });
+        Json::obj()
+            .with("schema", SCHEMA)
+            .with("counters", Json::Obj(counters.collect()))
+            .with("gauges", Json::Obj(gauges.collect()))
+            .with("histograms", Json::Obj(hists.collect()))
+            .to_pretty()
     }
-}
-
-/// Extracts one counter's value from a document produced by
-/// [`Snapshot::to_json`]. Intended for tests and quick diff tooling;
-/// real consumers should use a JSON parser.
-pub fn extract_counter(json: &str, metric_name: &str) -> Option<u64> {
-    let key = format!("\"{metric_name}\": {{\"value\": ");
-    let start = json.find(&key)? + key.len();
-    let rest = &json[start..];
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -220,16 +180,6 @@ mod tests {
         for h in Hist::ALL {
             assert!(json.contains(h.metric_name()), "missing {}", h.metric_name());
         }
-    }
-
-    #[test]
-    fn extract_counter_round_trips() {
-        let mut snap = Snapshot::default();
-        snap.counters[Counter::BytesSerialized as usize] = 123_456;
-        let json = snap.to_json();
-        assert_eq!(extract_counter(&json, "rmi.bytes_serialized"), Some(123_456));
-        assert_eq!(extract_counter(&json, "sgx.ecalls"), Some(0));
-        assert_eq!(extract_counter(&json, "no.such.metric"), None);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! fill-then-drop like the trace lanes, counted into
 //! [`Counter::TimeseriesDropped`].
 //!
-//! The export is the versioned, line-oriented JSON document
-//! [`SCHEMA`] (`montsalvat.timeseries/v1`, one window per line so
-//! `jq`/grep and [`parse_timeseries`] both work), plus a
+//! The export is the versioned JSON document [`SCHEMA`]
+//! (`montsalvat.timeseries/v1`, one window per line so grep and diff
+//! work; [`parse_timeseries`] reads any layout), plus a
 //! Prometheus-style text exposition for external scrapers
 //! ([`Series::to_prometheus`]).
 //!
@@ -32,6 +32,7 @@
 use std::sync::Arc;
 
 use crate::hist::nearest_rank;
+use crate::json::Json;
 use crate::{Counter, Gauge, Hist, Recorder, Snapshot};
 
 /// Identifier of the JSON document emitted by [`Series::to_json`].
@@ -191,28 +192,21 @@ pub struct Series {
 impl Series {
     /// Serialises the series as the versioned [`SCHEMA`] document.
     ///
-    /// Line-oriented: one window object per line, so the document
-    /// greps and diffs cleanly and [`parse_timeseries`] can stay a
-    /// line parser. Only nonzero counters/gauges and non-empty
-    /// histograms are listed. Histograms in deterministic units get
+    /// One window object per line, so the document greps and diffs
+    /// cleanly. Only nonzero counters/gauges and non-empty histograms
+    /// are listed. Histograms in deterministic units get
     /// `count`/`sum`/`p50`/`p95`/`p99`/`max`; `wall_ns` histograms
     /// export `count` only, because wall-clock durations differ
     /// run-to-run and the document is otherwise byte-identical for
     /// seeded runs.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!("  \"window_ns\": {},\n", self.window_ns));
-        out.push_str(&format!("  \"capacity\": {},\n", self.capacity));
-        out.push_str(&format!("  \"dropped\": {},\n", self.dropped));
-        out.push_str("  \"windows\": [\n");
-        for (i, w) in self.windows.iter().enumerate() {
-            let comma = if i + 1 == self.windows.len() { "" } else { "," };
-            out.push_str(&format!("    {}{comma}\n", window_json(w)));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Json::obj()
+            .with("schema", SCHEMA)
+            .with("window_ns", self.window_ns)
+            .with("capacity", self.capacity)
+            .with("dropped", self.dropped)
+            .with("windows", self.windows.iter().map(Window::json).collect::<Vec<_>>())
+            .to_pretty()
     }
 
     /// Renders the series in the Prometheus text exposition format,
@@ -285,120 +279,55 @@ fn mangle(metric: &str) -> String {
     metric.replace('.', "_")
 }
 
-fn window_json(w: &Window) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str(&format!("{{\"start_ns\":{},\"end_ns\":{}", w.start_ns, w.end_ns));
-    let mut first = true;
-    for c in Counter::ALL {
-        let v = w.delta.counter(*c);
-        if v == 0 {
-            continue;
+impl Window {
+    /// The window's object in a [`SCHEMA`] document (see
+    /// [`Series::to_json`]).
+    fn json(&self) -> Json {
+        let d = &self.delta;
+        let named = |name: &str, value: Json| (name.to_owned(), value);
+        let counters: Vec<_> = Counter::ALL
+            .iter()
+            .filter(|&&c| d.counter(c) != 0)
+            .map(|&c| named(c.metric_name(), d.counter(c).into()))
+            .collect();
+        let gauges: Vec<_> = Gauge::ALL
+            .iter()
+            .filter(|&&g| d.gauge(g) != 0)
+            .map(|&g| named(g.metric_name(), d.gauge(g).into()))
+            .collect();
+        let hists: Vec<_> = Hist::ALL
+            .iter()
+            .filter(|&&h| !d.hist(h).is_empty())
+            .map(|&h| {
+                let snap = d.hist(h);
+                let stats = Json::obj().with("count", snap.count);
+                // Wall-clock durations are nondeterministic; exporting
+                // only the count keeps seeded documents byte-identical.
+                if h.unit() == "wall_ns" {
+                    return named(h.metric_name(), stats);
+                }
+                let stats = stats
+                    .with("sum", snap.sum)
+                    .with("p50", snap.quantile(0.5))
+                    .with("p95", snap.quantile(0.95))
+                    .with("p99", snap.quantile(0.99))
+                    .with("max", snap.quantile(1.0));
+                named(h.metric_name(), stats)
+            })
+            .collect();
+        let mut doc = Json::obj().with("start_ns", self.start_ns).with("end_ns", self.end_ns);
+        for (key, group) in [("counters", counters), ("gauges", gauges), ("hists", hists)] {
+            if !group.is_empty() {
+                doc.push(key, Json::Obj(group));
+            }
         }
-        out.push_str(if first { ",\"counters\":{" } else { "," });
-        first = false;
-        out.push_str(&format!("\"{}\":{v}", c.metric_name()));
+        doc
     }
-    if !first {
-        out.push('}');
-    }
-    first = true;
-    for g in Gauge::ALL {
-        let v = w.delta.gauge(*g);
-        if v == 0 {
-            continue;
-        }
-        out.push_str(if first { ",\"gauges\":{" } else { "," });
-        first = false;
-        out.push_str(&format!("\"{}\":{v}", g.metric_name()));
-    }
-    if !first {
-        out.push('}');
-    }
-    first = true;
-    for h in Hist::ALL {
-        let snap = w.delta.hist(*h);
-        if snap.is_empty() {
-            continue;
-        }
-        out.push_str(if first { ",\"hists\":{" } else { "," });
-        first = false;
-        if h.unit() == "wall_ns" {
-            // Wall-clock durations are nondeterministic; exporting
-            // only the count keeps seeded documents byte-identical.
-            out.push_str(&format!("\"{}\":{{\"count\":{}}}", h.metric_name(), snap.count));
-        } else {
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-                h.metric_name(),
-                snap.count,
-                snap.sum,
-                snap.quantile(0.5),
-                snap.quantile(0.95),
-                snap.quantile(0.99),
-                snap.quantile(1.0),
-            ));
-        }
-    }
-    if !first {
-        out.push('}');
-    }
-    out.push('}');
-    out
 }
 
 // ---------------------------------------------------------------------------
 // Parsing (for `montsalvat timeline` and the ablation gates)
 // ---------------------------------------------------------------------------
-
-/// One window as read back from a [`SCHEMA`] document.
-#[derive(Debug, Clone, Default)]
-pub struct ParsedWindow {
-    /// Model-time start of the window (inclusive).
-    pub start_ns: u64,
-    /// Model-time end of the window (exclusive).
-    pub end_ns: u64,
-    /// Nonzero counter deltas, by metric name.
-    pub counters: Vec<(String, u64)>,
-    /// Nonzero gauge levels at window close, by metric name.
-    pub gauges: Vec<(String, u64)>,
-    /// Non-empty histogram windows, by metric name.
-    pub hists: Vec<(String, ParsedHist)>,
-}
-
-impl ParsedWindow {
-    /// Looks up a counter delta by metric name (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Looks up a gauge level by metric name (0 when absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Looks up a histogram window by metric name.
-    pub fn hist(&self, name: &str) -> Option<&ParsedHist> {
-        self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-}
-
-/// One histogram's per-window stats as read back from a document.
-/// `sum` and the quantiles are absent for `wall_ns` histograms.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParsedHist {
-    /// Observations in the window.
-    pub count: u64,
-    /// Sum of observed values (deterministic units only).
-    pub sum: Option<u64>,
-    /// Median observation (bucket upper bound).
-    pub p50: Option<u64>,
-    /// 95th-percentile observation (bucket upper bound).
-    pub p95: Option<u64>,
-    /// 99th-percentile observation (bucket upper bound).
-    pub p99: Option<u64>,
-    /// Largest observation (bucket upper bound).
-    pub max: Option<u64>,
-}
 
 /// A [`SCHEMA`] document read back into memory.
 #[derive(Debug, Clone, Default)]
@@ -410,131 +339,29 @@ pub struct ParsedSeries {
     /// Windows discarded because the ring was full.
     pub dropped: u64,
     /// Stored windows, oldest first.
-    pub windows: Vec<ParsedWindow>,
+    pub windows: Vec<WindowView>,
 }
 
-/// Parses a document produced by [`Series::to_json`]. Line-oriented
-/// like `trace::parse_chrome_trace`: tolerant of unknown fields,
+/// Parses a document produced by [`Series::to_json`], in any layout
+/// (it goes through [`Json::parse`]): tolerant of unknown fields,
 /// strict about the schema marker.
 pub fn parse_timeseries(json: &str) -> Result<ParsedSeries, String> {
-    if !json.contains(SCHEMA) {
+    let doc = Json::parse(json)?;
+    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("not a {SCHEMA} document"));
     }
-    let mut series = ParsedSeries::default();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.starts_with("{\"start_ns\":") {
-            series.windows.push(parse_window(line)?);
-        } else if line.starts_with("\"window_ns\":") {
-            series.window_ns = field_u64(line, "window_ns").unwrap_or(0);
-        } else if line.starts_with("\"capacity\":") {
-            series.capacity = field_u64(line, "capacity").unwrap_or(0);
-        } else if line.starts_with("\"dropped\":") {
-            series.dropped = field_u64(line, "dropped").unwrap_or(0);
-        }
-    }
-    if series.window_ns == 0 {
+    let number = |key| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let window_ns = number("window_ns");
+    if window_ns == 0 {
         return Err("missing or zero window_ns".into());
     }
-    Ok(series)
-}
-
-fn parse_window(line: &str) -> Result<ParsedWindow, String> {
-    let mut w = ParsedWindow {
-        start_ns: field_u64(line, "start_ns").ok_or("window missing start_ns")?,
-        end_ns: field_u64(line, "end_ns").ok_or("window missing end_ns")?,
-        ..ParsedWindow::default()
-    };
-    if let Some(body) = object_after(line, "counters") {
-        for (key, value) in object_entries(body) {
-            let v = value.parse::<u64>().map_err(|_| format!("bad counter value for {key}"))?;
-            w.counters.push((key.to_owned(), v));
-        }
-    }
-    if let Some(body) = object_after(line, "gauges") {
-        for (key, value) in object_entries(body) {
-            let v = value.parse::<u64>().map_err(|_| format!("bad gauge value for {key}"))?;
-            w.gauges.push((key.to_owned(), v));
-        }
-    }
-    if let Some(body) = object_after(line, "hists") {
-        for (key, value) in object_entries(body) {
-            let hist = ParsedHist {
-                count: field_u64(value, "count").ok_or_else(|| format!("{key} missing count"))?,
-                sum: field_u64(value, "sum"),
-                p50: field_u64(value, "p50"),
-                p95: field_u64(value, "p95"),
-                p99: field_u64(value, "p99"),
-                max: field_u64(value, "max"),
-            };
-            w.hists.push((key.to_owned(), hist));
-        }
-    }
-    Ok(w)
-}
-
-/// Extracts the body of the `{...}` object following `"key":` —
-/// brace-matched, so nested objects (histogram stats) survive.
-fn object_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":{{");
-    let start = line.find(&pat)? + pat.len();
-    let bytes = line.as_bytes();
-    let mut depth = 1usize;
-    for (offset, &b) in bytes[start..].iter().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&line[start..start + offset]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits an object body into `(key, raw value)` pairs at top-level
-/// commas. Keys are metric names (never contain quotes or braces).
-fn object_entries(body: &str) -> Vec<(&str, &str)> {
-    fn flush<'a>(body: &'a str, start: usize, end: usize, entries: &mut Vec<(&'a str, &'a str)>) {
-        let item = body[start..end].trim();
-        if item.is_empty() {
-            return;
-        }
-        if let Some(colon) = item.find(':') {
-            let key = item[..colon].trim().trim_matches('"');
-            let value = item[colon + 1..].trim();
-            entries.push((key, value));
-        }
-    }
-    let mut entries = Vec::new();
-    let (mut depth, mut item_start) = (0usize, 0usize);
-    for (i, &b) in body.as_bytes().iter().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => depth = depth.saturating_sub(1),
-            b',' if depth == 0 => {
-                flush(body, item_start, i, &mut entries);
-                item_start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    flush(body, item_start, body.len(), &mut entries);
-    entries
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
+    let windows = doc.get("windows").and_then(Json::as_arr).unwrap_or_default();
+    Ok(ParsedSeries {
+        window_ns,
+        capacity: number("capacity"),
+        dropped: number("dropped"),
+        windows: windows.iter().map(WindowView::from_json).collect::<Result<_, _>>()?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -542,10 +369,10 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 // ---------------------------------------------------------------------------
 
 /// The per-window facts the spike detector looks at — buildable from
-/// both a live [`Window`] and a [`ParsedWindow`], so the CLI (which
+/// both a live [`Window`] and a window of an export, so the CLI (which
 /// reads exports) and the ablation bin (which holds the live series)
 /// run the identical detector.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowView {
     /// Model-time start of the window.
     pub start_ns: u64,
@@ -591,24 +418,26 @@ impl WindowView {
         }
     }
 
-    /// Projects a window read back from an export.
-    pub fn from_parsed(w: &ParsedWindow) -> WindowView {
-        let latency = w.hist("traffic.request_latency_ns");
-        WindowView {
-            start_ns: w.start_ns,
-            end_ns: w.end_ns,
-            requests: w.counter("traffic.requests"),
-            latency_count: latency.map(|h| h.count).unwrap_or(0),
-            latency_p95: latency.and_then(|h| h.p95).unwrap_or(0),
-            gc_events: w.counter("gc.collections")
-                + w.hist("gc.pause_ns").map(|h| h.count).unwrap_or(0),
-            epc_faults: w.counter("sgx.epc_faults"),
-            fallbacks: w.counter("rmi.switchless_fallbacks"),
-            scale_events: w.counter("rmi.switchless_scale_ups")
-                + w.counter("rmi.switchless_scale_downs"),
-            queue_depth: w.gauge("rmi.switchless_queue_depth"),
-            workers: w.gauge("rmi.switchless_workers"),
-        }
+    /// Projects a window object read back from a [`SCHEMA`] export.
+    pub fn from_json(w: &Json) -> Result<WindowView, String> {
+        let field = |path: &[&str]| w.at(path).and_then(Json::as_u64);
+        let counter = |c: Counter| field(&["counters", c.metric_name()]).unwrap_or(0);
+        let gauge = |g: Gauge| field(&["gauges", g.metric_name()]).unwrap_or(0);
+        let hist = |h: Hist, stat| field(&["hists", h.metric_name(), stat]).unwrap_or(0);
+        Ok(WindowView {
+            start_ns: field(&["start_ns"]).ok_or("window missing start_ns")?,
+            end_ns: field(&["end_ns"]).ok_or("window missing end_ns")?,
+            requests: counter(Counter::TrafficRequests),
+            latency_count: hist(Hist::TrafficLatencyNs, "count"),
+            latency_p95: hist(Hist::TrafficLatencyNs, "p95"),
+            gc_events: counter(Counter::GcCollections) + hist(Hist::GcPauseNs, "count"),
+            epc_faults: counter(Counter::EpcFaults),
+            fallbacks: counter(Counter::SwitchlessFallbacks),
+            scale_events: counter(Counter::SwitchlessScaleUps)
+                + counter(Counter::SwitchlessScaleDowns),
+            queue_depth: gauge(Gauge::SwitchlessQueueDepth),
+            workers: gauge(Gauge::SwitchlessWorkers),
+        })
     }
 }
 
@@ -862,24 +691,24 @@ mod tests {
         flight.tick(1000);
         recorder.incr(Counter::RmiCalls);
         let series = flight.finish(1250);
-        let json = series.to_json();
+        let doc = Json::parse(&series.to_json()).expect("parses");
 
-        let parsed = parse_timeseries(&json).expect("parses");
-        assert_eq!(parsed.window_ns, 1000);
-        assert_eq!(parsed.dropped, 0);
-        assert_eq!(parsed.windows.len(), 2);
-        let w0 = &parsed.windows[0];
-        assert_eq!(w0.counter("rmi.calls"), 5);
-        assert_eq!(w0.counter("traffic.requests"), 5);
-        assert_eq!(w0.gauge("rmi.switchless_workers"), 2);
-        let latency = w0.hist("traffic.request_latency_ns").expect("latency hist");
-        assert_eq!(latency.count, 5);
-        assert_eq!(latency.sum, Some(300 + 400 + 500 + 6000 + 900));
-        assert_eq!(latency.p95, Some(8192), "p95 is 6000's bucket upper bound");
-        let pause = w0.hist("gc.pause_ns").expect("pause hist");
-        assert_eq!(pause.count, 1);
-        assert_eq!(pause.sum, None, "wall_ns exports count only");
-        assert_eq!(parsed.windows[1].counter("rmi.calls"), 1);
+        let field = |path: &[&str]| doc.at(path).and_then(Json::as_u64);
+        assert_eq!(field(&["window_ns"]), Some(1000));
+        assert_eq!(field(&["dropped"]), Some(0));
+        let windows = doc.get("windows").and_then(Json::as_arr).expect("windows");
+        assert_eq!(windows.len(), 2);
+        let w0 = |path: &[&str]| windows[0].at(path).and_then(Json::as_u64);
+        assert_eq!(w0(&["counters", "rmi.calls"]), Some(5));
+        assert_eq!(w0(&["counters", "traffic.requests"]), Some(5));
+        assert_eq!(w0(&["gauges", "rmi.switchless_workers"]), Some(2));
+        let latency = |stat| w0(&["hists", "traffic.request_latency_ns", stat]);
+        assert_eq!(latency("count"), Some(5));
+        assert_eq!(latency("sum"), Some(300 + 400 + 500 + 6000 + 900));
+        assert_eq!(latency("p95"), Some(8192), "p95 is 6000's bucket upper bound");
+        assert_eq!(w0(&["hists", "gc.pause_ns", "count"]), Some(1));
+        assert_eq!(w0(&["hists", "gc.pause_ns", "sum"]), None, "wall_ns exports count only");
+        assert_eq!(windows[1].at(&["counters", "rmi.calls"]).and_then(Json::as_u64), Some(1));
     }
 
     #[test]
@@ -959,14 +788,7 @@ mod tests {
         let series = flight.finish(1000);
         let live = WindowView::from_window(&series.windows[0]);
         let parsed = parse_timeseries(&series.to_json()).unwrap();
-        let round = WindowView::from_parsed(&parsed.windows[0]);
-        assert_eq!(live.requests, round.requests);
-        assert_eq!(live.latency_count, round.latency_count);
-        assert_eq!(live.latency_p95, round.latency_p95);
-        assert_eq!(live.gc_events, round.gc_events);
-        assert_eq!(live.fallbacks, round.fallbacks);
-        assert_eq!(live.queue_depth, round.queue_depth);
-        assert_eq!(live.workers, round.workers);
+        assert_eq!(parsed.windows, vec![live]);
     }
 
     /// A window whose mailbox depth is at least twice the run median

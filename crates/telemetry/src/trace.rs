@@ -33,11 +33,12 @@
 //! use. See `docs/TRACING.md`.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
+use crate::json::Json;
 use crate::recorder::Recorder;
 use crate::Counter;
 
@@ -548,36 +549,44 @@ impl Tracer {
     /// and orphan ends are dropped, so the output always loads.
     pub fn to_chrome_json(&self, extra: &[(&str, u64)]) -> String {
         let balanced = balance(self.snapshot_events());
-        let mut out = String::with_capacity(4096 + balanced.len() * 160);
-        out.push_str("{\n");
-        out.push_str(&format!("\"schema\": \"{TRACE_SCHEMA}\",\n"));
-        out.push_str("\"displayTimeUnit\": \"ns\",\n");
-        out.push_str(&format!(
-            "\"otherData\": {{\"dropped\": {}, \"events\": {}",
-            self.dropped(),
-            balanced.len()
-        ));
+        let mut other = Json::obj().with("dropped", self.dropped()).with("events", balanced.len());
         for (key, value) in extra {
-            out.push_str(&format!(", \"{}\": {}", escape_json(key), value));
+            other.push(key, *value);
         }
-        out.push_str("},\n");
-        out.push_str("\"traceEvents\": [\n");
-        for lane in [Lane::Trusted, Lane::Untrusted] {
-            out.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}},\n",
-                lane.pid(),
-                lane.label()
-            ));
-        }
-        for (i, event) in balanced.iter().enumerate() {
-            let comma = if i + 1 == balanced.len() { "" } else { "," };
-            out.push_str(&event_json(event));
-            out.push_str(comma);
-            out.push('\n');
-        }
-        out.push_str("]\n}\n");
-        out
+        let lanes = [Lane::Trusted, Lane::Untrusted].map(|lane| {
+            Json::obj()
+                .with("ph", "M")
+                .with("pid", lane.pid())
+                .with("tid", 0u64)
+                .with("name", "process_name")
+                .with("args", Json::obj().with("name", lane.label()))
+        });
+        let events = balanced.into_iter().map(|event| {
+            let mut line = Json::obj()
+                .with("ph", event.phase.ph().to_string())
+                .with("pid", event.lane.pid())
+                .with("tid", event.trace_id)
+                .with("cat", event.cat)
+                .with("name", event.name)
+                .with("ts", event.model_ns as f64 / 1000.0);
+            if event.phase == TracePhase::Instant {
+                line.push("s", "t");
+            }
+            line.with(
+                "args",
+                Json::obj()
+                    .with("span", event.span_id)
+                    .with("parent", event.parent_span_id)
+                    .with("model_ns", event.model_ns)
+                    .with("wall_ns", event.wall_ns),
+            )
+        });
+        Json::obj()
+            .with("schema", TRACE_SCHEMA)
+            .with("displayTimeUnit", "ns")
+            .with("otherData", other)
+            .with("traceEvents", lanes.into_iter().chain(events).collect::<Vec<_>>())
+            .to_pretty()
     }
 }
 
@@ -623,46 +632,6 @@ fn balance(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
                 parent_span_id: 0,
                 ..begin
             });
-        }
-    }
-    out
-}
-
-/// One event as a single JSON line (no trailing comma/newline).
-fn event_json(event: &TraceEvent) -> String {
-    let ts_us = event.model_ns / 1000;
-    let ts_frac = event.model_ns % 1000;
-    let mut line = format!(
-        "{{\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"cat\":\"{}\",\"name\":\"{}\",\
-         \"ts\":{ts_us}.{ts_frac:03}",
-        event.phase.ph(),
-        event.lane.pid(),
-        event.trace_id,
-        escape_json(event.cat),
-        escape_json(&event.name),
-    );
-    if event.phase == TracePhase::Instant {
-        line.push_str(",\"s\":\"t\"");
-    }
-    line.push_str(&format!(
-        ",\"args\":{{\"span\":{},\"parent\":{},\"model_ns\":{},\"wall_ns\":{}}}}}",
-        event.span_id, event.parent_span_id, event.model_ns, event.wall_ns
-    ));
-    line
-}
-
-/// Escapes `s` for use inside a JSON string literal: quotes,
-/// backslashes and every control character.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out
@@ -744,103 +713,109 @@ impl ParsedTrace {
     pub fn other(&self, key: &str) -> Option<u64> {
         self.other.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
     }
-}
 
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    // Find the closing quote, skipping backslash-escaped ones.
-    let bytes = line.as_bytes();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(&line[start..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('b') => out.push('\u{8}'),
-            Some('f') => out.push('\u{c}'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
-                out.push(code.unwrap_or(char::REPLACEMENT_CHARACTER));
-            }
-            // `"`, `\\` and `/` stand for themselves.
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Reads back a document produced by [`Tracer::to_chrome_json`].
-///
-/// Line-oriented by construction (the exporter writes one event per
-/// line), which keeps this crate dependency-free; it is not a general
-/// JSON parser.
-pub fn parse_chrome_trace(json: &str) -> Result<ParsedTrace, String> {
-    if !json.contains("\"traceEvents\"") {
-        return Err("not a Chrome trace document (no traceEvents)".into());
-    }
-    let mut trace = ParsedTrace::default();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if let Some(rest) = line.strip_prefix("\"otherData\": {") {
-            let body = rest.trim_end_matches('}');
-            for pair in body.split(',') {
-                let mut halves = pair.splitn(2, ':');
-                let (Some(key), Some(value)) = (halves.next(), halves.next()) else { continue };
-                let key = key.trim().trim_matches('"');
-                if let Ok(value) = value.trim().parse::<u64>() {
-                    trace.other.push((key.to_owned(), value));
+    /// Rebuilds the span forest: each begin event paired with its end
+    /// (by span id), linked to its parent through an id map. Spans are
+    /// in begin-event document order; each span's children are in
+    /// begin order, ties in document order.
+    pub fn spans(&self) -> Vec<ParsedSpan<'_>> {
+        let mut spans: Vec<ParsedSpan<'_>> = Vec::new();
+        let mut by_id: HashMap<u64, usize> = HashMap::new();
+        for event in &self.events {
+            match event.ph {
+                'B' => {
+                    by_id.insert(event.span, spans.len());
+                    spans.push(ParsedSpan {
+                        event,
+                        end_ns: event.model_ns,
+                        payload_bytes: event
+                            .name
+                            .rsplit_once("b=")
+                            .and_then(|(_, n)| n.trim().parse().ok())
+                            .unwrap_or(0),
+                        parent: None,
+                        children: Vec::new(),
+                    });
                 }
+                'E' => {
+                    if let Some(&i) = by_id.get(&event.span) {
+                        spans[i].end_ns = spans[i].end_ns.max(event.model_ns);
+                    }
+                }
+                _ => {}
             }
-            continue;
         }
-        if !line.starts_with("{\"ph\":") {
-            continue;
+        for i in 0..spans.len() {
+            let parent = spans[i].event.parent;
+            if let Some(&p) = by_id.get(&parent).filter(|_| parent != 0) {
+                spans[i].parent = Some(p);
+                spans[p].children.push(i);
+            }
         }
-        let ph = field_str(line, "ph").and_then(|s| s.chars().next()).unwrap_or('?');
+        let begins: Vec<u64> = spans.iter().map(|s| s.event.model_ns).collect();
+        for span in &mut spans {
+            span.children.sort_by_key(|&k| begins[k]);
+        }
+        spans
+    }
+}
+
+/// One span of a [`ParsedTrace`]: a begin event paired with its end.
+#[derive(Debug, Clone)]
+pub struct ParsedSpan<'a> {
+    /// The begin event: name, category, lane, ids and begin time.
+    pub event: &'a ParsedEvent,
+    /// Model time of the matching end event (the begin time if none).
+    pub end_ns: u64,
+    /// Payload bytes from a `b=<n>` name suffix (serde spans), else 0.
+    pub payload_bytes: u64,
+    /// Index of the parent span, when its begin is in the trace.
+    pub parent: Option<usize>,
+    /// Indices of the child spans, in begin order.
+    pub children: Vec<usize>,
+}
+
+impl ParsedSpan<'_> {
+    /// Model-time duration.
+    pub fn dur_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.event.model_ns)
+    }
+}
+
+/// Reads back a document produced by [`Tracer::to_chrome_json`], in
+/// any layout (it goes through [`Json::parse`]).
+pub fn parse_chrome_trace(json: &str) -> Result<ParsedTrace, String> {
+    let doc = Json::parse(json)?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("not a Chrome trace document (no traceEvents)")?;
+    let other = doc.get("otherData").and_then(Json::as_obj).unwrap_or_default();
+    let mut trace = ParsedTrace {
+        events: Vec::with_capacity(events.len()),
+        other: other.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect(),
+    };
+    for event in events {
+        let ph = event.get("ph").and_then(Json::as_str).and_then(|s| s.chars().next());
+        let ph = ph.unwrap_or('?');
         if ph == 'M' {
             continue;
         }
         if !matches!(ph, 'B' | 'E' | 'i') {
             return Err(format!("unknown event phase `{ph}`"));
         }
+        let field = |path: &[&str]| event.at(path).and_then(Json::as_u64);
+        let text = |key| event.get(key).and_then(Json::as_str).unwrap_or_default().to_owned();
         trace.events.push(ParsedEvent {
             ph,
-            pid: field_u64(line, "pid").ok_or("event missing pid")?,
-            tid: field_u64(line, "tid").ok_or("event missing tid")?,
-            cat: field_str(line, "cat").map(unescape_json).unwrap_or_default(),
-            name: field_str(line, "name").map(unescape_json).unwrap_or_default(),
-            span: field_u64(line, "span").unwrap_or(0),
-            parent: field_u64(line, "parent").unwrap_or(0),
-            model_ns: field_u64(line, "model_ns").ok_or("event missing model_ns")?,
-            wall_ns: field_u64(line, "wall_ns").unwrap_or(0),
+            pid: field(&["pid"]).ok_or("event missing pid")?,
+            tid: field(&["tid"]).ok_or("event missing tid")?,
+            cat: text("cat"),
+            name: text("name"),
+            span: field(&["args", "span"]).unwrap_or(0),
+            parent: field(&["args", "parent"]).unwrap_or(0),
+            model_ns: field(&["args", "model_ns"]).ok_or("event missing model_ns")?,
+            wall_ns: field(&["args", "wall_ns"]).unwrap_or(0),
         });
     }
     Ok(trace)
@@ -878,11 +853,6 @@ mod tests {
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         assert_eq!(parsed.events.len(), 1);
         assert_eq!(parsed.events[0].name, name);
-    }
-
-    #[test]
-    fn unescape_decodes_every_json_escape() {
-        assert_eq!(unescape_json(r#"a\/b\r\b\f\u00e9\u0001"#), "a/b\r\u{8}\u{c}é\u{1}");
     }
 
     #[test]

@@ -49,6 +49,7 @@ use montsalvat::core::class::{
 use montsalvat::core::codegen;
 use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat::core::transform::transform;
+use montsalvat::telemetry::trace::ParsedSpan;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -131,8 +132,8 @@ fn main() -> ExitCode {
         Some("advise") => {
             let Some(input) = args.get(1) else {
                 eprintln!(
-                    "usage: montsalvat advise <trace.json> [--program <file>] \
-                     [--telemetry <t.json>] [--json] [--min-samples <n>] [--pin <A,B,..>]"
+                    "usage: montsalvat advise <trace.json> [--program <file>] [--json] \
+                     [--min-samples <n>] [--pin <A,B,..>]"
                 );
                 return ExitCode::FAILURE;
             };
@@ -141,7 +142,6 @@ fn main() -> ExitCode {
             };
             let opts = AdviseOpts {
                 program: flag_value("--program"),
-                telemetry: flag_value("--telemetry"),
                 json: args.iter().any(|a| a == "--json"),
                 min_samples: flag_value("--min-samples").and_then(|n| n.parse().ok()),
                 pin: flag_value("--pin")
@@ -174,8 +174,8 @@ fn main() -> ExitCode {
             eprintln!("                                  summarize a --trace-out capture:");
             eprintln!("                                  slowest call trees, per-class");
             eprintln!("                                  profiles, model-time breakdown");
-            eprintln!("  advise <trace.json> [--program <file>] [--telemetry <t.json>]");
-            eprintln!("                      [--json] [--min-samples <n>] [--pin <A,B,..>]");
+            eprintln!("  advise <trace.json> [--program <file>] [--json]");
+            eprintln!("                      [--min-samples <n>] [--pin <A,B,..>]");
             eprintln!("                                  price a --trace-out capture against");
             eprintln!("                                  the cost model and emit a ranked");
             eprintln!(
@@ -339,13 +339,10 @@ fn run_timeline(input: &str, k: f64) -> Result<String, String> {
 /// attribution. The detector is the library's — the CLI sees exactly
 /// what `timeline_ablation` gates.
 fn render_timeline(series: &montsalvat::telemetry::timeseries::ParsedSeries, k: f64) -> String {
-    use montsalvat::telemetry::timeseries::{
-        detect_spikes, WindowView, MIN_ACTIVE_WINDOWS, SCHEMA,
-    };
+    use montsalvat::telemetry::timeseries::{detect_spikes, MIN_ACTIVE_WINDOWS, SCHEMA};
     use std::fmt::Write as _;
 
-    let views: Vec<WindowView> = series.windows.iter().map(WindowView::from_parsed).collect();
-    let report = detect_spikes(&views, k);
+    let report = detect_spikes(&series.windows, k);
     let spiky: std::collections::HashSet<usize> =
         report.spikes.iter().map(|s| s.window_index).collect();
 
@@ -374,7 +371,7 @@ fn render_timeline(series: &montsalvat::telemetry::timeseries::ParsedSeries, k: 
         "{:>4} {:>14} {:>6} {:>14} {:>4} {:>5} {:>4} {:>5} {:>4}",
         "win", "start", "reqs", "p95 latency", "gc", "epc", "wrk", "queue", "fbk"
     );
-    for (i, v) in views.iter().enumerate() {
+    for (i, v) in series.windows.iter().enumerate() {
         let _ = writeln!(
             out,
             "{:>4} {:>14} {:>6} {:>14} {:>4} {:>5} {:>4} {:>5} {:>4}{}",
@@ -440,8 +437,6 @@ struct AdviseOpts {
     /// `.mont` description supplying declared annotations and
     /// statelessness (enables `@Neutral` suggestions).
     program: Option<String>,
-    /// Telemetry export whose `rmi.calls` reconciles trace coverage.
-    telemetry: Option<String>,
     /// Emit `montsalvat.advice/v1` JSON instead of the table.
     json: bool,
     /// Override `AdvisorConfig::min_samples`.
@@ -468,7 +463,7 @@ fn run_advise(input: &str, opts: &AdviseOpts) -> Result<String, String> {
     }
     cfg.pinned.extend(opts.pin.iter().cloned());
 
-    let mut plan = match &opts.program {
+    let plan = match &opts.program {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let program = parse_program(&text)?;
@@ -476,33 +471,10 @@ fn run_advise(input: &str, opts: &AdviseOpts) -> Result<String, String> {
         }
         None => advise(&trace, &params, &cfg),
     };
-    if let Some(path) = &opts.telemetry {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        if let Some(calls) = montsalvat::telemetry::extract_counter(&json, "rmi.calls") {
-            plan.rmi_calls = Some(calls);
-        }
-    }
     if plan.recommendations.is_empty() {
         return Err(format!("no cat-\"rmi\" spans in {input}: nothing to advise on"));
     }
     Ok(if opts.json { plan.to_json() } else { plan.render_table() })
-}
-
-/// One reconstructed span of a parsed trace.
-struct ReportSpan {
-    name: String,
-    cat: String,
-    pid: u64,
-    tid: u64,
-    parent: u64,
-    begin_ns: u64,
-    end_ns: u64,
-}
-
-impl ReportSpan {
-    fn dur_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.begin_ns)
-    }
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -520,47 +492,13 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
     use std::collections::HashMap;
     use std::fmt::Write as _;
 
-    let mut spans: Vec<ReportSpan> = Vec::new();
-    let mut by_id: HashMap<u64, usize> = HashMap::new();
-    for ev in &trace.events {
-        match ev.ph {
-            'B' => {
-                by_id.insert(ev.span, spans.len());
-                spans.push(ReportSpan {
-                    name: ev.name.clone(),
-                    cat: ev.cat.clone(),
-                    pid: ev.pid,
-                    tid: ev.tid,
-                    parent: ev.parent,
-                    begin_ns: ev.model_ns,
-                    end_ns: ev.model_ns,
-                });
-            }
-            'E' => {
-                if let Some(&i) = by_id.get(&ev.span) {
-                    spans[i].end_ns = spans[i].end_ns.max(ev.model_ns);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut span_ids: Vec<u64> = vec![0; spans.len()];
-    for (&id, &i) in &by_id {
-        span_ids[i] = id;
-        if spans[i].parent != 0 {
-            children.entry(spans[i].parent).or_default().push(i);
-        }
-    }
-    for kids in children.values_mut() {
-        kids.sort_by_key(|&i| spans[i].begin_ns);
-    }
+    let spans = trace.spans();
 
     // Total traced model time: the sum of root-span durations. (The
     // raw max timestamp is useless as a denominator — each launched
     // application has its own clock origin.)
-    let tree_total: u64 =
-        (0..spans.len()).filter(|&i| spans[i].parent == 0).map(|i| spans[i].dur_ns()).sum();
+    let mut roots: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].event.parent == 0).collect();
+    let tree_total: u64 = roots.iter().map(|&i| spans[i].dur_ns()).sum();
 
     let mut out = String::new();
     let _ = writeln!(out, "== trace report ==");
@@ -581,7 +519,7 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
 
     // Reconciliation: every cross_call opens exactly one cat-"rmi"
     // span, so telemetry's rmi.calls and the trace agree modulo drops.
-    let rmi_spans = spans.iter().filter(|s| s.cat == "rmi").count() as u64;
+    let rmi_spans = spans.iter().filter(|s| s.event.cat == "rmi").count() as u64;
     if let Some(rmi_calls) = trace.other("rmi_calls") {
         let verdict = if rmi_calls == rmi_spans
             || (rmi_spans <= rmi_calls && rmi_calls <= rmi_spans + dropped)
@@ -604,21 +542,21 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
     }
 
     // Top-N slowest call trees (roots = spans with no parent).
-    let mut roots: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].parent == 0).collect();
     roots.sort_by_key(|&i| std::cmp::Reverse(spans[i].dur_ns()));
     let _ = writeln!(out, "\n-- top {} slowest call trees --", top.min(roots.len()));
     for (rank, &root) in roots.iter().take(top).enumerate() {
+        let root_event = spans[root].event;
         let _ =
-            writeln!(out, "#{} trace {} (lane pid {})", rank + 1, spans[root].tid, spans[root].pid);
+            writeln!(out, "#{} trace {} (lane pid {})", rank + 1, root_event.tid, root_event.pid);
         let mut lines = 0usize;
-        print_tree(&mut out, &spans, &children, &span_ids, root, 1, &mut lines);
+        print_tree(&mut out, &spans, root, 1, &mut lines);
     }
 
     // Per-class call profile over proxy-call spans ("Class.relay").
     // (count, total ns, max ns, serde bytes, serde ns)
     let mut profile: HashMap<&str, (u64, u64, u64, u64, u64)> = HashMap::new();
-    for s in spans.iter().filter(|s| s.cat == "rmi") {
-        let entry = profile.entry(s.name.as_str()).or_default();
+    for s in spans.iter().filter(|s| s.event.cat == "rmi") {
+        let entry = profile.entry(s.event.name.as_str()).or_default();
         entry.0 += 1;
         entry.1 += s.dur_ns();
         entry.2 = entry.2.max(s.dur_ns());
@@ -626,18 +564,12 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
     // Serde attribution: marshal/unmarshal spans carry their payload
     // size as a `b=<bytes>` suffix; charge each one to the nearest
     // enclosing cat-"rmi" span (the proxy call that crossed).
-    for (i, s) in spans.iter().enumerate() {
-        if s.cat != "serde" {
-            continue;
-        }
-        let bytes =
-            s.name.rsplit_once("b=").and_then(|(_, n)| n.trim().parse::<u64>().ok()).unwrap_or(0);
-        let mut parent = spans[i].parent;
-        while parent != 0 {
-            let Some(&p) = by_id.get(&parent) else { break };
-            if spans[p].cat == "rmi" {
-                if let Some(entry) = profile.get_mut(spans[p].name.as_str()) {
-                    entry.3 += bytes;
+    for s in spans.iter().filter(|s| s.event.cat == "serde") {
+        let mut parent = s.parent;
+        while let Some(p) = parent {
+            if spans[p].event.cat == "rmi" {
+                if let Some(entry) = profile.get_mut(spans[p].event.name.as_str()) {
+                    entry.3 += s.payload_bytes;
                     entry.4 += s.dur_ns();
                 }
                 break;
@@ -645,8 +577,10 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
             parent = spans[p].parent;
         }
     }
+    // Largest total first; equal totals in name order, so the report
+    // is the same on every run.
     let mut profile: Vec<_> = profile.into_iter().collect();
-    profile.sort_by_key(|(_, (_, total, ..))| std::cmp::Reverse(*total));
+    profile.sort_by_key(|&(name, (_, total, ..))| (std::cmp::Reverse(total), name));
     let _ = writeln!(out, "\n-- per-class call profile (cat \"rmi\") --");
     let _ = writeln!(
         out,
@@ -681,8 +615,8 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
         ("exec", "relay execution"),
         ("gc", "garbage collection"),
     ] {
-        let total: u64 = spans.iter().filter(|s| s.cat == cat).map(ReportSpan::dur_ns).sum();
-        let count = spans.iter().filter(|s| s.cat == cat).count();
+        let total: u64 = spans.iter().filter(|s| s.event.cat == cat).map(ParsedSpan::dur_ns).sum();
+        let count = spans.iter().filter(|s| s.event.cat == cat).count();
         if count == 0 {
             continue;
         }
@@ -699,15 +633,7 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
 }
 
 /// Prints one call tree, indentation = nesting, capped at 40 lines.
-fn print_tree(
-    out: &mut String,
-    spans: &[ReportSpan],
-    children: &std::collections::HashMap<u64, Vec<usize>>,
-    span_ids: &[u64],
-    i: usize,
-    depth: usize,
-    lines: &mut usize,
-) {
+fn print_tree(out: &mut String, spans: &[ParsedSpan], i: usize, depth: usize, lines: &mut usize) {
     use std::fmt::Write as _;
     if *lines >= 40 {
         if *lines == 40 {
@@ -717,12 +643,17 @@ fn print_tree(
         return;
     }
     let s = &spans[i];
-    let _ = writeln!(out, "{}{} [{}] {}", "  ".repeat(depth), s.name, s.cat, fmt_ns(s.dur_ns()));
+    let _ = writeln!(
+        out,
+        "{}{} [{}] {}",
+        "  ".repeat(depth),
+        s.event.name,
+        s.event.cat,
+        fmt_ns(s.dur_ns())
+    );
     *lines += 1;
-    if let Some(kids) = children.get(&span_ids[i]) {
-        for &kid in kids {
-            print_tree(out, spans, children, span_ids, kid, depth + 1, lines);
-        }
+    for &kid in &s.children {
+        print_tree(out, spans, kid, depth + 1, lines);
     }
 }
 
@@ -895,6 +826,32 @@ mod tests {
             .expect("profile row for the call");
         assert!(profile_line.contains("100"), "serde bytes column: {profile_line}");
         assert!(profile_line.contains("0.030 µs"), "serde time column: {profile_line}");
+    }
+
+    #[test]
+    fn trace_report_lists_equal_profile_totals_in_name_order() {
+        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Tracer};
+        let tracer = Tracer::new();
+        tracer.enable_with_capacity(64);
+        let names = ["F.relay$f", "B.relay$b", "D.relay$d", "A.relay$a", "E.relay$e", "C.relay$c"];
+        for (i, name) in (0u64..).zip(names) {
+            let call = tracer
+                .start(Lane::Untrusted, "rmi", None, || i * 1_000, || name.into())
+                .expect("tracing enabled");
+            tracer.finish(call, i * 1_000 + 500);
+        }
+        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
+        let report = render_trace_report(&parsed, 0);
+        let rows: Vec<&str> = report
+            .lines()
+            .skip_while(|l| !l.starts_with("call "))
+            .skip(1)
+            .take(names.len())
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let mut sorted = names.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(rows, sorted, "{report}");
     }
 
     #[test]

@@ -7,7 +7,8 @@ use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat::core::samples::bank_program;
 use montsalvat::core::transform::transform;
-use montsalvat::telemetry::{extract_counter, Counter, Recorder, SCHEMA};
+use montsalvat::telemetry::json::Json;
+use montsalvat::telemetry::{Counter, Recorder, SCHEMA};
 
 /// Launches the bank sample with an injected recorder (isolated from
 /// any other app running in the test process), runs `main` plus a GC
@@ -44,26 +45,28 @@ fn exported_json_matches_sgx_stats() {
     let json = recorder.snapshot().to_json();
 
     assert!(json.contains(&format!("\"schema\": \"{SCHEMA}\"")));
+    let doc = Json::parse(&json).expect("the export parses");
+    let counter = |name: &str| doc.at(&["counters", name, "value"]).and_then(Json::as_u64);
 
     // Nonzero activity: the bank app crosses the boundary and collects.
     assert!(stats.ecalls > 0, "quickstart run must perform ecalls");
     assert!(stats.ocalls > 0, "gc_sync_once exits the enclave");
-    let gc = extract_counter(&json, "gc.collections").unwrap();
+    let gc = counter("gc.collections").unwrap();
     assert!(gc > 0, "the run must collect at least once");
 
     // The exported JSON and the legacy facade agree exactly.
-    assert_eq!(extract_counter(&json, "sgx.ecalls"), Some(stats.ecalls));
-    assert_eq!(extract_counter(&json, "sgx.ocalls"), Some(stats.ocalls));
-    assert_eq!(extract_counter(&json, "sgx.bytes_in"), Some(stats.bytes_in));
-    assert_eq!(extract_counter(&json, "sgx.bytes_out"), Some(stats.bytes_out));
-    assert_eq!(extract_counter(&json, "sgx.mee_bytes"), Some(stats.mee_bytes));
-    assert_eq!(extract_counter(&json, "sgx.epc_faults"), Some(stats.epc_faults));
+    assert_eq!(counter("sgx.ecalls"), Some(stats.ecalls));
+    assert_eq!(counter("sgx.ocalls"), Some(stats.ocalls));
+    assert_eq!(counter("sgx.bytes_in"), Some(stats.bytes_in));
+    assert_eq!(counter("sgx.bytes_out"), Some(stats.bytes_out));
+    assert_eq!(counter("sgx.mee_bytes"), Some(stats.mee_bytes));
+    assert_eq!(counter("sgx.epc_faults"), Some(stats.epc_faults));
 
     // The RMI layer reports into the same recorder.
-    assert_eq!(extract_counter(&json, "rmi.calls"), Some(6));
-    assert_eq!(extract_counter(&json, "rmi.bytes_serialized"), Some(105));
-    assert_eq!(extract_counter(&json, "rmi.proxies_created"), Some(3));
-    assert_eq!(extract_counter(&json, "rmi.mirrors_created"), Some(3));
+    assert_eq!(counter("rmi.calls"), Some(6));
+    assert_eq!(counter("rmi.bytes_serialized"), Some(105));
+    assert_eq!(counter("rmi.proxies_created"), Some(3));
+    assert_eq!(counter("rmi.mirrors_created"), Some(3));
     app.shutdown();
 }
 
