@@ -31,7 +31,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rmi::codec::{self, CodecError, RefEncoding};
+use rmi::codec::{self, CodecError, EncodeStats, RefEncoding};
 use rmi::hash::ProxyHash;
 use rmi::pool::PooledBuf;
 use rmi::shape::NameRef;
@@ -513,81 +513,28 @@ impl WireMsg {
 ///
 /// Neutral objects inline; annotated objects export/reuse a hash. The
 /// payload is wire format v2 encoded into a pooled buffer
-/// (`docs/SERDE.md`); the annotated-ref heap walk is skipped when the
-/// arguments contain no references at all, and hints name a class by
-/// interned id after its first crossing.
+/// (`docs/SERDE.md`), and hints name a class by interned id after its
+/// first crossing. The first encode refuses every reference, so a
+/// reference-free argument (the common primitive/bulk crossing) is read
+/// once; only a refusal takes the export walk of [`export_and_encode`].
 fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, VmError> {
     let rec = app.cost.recorder();
     let tracer = app.cost.tracer();
     let begin = tracer.stamp(|| app.cost.charged_ns());
 
-    // Pass 1: find annotated references reachable through inline
-    // (neutral) structure. Reference-free arguments (the common
-    // primitive/bulk crossing) skip the walk outright.
-    let mut annotated: Vec<ObjId> = Vec::new();
-    if values.iter().any(has_refs) {
-        let heap = world.isolate.lock_heap();
-        let mut stack: Vec<Value> = values.to_vec();
-        let mut visited: std::collections::HashSet<ObjId> = std::collections::HashSet::new();
-        while let Some(v) = stack.pop() {
-            let mut refs = Vec::new();
-            v.for_each_ref(&mut |id| refs.push(id));
-            for id in refs {
-                if !visited.insert(id) {
-                    continue;
-                }
-                let class_id = heap
-                    .class_of(id)
-                    .ok_or_else(|| VmError::BadRef(format!("{id} is dead at marshal")))?;
-                let info = world
-                    .classes
-                    .by_id(class_id)
-                    .ok_or_else(|| VmError::BadRef(format!("{id}: unknown class")))?;
-                if info.def.trust.is_annotated() {
-                    annotated.push(id);
-                } else {
-                    for f in heap.fields(id).expect("live object has fields") {
-                        stack.push(f.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    // Pass 2: ensure every annotated object has a hash (reading proxy
-    // hashes, exporting concrete objects on first crossing).
-    let mut hash_map: std::collections::HashMap<ObjId, ProxyHash> = Default::default();
-    let mut hints: Vec<(ProxyHash, NameRef)> = Vec::new();
-    if !annotated.is_empty() {
-        let mut rmi = world.rmi.lock();
-        let mut heap = world.isolate.lock_heap();
-        for id in annotated {
-            let class_id = heap.class_of(id).expect("live");
-            let info = world.classes.by_id(class_id).expect("indexed");
-            let hash = if info.def.role == ClassRole::Proxy {
-                read_proxy_hash(&heap, id)?
-            } else if let Some(&h) = rmi.hash_of.get(&id) {
-                h
-            } else {
-                let h = world.hasher.next_hash();
-                rmi.registry.register(&mut heap, h, id);
-                rmi.hash_of.insert(id, h);
-                h
-            };
-            hints.push((hash, hint_name(app, world, info, class_id)));
-            hash_map.insert(id, hash);
-        }
-    }
-
-    // Pass 3: encode with a pure policy.
     let mut payload = rmi::pool::acquire();
-    let stats = {
+    let encoded = {
         let heap = world.isolate.lock_heap();
-        let mut policy = |id: ObjId| match hash_map.get(&id) {
-            Some(&h) => Ok(RefEncoding::Hash(h)),
-            None => Ok(RefEncoding::Inline),
-        };
-        codec::encode_values_v2(&heap, values, &mut policy, &mut payload)?
+        codec::encode_values_v2(&heap, values, &mut refuse_refs, &mut payload)
+    };
+    let (stats, hints) = match encoded {
+        Ok(stats) => (stats, Vec::new()),
+        // A refused reference is the only way this encode fails; it
+        // inlined no object before the refusal.
+        Err(_) => {
+            payload.clear();
+            export_and_encode(app, world, values, &mut payload)?
+        }
     };
 
     // Serialization walks the object graph; inside the enclave every
@@ -619,12 +566,85 @@ fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, 
     Ok(WireMsg { recv_hash: None, hints, payload, trace: None })
 }
 
-/// Whether a value contains any heap reference (cheap shallow check —
-/// `for_each_ref` descends lists without touching the heap).
-fn has_refs(v: &Value) -> bool {
-    let mut found = false;
-    v.for_each_ref(&mut |_| found = true);
-    found
+/// The policy of marshal's first encode: every reference waits for the
+/// export walk. The refusal allocates nothing.
+fn refuse_refs(id: ObjId) -> Result<RefEncoding, CodecError> {
+    Err(CodecError::ForbiddenRef { id, reason: String::new() })
+}
+
+/// Marshal's path for arguments that hold references: encodes `values`
+/// into the empty `payload` and returns one hint per annotated object.
+fn export_and_encode(
+    app: &AppShared,
+    world: &World,
+    values: &[Value],
+    payload: &mut Vec<u8>,
+) -> Result<(EncodeStats, Vec<(ProxyHash, NameRef)>), VmError> {
+    // Pass 1: find annotated references reachable through inline
+    // (neutral) structure, borrowing the arguments and the fields under
+    // the heap guard.
+    let mut annotated: Vec<ObjId> = Vec::new();
+    {
+        let heap = world.isolate.lock_heap();
+        let mut stack: Vec<&Value> = values.iter().collect();
+        let mut visited: std::collections::HashSet<ObjId> = std::collections::HashSet::new();
+        let mut refs = Vec::new();
+        while let Some(v) = stack.pop() {
+            refs.clear();
+            v.for_each_ref(&mut |id| refs.push(id));
+            for &id in &refs {
+                if !visited.insert(id) {
+                    continue;
+                }
+                let class_id = heap
+                    .class_of(id)
+                    .ok_or_else(|| VmError::BadRef(format!("{id} is dead at marshal")))?;
+                let info = world
+                    .classes
+                    .by_id(class_id)
+                    .ok_or_else(|| VmError::BadRef(format!("{id}: unknown class")))?;
+                if info.def.trust.is_annotated() {
+                    annotated.push(id);
+                } else {
+                    stack.extend(heap.fields(id).expect("live object has fields"));
+                }
+            }
+        }
+    }
+
+    // Pass 2: ensure every annotated object has a hash (reading proxy
+    // hashes, exporting concrete objects on first crossing).
+    let mut hash_map: std::collections::HashMap<ObjId, ProxyHash> = Default::default();
+    let mut hints: Vec<(ProxyHash, NameRef)> = Vec::new();
+    if !annotated.is_empty() {
+        let mut rmi = world.rmi.lock();
+        let mut heap = world.isolate.lock_heap();
+        for id in annotated {
+            let class_id = heap.class_of(id).expect("live");
+            let info = world.classes.by_id(class_id).expect("indexed");
+            let hash = if info.def.role == ClassRole::Proxy {
+                read_proxy_hash(&heap, id)?
+            } else if let Some(&h) = rmi.hash_of.get(&id) {
+                h
+            } else {
+                let h = world.hasher.next_hash();
+                rmi.registry.register(&mut heap, h, id);
+                rmi.hash_of.insert(id, h);
+                h
+            };
+            hints.push((hash, hint_name(app, world, info, class_id)));
+            hash_map.insert(id, hash);
+        }
+    }
+
+    // Pass 3: encode with a pure policy.
+    let heap = world.isolate.lock_heap();
+    let mut policy = |id: ObjId| match hash_map.get(&id) {
+        Some(&h) => Ok(RefEncoding::Hash(h)),
+        None => Ok(RefEncoding::Inline),
+    };
+    let stats = codec::encode_values_v2(&heap, values, &mut policy, payload)?;
+    Ok((stats, hints))
 }
 
 /// Produces a hint's class-name encoding: the full name on the class's

@@ -191,7 +191,10 @@ pub fn encode_values_v2(
 }
 
 /// Encodes a list body, taking the bulk path when every element is the
-/// same fixed-width primitive.
+/// same fixed-width primitive. A list that opens with an `Int` (or a
+/// `Float`) is written in one pass as a bulk run; at the first element
+/// of another kind the run is cut away and the list is encoded element
+/// by element instead.
 fn encode_list(
     heap: &Heap,
     vs: &[Value],
@@ -200,29 +203,20 @@ fn encode_list(
     out: &mut Vec<u8>,
     bulk: &mut u64,
 ) -> Result<(), CodecError> {
-    if !vs.is_empty() {
-        if vs.iter().all(|v| matches!(v, Value::Int(_))) {
-            out.push(TAG_INTS);
-            out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-            for v in vs {
-                if let Value::Int(i) = v {
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-            }
-            *bulk += 8 * vs.len() as u64;
-            return Ok(());
-        }
-        if vs.iter().all(|v| matches!(v, Value::Float(_))) {
-            out.push(TAG_FLOATS);
-            out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-            for v in vs {
-                if let Value::Float(x) = v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            *bulk += 8 * vs.len() as u64;
-            return Ok(());
-        }
+    let bulk_run = match vs.first() {
+        Some(Value::Int(_)) => encode_run(vs, TAG_INTS, out, |v| match v {
+            Value::Int(i) => Some(i.to_le_bytes()),
+            _ => None,
+        }),
+        Some(Value::Float(_)) => encode_run(vs, TAG_FLOATS, out, |v| match v {
+            Value::Float(x) => Some(x.to_le_bytes()),
+            _ => None,
+        }),
+        _ => false,
+    };
+    if bulk_run {
+        *bulk += 8 * vs.len() as u64;
+        return Ok(());
     }
     out.push(TAG_LIST);
     out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
@@ -230,6 +224,33 @@ fn encode_list(
         encode_inner(heap, v, policy, seen, out, bulk)?;
     }
     Ok(())
+}
+
+/// Writes `vs` as one bulk run under `tag` (count, then each element's
+/// 8 bytes from `word`) into a block sized up front. Returns `false`
+/// and leaves `out` as it found it if `word` refuses an element.
+fn encode_run(
+    vs: &[Value],
+    tag: u8,
+    out: &mut Vec<u8>,
+    word: impl Fn(&Value) -> Option<[u8; 8]>,
+) -> bool {
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
+    let body = out.len();
+    out.resize(body + 8 * vs.len(), 0);
+    let whole = out[body..].chunks_exact_mut(8).zip(vs).all(|(slot, v)| match word(v) {
+        Some(bytes) => {
+            slot.copy_from_slice(&bytes);
+            true
+        }
+        None => false,
+    });
+    if !whole {
+        out.truncate(start);
+    }
+    whole
 }
 
 fn encode_inner(
@@ -764,6 +785,55 @@ mod tests {
         let decoded = decode_value(&mut dst, &golden, &mut resolve_none).unwrap();
         assert_eq!(decoded.bulk_bytes, 2);
         assert_eq!(decoded.unpin(&mut dst), list);
+    }
+
+    /// Encodes `args` after a byte already in the buffer (as in a reused
+    /// pooled buffer) and checks that only `golden` was appended, with
+    /// `bulk_bytes` of it through a bulk tag.
+    fn assert_args_encode(args: &[Value], golden: &[u8], bulk_bytes: u64) {
+        let mut bytes = vec![0xAA];
+        let stats = encode_values_v2(&heap(), args, &mut inline_all, &mut bytes).unwrap();
+        assert_eq!(bytes[0], 0xAA, "bytes before the encode are kept");
+        assert_eq!(&bytes[1..], golden);
+        assert_eq!(stats, EncodeStats { total_bytes: golden.len() as u64, bulk_bytes });
+    }
+
+    #[test]
+    fn pinned_bulk_run_bytes() {
+        // An all-Int argument slice is one top-level bulk run.
+        let mut golden = vec![WIRE_V2_MARKER, TAG_INTS];
+        golden.extend_from_slice(&4u32.to_le_bytes());
+        for i in [65_536i64, 1 << 20, 16, 4242] {
+            golden.extend_from_slice(&i.to_le_bytes());
+        }
+        let args = [Value::Int(65_536), Value::Int(1 << 20), Value::Int(16), Value::Int(4242)];
+        assert_args_encode(&args, &golden, 32);
+
+        // An Int run broken at its last element: per-element, and no
+        // byte of the abandoned run remains.
+        let mut golden = vec![WIRE_V2_MARKER, TAG_LIST];
+        golden.extend_from_slice(&4u32.to_le_bytes());
+        for i in [1i64, 2, 3] {
+            golden.push(TAG_INT);
+            golden.extend_from_slice(&i.to_le_bytes());
+        }
+        golden.push(TAG_STR);
+        golden.extend_from_slice(&1u32.to_le_bytes());
+        golden.push(b'x');
+        let args = [Value::Int(1), Value::Int(2), Value::Int(3), Value::from("x")];
+        assert_args_encode(&args, &golden, 0);
+
+        // A Float run broken by an Int.
+        let mut golden = vec![WIRE_V2_MARKER, TAG_LIST];
+        golden.extend_from_slice(&3u32.to_le_bytes());
+        golden.push(TAG_FLOAT);
+        golden.extend_from_slice(&0.5f64.to_le_bytes());
+        golden.push(TAG_INT);
+        golden.extend_from_slice(&7i64.to_le_bytes());
+        golden.push(TAG_FLOAT);
+        golden.extend_from_slice(&1.5f64.to_le_bytes());
+        let args = [Value::Float(0.5), Value::Int(7), Value::Float(1.5)];
+        assert_args_encode(&args, &golden, 0);
     }
 
     fn nested_list_bytes(depth: usize) -> Vec<u8> {

@@ -1,7 +1,9 @@
 //! Property-based tests for the cross-boundary value codec.
 
 use proptest::prelude::*;
-use rmi::codec::{decode_value, encode_value_v2, inline_all, resolve_none};
+use rmi::codec::{
+    decode_value, encode_value_v2, encode_values_v2, inline_all, resolve_none, EncodeStats,
+};
 use runtime_sim::heap::{Heap, HeapConfig};
 use runtime_sim::value::{ClassId, Value};
 
@@ -25,8 +27,97 @@ fn flat_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// Lists of `Int`, `Float` and `Str` of length 0..64. Most keep one
+/// kind (`kind` 0–2) with about one element in sixteen switched to the
+/// next kind, so whole bulk runs and runs broken anywhere are both
+/// common; `kind` 3 mixes freely.
+fn primitive_list() -> impl Strategy<Value = Vec<Value>> {
+    let element = (0u8..16, 0u8..3, any::<i64>(), any::<f64>(), "[a-z]{0,8}");
+    (0u8..4, proptest::collection::vec(element, 0..64)).prop_map(|(kind, elements)| {
+        elements
+            .into_iter()
+            .map(|(roll, pick, i, x, s)| {
+                let k = match kind {
+                    3 => pick,
+                    _ if roll == 0 => (kind + 1) % 3,
+                    _ => kind,
+                };
+                match k {
+                    0 => Value::Int(i),
+                    1 => Value::Float(x),
+                    _ => Value::Str(s),
+                }
+            })
+            .collect()
+    })
+}
+
+/// The bulk rule as the encoder first applied it: check every element,
+/// then write. Tags and layout are those of `docs/SERDE.md`.
+fn reference_encode(vs: &[Value]) -> (Vec<u8>, EncodeStats) {
+    const MARKER: u8 = 0xF2;
+    const TAG_INT: u8 = 2;
+    const TAG_FLOAT: u8 = 3;
+    const TAG_STR: u8 = 4;
+    const TAG_LIST: u8 = 6;
+    const TAG_INTS: u8 = 10;
+    const TAG_FLOATS: u8 = 11;
+    let mut out = vec![MARKER];
+    let mut bulk_bytes = 0;
+    let all = |f: fn(&Value) -> bool| !vs.is_empty() && vs.iter().all(f);
+    let tag = if all(|v| matches!(v, Value::Int(_))) {
+        TAG_INTS
+    } else if all(|v| matches!(v, Value::Float(_))) {
+        TAG_FLOATS
+    } else {
+        TAG_LIST
+    };
+    out.push(tag);
+    out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
+    for v in vs {
+        if tag == TAG_LIST {
+            out.push(match v {
+                Value::Int(_) => TAG_INT,
+                Value::Float(_) => TAG_FLOAT,
+                _ => TAG_STR,
+            });
+        }
+        match v {
+            Value::Int(i) => out.extend_from_slice(&i.to_le_bytes()),
+            Value::Float(x) => out.extend_from_slice(&x.to_le_bytes()),
+            Value::Str(s) => {
+                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            other => panic!("not a primitive list element: {other:?}"),
+        }
+    }
+    if tag != TAG_LIST {
+        bulk_bytes = 8 * vs.len() as u64;
+    }
+    let stats = EncodeStats { total_bytes: out.len() as u64, bulk_bytes };
+    (out, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-pass bulk encoder writes the same bytes and byte split
+    /// as the check-then-write rule, as an argument slice and as a
+    /// list value, whether a run holds to the end or breaks.
+    #[test]
+    fn one_pass_bulk_runs_match_the_check_then_write_rule(vs in primitive_list()) {
+        let (want, want_stats) = reference_encode(&vs);
+        let src = fresh_heap();
+        let mut bytes = Vec::new();
+        let stats = encode_values_v2(&src, &vs, &mut inline_all, &mut bytes).unwrap();
+        prop_assert_eq!(&bytes, &want);
+        prop_assert_eq!(stats, want_stats);
+        let mut bytes = Vec::new();
+        let stats = encode_value_v2(&src, &Value::List(vs), &mut inline_all, &mut bytes).unwrap();
+        prop_assert_eq!(&bytes, &want);
+        prop_assert_eq!(stats, want_stats);
+    }
 
     /// Reference-free values roundtrip bit-exactly (bulk paths
     /// included via `Bytes` and the primitive-homogeneous lists

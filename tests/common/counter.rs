@@ -1,5 +1,6 @@
 //! The trusted counter the allocation tests cross into: `Counter.add`
-//! takes and returns an int.
+//! takes and returns an int, and `Counter.size` takes a byte array or a
+//! list and returns its length.
 
 use std::sync::Arc;
 
@@ -24,6 +25,17 @@ fn counter_program() -> Program {
                 Value::Int(n) => Ok(Value::Int(n + 1)),
                 ref other => Ok(other.clone()),
             }),
+        ))
+        .method(MethodDef::native(
+            "size",
+            MethodKind::Instance,
+            1,
+            vec![],
+            Arc::new(|_ctx, _this, args: &[Value]| match &args[0] {
+                Value::Bytes(b) => Ok(Value::Int(b.len() as i64)),
+                Value::List(vs) => Ok(Value::Int(vs.len() as i64)),
+                other => Ok(other.clone()),
+            }),
         ));
     let main = ClassDef::new("Main").trust(Trust::Untrusted).method(MethodDef::interpreted(
         "main",
@@ -43,6 +55,7 @@ pub fn launch(switchless: Option<SwitchlessConfig>) -> PartitionedApp {
     let options = ImageOptions::with_entry_points(vec![
         MethodRef::new("Counter", CTOR),
         MethodRef::new("Counter", "add"),
+        MethodRef::new("Counter", "size"),
         MethodRef::new("Main", "main"),
     ]);
     let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
