@@ -98,6 +98,14 @@ pub enum VmError {
     Io(String),
     /// The application body returned an application-level error.
     App(String),
+    /// An environment variable named a deployment provider that does
+    /// not exist.
+    UnknownProvider {
+        /// The variable that was read.
+        variable: &'static str,
+        /// Its value.
+        value: String,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -121,6 +129,10 @@ impl fmt::Display for VmError {
             VmError::OutOfMemory(e) => write!(f, "{e}"),
             VmError::Io(m) => write!(f, "i/o error: {m}"),
             VmError::App(m) => write!(f, "application error: {m}"),
+            VmError::UnknownProvider { variable, value } => write!(
+                f,
+                "unknown provider `{value}` in {variable} (expected `sim-sgx` or `passthrough`)"
+            ),
         }
     }
 }

@@ -17,7 +17,6 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use rmi::gc_helper::GcHelper;
-use rmi::hash::HashScheme;
 use runtime_sim::heap::HeapConfig;
 use runtime_sim::value::Value;
 use sgx_sim::cost::{ClockMode, CostModel, CostParams};
@@ -28,10 +27,10 @@ use crate::annotation::Side;
 use crate::class::MethodRef;
 use crate::error::VmError;
 use crate::exec::ctx::{serve_relay, Ctx};
-use crate::exec::switchless::{ServeFn, SwitchlessPool};
+use crate::exec::switchless::{ServeFn, SwitchlessConfig, SwitchlessPool};
 use crate::exec::world::{ClassIndex, ExecModel, World};
 use crate::image_builder::NativeImage;
-use crate::provider::{self, CrossingDir, EnclaveProvider, ProviderKind};
+use crate::provider::{self, CrossingDir, ProviderKind};
 use crate::transform::is_relay_name;
 
 /// Configuration for launching applications.
@@ -50,8 +49,6 @@ pub struct AppConfig {
     /// seeded from [`CostParams::gc_block_bytes`] so heap blocks and
     /// EPC charging agree.
     pub heap_config: HeapConfig,
-    /// Proxy hashing scheme.
-    pub hash_scheme: HashScheme,
     /// GC helper scan interval; `None` disables the helper threads
     /// (tests then drive [`PartitionedApp::gc_sync_once`] manually).
     pub gc_helper_interval: Option<Duration>,
@@ -64,7 +61,7 @@ pub struct AppConfig {
     /// through resident worker threads instead of hardware transitions
     /// (the paper's §7 future-work item). `None` uses classic
     /// ecall/ocall crossings.
-    pub switchless: Option<crate::exec::switchless::SwitchlessConfig>,
+    pub switchless: Option<SwitchlessConfig>,
     /// Telemetry recorder every layer of this application reports into.
     /// `None` creates a fresh recorder (the normal case); inject one to
     /// isolate a run's metrics from other applications in the process,
@@ -76,9 +73,10 @@ pub struct AppConfig {
     /// until enabled; inject one to isolate a run's trace.
     pub trace: Option<Arc<telemetry::trace::Tracer>>,
     /// How the trusted world is realized (see [`crate::provider`]).
-    /// `None` consults `MONTSALVAT_PROVIDER` at launch and defaults to
+    /// `None` consults `MONTSALVAT_PROVIDER` at launch (an unknown
+    /// value fails the launch) and defaults to
     /// [`ProviderKind::SimSgx`]; `Some(_)` pins the deployment mode
-    /// regardless of the environment.
+    /// without reading the environment.
     pub provider: Option<ProviderKind>,
 }
 
@@ -89,7 +87,6 @@ impl Default for AppConfig {
             clock_mode: ClockMode::Virtual,
             enclave_config: EnclaveConfig::default(),
             heap_config: HeapConfig::default(),
-            hash_scheme: HashScheme::Wide,
             gc_helper_interval: Some(Duration::from_millis(100)),
             exec_model: ExecModel::native_image(),
             workdir: None,
@@ -109,27 +106,6 @@ fn effective_heap_config(config: &AppConfig) -> HeapConfig {
     HeapConfig {
         block_bytes: config.cost_params.gc_block_bytes.max(1),
         ..config.heap_config.clone()
-    }
-}
-
-/// Per-application serde state: the class-name interner shared by
-/// both runtimes (modelling the per-peer tables each side builds from
-/// the `Named` hints it has seen) and one shape cache per side (class
-/// ids are world-local, so the caches must not mix).
-#[derive(Debug, Default)]
-pub(crate) struct SerdeState {
-    pub(crate) names: rmi::NameInterner,
-    shapes_trusted: rmi::ShapeCache,
-    shapes_untrusted: rmi::ShapeCache,
-}
-
-impl SerdeState {
-    /// The shape cache for classes of `side`'s world.
-    pub(crate) fn shapes(&self, side: Side) -> &rmi::ShapeCache {
-        match side {
-            Side::Trusted => &self.shapes_trusted,
-            Side::Untrusted => &self.shapes_untrusted,
-        }
     }
 }
 
@@ -157,9 +133,9 @@ fn cost_model(config: &AppConfig) -> Arc<CostModel> {
 pub struct AppShared {
     /// The (simulated) enclave.
     pub enclave: Arc<Enclave>,
-    /// The deployment-mode provider every boundary crossing routes
-    /// through (see [`crate::provider`]).
-    pub provider: Arc<dyn EnclaveProvider>,
+    /// The deployment mode every boundary crossing realizes (see
+    /// [`crate::provider`]), resolved at launch.
+    pub provider: ProviderKind,
     /// The shared clock/cost model.
     pub cost: Arc<CostModel>,
     trusted: Arc<World>,
@@ -167,7 +143,10 @@ pub struct AppShared {
     /// The switchless pool, fixed at launch: crossings read it without
     /// a lock, and it stops and joins its workers when the app drops.
     pub(crate) switchless: Option<SwitchlessPool>,
-    pub(crate) serde: SerdeState,
+    /// The class-name interner both runtimes share, modelling the
+    /// per-peer tables each side builds from the `Named` hints it has
+    /// seen (`docs/SERDE.md`).
+    pub(crate) names: rmi::NameInterner,
 }
 
 impl AppShared {
@@ -177,6 +156,52 @@ impl AppShared {
             Side::Trusted => &self.trusted,
             Side::Untrusted => &self.untrusted,
         }
+    }
+
+    /// Performs one boundary crossing and returns what `f` returns: an
+    /// [`Enclave::ecall`] or [`Enclave::ocall`] under
+    /// [`ProviderKind::SimSgx`], `f` inline under
+    /// [`ProviderKind::PassThrough`]. `routine` is the EDL edge-routine
+    /// name and `bytes` the wire length of the message, both used for
+    /// charging and telemetry only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates enclave loss under [`ProviderKind::SimSgx`].
+    pub(crate) fn cross<R>(
+        &self,
+        dir: CrossingDir,
+        routine: &str,
+        bytes: usize,
+        f: impl FnOnce() -> R,
+    ) -> Result<R, SgxError> {
+        match (self.provider, dir) {
+            (ProviderKind::SimSgx, CrossingDir::Enter) => self.enclave.ecall(routine, bytes, f),
+            (ProviderKind::SimSgx, CrossingDir::Exit) => self.enclave.ocall(routine, bytes, f),
+            (ProviderKind::PassThrough, _) => Ok(f()),
+        }
+    }
+
+    /// The classic crossing of one RMI call: [`cross`](Self::cross)
+    /// after charging the relay software itself (isolate attach,
+    /// edge-routine marshalling, registry work) under
+    /// [`ProviderKind::SimSgx`]. [`ProviderKind::PassThrough`] charges
+    /// neither.
+    ///
+    /// # Errors
+    ///
+    /// Propagates enclave loss under [`ProviderKind::SimSgx`].
+    pub(crate) fn cross_classic<R>(
+        &self,
+        dir: CrossingDir,
+        routine: &str,
+        bytes: usize,
+        f: impl FnOnce() -> R,
+    ) -> Result<R, SgxError> {
+        if self.provider == ProviderKind::SimSgx {
+            self.cost.charge_ns(self.cost.params().relay_overhead_ns);
+        }
+        self.cross(dir, routine, bytes, f)
     }
 
     /// Always `true`: every crossing encodes wire format v2, the only
@@ -189,7 +214,7 @@ impl AppShared {
     /// Number of distinct class names interned by crossing hints so
     /// far — stable across steady-state crossings (names cross once).
     pub fn serde_interned_names(&self) -> usize {
-        self.serde.names.len()
+        self.names.len()
     }
 }
 
@@ -243,13 +268,9 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
     };
     let released = match side {
         // The untrusted helper enters the trusted world to drop its mirrors.
-        Side::Untrusted => {
-            shared.provider.cross(CrossingDir::Enter, "ecall_gc_release", bytes, release)
-        }
+        Side::Untrusted => shared.cross(CrossingDir::Enter, "ecall_gc_release", bytes, release),
         // The trusted helper exits to drop untrusted mirrors.
-        Side::Trusted => {
-            shared.provider.cross(CrossingDir::Exit, "ocall_gc_release", bytes, release)
-        }
+        Side::Trusted => shared.cross(CrossingDir::Exit, "ocall_gc_release", bytes, release),
     };
     if let Some(span) = sweep_span {
         tracer.finish(span, shared.cost.charged_ns());
@@ -264,6 +285,142 @@ fn fresh_workdir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("montsalvat-{tag}-{:010}-{n}", std::process::id()))
+}
+
+/// Undoes a launch: stops the GC helpers, destroys the enclave and
+/// removes the scratch directory if the launch created it. Both app
+/// shapes hold one from the moment the enclave exists, so a launch
+/// that fails part-way leaves nothing behind, and dropping or shutting
+/// down an app tears it down the same way.
+#[derive(Debug)]
+struct Teardown {
+    helpers: Vec<GcHelper>,
+    enclave: Arc<Enclave>,
+    owned_workdir: Option<PathBuf>,
+}
+
+impl Drop for Teardown {
+    fn drop(&mut self) {
+        // Each helper stops and joins as it drops.
+        self.helpers.clear();
+        self.enclave.destroy();
+        if let Some(dir) = &self.owned_workdir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// What both app shapes launch on.
+struct Launch {
+    provider: ProviderKind,
+    cost: Arc<CostModel>,
+    enclave: Arc<Enclave>,
+    /// Whether the image that asked for the enclave runs inside it,
+    /// which only [`ProviderKind::SimSgx`] allows.
+    in_enclave: bool,
+    workdir: PathBuf,
+    teardown: Teardown,
+}
+
+impl Launch {
+    /// The launch path both app shapes share: resolves the provider,
+    /// builds the cost model and the enclave measured over `image`,
+    /// commits `image` and the runtime overhead to the EPC when it runs
+    /// in the enclave (asked for by `wants_enclave`, and only under
+    /// [`ProviderKind::SimSgx`]), charges startup and creates the
+    /// scratch directory, tagged with `tag` when the config names none.
+    fn new(
+        config: &AppConfig,
+        image: &NativeImage,
+        wants_enclave: bool,
+        tag: &str,
+    ) -> Result<Self, VmError> {
+        let provider = provider::detect(config.provider)?;
+        let cost = cost_model(config);
+        let enclave =
+            Enclave::create(&config.enclave_config, &image.measurement_bytes(), Arc::clone(&cost))?;
+        let mut teardown =
+            Teardown { helpers: Vec::new(), enclave: Arc::clone(&enclave), owned_workdir: None };
+        let in_enclave = wants_enclave && provider == ProviderKind::SimSgx;
+        if in_enclave {
+            // Commit the compiled image + runtime to the EPC.
+            enclave.alloc_heap(image.code_size_estimate())?;
+            let overhead = config.exec_model.runtime_heap_overhead_bytes;
+            if overhead > 0 {
+                enclave.alloc_heap(overhead)?;
+                enclave.charge_heap_traffic(overhead);
+            }
+        }
+        cost.charge_ns(config.exec_model.startup_ns);
+        let workdir = match &config.workdir {
+            Some(dir) => dir.clone(),
+            None => teardown.owned_workdir.insert(fresh_workdir(tag)).clone(),
+        };
+        std::fs::create_dir_all(&workdir).map_err(|e| VmError::Io(e.to_string()))?;
+        Ok(Launch { provider, cost, enclave, in_enclave, workdir, teardown })
+    }
+
+    /// A world for `side` over `image`'s classes, with its image heap
+    /// restored and its scratch file named `scratch` in the workdir.
+    /// Only the trusted world of an in-enclave launch runs inside the
+    /// enclave.
+    fn world(
+        &self,
+        side: Side,
+        image: &NativeImage,
+        config: &AppConfig,
+        scratch: &str,
+    ) -> Result<Arc<World>, VmError> {
+        let in_enclave = side == Side::Trusted && self.in_enclave;
+        let world = World::new(
+            side,
+            Arc::new(ClassIndex::from_classes(&image.classes)),
+            effective_heap_config(config),
+            config.exec_model.clone(),
+            self.workdir.join(scratch),
+            &self.cost,
+            in_enclave.then_some(&self.enclave),
+        );
+        restore_image_heap(image, &world)?;
+        Ok(world)
+    }
+
+    /// The state both runtimes share, with a switchless pool over it
+    /// when `switchless` configures one, and the guard that tears the
+    /// launch down.
+    fn into_shared(
+        self,
+        trusted: Arc<World>,
+        untrusted: Arc<World>,
+        switchless: Option<&SwitchlessConfig>,
+    ) -> (Arc<AppShared>, Teardown) {
+        let Launch { provider, cost, enclave, teardown, .. } = self;
+        let shared = Arc::new_cyclic(|app: &Weak<AppShared>| {
+            let switchless = switchless.map(|sw_config| {
+                // Workers hold the app weakly, so the pool inside it
+                // does not keep it alive. A serve's strong handle ends
+                // before its worker replies, while the caller still
+                // holds the app, so the app — and with it the pool,
+                // which joins its workers — never drops on a worker.
+                let app = Weak::clone(app);
+                let serve: ServeFn = Arc::new(move |side, crossing, msg| {
+                    let app = app.upgrade().ok_or(VmError::Sgx(SgxError::EnclaveLost))?;
+                    serve_relay(&app, app.world(side), crossing, msg)
+                });
+                SwitchlessPool::spawn(sw_config, serve, Arc::clone(&cost))
+            });
+            AppShared {
+                enclave,
+                provider,
+                cost,
+                trusted,
+                untrusted,
+                switchless,
+                names: rmi::NameInterner::default(),
+            }
+        });
+        (shared, teardown)
+    }
 }
 
 fn find_main(image: &NativeImage) -> Result<MethodRef, VmError> {
@@ -306,14 +463,14 @@ fn restore_image_heap(image: &NativeImage, world: &Arc<World>) -> Result<(), VmE
 /// ```
 #[derive(Debug)]
 pub struct PartitionedApp {
+    // Declared first, so it drops first: the helpers stop and the
+    // enclave is destroyed before `shared` releases the switchless pool.
+    _teardown: Teardown,
     /// Shared runtime state (enclave, clock, worlds).
     pub shared: Arc<AppShared>,
     /// The simulated enclave (alias of `shared.enclave`).
     pub enclave: Arc<Enclave>,
     main: MethodRef,
-    helpers: Vec<GcHelper>,
-    workdir: PathBuf,
-    owns_workdir: bool,
 }
 
 impl PartitionedApp {
@@ -322,8 +479,10 @@ impl PartitionedApp {
     ///
     /// # Errors
     ///
-    /// Fails if the images are for the wrong sides, enclave creation is
-    /// rejected, or the scratch directory cannot be created.
+    /// Fails if the images are for the wrong sides, `MONTSALVAT_PROVIDER`
+    /// names no provider, enclave creation is rejected, the scratch
+    /// directory cannot be created, or the untrusted image has no
+    /// `main`.
     pub fn launch(
         trusted_image: &NativeImage,
         untrusted_image: &NativeImage,
@@ -334,94 +493,18 @@ impl PartitionedApp {
         {
             return Err(VmError::Type("launch requires a (trusted, untrusted) image pair".into()));
         }
-        let cost = cost_model(&config);
-        let enclave = Enclave::create(
-            &config.enclave_config,
-            &trusted_image.measurement_bytes(),
-            Arc::clone(&cost),
-        )?;
-        let provider = provider::build(provider::detect(config.provider), &enclave, &cost);
-        let shields = provider.shields_trusted_memory();
-        if shields {
-            // Commit the compiled trusted image + runtime to the EPC.
-            enclave.alloc_heap(trusted_image.code_size_estimate())?;
-            if config.exec_model.runtime_heap_overhead_bytes > 0 {
-                enclave.alloc_heap(config.exec_model.runtime_heap_overhead_bytes)?;
-                enclave.charge_heap_traffic(config.exec_model.runtime_heap_overhead_bytes);
-            }
-        }
-        cost.charge_ns(config.exec_model.startup_ns);
+        let launch = Launch::new(&config, trusted_image, true, "part")?;
+        let main = find_main(untrusted_image)?;
+        let trusted = launch.world(Side::Trusted, trusted_image, &config, "trusted.scratch")?;
+        let untrusted =
+            launch.world(Side::Untrusted, untrusted_image, &config, "untrusted.scratch")?;
+        let (shared, mut teardown) =
+            launch.into_shared(trusted, untrusted, config.switchless.as_ref());
 
-        let (workdir, owns_workdir) = match &config.workdir {
-            Some(dir) => (dir.clone(), false),
-            None => (fresh_workdir("part"), true),
-        };
-        std::fs::create_dir_all(&workdir).map_err(|e| VmError::Io(e.to_string()))?;
-
-        let heap_config = effective_heap_config(&config);
-        let trusted = World::new(
-            Side::Trusted,
-            shields,
-            Arc::new(ClassIndex::from_classes(&trusted_image.classes)),
-            heap_config.clone(),
-            config.hash_scheme,
-            config.exec_model.clone(),
-            workdir.join("trusted.scratch"),
-            shields.then_some(&enclave),
-        );
-        let untrusted = World::new(
-            Side::Untrusted,
-            false,
-            Arc::new(ClassIndex::from_classes(&untrusted_image.classes)),
-            heap_config,
-            config.hash_scheme,
-            config.exec_model.clone(),
-            workdir.join("untrusted.scratch"),
-            None,
-        );
-        trusted.attach_recorder(Arc::clone(cost.recorder()));
-        untrusted.attach_recorder(Arc::clone(cost.recorder()));
-        let charge_clock: Arc<dyn Fn() -> u64 + Send + Sync> = {
-            let cost = Arc::clone(&cost);
-            Arc::new(move || cost.charged_ns())
-        };
-        trusted.attach_tracer(Arc::clone(cost.tracer()));
-        untrusted.attach_tracer(Arc::clone(cost.tracer()));
-        trusted.attach_charge_clock(Arc::clone(&charge_clock));
-        untrusted.attach_charge_clock(charge_clock);
-        restore_image_heap(trusted_image, &trusted)?;
-        restore_image_heap(untrusted_image, &untrusted)?;
-
-        let shared = Arc::new_cyclic(|app: &Weak<AppShared>| {
-            let switchless = config.switchless.as_ref().map(|sw_config| {
-                // Workers hold the app weakly, so the pool inside it
-                // does not keep it alive. A serve's strong handle ends
-                // before its worker replies, while the caller still
-                // holds the app, so the app — and with it the pool,
-                // which joins its workers — never drops on a worker.
-                let app = Weak::clone(app);
-                let serve: ServeFn = Arc::new(move |side, crossing, msg| {
-                    let app = app.upgrade().ok_or(VmError::Sgx(SgxError::EnclaveLost))?;
-                    serve_relay(&app, app.world(side), crossing, msg)
-                });
-                SwitchlessPool::spawn(sw_config, serve, Arc::clone(&cost))
-            });
-            AppShared {
-                enclave: Arc::clone(&enclave),
-                provider,
-                cost,
-                trusted,
-                untrusted,
-                switchless,
-                serde: SerdeState::default(),
-            }
-        });
-
-        let mut helpers = Vec::new();
         if let Some(interval) = config.gc_helper_interval {
             for side in [Side::Trusted, Side::Untrusted] {
                 let shared_ref = Arc::clone(&shared);
-                helpers.push(GcHelper::spawn_recorded(
+                teardown.helpers.push(GcHelper::spawn_recorded(
                     format!("{side}-gc-helper"),
                     interval,
                     Arc::clone(shared.cost.recorder()),
@@ -433,9 +516,8 @@ impl PartitionedApp {
                 ));
             }
         }
-
-        let main = find_main(untrusted_image)?;
-        Ok(PartitionedApp { enclave, shared, main, helpers, workdir, owns_workdir })
+        let enclave = Arc::clone(&shared.enclave);
+        Ok(PartitionedApp { _teardown: teardown, shared, enclave, main })
     }
 
     /// Runs the application's `main` entry point in the untrusted world.
@@ -471,7 +553,7 @@ impl PartitionedApp {
         &self,
         f: impl FnOnce(&mut Ctx<'_>) -> Result<R, VmError>,
     ) -> Result<R, VmError> {
-        self.shared.provider.cross(CrossingDir::Enter, "ecall_enter", 0, || {
+        self.shared.cross(CrossingDir::Enter, "ecall_enter", 0, || {
             let mut ctx = Ctx::new(&self.shared, Arc::clone(self.shared.world(Side::Trusted)));
             f(&mut ctx)
         })?
@@ -530,27 +612,10 @@ impl PartitionedApp {
         rmi.proxies.values().filter(|&&p| heap.is_live(p)).count()
     }
 
-    /// Stops the helpers and destroys the enclave.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        for helper in self.helpers.drain(..) {
-            helper.stop();
-        }
-        // The switchless pool stops and joins its workers when the
-        // last handle on `shared` drops.
-        self.enclave.destroy();
-        if self.owns_workdir {
-            let _ = std::fs::remove_dir_all(&self.workdir);
-        }
-    }
-}
-
-impl Drop for PartitionedApp {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+    /// Stops the helpers, destroys the enclave and removes the scratch
+    /// directory if the launch created it — what dropping the app does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -567,6 +632,8 @@ pub enum Placement {
 /// either inside the enclave or on the host.
 #[derive(Debug)]
 pub struct SingleWorldApp {
+    // Declared first, so it drops first (see `PartitionedApp`).
+    _teardown: Teardown,
     /// Shared runtime state; both world slots alias the single world.
     pub shared: Arc<AppShared>,
     /// The simulated enclave (unused crossings-wise under
@@ -574,17 +641,19 @@ pub struct SingleWorldApp {
     pub enclave: Arc<Enclave>,
     placement: Placement,
     main: MethodRef,
-    workdir: PathBuf,
-    owns_workdir: bool,
 }
 
 impl SingleWorldApp {
-    /// Loads an unpartitioned image under the given placement.
+    /// Loads an unpartitioned image under the given placement. Under
+    /// [`ProviderKind::PassThrough`] the image runs on the host even
+    /// with [`Placement::Enclave`].
     ///
     /// # Errors
     ///
-    /// Fails if the image is partitioned (has a side), enclave creation
-    /// fails, or the scratch directory cannot be created.
+    /// Fails if the image is partitioned (has a side),
+    /// `MONTSALVAT_PROVIDER` names no provider, enclave creation fails,
+    /// the scratch directory cannot be created, or the image has no
+    /// `main`.
     pub fn launch(
         image: &NativeImage,
         placement: Placement,
@@ -593,56 +662,13 @@ impl SingleWorldApp {
         if image.side.is_some() {
             return Err(VmError::Type("SingleWorldApp requires an unpartitioned image".into()));
         }
-        let cost = cost_model(&config);
-        let enclave =
-            Enclave::create(&config.enclave_config, &image.measurement_bytes(), Arc::clone(&cost))?;
-        let provider = provider::build(provider::detect(config.provider), &enclave, &cost);
-        let in_enclave = placement == Placement::Enclave && provider.shields_trusted_memory();
-        if in_enclave {
-            enclave.alloc_heap(image.code_size_estimate())?;
-            if config.exec_model.runtime_heap_overhead_bytes > 0 {
-                enclave.alloc_heap(config.exec_model.runtime_heap_overhead_bytes)?;
-                enclave.charge_heap_traffic(config.exec_model.runtime_heap_overhead_bytes);
-            }
-        }
-        cost.charge_ns(config.exec_model.startup_ns);
-
-        let (workdir, owns_workdir) = match &config.workdir {
-            Some(dir) => (dir.clone(), false),
-            None => (fresh_workdir("single"), true),
-        };
-        std::fs::create_dir_all(&workdir).map_err(|e| VmError::Io(e.to_string()))?;
-
-        let side = if in_enclave { Side::Trusted } else { Side::Untrusted };
-        let world = World::new(
-            side,
-            in_enclave,
-            Arc::new(ClassIndex::from_classes(&image.classes)),
-            effective_heap_config(&config),
-            config.hash_scheme,
-            config.exec_model.clone(),
-            workdir.join("app.scratch"),
-            in_enclave.then_some(&enclave),
-        );
-        world.attach_recorder(Arc::clone(cost.recorder()));
-        world.attach_tracer(Arc::clone(cost.tracer()));
-        world.attach_charge_clock({
-            let cost = Arc::clone(&cost);
-            Arc::new(move || cost.charged_ns())
-        });
-        restore_image_heap(image, &world)?;
-
-        let shared = Arc::new(AppShared {
-            enclave: Arc::clone(&enclave),
-            provider,
-            cost,
-            trusted: Arc::clone(&world),
-            untrusted: world,
-            switchless: None,
-            serde: SerdeState::default(),
-        });
+        let launch = Launch::new(&config, image, placement == Placement::Enclave, "single")?;
         let main = find_main(image)?;
-        Ok(SingleWorldApp { shared, enclave, placement, main, workdir, owns_workdir })
+        let side = if launch.in_enclave { Side::Trusted } else { Side::Untrusted };
+        let world = launch.world(side, image, &config, "app.scratch")?;
+        let (shared, teardown) = launch.into_shared(Arc::clone(&world), world, None);
+        let enclave = Arc::clone(&shared.enclave);
+        Ok(SingleWorldApp { _teardown: teardown, shared, enclave, placement, main })
     }
 
     /// The placement this application runs under.
@@ -675,9 +701,7 @@ impl SingleWorldApp {
             f(&mut ctx)
         };
         match self.placement {
-            Placement::Enclave => {
-                self.shared.provider.cross(CrossingDir::Enter, "ecall_main", 0, run)?
-            }
+            Placement::Enclave => self.shared.cross(CrossingDir::Enter, "ecall_main", 0, run)?,
             Placement::Host => run(),
         }
     }
@@ -699,21 +723,90 @@ impl SingleWorldApp {
         self.shared.cost.recorder()
     }
 
-    /// Destroys the enclave and cleans the scratch directory.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.enclave.destroy();
-        if self.owns_workdir {
-            let _ = std::fs::remove_dir_all(&self.workdir);
-        }
+    /// Destroys the enclave and removes the scratch directory if the
+    /// launch created it — what dropping the app does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
-impl Drop for SingleWorldApp {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::image_builder::{build_partitioned_images, ImageOptions};
+    use crate::samples::bank_program;
+    use crate::transform::transform;
+
+    fn launch_bank(provider: ProviderKind, cost_params: CostParams) -> PartitionedApp {
+        let tp = transform(&bank_program());
+        let options = ImageOptions::default();
+        let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
+        let config = AppConfig {
+            cost_params,
+            gc_helper_interval: None,
+            provider: Some(provider),
+            ..AppConfig::default()
+        };
+        PartitionedApp::launch(&t, &u, config).unwrap()
+    }
+
+    /// The model time the bank's `main` charges under `provider` with
+    /// the given relay overhead, and the RMI calls it makes.
+    fn bank_main_cost(provider: ProviderKind, relay_overhead_ns: u64) -> (Duration, u64) {
+        let params = CostParams { relay_overhead_ns, ..CostParams::paper_defaults() };
+        let app = launch_bank(provider, params);
+        app.run_main().unwrap();
+        (app.shared.cost.charged(), app.telemetry().counter(telemetry::Counter::RmiCalls))
+    }
+
+    #[test]
+    fn sim_sgx_crossings_are_charged_transitions() {
+        let app = launch_bank(ProviderKind::SimSgx, CostParams::paper_defaults());
+        let before = app.shared.cost.charged();
+        assert_eq!(app.shared.cross(CrossingDir::Enter, "ecall_test", 64, || 41 + 1).unwrap(), 42);
+        app.shared.cross(CrossingDir::Exit, "ocall_test", 16, || ()).unwrap();
+        assert_eq!((app.sgx_stats().ecalls, app.sgx_stats().ocalls), (1, 1));
+        assert!(app.shared.cost.charged() > before, "SimSgx crossings charge model time");
+        app.enclave.destroy();
+        let lost = app.shared.cross(CrossingDir::Enter, "ecall_test", 0, || ());
+        assert!(matches!(lost, Err(SgxError::EnclaveLost)));
+    }
+
+    #[test]
+    fn pass_through_crossings_run_inline_for_free() {
+        let app = launch_bank(ProviderKind::PassThrough, CostParams::paper_defaults());
+        let before = app.shared.cost.charged();
+        let value = app.shared.cross(CrossingDir::Enter, "ecall_test", 64, || 7).unwrap();
+        let back = app.shared.cross(CrossingDir::Exit, "ocall_test", 64, || 8).unwrap();
+        let relayed = app.shared.cross_classic(CrossingDir::Enter, "ecall_test", 64, || 9).unwrap();
+        assert_eq!((value, back, relayed), (7, 8, 9));
+        assert_eq!((app.sgx_stats().ecalls, app.sgx_stats().ocalls), (0, 0));
+        assert_eq!(app.shared.cost.charged(), before, "PassThrough crossings are free");
+        assert!(!app.shared.world(Side::Trusted).in_enclave);
+    }
+
+    #[test]
+    fn relay_overhead_is_charged_per_rmi_call_only_under_sim_sgx() {
+        let relay = CostParams::paper_defaults().relay_overhead_ns;
+        assert!(relay > 0);
+        let (free, calls) = bank_main_cost(ProviderKind::PassThrough, 0);
+        assert!(calls > 0, "the bank's main makes RMI calls");
+        assert_eq!(bank_main_cost(ProviderKind::PassThrough, relay), (free, calls));
+        let (bare, sgx_calls) = bank_main_cost(ProviderKind::SimSgx, 0);
+        let (charged, _) = bank_main_cost(ProviderKind::SimSgx, relay);
+        assert_eq!(sgx_calls, calls);
+        assert_eq!(charged - bare, Duration::from_nanos(calls * relay));
+    }
+
+    #[test]
+    fn shutdown_removes_the_scratch_directory_the_launch_created() {
+        let app = launch_bank(ProviderKind::SimSgx, CostParams::paper_defaults());
+        let scratch = app.shared.world(Side::Trusted).scratch_path.clone();
+        let workdir = scratch.parent().unwrap().to_owned();
+        assert!(workdir.is_dir());
+        let enclave = Arc::clone(&app.enclave);
+        app.shutdown();
+        assert!(!workdir.exists(), "{} outlived the app", workdir.display());
+        assert!(enclave.ecall("ecall_test", 0, || ()).is_err(), "the enclave is destroyed");
     }
 }

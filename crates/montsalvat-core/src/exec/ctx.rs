@@ -46,7 +46,8 @@ use crate::error::VmError;
 use crate::exec::app::AppShared;
 use crate::exec::interp;
 use crate::exec::switchless::PostOutcome;
-use crate::exec::world::{ClassInfo, IoFile, World};
+use crate::exec::world::{ClassInfo, World};
+use crate::provider::CrossingDir;
 use crate::transform::relay_name;
 
 /// Execution context handed to native method bodies and the interpreter.
@@ -248,14 +249,15 @@ impl<'a> Ctx<'a> {
     pub fn io_write(&mut self, bytes: usize) -> Result<(), VmError> {
         let world = Arc::clone(&self.world);
         let mut io = world.io.lock();
-        if io.file.is_none() {
-            io.file = Some(open_scratch(self.app, &world)?);
-        }
-        if io.buf.len() < bytes {
-            io.buf.resize(bytes, 0xA5);
-        }
         let crate::exec::world::WorldIo { file, buf, bytes_written } = &mut *io;
-        file.as_mut().expect("opened above").write_all(&buf[..bytes])?;
+        let file = match file {
+            Some(file) => file,
+            None => file.insert(self.io_backend().create(&world.scratch_path)?),
+        };
+        if buf.len() < bytes {
+            buf.resize(bytes, 0xA5);
+        }
+        file.write_all(&buf[..bytes])?;
         *bytes_written += bytes as u64;
         self.app.cost.charge_ns((bytes as f64 * HOST_IO_NS_PER_BYTE) as u64);
         Ok(())
@@ -271,15 +273,16 @@ impl<'a> Ctx<'a> {
     pub fn io_read(&mut self, bytes: usize) -> Result<usize, VmError> {
         let world = Arc::clone(&self.world);
         let mut io = world.io.lock();
-        let n = (io.bytes_written.min(bytes as u64)) as usize;
-        if n == 0 {
+        let crate::exec::world::WorldIo { file, buf, bytes_written } = &mut *io;
+        let n = (*bytes_written).min(bytes as u64) as usize;
+        // The first write opens the file, so with bytes written there
+        // is one to read.
+        let Some(file) = file.as_mut().filter(|_| n > 0) else {
             return Ok(0);
+        };
+        if buf.len() < n {
+            buf.resize(n, 0);
         }
-        if io.buf.len() < n {
-            io.buf.resize(n, 0);
-        }
-        let crate::exec::world::WorldIo { file, buf, .. } = &mut *io;
-        let file = file.as_mut().expect("reads follow writes");
         file.seek(std::io::SeekFrom::Start(0))?;
         file.read_exact(&mut buf[..n])?;
         file.seek(std::io::SeekFrom::End(0))?;
@@ -464,17 +467,6 @@ fn compute_kernel(working_set_bytes: usize, passes: u32) -> f64 {
     std::hint::black_box(acc)
 }
 
-fn open_scratch(app: &AppShared, world: &World) -> Result<IoFile, VmError> {
-    if world.in_enclave {
-        Ok(IoFile::Shim(sgx_sim::shim::ShimFile::create(
-            Arc::clone(&app.enclave),
-            &world.scratch_path,
-        )?))
-    } else {
-        Ok(IoFile::Host(sgx_sim::shim::HostFile::create(&world.scratch_path)?))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Wire protocol
 // ---------------------------------------------------------------------
@@ -582,8 +574,8 @@ fn export_and_encode(
 ) -> Result<(EncodeStats, Vec<(ProxyHash, NameRef)>), VmError> {
     // Pass 1: find annotated references reachable through inline
     // (neutral) structure, borrowing the arguments and the fields under
-    // the heap guard.
-    let mut annotated: Vec<ObjId> = Vec::new();
+    // the heap guard, and keep each annotated object's class.
+    let mut annotated: Vec<(ObjId, &ClassInfo)> = Vec::new();
     {
         let heap = world.isolate.lock_heap();
         let mut stack: Vec<&Value> = values.iter().collect();
@@ -604,7 +596,7 @@ fn export_and_encode(
                     .by_id(class_id)
                     .ok_or_else(|| VmError::BadRef(format!("{id}: unknown class")))?;
                 if info.def.trust.is_annotated() {
-                    annotated.push(id);
+                    annotated.push((id, info));
                 } else {
                     stack.extend(heap.fields(id).expect("live object has fields"));
                 }
@@ -619,9 +611,7 @@ fn export_and_encode(
     if !annotated.is_empty() {
         let mut rmi = world.rmi.lock();
         let mut heap = world.isolate.lock_heap();
-        for id in annotated {
-            let class_id = heap.class_of(id).expect("live");
-            let info = world.classes.by_id(class_id).expect("indexed");
+        for (id, info) in annotated {
             let hash = if info.def.role == ClassRole::Proxy {
                 read_proxy_hash(&heap, id)?
             } else if let Some(&h) = rmi.hash_of.get(&id) {
@@ -632,7 +622,7 @@ fn export_and_encode(
                 rmi.hash_of.insert(id, h);
                 h
             };
-            hints.push((hash, hint_name(app, world, info, class_id)));
+            hints.push((hash, hint_name(app, info)));
             hash_map.insert(id, hash);
         }
     }
@@ -648,18 +638,21 @@ fn export_and_encode(
 }
 
 /// Produces a hint's class-name encoding: the full name on the class's
-/// first crossing from this side (a shape-cache miss), the 4-byte
-/// intern id thereafter.
-fn hint_name(app: &AppShared, world: &World, info: &ClassInfo, class_id: ClassId) -> NameRef {
-    let shapes = app.serde.shapes(world.side);
-    if let Some(name_id) = shapes.get(class_id) {
-        return NameRef::Id(name_id);
+/// first crossing from its world (a shape-cache miss, which interns
+/// the name and fills the class's slot), the 4-byte intern id
+/// thereafter.
+fn hint_name(app: &AppShared, info: &ClassInfo) -> NameRef {
+    let mut named = None;
+    let name_id = *info.name_id.get_or_init(|| {
+        app.cost.recorder().incr(telemetry::Counter::SerdeShapeCacheMisses);
+        let (name_id, name) = app.names.intern(&info.def.name);
+        named = Some(name);
+        name_id
+    });
+    match named {
+        Some(name) => NameRef::Named(name_id, name),
+        None => NameRef::Id(name_id),
     }
-    app.cost.recorder().incr(telemetry::Counter::SerdeShapeCacheMisses);
-    let (name_id, _) = app.serde.names.intern(&info.def.name);
-    shapes.insert(class_id, name_id);
-    let name = app.serde.names.resolve(name_id).expect("interned above");
-    NameRef::Named(name_id, name)
 }
 
 /// Reads the `__hash` field of a proxy object.
@@ -784,14 +777,14 @@ fn resolve_hint_class<'w>(
 ) -> Result<&'w ClassInfo, VmError> {
     match name_ref {
         NameRef::Named(_, name) => {
-            app.serde.names.intern(name);
+            app.names.intern(name);
             world
                 .classes
                 .by_name(name)
                 .ok_or_else(|| VmError::UnknownClass(format!("{name} (from crossing hint)")))
         }
         NameRef::Id(id) => {
-            let name = app.serde.names.resolve(*id).ok_or_else(|| {
+            let name = app.names.resolve(*id).ok_or_else(|| {
                 VmError::BadRef(format!("crossing hint names un-interned class id {id}"))
             })?;
             world
@@ -1135,20 +1128,16 @@ fn cross_call(
         recorder.add(telemetry::Counter::BytesSerialized, msg.payload.len() as u64);
         let wire_len = msg.wire_len();
 
-        // The classic crossing: the relay software itself (isolate attach,
-        // edge-routine marshalling, registry work) on top of whatever the
-        // deployment-mode provider charges for the raw crossing (a
-        // hardware transition under SimSgx, nothing under PassThrough).
-        // Also the target the adaptive switchless engine degrades to
-        // when its mailbox is full.
+        // The classic crossing (`AppShared::cross_classic`), also the
+        // target the adaptive switchless engine degrades to when its
+        // mailbox is full.
         let classic = |msg: &WireMsg| -> Result<WireMsg, VmError> {
-            app.provider.charge_relay_overhead();
             let serve = || serve_relay(app, callee, crossing, msg);
             let dir = match callee.side {
-                Side::Trusted => crate::provider::CrossingDir::Enter,
-                Side::Untrusted => crate::provider::CrossingDir::Exit,
+                Side::Trusted => CrossingDir::Enter,
+                Side::Untrusted => CrossingDir::Exit,
             };
-            app.provider.cross(dir, &crossing.routine, wire_len, serve)?
+            app.cross_classic(dir, &crossing.routine, wire_len, serve)?
         };
 
         // Switchless mode (§7 future work): post to the opposite side's

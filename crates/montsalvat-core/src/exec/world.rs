@@ -9,7 +9,6 @@
 //! overheads arise in the model.
 
 use std::collections::HashMap;
-use std::io::SeekFrom;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -20,8 +19,9 @@ use rmi::weaklist::ProxyWeakList;
 use runtime_sim::heap::{HeapConfig, HeapObserver};
 use runtime_sim::isolate::Isolate;
 use runtime_sim::value::{ClassId, ObjId};
+use sgx_sim::cost::CostModel;
 use sgx_sim::enclave::Enclave;
-use sgx_sim::shim::{HostFile, ShimFile};
+use sgx_sim::shim::BackendFile;
 
 use crate::annotation::Side;
 use crate::class::ClassDef;
@@ -39,6 +39,10 @@ pub struct ClassInfo {
     /// crossing: a proxy method's crossing, resolved against the
     /// opposite world on the method's first call.
     pub(crate) crossings: OnceLock<Box<[OnceLock<Arc<Crossing>>]>>,
+    /// The interned id of the class name, filled when an object of
+    /// this class first crosses as a hint from this world (a
+    /// `serde.shape_cache_misses`); later hints carry the id alone.
+    pub(crate) name_id: OnceLock<u32>,
 }
 
 /// Name ↔ id index over one image's classes.
@@ -58,6 +62,7 @@ impl ClassIndex {
                 id: ClassId(i as u32),
                 def: def.clone(),
                 crossings: OnceLock::new(),
+                name_id: OnceLock::new(),
             });
         }
         index
@@ -144,40 +149,9 @@ impl ExecModel {
 /// `Ctx::io_*` operations).
 #[derive(Debug, Default)]
 pub(crate) struct WorldIo {
-    pub(crate) file: Option<IoFile>,
+    pub(crate) file: Option<BackendFile>,
     pub(crate) buf: Vec<u8>,
     pub(crate) bytes_written: u64,
-}
-
-#[derive(Debug)]
-pub(crate) enum IoFile {
-    /// In-enclave handle: every operation is an ocall.
-    Shim(ShimFile),
-    /// Untrusted handle: direct host I/O.
-    Host(HostFile),
-}
-
-impl IoFile {
-    pub(crate) fn write_all(&mut self, buf: &[u8]) -> Result<(), VmError> {
-        match self {
-            IoFile::Shim(f) => f.write_all(buf).map_err(VmError::from),
-            IoFile::Host(f) => f.write_all(buf).map_err(VmError::from),
-        }
-    }
-
-    pub(crate) fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), VmError> {
-        match self {
-            IoFile::Shim(f) => f.read_exact(buf).map_err(VmError::from),
-            IoFile::Host(f) => f.read_exact(buf).map_err(VmError::from),
-        }
-    }
-
-    pub(crate) fn seek(&mut self, pos: SeekFrom) -> Result<u64, VmError> {
-        match self {
-            IoFile::Shim(f) => f.seek(pos).map_err(VmError::from),
-            IoFile::Host(f) => f.seek(pos).map_err(VmError::from),
-        }
-    }
 }
 
 /// Heap observer that charges the enclave for trusted-heap traffic.
@@ -258,63 +232,46 @@ pub struct World {
 }
 
 impl World {
-    /// Creates a world over a fresh isolate.
-    #[allow(clippy::too_many_arguments)] // internal constructor; every field is required
+    /// Creates a world over a fresh isolate, inside `enclave` when it
+    /// is `Some` and on the host otherwise. The world's heap, registry
+    /// and weak list report into `cost`'s recorder; its GC pauses are
+    /// stamped with `cost`'s model clock and traced on the world's
+    /// lane; an in-enclave heap charges the enclave for its traffic.
     pub fn new(
         side: Side,
-        in_enclave: bool,
         classes: Arc<ClassIndex>,
         heap_config: HeapConfig,
-        hash_scheme: HashScheme,
         exec_model: ExecModel,
         scratch_path: PathBuf,
+        cost: &Arc<CostModel>,
         enclave: Option<&Arc<Enclave>>,
     ) -> Arc<Self> {
         let isolate = Isolate::new(side.name(), heap_config);
-        if in_enclave {
-            let enclave = enclave.expect("in-enclave world requires an enclave");
-            let charger = EnclaveHeapCharger::new(Arc::clone(enclave), exec_model.gc_copy_factor);
-            isolate.with_heap(|h| h.set_observer(Arc::new(charger)));
-        }
+        isolate.with_heap(|h| {
+            if let Some(enclave) = enclave {
+                let charger =
+                    EnclaveHeapCharger::new(Arc::clone(enclave), exec_model.gc_copy_factor);
+                h.set_observer(Arc::new(charger));
+            }
+            h.set_recorder(Arc::clone(cost.recorder()));
+            h.set_tracer(Arc::clone(cost.tracer()), side.lane());
+            let cost = Arc::clone(cost);
+            h.set_charge_clock(Arc::new(move || cost.charged_ns()));
+        });
+        let mut rmi = RmiState::default();
+        rmi.registry.set_recorder(Arc::clone(cost.recorder()));
+        rmi.weaklist.set_recorder(Arc::clone(cost.recorder()));
         Arc::new(World {
             side,
-            in_enclave,
+            in_enclave: enclave.is_some(),
             isolate,
             classes,
-            rmi: Mutex::new(RmiState::default()),
-            hasher: ProxyHasher::new(hash_scheme, side as u64 + 1),
+            rmi: Mutex::new(rmi),
+            hasher: ProxyHasher::new(HashScheme::Wide, side as u64 + 1),
             exec_model,
             scratch_path,
             io: Mutex::new(WorldIo::default()),
         })
-    }
-
-    /// Attaches a telemetry recorder to every instrumented surface this
-    /// world owns: its heap (allocation/GC metrics), its mirror-proxy
-    /// registry and its proxy weak list. Called once at application
-    /// launch; attaching again replaces the recorders.
-    pub fn attach_recorder(&self, recorder: Arc<telemetry::Recorder>) {
-        self.isolate.with_heap(|h| h.set_recorder(Arc::clone(&recorder)));
-        let mut rmi = self.rmi.lock();
-        rmi.registry.set_recorder(Arc::clone(&recorder));
-        rmi.weaklist.set_recorder(recorder);
-    }
-
-    /// Routes this world's heap GC pauses into the application's trace
-    /// sink, on this world's lane. Called once at application launch,
-    /// right after [`World::attach_recorder`].
-    pub fn attach_tracer(&self, tracer: Arc<telemetry::trace::Tracer>) {
-        let lane = self.side.lane();
-        self.isolate.with_heap(|h| h.set_tracer(Arc::clone(&tracer), lane));
-    }
-
-    /// Installs the application's model clock on this world's heap, so
-    /// GC pauses are recorded in model time (`gc.pause_model_ns`) and
-    /// their trace spans are stamped with it; typically
-    /// `move || cost.charged_ns()`. Called once at application launch,
-    /// right after [`World::attach_tracer`].
-    pub fn attach_charge_clock(&self, clock: Arc<dyn Fn() -> u64 + Send + Sync>) {
-        self.isolate.with_heap(|h| h.set_charge_clock(clock));
     }
 
     /// Reads a class by name, as a runtime error if missing.
@@ -352,16 +309,20 @@ mod tests {
     #[test]
     fn world_resolves_classes() {
         let idx = Arc::new(ClassIndex::from_classes(&[ClassDef::new("A")]));
+        let cost = Arc::new(CostModel::new(
+            sgx_sim::cost::CostParams::paper_defaults(),
+            sgx_sim::cost::ClockMode::Virtual,
+        ));
         let world = World::new(
             Side::Untrusted,
-            false,
             idx,
             HeapConfig::default(),
-            HashScheme::Wide,
             ExecModel::native_image(),
             std::env::temp_dir().join("world_test_scratch"),
+            &cost,
             None,
         );
+        assert!(!world.in_enclave);
         assert!(world.class_by_name("A").is_ok());
         assert!(matches!(world.class_by_name("Zed"), Err(VmError::UnknownClass(_))));
     }

@@ -68,5 +68,5 @@ pub use exec::ctx::Ctx;
 pub use image_builder::{
     build_partitioned_images, build_unpartitioned_image, ImageOptions, NativeImage,
 };
-pub use provider::{CrossingDir, EnclaveProvider, ProviderKind};
+pub use provider::{CrossingDir, ProviderKind};
 pub use transform::{transform, TransformedProgram};

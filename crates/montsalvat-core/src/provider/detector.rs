@@ -6,6 +6,7 @@
 //! so the "platform probe" is the `MONTSALVAT_PROVIDER` variable.
 
 use super::ProviderKind;
+use crate::error::VmError;
 
 /// Environment variable consulted when the application config does not
 /// pin a provider. Accepted values are listed at [`parse_provider`].
@@ -25,25 +26,41 @@ pub fn parse_provider(raw: &str) -> Option<ProviderKind> {
 }
 
 /// Resolves the provider for a launch: an explicit config override
-/// wins, then [`PROVIDER_ENV`] from the process environment, then the
-/// [`ProviderKind::SimSgx`] default.
-pub fn detect(config_override: Option<ProviderKind>) -> ProviderKind {
-    detect_from(config_override, std::env::var(PROVIDER_ENV).ok().as_deref())
+/// wins without reading the environment, then [`PROVIDER_ENV`], then
+/// the [`ProviderKind::SimSgx`] default.
+///
+/// # Errors
+///
+/// See [`detect_from`].
+pub fn detect(config_override: Option<ProviderKind>) -> Result<ProviderKind, VmError> {
+    match config_override {
+        Some(kind) => Ok(kind),
+        None => detect_from(None, std::env::var(PROVIDER_ENV).ok().as_deref()),
+    }
 }
 
 /// Pure core of [`detect`]: same precedence, environment value passed
-/// in. An unrecognized environment value falls back to the default
-/// rather than aborting the launch — a misspelled variable must not
-/// silently change what an experiment measures, and the default is the
-/// measured (SimSgx) configuration.
-pub fn detect_from(config_override: Option<ProviderKind>, env: Option<&str>) -> ProviderKind {
+/// in. An unset or blank value selects the default.
+///
+/// # Errors
+///
+/// Any other value that [`parse_provider`] rejects is a
+/// [`VmError::UnknownProvider`]: a misspelled variable must not
+/// silently change what an experiment measures.
+pub fn detect_from(
+    config_override: Option<ProviderKind>,
+    env: Option<&str>,
+) -> Result<ProviderKind, VmError> {
     if let Some(kind) = config_override {
-        return kind;
+        return Ok(kind);
     }
-    if let Some(kind) = env.and_then(parse_provider) {
-        return kind;
+    match env.map(str::trim).filter(|raw| !raw.is_empty()) {
+        None => Ok(ProviderKind::SimSgx),
+        Some(raw) => parse_provider(raw).ok_or_else(|| VmError::UnknownProvider {
+            variable: PROVIDER_ENV,
+            value: raw.to_owned(),
+        }),
     }
-    ProviderKind::SimSgx
 }
 
 #[cfg(test)]
@@ -52,12 +69,14 @@ mod tests {
 
     #[test]
     fn config_override_beats_environment() {
+        for env in [Some("sim-sgx"), Some("tdx")] {
+            assert_eq!(
+                detect_from(Some(ProviderKind::PassThrough), env).unwrap(),
+                ProviderKind::PassThrough
+            );
+        }
         assert_eq!(
-            detect_from(Some(ProviderKind::PassThrough), Some("sim-sgx")),
-            ProviderKind::PassThrough
-        );
-        assert_eq!(
-            detect_from(Some(ProviderKind::SimSgx), Some("passthrough")),
+            detect_from(Some(ProviderKind::SimSgx), Some("passthrough")).unwrap(),
             ProviderKind::SimSgx
         );
     }
@@ -65,24 +84,33 @@ mod tests {
     #[test]
     fn environment_spellings_parse() {
         for raw in ["passthrough", "PASS-THROUGH", "pass_through", " none "] {
-            assert_eq!(detect_from(None, Some(raw)), ProviderKind::PassThrough, "{raw:?}");
+            assert_eq!(detect_from(None, Some(raw)).unwrap(), ProviderKind::PassThrough, "{raw:?}");
         }
         for raw in ["sim-sgx", "SIM_SGX", "simsgx", "sim", "sgx"] {
-            assert_eq!(detect_from(None, Some(raw)), ProviderKind::SimSgx, "{raw:?}");
+            assert_eq!(detect_from(None, Some(raw)).unwrap(), ProviderKind::SimSgx, "{raw:?}");
         }
     }
 
     #[test]
-    fn unknown_or_missing_environment_defaults_to_sim_sgx() {
-        assert_eq!(detect_from(None, None), ProviderKind::SimSgx);
-        assert_eq!(detect_from(None, Some("tdx")), ProviderKind::SimSgx);
-        assert_eq!(detect_from(None, Some("")), ProviderKind::SimSgx);
+    fn missing_environment_defaults_to_sim_sgx_and_unknown_fails() {
+        assert_eq!(detect_from(None, None).unwrap(), ProviderKind::SimSgx);
+        assert_eq!(detect_from(None, Some("")).unwrap(), ProviderKind::SimSgx);
+        assert_eq!(detect_from(None, Some("  ")).unwrap(), ProviderKind::SimSgx);
+        let err = detect_from(None, Some("tdx")).unwrap_err();
+        assert!(
+            matches!(&err, VmError::UnknownProvider { variable, value }
+                if *variable == PROVIDER_ENV && value == "tdx"),
+            "{err:?}"
+        );
+        let message = err.to_string();
+        assert!(message.contains(PROVIDER_ENV) && message.contains("`tdx`"), "{message}");
     }
 
     #[test]
     fn canonical_names_round_trip() {
         for kind in [ProviderKind::SimSgx, ProviderKind::PassThrough] {
             assert_eq!(parse_provider(kind.name()), Some(kind));
+            assert_eq!(kind.kind(), kind);
         }
     }
 }

@@ -17,9 +17,8 @@
 //! - [`pool`] — thread-local pooled encode/decode buffers with
 //!   high-water-mark trimming, so steady-state crossings allocate no
 //!   fresh payload memory;
-//! - [`shape`] — the per-app shape cache and class-name interner that
-//!   keep class names off the wire after their first crossing
-//!   (`docs/SERDE.md`);
+//! - [`shape`] — the per-app class-name interner that keeps class
+//!   names off the wire after their first crossing (`docs/SERDE.md`);
 //! - [`registry`] — the mirror-proxy registry holding strong references
 //!   to mirror objects, keyed by proxy hash;
 //! - [`weaklist`] — the per-runtime weak-reference list of live proxies;
@@ -50,5 +49,5 @@ pub use gc_helper::GcHelper;
 pub use hash::{HashScheme, ProxyHash, ProxyHasher};
 pub use pool::PooledBuf;
 pub use registry::MirrorProxyRegistry;
-pub use shape::{NameInterner, NameRef, ShapeCache};
+pub use shape::{NameInterner, NameRef};
 pub use weaklist::ProxyWeakList;

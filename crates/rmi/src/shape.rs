@@ -1,46 +1,14 @@
-//! Per-class crossing-hint state for boundary serde.
+//! Class-name interning for crossing hints.
 //!
 //! A crossing *hint* tells the receiving world which annotated class a
-//! hash reference in the payload belongs to. This module keeps the
-//! class name off the wire after its first crossing, per app:
-//!
-//! - [`ShapeCache`] maps `ClassId → u32`, the class name's interned
-//!   id, filled on a class's first crossing from a side (a miss,
-//!   counted by `serde.shape_cache_misses`).
-//! - [`NameInterner`] maps class names to dense `u32` ids. A name
-//!   crosses the wire in full exactly once per (class, side); every
-//!   later crossing references it by id (see `docs/SERDE.md`).
+//! hash reference in the payload belongs to. [`NameInterner`] maps
+//! class names to dense `u32` ids, so a hint carries a class's full
+//! name ([`NameRef::Named`]) once per (class, side) and its id
+//! ([`NameRef::Id`]) on every later crossing. The sender keeps each
+//! class's id next to the class itself (see `docs/SERDE.md`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
-
-use runtime_sim::value::ClassId;
-
-/// Map from [`ClassId`] to the interned id of the class's name.
-#[derive(Debug, Default)]
-pub struct ShapeCache {
-    map: RwLock<HashMap<ClassId, u32>>,
-}
-
-impl ShapeCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cached name id; `None` means the caller should intern the
-    /// name and [`ShapeCache::insert`] it (a *shape-cache miss*,
-    /// counted by `serde.shape_cache_misses`).
-    pub fn get(&self, class: ClassId) -> Option<u32> {
-        self.map.read().expect("shape cache poisoned").get(&class).copied()
-    }
-
-    /// Caches `name_id` for `class`; inserting the same class twice
-    /// keeps the latest id.
-    pub fn insert(&self, class: ClassId, name_id: u32) {
-        self.map.write().expect("shape cache poisoned").insert(class, name_id);
-    }
-}
 
 /// How a class name rides a wire hint: the full string on the first
 /// crossing of that class, the 4-byte intern id thereafter.
@@ -83,22 +51,23 @@ impl NameInterner {
         Self::default()
     }
 
-    /// Interns `name`, returning its id and whether this call created
-    /// it (`true` exactly once per distinct name — the crossing that
-    /// must carry [`NameRef::Named`]).
-    pub fn intern(&self, name: &str) -> (u32, bool) {
-        if let Some(&id) = self.inner.read().expect("interner poisoned").by_name.get(name) {
-            return (id, false);
+    /// Interns `name`, returning its id and the shared interned name
+    /// (what a [`NameRef::Named`] hint carries).
+    pub fn intern(&self, name: &str) -> (u32, Arc<str>) {
+        if let Some((name, &id)) =
+            self.inner.read().expect("interner poisoned").by_name.get_key_value(name)
+        {
+            return (id, Arc::clone(name));
         }
         let mut inner = self.inner.write().expect("interner poisoned");
-        if let Some(&id) = inner.by_name.get(name) {
-            return (id, false);
+        if let Some((name, &id)) = inner.by_name.get_key_value(name) {
+            return (id, Arc::clone(name));
         }
         let id = inner.names.len() as u32;
         let name: Arc<str> = Arc::from(name);
         inner.names.push(Arc::clone(&name));
-        inner.by_name.insert(name, id);
-        (id, true)
+        inner.by_name.insert(Arc::clone(&name), id);
+        (id, name)
     }
 
     /// The name behind `id`, if interned.
@@ -122,12 +91,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interner_is_stable_and_reports_first_use() {
+    fn interner_is_stable_and_returns_the_interned_name() {
         let interner = NameInterner::new();
-        let (a, fresh_a) = interner.intern("KvStore");
-        let (b, fresh_b) = interner.intern("Writer");
-        let (a2, fresh_a2) = interner.intern("KvStore");
-        assert!(fresh_a && fresh_b && !fresh_a2);
+        let (a, name_a) = interner.intern("KvStore");
+        let (b, name_b) = interner.intern("Writer");
+        let (a2, name_a2) = interner.intern("KvStore");
+        assert_eq!((&*name_a, &*name_b), ("KvStore", "Writer"));
+        assert!(Arc::ptr_eq(&name_a, &name_a2), "a name is stored once");
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(interner.resolve(a).as_deref(), Some("KvStore"));
@@ -142,19 +112,5 @@ mod tests {
         let later = NameRef::Id(0);
         assert_eq!(first.wire_len(), 4 + "SomeClassName".len());
         assert_eq!(later.wire_len(), 4);
-    }
-
-    #[test]
-    fn shape_cache_round_trips_and_overwrites() {
-        let cache = ShapeCache::new();
-        assert_eq!(cache.get(ClassId(3)), None);
-        cache.insert(ClassId(3), 0);
-        cache.insert(ClassId(4), 1);
-        assert_eq!(cache.get(ClassId(3)), Some(0));
-        assert_eq!(cache.get(ClassId(4)), Some(1));
-
-        cache.insert(ClassId(3), 7);
-        assert_eq!(cache.get(ClassId(3)), Some(7));
-        assert_eq!(cache.get(ClassId(4)), Some(1), "other classes untouched");
     }
 }

@@ -6,9 +6,9 @@
 //! and asserts identical results (checksums, hit/miss/put counts) with
 //! strictly lower model time and zero enclave transitions for the
 //! pass-through lane, plus the `MONTSALVAT_PROVIDER` detection
-//! precedence end to end. Then runs the same KV service with managed
-//! heap churn under each collector, picked through
-//! `HeapConfig::collector`, and asserts identical results.
+//! precedence and its unknown-value error end to end. Then runs the
+//! same KV service with managed heap churn under each collector, picked
+//! through `HeapConfig::collector`, and asserts identical results.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -22,7 +22,7 @@ use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat::core::provider::{ProviderKind, PROVIDER_ENV};
 use montsalvat::core::samples::bank_program;
 use montsalvat::core::transform::transform;
-use montsalvat::core::Side;
+use montsalvat::core::{Side, VmError};
 use montsalvat::runtime::heap::{CollectorKind, HeapConfig};
 use montsalvat::runtime::value::Value;
 use montsalvat::telemetry::Counter;
@@ -145,7 +145,8 @@ fn launch_bank(config: AppConfig) -> PartitionedApp {
 }
 
 /// Detection precedence end to end: env selects the provider when the
-/// config leaves it open, and an explicit config pin beats the env.
+/// config leaves it open, an explicit config pin beats the env, and an
+/// env value that names no provider fails only unpinned launches.
 ///
 /// Kept as a single test so only one thread touches `MONTSALVAT_PROVIDER`
 /// — every other test in the suite pins its provider via `AppConfig`.
@@ -169,6 +170,29 @@ fn env_var_selects_provider_and_config_pin_wins() {
     });
     app.run_main().expect("main runs");
     assert!(app.sgx_stats().ecalls > 0, "config-pinned sim-sgx still crosses");
+    app.shutdown();
+
+    // A value that names no provider fails an unpinned launch ...
+    std::env::set_var(PROVIDER_ENV, "tdx");
+    let tp = transform(&bank_program());
+    let options = ImageOptions::default();
+    let (t, u) = build_partitioned_images(&tp, &options, &options).expect("images build");
+    let unpinned = AppConfig { gc_helper_interval: None, ..AppConfig::default() };
+    match PartitionedApp::launch(&t, &u, unpinned) {
+        Err(VmError::UnknownProvider { variable, value }) => {
+            assert_eq!((variable, value.as_str()), (PROVIDER_ENV, "tdx"));
+        }
+        Err(other) => panic!("an unknown provider fails as such, not as: {other}"),
+        Ok(_) => panic!("an unknown provider must fail the launch"),
+    }
+    // ... while a pinned one never reads it.
+    let app = launch_bank(AppConfig {
+        gc_helper_interval: None,
+        provider: Some(ProviderKind::PassThrough),
+        ..AppConfig::default()
+    });
+    app.run_main().expect("main runs");
+    assert_eq!(app.sgx_stats().ecalls, 0, "config-pinned pass-through does not cross");
     app.shutdown();
 
     std::env::remove_var(PROVIDER_ENV);
