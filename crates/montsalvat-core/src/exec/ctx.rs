@@ -671,18 +671,15 @@ fn hash_value(hash: ProxyHash) -> Value {
     Value::Bytes(hash.0.to_le_bytes().to_vec())
 }
 
-/// Unmarshals a message into `world`. Returns the decoded values plus
-/// the pin list (temporary roots) the caller must release after taking
-/// in-flight roots on whatever it keeps. A message that fails to
-/// unmarshal leaves nothing pinned.
-fn unmarshal(
-    app: &AppShared,
-    world: &World,
-    msg: &WireMsg,
-) -> Result<(Vec<Value>, Vec<ObjId>), VmError> {
+/// Unmarshals a message into `world`. Returns the decoded values, whose
+/// runs go back to the run pool when they drop unless the caller keeps
+/// them ([`Args::into_values`]), plus the pin list (temporary roots) the
+/// caller must release after taking in-flight roots on whatever it
+/// keeps. A message that fails to unmarshal leaves nothing pinned.
+fn unmarshal(app: &AppShared, world: &World, msg: &WireMsg) -> Result<(Args, Vec<ObjId>), VmError> {
     let mut pins: Vec<ObjId> = Vec::new();
     match unmarshal_pinning(app, world, msg, &mut pins) {
-        Ok(values) => Ok((values, pins)),
+        Ok(args) => Ok((args, pins)),
         Err(e) => {
             release_pins(world, &pins);
             Err(e)
@@ -697,7 +694,7 @@ fn unmarshal_pinning(
     world: &World,
     msg: &WireMsg,
     pins: &mut Vec<ObjId>,
-) -> Result<Vec<Value>, VmError> {
+) -> Result<Args, VmError> {
     let tracer = app.cost.tracer();
     let begin = tracer.stamp(|| app.cost.charged_ns());
     let mut by_hash: std::collections::HashMap<ProxyHash, ObjId> = Default::default();
@@ -759,10 +756,11 @@ fn unmarshal_pinning(
         || format!("unmarshal b={}", msg.payload.len()),
     );
     pins.extend(decoded.allocated.iter().copied());
-    match decoded.value {
-        Value::List(vs) => Ok(vs),
-        other => Ok(vec![other]),
-    }
+    let values = match decoded.value {
+        Value::List(vs) => vs,
+        other => vec![other],
+    };
+    Ok(Args { values, runs: decoded.runs })
 }
 
 /// Resolves a hint's class-name encoding against the receiving world.
@@ -825,6 +823,40 @@ struct Pins<'w> {
 impl Drop for Pins<'_> {
     fn drop(&mut self) {
         release_pins(self.world, &self.ids);
+    }
+}
+
+/// Values a message unmarshalled to. As a relay's arguments it is a
+/// guard: on drop, each argument the decode built from a primitive run
+/// goes back to this thread's run pool, so the next crossing refills it
+/// instead of allocating one list and dropping another `Value` by
+/// `Value`. Everything else drops as usual.
+#[derive(Debug)]
+struct Args {
+    values: Vec<Value>,
+    /// Bit `i` set: `values[i]` is a list decoded from a run
+    /// ([`codec::DecodedValue::runs`]).
+    runs: u64,
+}
+
+impl Args {
+    /// The values, for a caller that keeps them: no run goes back.
+    fn into_values(mut self) -> Vec<Value> {
+        self.runs = 0;
+        std::mem::take(&mut self.values)
+    }
+}
+
+impl Drop for Args {
+    fn drop(&mut self) {
+        let mut runs = self.runs;
+        while runs != 0 {
+            let i = runs.trailing_zeros() as usize;
+            runs &= runs - 1;
+            if let Some(Value::List(list)) = self.values.get_mut(i) {
+                rmi::pool::recycle_run(std::mem::take(list));
+            }
+        }
     }
 }
 
@@ -1163,8 +1195,8 @@ fn cross_call(
         };
 
         // Decode the return value in the caller's world.
-        let (mut rets, pins) = unmarshal(app, caller, &ret_msg)?;
-        let ret = rets.pop().unwrap_or(Value::Unit);
+        let (rets, pins) = unmarshal(app, caller, &ret_msg)?;
+        let ret = rets.into_values().pop().unwrap_or(Value::Unit);
         promote(caller, &ret);
         release_pins(caller, &pins);
         Ok(ret)
@@ -1228,8 +1260,10 @@ fn serve_relay_inner(
     msg: &WireMsg,
 ) -> Result<WireMsg, VmError> {
     let info = callee.classes.by_id(crossing.class).expect("crossings resolve against the callee");
+    // Both released when this returns, and also when a relay body
+    // unwinds: the pins, and the arguments' runs, which go back to this
+    // thread's run pool (the caller's, or a switchless worker's).
     let (args, pins) = unmarshal(app, callee, msg)?;
-    // Released when this returns, and also when a relay body unwinds.
     let _pins = Pins { world: callee, ids: pins };
 
     let result = (|| -> Result<Value, VmError> {
@@ -1241,7 +1275,7 @@ fn serve_relay_inner(
         match crossing.kind {
             RelayKind::Ctor => {
                 let hash = receiver()?;
-                let mirror_val = construct_local(app, callee, info, &args)?;
+                let mirror_val = construct_local(app, callee, info, &args.values)?;
                 let mirror = mirror_val.as_ref_id().expect("construct returns a reference");
                 {
                     let mut rmi = callee.rmi.lock();
@@ -1256,7 +1290,9 @@ fn serve_relay_inner(
                 release(callee, &mirror_val);
                 Ok(Value::Unit)
             }
-            RelayKind::Static => exec_method(app, callee, info, crossing.target, None, &args),
+            RelayKind::Static => {
+                exec_method(app, callee, info, crossing.target, None, &args.values)
+            }
             RelayKind::Instance => {
                 let hash = receiver()?;
                 let mirror = {
@@ -1264,7 +1300,7 @@ fn serve_relay_inner(
                     rmi.registry.get(hash)
                 }
                 .ok_or_else(|| VmError::BadRef(format!("no mirror registered for hash {hash}")))?;
-                exec_method(app, callee, info, crossing.target, Some(mirror), &args)
+                exec_method(app, callee, info, crossing.target, Some(mirror), &args.values)
             }
         }
     })();

@@ -21,7 +21,10 @@
 //! [`encode_values_v2`] write into a caller-supplied (typically pooled
 //! — see [`crate::pool`]) buffer and report how many payload bytes went
 //! through the bulk path so the cost model can charge them at the
-//! cheaper bulk rate.
+//! cheaper bulk rate. [`decode_value`] refills a list from the thread's
+//! run pool with a `TAG_INTS`/`TAG_FLOATS` run when one fits, and marks
+//! the top-level elements it decoded from runs
+//! ([`DecodedValue::runs`]) so their owner can give them back.
 //!
 //! [`decode_value`] is where one runtime first reads bytes the other
 //! side produced, so it rejects malformed input instead of repairing
@@ -333,6 +336,13 @@ pub struct DecodedValue {
     /// blocks) and decode as straight copies — the cost model bills
     /// them at the bulk rate instead of the graph-walk rate.
     pub bulk_bytes: u64,
+    /// Bit `i` is set when element `i` of a top-level list (`i` < 64)
+    /// is a list this decode built from a `TAG_INTS`/`TAG_FLOATS` run.
+    /// Such a list holds only `Int`s or only `Float`s, so its owner may
+    /// give it back with [`crate::pool::recycle_run`] once done with
+    /// it. Nothing else is marked: not a top-level value that is itself
+    /// a run, not a `TAG_LIST` list, and not a run nested deeper.
+    pub runs: u64,
 }
 
 impl DecodedValue {
@@ -369,14 +379,17 @@ pub fn decode_value(
     }
     let mut allocated = Vec::new();
     let mut bulk = 0u64;
-    let err = match decode_inner(heap, &mut cursor, resolve, &mut allocated, 0, &mut bulk) {
-        Ok(value) if cursor.remaining() == 0 => {
-            return Ok(DecodedValue { value, allocated, bulk_bytes: bulk });
-        }
-        Ok(_) => CodecError::TrailingBytes(cursor.remaining()),
-        Err(e) => e,
-    };
-    // A rejected stream leaves nothing rooted in the receiver.
+    let mut runs = 0u64;
+    let err =
+        match decode_inner(heap, &mut cursor, resolve, &mut allocated, 0, &mut bulk, &mut runs) {
+            Ok(value) if cursor.remaining() == 0 => {
+                return Ok(DecodedValue { value, allocated, bulk_bytes: bulk, runs });
+            }
+            Ok(_) => CodecError::TrailingBytes(cursor.remaining()),
+            Err(e) => e,
+        };
+    // A rejected stream leaves nothing rooted in the receiver, and its
+    // runs drop instead of going back to the pool.
     for id in allocated {
         heap.remove_root(id);
     }
@@ -416,6 +429,10 @@ impl Cursor<'_> {
         Ok(self.take(1)?[0])
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
     fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
@@ -440,6 +457,7 @@ fn decode_inner(
     allocated: &mut Vec<ObjId>,
     depth: usize,
     bulk: &mut u64,
+    runs: &mut u64,
 ) -> Result<Value, CodecError> {
     if depth > MAX_DECODE_DEPTH {
         return Err(CodecError::TooDeep);
@@ -464,33 +482,34 @@ fn decode_inner(
             let claimed = cur.u32()?;
             let len = cur.checked_count(claimed)?;
             let mut vs = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                vs.push(decode_inner(heap, cur, resolve, allocated, depth + 1, bulk)?);
+            for i in 0..len {
+                // The tag says, in O(1), whether a top-level element is
+                // a run.
+                if depth == 0 && i < 64 && matches!(cur.peek(), Some(TAG_INTS | TAG_FLOATS)) {
+                    *runs |= 1 << i;
+                }
+                vs.push(decode_inner(heap, cur, resolve, allocated, depth + 1, bulk, runs)?);
             }
             Ok(Value::List(vs))
         }
-        TAG_INTS => {
-            let claimed = cur.u32()?;
-            let len = cur.checked_count(claimed)?;
-            let raw = cur.take(len * 8)?;
-            *bulk += raw.len() as u64;
-            Ok(Value::List(
-                raw.chunks_exact(8)
-                    .map(|c| Value::Int(i64::from_le_bytes(c.try_into().expect("8 bytes"))))
-                    .collect(),
-            ))
-        }
-        TAG_FLOATS => {
-            let claimed = cur.u32()?;
-            let len = cur.checked_count(claimed)?;
-            let raw = cur.take(len * 8)?;
-            *bulk += raw.len() as u64;
-            Ok(Value::List(
-                raw.chunks_exact(8)
-                    .map(|c| Value::Float(f64::from_le_bytes(c.try_into().expect("8 bytes"))))
-                    .collect(),
-            ))
-        }
+        TAG_INTS => decode_run(
+            cur,
+            bulk,
+            |w| Value::Int(i64::from_le_bytes(w)),
+            |slot, w| match slot {
+                Value::Int(x) => *x = i64::from_le_bytes(w),
+                _ => *slot = Value::Int(i64::from_le_bytes(w)),
+            },
+        ),
+        TAG_FLOATS => decode_run(
+            cur,
+            bulk,
+            |w| Value::Float(f64::from_le_bytes(w)),
+            |slot, w| match slot {
+                Value::Float(x) => *x = f64::from_le_bytes(w),
+                _ => *slot = Value::Float(f64::from_le_bytes(w)),
+            },
+        ),
         TAG_OBJ => {
             let class = ClassId(cur.u32()?);
             let claimed = cur.u32()?;
@@ -502,7 +521,7 @@ fn decode_inner(
             heap.add_root(id);
             allocated.push(id);
             for idx in 0..nfields {
-                let v = decode_inner(heap, cur, resolve, allocated, depth + 1, bulk)?;
+                let v = decode_inner(heap, cur, resolve, allocated, depth + 1, bulk, runs)?;
                 heap.set_field(id, idx, v);
             }
             Ok(Value::Ref(id))
@@ -518,6 +537,36 @@ fn decode_inner(
         }
         t => Err(CodecError::BadTag(t)),
     }
+}
+
+/// Decodes a run's body (count, then one 8-byte word per element) into
+/// a list. A list from this thread's run pool is refilled in place when
+/// one fits ([`crate::pool::take_run`]): `refill` writes only the
+/// payload of a slot that already holds the run's variant and assigns
+/// any other, then the list is cut or extended to the run's length.
+/// With no list to reuse, the words are collected into a fresh one by
+/// `fresh`.
+fn decode_run(
+    cur: &mut Cursor<'_>,
+    bulk: &mut u64,
+    fresh: impl Fn([u8; 8]) -> Value,
+    refill: impl Fn(&mut Value, [u8; 8]),
+) -> Result<Value, CodecError> {
+    let claimed = cur.u32()?;
+    let len = cur.checked_count(claimed)?;
+    let raw = cur.take(len * 8)?;
+    *bulk += raw.len() as u64;
+    let word = |c: &[u8]| -> [u8; 8] { c.try_into().expect("8 bytes") };
+    let Some(mut list) = crate::pool::take_run(len) else {
+        return Ok(Value::List(raw.chunks_exact(8).map(|c| fresh(word(c))).collect()));
+    };
+    let (head, tail) = raw.split_at(8 * list.len().min(len));
+    for (slot, c) in list.iter_mut().zip(head.chunks_exact(8)) {
+        refill(slot, word(c));
+    }
+    list.truncate(len);
+    list.extend(tail.chunks_exact(8).map(|c| fresh(word(c))));
+    Ok(Value::List(list))
 }
 
 /// Convenience policy that inlines every reference (valid when the value
@@ -913,6 +962,122 @@ mod tests {
             let decoded = decode_value(&mut dst, &buf, &mut resolve_none).unwrap();
             assert_eq!(decoded.unpin(&mut dst), v);
         }
+    }
+
+    /// Encodes `args` as a crossing's argument list.
+    fn args_wire(args: &[Value]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_values_v2(&heap(), args, &mut inline_all, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// Decodes a one-argument list whose argument is a run and returns
+    /// that list.
+    fn decode_run_arg(dst: &mut Heap, run: &Value) -> Vec<Value> {
+        let decoded = decode_value(dst, &args_wire(std::slice::from_ref(run)), &mut resolve_none);
+        let decoded = decoded.unwrap();
+        assert_eq!(decoded.runs, 1, "the argument is marked as a run");
+        match decoded.value {
+            Value::List(mut args) => match args.pop() {
+                Some(Value::List(list)) => list,
+                other => panic!("expected a list argument, got {other:?}"),
+            },
+            other => panic!("expected an argument list, got {other:?}"),
+        }
+    }
+
+    // The run-pool tests each run on a thread of their own, so the
+    // thread's pool holds only the lists the test puts there.
+
+    #[test]
+    fn a_run_refills_a_recycled_list_to_exactly_the_run() {
+        std::thread::spawn(|| {
+            let mut dst = heap();
+            // Every run's values differ from every other's, so a slot
+            // the refill skipped would show.
+            let ints =
+                |n: i64, k: i64| Value::List((0..n).map(|i| Value::Int(k * 100 + i)).collect());
+            let floats = |n: u32, k: u32| {
+                Value::List((0..n).map(|i| Value::Float(f64::from(k * 100 + i) / 4.0)).collect())
+            };
+            let mut first = None;
+            // Each run takes the list the previous one gave back, which
+            // is longer, shorter, or holds the other variant.
+            let runs = [ints(8, 1), ints(6, 2), ints(8, 3), floats(5, 4), ints(5, 5), floats(8, 6)];
+            for run in runs.into_iter().chain([ints(4, 7)]) {
+                let list = decode_run_arg(&mut dst, &run);
+                assert_eq!(Value::List(list.clone()), run);
+                let at = *first.get_or_insert(list.as_ptr());
+                assert_eq!(list.as_ptr(), at, "the run refilled the recycled list");
+                crate::pool::recycle_run(list);
+                assert_eq!(crate::pool::pooled_runs(), 1);
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn a_one_element_run_leaves_a_long_pooled_list_alone() {
+        std::thread::spawn(|| {
+            crate::pool::recycle_run(vec![Value::Int(0); 8192]);
+            let mut dst = heap();
+            let one = Value::List(vec![Value::Int(5)]);
+            let list = decode_run_arg(&mut dst, &one);
+            assert_eq!(Value::List(list.clone()), one);
+            assert_eq!(list.capacity(), 1, "a fresh one-element list");
+            // A one-int reply is a top-level run of one.
+            let reply = decode_value(&mut dst, &args_wire(&[Value::Int(5)]), &mut resolve_none);
+            assert_eq!(reply.unwrap().value, one);
+            assert_eq!(crate::pool::pooled_runs(), 1, "the long list is still pooled");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn only_top_level_run_arguments_are_marked() {
+        let mut dst = heap();
+        let ints = Value::List((0..4).map(Value::Int).collect());
+        let mixed = Value::List(vec![Value::Int(1), Value::Bytes(vec![2]), Value::from("x")]);
+        let nested = Value::List(vec![ints.clone()]);
+        let floats = Value::List(vec![Value::Float(0.5)]);
+        let args = [mixed, ints.clone(), Value::List(vec![]), nested, Value::Int(9), floats];
+        let decoded = decode_value(&mut dst, &args_wire(&args), &mut resolve_none).unwrap();
+        assert_eq!(decoded.runs, 0b10_0010, "arguments 1 and 5 are runs; TAG_LIST lists are not");
+        assert_eq!(decoded.value, Value::List(args.to_vec()));
+
+        // A top-level run is the argument list itself, which is not
+        // marked.
+        let decoded = decode_value(&mut dst, &args_wire(&[Value::Int(1)]), &mut resolve_none);
+        assert_eq!(decoded.unwrap().runs, 0);
+        let decoded = decode_value(&mut dst, &args_wire(&[ints]), &mut resolve_none).unwrap();
+        assert_eq!(decoded.runs, 1);
+    }
+
+    #[test]
+    fn a_rejected_stream_roots_nothing_and_puts_no_list_back() {
+        std::thread::spawn(|| {
+            crate::pool::recycle_run(vec![Value::Int(0); 16]);
+            let mut src = heap();
+            let obj = src.alloc(ClassId(1), vec![Value::Int(5)]).unwrap();
+            src.add_root(obj);
+            let args = [Value::Ref(obj), Value::List((0..16).map(Value::Int).collect())];
+            let mut bytes = Vec::new();
+            encode_values_v2(&src, &args, &mut inline_all, &mut bytes).unwrap();
+            bytes.push(0);
+
+            let mut dst = heap();
+            assert_eq!(
+                decode_value(&mut dst, &bytes, &mut resolve_none).unwrap_err(),
+                CodecError::TrailingBytes(1)
+            );
+            dst.collect();
+            assert_eq!(dst.live_objects(), 0, "decode allocations released on error");
+            assert_eq!(crate::pool::pooled_runs(), 0, "the run's list was taken and dropped");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

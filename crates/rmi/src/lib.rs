@@ -14,9 +14,10 @@
 //! - [`batch`] — the batched wire-frame length: several queued
 //!   switchless requests cross the boundary as one length-prefixed
 //!   frame, so a worker wakeup that drains a batch pays one header;
-//! - [`pool`] — thread-local pooled encode/decode buffers with
-//!   high-water-mark trimming, so steady-state crossings allocate no
-//!   fresh payload memory;
+//! - [`pool`] — thread-local pools of encode buffers and of lists
+//!   decoded from primitive runs, with high-water-mark trimming, so
+//!   steady-state crossings allocate no fresh payload memory and
+//!   refill a bulk argument's list in place;
 //! - [`shape`] — the per-app class-name interner that keeps class
 //!   names off the wire after their first crossing (`docs/SERDE.md`);
 //! - [`registry`] — the mirror-proxy registry holding strong references

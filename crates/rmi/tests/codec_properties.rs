@@ -119,6 +119,37 @@ proptest! {
         prop_assert_eq!(stats, want_stats);
     }
 
+    /// Argument lists whose run arguments are given back to the run
+    /// pool after each decode, as a relay gives them back, decode to
+    /// exactly what was sent (compared as re-encoded bytes, so NaN
+    /// payloads count too), whatever length and variant the refilled
+    /// list held before. Only a run argument is marked.
+    #[test]
+    fn recycled_runs_decode_exactly(lists in proptest::collection::vec(primitive_list(), 1..12)) {
+        let src = fresh_heap();
+        let mut dst = fresh_heap();
+        for vs in lists {
+            let homogeneous = |f: fn(&Value) -> bool| !vs.is_empty() && vs.iter().all(f);
+            let is_run = homogeneous(|v| matches!(v, Value::Int(_)))
+                || homogeneous(|v| matches!(v, Value::Float(_)));
+            let args = [Value::List(vs), Value::Int(1)];
+            let mut bytes = Vec::new();
+            encode_values_v2(&src, &args, &mut inline_all, &mut bytes).unwrap();
+            let decoded = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap();
+            prop_assert_eq!(decoded.runs, u64::from(is_run));
+            let runs = decoded.runs;
+            let Value::List(mut got) = decoded.value else { panic!("an argument list") };
+            let mut again = Vec::new();
+            encode_values_v2(&src, &got, &mut inline_all, &mut again).unwrap();
+            prop_assert_eq!(&again, &bytes);
+            if runs & 1 == 1 {
+                if let Value::List(list) = std::mem::take(&mut got[0]) {
+                    rmi::pool::recycle_run(list);
+                }
+            }
+        }
+    }
+
     /// Reference-free values roundtrip bit-exactly (bulk paths
     /// included via `Bytes` and the primitive-homogeneous lists
     /// `flat_value` generates), and decode re-derives the encoder's

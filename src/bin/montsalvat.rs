@@ -755,6 +755,35 @@ fn parse_program(text: &str) -> Result<Program, String> {
 mod tests {
     use super::*;
 
+    /// A directory of one test's own in the system temp dir, named with
+    /// the process id and the test, so concurrent test runs never share
+    /// it. Dropping it removes it with its files, also when the test
+    /// panics.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> TestDir {
+            let name = format!("montsalvat-{}-{test}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        /// Writes `contents` to `file` in the directory and returns the
+        /// file's path.
+        fn write(&self, file: &str, contents: impl AsRef<[u8]>) -> String {
+            let path = self.0.join(file);
+            std::fs::write(&path, contents).unwrap();
+            path.to_str().expect("temp paths are UTF-8").to_owned()
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn example_parses_and_partitions() {
         let program = parse_program(EXAMPLE).unwrap();
@@ -870,35 +899,28 @@ mod tests {
             tracer.finish(ecall, t0 + 1_000);
             tracer.finish(call, t0 + 2_000);
         }
-        let dir = std::env::temp_dir().join("montsalvat-advise-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("trace.json");
-        std::fs::write(&trace_path, tracer.to_chrome_json(&[("rmi_calls", 16)])).unwrap();
+        let dir = TestDir::new("advise-recommends-a-move");
+        let trace_path = dir.write("trace.json", tracer.to_chrome_json(&[("rmi_calls", 16)]));
 
         // Table output: Account is a move, telemetry count reconciles.
-        let table =
-            run_advise(trace_path.to_str().unwrap(), &AdviseOpts::default()).expect("advise runs");
+        let table = run_advise(&trace_path, &AdviseOpts::default()).expect("advise runs");
         assert!(table.contains("Account"), "{table}");
         assert!(table.contains("move"), "{table}");
         assert!(table.contains("telemetry rmi.calls = 16"), "{table}");
 
         // JSON output carries the schema and a positive prediction.
-        let json = run_advise(
-            trace_path.to_str().unwrap(),
-            &AdviseOpts { json: true, ..AdviseOpts::default() },
-        )
-        .expect("advise runs");
+        let json = run_advise(&trace_path, &AdviseOpts { json: true, ..AdviseOpts::default() })
+            .expect("advise runs");
         assert!(json.contains("montsalvat.advice/v1"), "{json}");
         assert!(json.contains("\"verdict\": \"move\""), "{json}");
 
         // Pinning the class holds it.
         let pinned = run_advise(
-            trace_path.to_str().unwrap(),
+            &trace_path,
             &AdviseOpts { pin: vec!["Account".into()], ..AdviseOpts::default() },
         )
         .expect("advise runs");
         assert!(pinned.contains("pinned"), "{pinned}");
-        let _ = std::fs::remove_file(&trace_path);
     }
 
     #[test]
@@ -917,15 +939,11 @@ mod tests {
             tracer.finish(ecall, t0 + 1_000);
             tracer.finish(call, t0 + 2_000);
         }
-        let dir = std::env::temp_dir().join("montsalvat-advise-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quoted-class.json");
-        std::fs::write(&path, tracer.to_chrome_json(&[])).unwrap();
-        let json =
-            run_advise(path.to_str().unwrap(), &AdviseOpts { json: true, ..AdviseOpts::default() })
-                .expect("advise runs");
+        let dir = TestDir::new("advise-json-escapes");
+        let path = dir.write("quoted-class.json", tracer.to_chrome_json(&[]));
+        let json = run_advise(&path, &AdviseOpts { json: true, ..AdviseOpts::default() })
+            .expect("advise runs");
         assert!(json.contains(r#""class": "Ev\"il""#), "{json}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -941,13 +959,10 @@ mod tests {
             || 10,
             || "gc".into(),
         );
-        let dir = std::env::temp_dir().join("montsalvat-advise-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("no-rmi.json");
-        std::fs::write(&path, tracer.to_chrome_json(&[])).unwrap();
-        let err = run_advise(path.to_str().unwrap(), &AdviseOpts::default()).unwrap_err();
+        let dir = TestDir::new("advise-without-crossings");
+        let path = dir.write("no-rmi.json", tracer.to_chrome_json(&[]));
+        let err = run_advise(&path, &AdviseOpts::default()).unwrap_err();
         assert!(err.contains("nothing to advise on"), "{err}");
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Records five 1 µs windows of traffic — calm except window 3,
@@ -974,18 +989,15 @@ mod tests {
     #[test]
     fn timeline_renders_windows_and_attributes_the_gc_spike() {
         let series = spiky_series(64);
-        let dir = std::env::temp_dir().join("montsalvat-timeline-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("timeseries.json");
-        std::fs::write(&path, series.to_json()).unwrap();
-        let report = run_timeline(path.to_str().unwrap(), 4.0).expect("timeline renders");
+        let dir = TestDir::new("timeline-gc-spike");
+        let path = dir.write("timeseries.json", series.to_json());
+        let report = run_timeline(&path, 4.0).expect("timeline renders");
         assert!(report.contains("montsalvat.timeseries/v1"), "{report}");
         assert!(report.contains("5 window(s)"), "{report}");
         assert!(report.contains("<- SPIKE"), "{report}");
         assert!(report.contains("gc (high confidence)"), "{report}");
         // A clean recording gets no drop warning.
         assert!(!report.contains("WARN"), "{report}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -993,25 +1005,19 @@ mod tests {
         // Capacity 2 against five active windows: three are dropped.
         let series = spiky_series(2);
         assert!(series.dropped > 0);
-        let dir = std::env::temp_dir().join("montsalvat-timeline-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dropped.json");
-        std::fs::write(&path, series.to_json()).unwrap();
-        let report = run_timeline(path.to_str().unwrap(), 4.0).expect("timeline renders");
+        let dir = TestDir::new("timeline-dropped-windows");
+        let path = dir.write("dropped.json", series.to_json());
+        let report = run_timeline(&path, 4.0).expect("timeline renders");
         assert!(report.contains("WARN"), "{report}");
         assert!(report.contains("MONTSALVAT_TIMESERIES_WINDOW"), "{report}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn timeline_rejects_non_timeseries_documents() {
-        let dir = std::env::temp_dir().join("montsalvat-timeline-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("not-a-series.json");
-        std::fs::write(&path, "{\"schema\": \"something.else/v9\"}\n").unwrap();
-        let err = run_timeline(path.to_str().unwrap(), 4.0).unwrap_err();
+        let dir = TestDir::new("timeline-not-a-series");
+        let path = dir.write("not-a-series.json", "{\"schema\": \"something.else/v9\"}\n");
+        let err = run_timeline(&path, 4.0).unwrap_err();
         assert!(err.contains("montsalvat.timeseries/v1"), "{err}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
