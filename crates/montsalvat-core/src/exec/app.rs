@@ -45,9 +45,8 @@ pub struct AppConfig {
     pub enclave_config: EnclaveConfig,
     /// Managed-heap configuration per isolate (paper: images built with
     /// 2 GB maximum heap; §6.1). Its `collector` picks the garbage
-    /// collector each isolate runs; the block collector's geometry is
-    /// seeded from [`CostParams::gc_block_bytes`] so heap blocks and
-    /// EPC charging agree.
+    /// collector each isolate runs, and its `block_bytes` is the block
+    /// collector's granule, which the enclave's EPC charge uses too.
     pub heap_config: HeapConfig,
     /// GC helper scan interval; `None` disables the helper threads
     /// (tests then drive [`PartitionedApp::gc_sync_once`] manually).
@@ -95,17 +94,6 @@ impl Default for AppConfig {
             trace: None,
             provider: None,
         }
-    }
-}
-
-/// Resolves the heap configuration an app's isolates actually launch
-/// with: the block size is taken from the cost model
-/// (`CostParams::gc_block_bytes`) so the collector's blocks are the
-/// same granule the EPC charges per.
-fn effective_heap_config(config: &AppConfig) -> HeapConfig {
-    HeapConfig {
-        block_bytes: config.cost_params.gc_block_bytes.max(1),
-        ..config.heap_config.clone()
     }
 }
 
@@ -233,13 +221,6 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
     if dead.is_empty() {
         return Ok(0);
     }
-    {
-        // Forget our local handles on the dead proxies.
-        let mut rmi = world.rmi.lock();
-        for h in &dead {
-            rmi.proxies.remove(h);
-        }
-    }
     // The sweep's crossing (and its transition span) parents under
     // this span, so helper activity shows up as its own call trees on
     // the sweeping side's lane.
@@ -259,8 +240,7 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
         let mut heap = other.isolate.lock_heap();
         let mut released = 0usize;
         for h in &dead {
-            if let Some(mirror) = rmi.registry.remove(&mut heap, *h) {
-                rmi.hash_of.remove(&mirror);
+            if rmi.registry.remove(&mut heap, *h).is_some() {
                 released += 1;
             }
         }
@@ -375,7 +355,7 @@ impl Launch {
         let world = World::new(
             side,
             Arc::new(ClassIndex::from_classes(&image.classes)),
-            effective_heap_config(config),
+            config.heap_config.clone(),
             config.exec_model.clone(),
             self.workdir.join(scratch),
             &self.cost,
@@ -609,7 +589,7 @@ impl PartitionedApp {
         let world = self.shared.world(side);
         let rmi = world.rmi.lock();
         let heap = world.isolate.lock_heap();
-        rmi.proxies.values().filter(|&&p| heap.is_live(p)).count()
+        rmi.weaklist.live_count(&heap)
     }
 
     /// Stops the helpers, destroys the enclave and removes the scratch

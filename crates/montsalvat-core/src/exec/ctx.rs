@@ -598,7 +598,10 @@ fn export_and_encode(
                 if info.def.trust.is_annotated() {
                     annotated.push((id, info));
                 } else {
-                    stack.extend(heap.fields(id).expect("live object has fields"));
+                    let fields = heap
+                        .fields(id)
+                        .ok_or_else(|| VmError::BadRef(format!("{id} is dead at marshal")))?;
+                    stack.extend(fields);
                 }
             }
         }
@@ -614,12 +617,11 @@ fn export_and_encode(
         for (id, info) in annotated {
             let hash = if info.def.role == ClassRole::Proxy {
                 read_proxy_hash(&heap, id)?
-            } else if let Some(&h) = rmi.hash_of.get(&id) {
+            } else if let Some(h) = rmi.registry.hash_of(id) {
                 h
             } else {
                 let h = world.hasher.next_hash();
                 rmi.registry.register(&mut heap, h, id);
-                rmi.hash_of.insert(id, h);
                 h
             };
             hints.push((hash, hint_name(app, info)));
@@ -709,13 +711,11 @@ fn unmarshal_pinning(
                 by_hash.insert(*hash, mirror);
                 continue;
             }
-            if let Some(&proxy) = rmi.proxies.get(hash) {
-                if heap.is_live(proxy) {
-                    heap.add_root(proxy);
-                    pins.push(proxy);
-                    by_hash.insert(*hash, proxy);
-                    continue;
-                }
+            if let Some(proxy) = rmi.weaklist.live(&heap, *hash) {
+                heap.add_root(proxy);
+                pins.push(proxy);
+                by_hash.insert(*hash, proxy);
+                continue;
             }
             let info = resolve_hint_class(app, world, name_ref)?;
             if info.def.role != ClassRole::Proxy {
@@ -727,8 +727,7 @@ fn unmarshal_pinning(
             let proxy = heap.alloc(info.id, vec![hash_value(*hash)])?;
             heap.add_root(proxy);
             pins.push(proxy);
-            rmi.proxies.insert(*hash, proxy);
-            rmi.weaklist.track(&mut heap, proxy, *hash);
+            rmi.weaklist.track(proxy, *hash);
             app.cost.recorder().incr(telemetry::Counter::ProxiesCreated);
             by_hash.insert(*hash, proxy);
         }
@@ -1048,17 +1047,18 @@ pub(crate) fn construct(
     if info.def.role == ClassRole::Proxy {
         construct_proxy(app, world, info, args)
     } else {
-        construct_local(app, world, info, args)
+        construct_local(app, world, info, args).map(Value::Ref)
     }
 }
 
-/// Allocates and initialises a concrete object locally.
+/// Allocates and initialises a concrete object locally. The returned
+/// object carries an in-flight root.
 fn construct_local(
     app: &AppShared,
     world: &Arc<World>,
     info: &ClassInfo,
     args: &[Value],
-) -> Result<Value, VmError> {
+) -> Result<ObjId, VmError> {
     let nfields = info.def.fields.len();
     let obj = world.isolate.with_heap(|h| {
         let id = h.alloc(info.id, vec![Value::Unit; nfields])?;
@@ -1082,7 +1082,7 @@ fn construct_local(
             got: args.len(),
         });
     }
-    Ok(Value::Ref(obj))
+    Ok(obj)
 }
 
 /// Creates a proxy locally and crosses to materialise its mirror.
@@ -1103,8 +1103,7 @@ fn construct_proxy(
         let mut heap = world.isolate.lock_heap();
         let proxy = heap.alloc(info.id, vec![hash_value(hash)])?;
         heap.add_root(proxy); // in-flight
-        rmi.proxies.insert(hash, proxy);
-        rmi.weaklist.track(&mut heap, proxy, hash);
+        rmi.weaklist.track(proxy, hash);
         app.cost.recorder().incr(telemetry::Counter::ProxiesCreated);
         proxy
     };
@@ -1259,7 +1258,11 @@ fn serve_relay_inner(
     crossing: &Crossing,
     msg: &WireMsg,
 ) -> Result<WireMsg, VmError> {
-    let info = callee.classes.by_id(crossing.class).expect("crossings resolve against the callee");
+    // A crossing resolves its class against the callee's image, so
+    // this fails only for a crossing served by the wrong world.
+    let info = callee.classes.by_id(crossing.class).ok_or_else(|| {
+        VmError::Sgx(SgxError::InterfaceMismatch { routine: crossing.routine.to_string() })
+    })?;
     // Both released when this returns, and also when a relay body
     // unwinds: the pins, and the arguments' runs, which go back to this
     // thread's run pool (the caller's, or a switchless worker's).
@@ -1275,19 +1278,17 @@ fn serve_relay_inner(
         match crossing.kind {
             RelayKind::Ctor => {
                 let hash = receiver()?;
-                let mirror_val = construct_local(app, callee, info, &args.values)?;
-                let mirror = mirror_val.as_ref_id().expect("construct returns a reference");
+                let mirror = construct_local(app, callee, info, &args.values)?;
                 {
                     let mut rmi = callee.rmi.lock();
                     let mut heap = callee.isolate.lock_heap();
                     rmi.registry.register(&mut heap, hash, mirror);
-                    rmi.hash_of.insert(mirror, hash);
                     app.cost.recorder().incr(telemetry::Counter::MirrorsCreated);
+                    // The registry holds the mirror now; drop the
+                    // in-flight root and return unit (the caller
+                    // already holds the proxy).
+                    heap.remove_root(mirror);
                 }
-                // The registry holds the mirror now; drop the in-flight
-                // root and return unit (the caller already holds the
-                // proxy).
-                release(callee, &mirror_val);
                 Ok(Value::Unit)
             }
             RelayKind::Static => {

@@ -2,7 +2,7 @@
 //!
 //! A [`World`] bundles everything one runtime owns at execution time: its
 //! isolate (heap), its class index, its RMI state (mirror-proxy registry,
-//! proxy map, weak list, hash allocator), its scratch I/O channel, and an
+//! proxy weak list, hash allocator), its scratch I/O channel, and an
 //! execution-model knob used by the JVM baseline. The trusted world's
 //! heap carries an observer that charges the enclave for every byte of
 //! heap traffic, which is how the paper's in-enclave GC and allocation
@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use rmi::hash::{HashScheme, ProxyHash, ProxyHasher};
+use rmi::hash::ProxyHasher;
 use rmi::registry::MirrorProxyRegistry;
 use rmi::weaklist::ProxyWeakList;
 use runtime_sim::heap::{HeapConfig, HeapObserver};
@@ -97,13 +97,10 @@ impl ClassIndex {
 /// Mutable RMI state of one world. Lock ordering: `rmi` before the heap.
 #[derive(Debug, Default)]
 pub struct RmiState {
-    /// Strong references to local mirrors, keyed by proxy hash.
+    /// Strong references to local mirrors, keyed by proxy hash, and the
+    /// hash each exported local object crosses under.
     pub registry: MirrorProxyRegistry,
-    /// Local proxy objects by hash (not rooted; may go stale).
-    pub proxies: HashMap<ProxyHash, ObjId>,
-    /// Hashes under which local concrete objects have been exported.
-    pub hash_of: HashMap<ObjId, ProxyHash>,
-    /// Weak tracking of local proxies for the GC helper.
+    /// Local proxy objects by hash, held weakly; the GC helper scans it.
     pub weaklist: ProxyWeakList,
 }
 
@@ -267,7 +264,7 @@ impl World {
             isolate,
             classes,
             rmi: Mutex::new(rmi),
-            hasher: ProxyHasher::new(HashScheme::Wide, side as u64 + 1),
+            hasher: ProxyHasher::new(side as u64 + 1),
             exec_model,
             scratch_path,
             io: Mutex::new(WorldIo::default()),

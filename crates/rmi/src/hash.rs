@@ -3,10 +3,8 @@
 //! Every proxy object carries a hash identifying its mirror in the
 //! opposite runtime (§5.2). The paper's prototype uses Java identity
 //! hash codes (31 bits of entropy, collisions possible) and notes that a
-//! wide hash "like MD5" should be used to minimise collisions. Both
-//! schemes are provided: [`HashScheme::Identity`] reproduces the
-//! prototype, [`HashScheme::Wide`] the recommended fix — and the test
-//! suite demonstrates the collision behaviour that motivates it.
+//! wide hash "like MD5" should be used to minimise collisions; this
+//! module issues such a 128-bit hash.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,51 +19,28 @@ impl fmt::Display for ProxyHash {
     }
 }
 
-/// Hashing scheme for freshly created proxies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashScheme {
-    /// Java-identity-hash-like: 31 bits of entropy, as in the paper's
-    /// prototype. Collisions are possible at scale.
-    Identity,
-    /// 128-bit mixed hash ("a hashing algorithm like MD5 should be
-    /// used", §5.2). Collision-free in practice.
-    #[default]
-    Wide,
-}
-
-/// Issues proxy hashes for one runtime.
+/// Issues 128-bit proxy hashes for one runtime ("a hashing algorithm
+/// like MD5 should be used", §5.2): collision-free in practice.
 ///
 /// Thread-safe and allocation-free.
 #[derive(Debug)]
 pub struct ProxyHasher {
-    scheme: HashScheme,
     counter: AtomicU64,
     seed: u64,
 }
 
 impl ProxyHasher {
     /// Creates a hasher; `seed` decorrelates the two runtimes.
-    pub fn new(scheme: HashScheme, seed: u64) -> Self {
-        ProxyHasher { scheme, counter: AtomicU64::new(1), seed }
-    }
-
-    /// The scheme this hasher issues under.
-    pub fn scheme(&self) -> HashScheme {
-        self.scheme
+    pub fn new(seed: u64) -> Self {
+        ProxyHasher { counter: AtomicU64::new(1), seed }
     }
 
     /// Issues the next proxy hash.
     pub fn next_hash(&self) -> ProxyHash {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
         let mixed = split_mix(n ^ self.seed);
-        match self.scheme {
-            // Java identity hashes are non-negative 32-bit ints.
-            HashScheme::Identity => ProxyHash((mixed & 0x7fff_ffff) as u128),
-            HashScheme::Wide => {
-                let hi = split_mix(mixed ^ 0x9e37_79b9_7f4a_7c15);
-                ProxyHash(((hi as u128) << 64) | mixed as u128)
-            }
-        }
+        let hi = split_mix(mixed ^ 0x9e37_79b9_7f4a_7c15);
+        ProxyHash(((hi as u128) << 64) | mixed as u128)
     }
 }
 
@@ -83,22 +58,14 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
-    fn identity_hashes_fit_31_bits() {
-        let h = ProxyHasher::new(HashScheme::Identity, 7);
-        for _ in 0..1000 {
-            assert!(h.next_hash().0 < (1 << 31));
-        }
-    }
-
-    #[test]
     fn wide_hashes_use_high_bits() {
-        let h = ProxyHasher::new(HashScheme::Wide, 7);
+        let h = ProxyHasher::new(7);
         assert!((0..100).any(|_| h.next_hash().0 > u64::MAX as u128));
     }
 
     #[test]
     fn wide_scheme_has_no_collisions_at_scale() {
-        let h = ProxyHasher::new(HashScheme::Wide, 42);
+        let h = ProxyHasher::new(42);
         let mut seen = HashSet::new();
         for _ in 0..200_000 {
             assert!(seen.insert(h.next_hash()), "wide hash collided");
@@ -106,25 +73,9 @@ mod tests {
     }
 
     #[test]
-    fn identity_scheme_is_unique_within_experiment_scales() {
-        // The prototype relies on identity hashes being unique at the
-        // scales it runs; verify that holds for 100k proxies (Fig. 3).
-        let h = ProxyHasher::new(HashScheme::Identity, 1);
-        let mut seen = HashSet::new();
-        let mut collisions = 0u32;
-        for _ in 0..100_000 {
-            if !seen.insert(h.next_hash()) {
-                collisions += 1;
-            }
-        }
-        // Birthday bound: ~2.3 expected; allow a small number.
-        assert!(collisions < 20, "unexpectedly many collisions: {collisions}");
-    }
-
-    #[test]
     fn seeds_decorrelate_runtimes() {
-        let a = ProxyHasher::new(HashScheme::Wide, 1);
-        let b = ProxyHasher::new(HashScheme::Wide, 2);
+        let a = ProxyHasher::new(1);
+        let b = ProxyHasher::new(2);
         assert_ne!(a.next_hash(), b.next_hash());
     }
 

@@ -5,9 +5,8 @@
 //! This crate provides the mechanism's building blocks, independent of
 //! class metadata:
 //!
-//! - [`hash`] — proxy identity hashes ([`ProxyHash`]),
-//!   with both the prototype's Java-identity scheme and the recommended
-//!   wide scheme;
+//! - [`hash`] — 128-bit proxy identity hashes ([`ProxyHash`]), the
+//!   wide scheme the paper recommends over Java identity hashes;
 //! - [`codec`] — the wire format that deep-copies neutral objects,
 //!   preserves shared substructure/cycles, hash-references annotated
 //!   objects and moves primitive runs as bulk copies;
@@ -21,8 +20,9 @@
 //! - [`shape`] — the per-app class-name interner that keeps class
 //!   names off the wire after their first crossing (`docs/SERDE.md`);
 //! - [`registry`] — the mirror-proxy registry holding strong references
-//!   to mirror objects, keyed by proxy hash;
-//! - [`weaklist`] — the per-runtime weak-reference list of live proxies;
+//!   to mirror objects, keyed by proxy hash, and each mirror's hash;
+//! - [`weaklist`] — the per-runtime weak-reference list of live proxies,
+//!   which is also the runtime's one proxy table;
 //! - [`gc_helper`] — the periodic scanner thread that drives
 //!   cross-runtime garbage-collection consistency.
 //!
@@ -47,7 +47,7 @@ pub use codec::{
     RefEncoding,
 };
 pub use gc_helper::GcHelper;
-pub use hash::{HashScheme, ProxyHash, ProxyHasher};
+pub use hash::{ProxyHash, ProxyHasher};
 pub use pool::PooledBuf;
 pub use registry::MirrorProxyRegistry;
 pub use shape::{NameInterner, NameRef};

@@ -6,6 +6,9 @@
 //! mirror alive exactly as long as the proxy exists; the GC helper
 //! removes the entry once the proxy has been collected, making the mirror
 //! eligible for collection (§5.5). Both runtimes own one registry.
+//!
+//! The registry also records the reverse direction, mirror to hash, so
+//! an object exported once re-crosses under the same hash.
 
 use std::collections::HashMap;
 
@@ -14,13 +17,15 @@ use runtime_sim::value::ObjId;
 
 use crate::hash::ProxyHash;
 
-/// Strong-reference table from proxy hashes to mirror objects.
+/// Strong-reference table from proxy hashes to mirror objects, and
+/// back.
 ///
 /// Entries *root* their mirror in the owning heap; [`MirrorProxyRegistry::remove`]
 /// releases the root, making the mirror collectable.
 #[derive(Debug, Default)]
 pub struct MirrorProxyRegistry {
     map: HashMap<ProxyHash, ObjId>,
+    hash_of: HashMap<ObjId, ProxyHash>,
     recorder: Option<std::sync::Arc<telemetry::Recorder>>,
 }
 
@@ -36,17 +41,20 @@ impl MirrorProxyRegistry {
         self.recorder = Some(recorder);
     }
 
-    /// Registers `mirror` under `hash`, rooting it in `heap`.
+    /// Registers `mirror` under `hash` in both directions, rooting it
+    /// in `heap`.
     ///
     /// Returns the displaced mirror if `hash` was already registered
-    /// (a hash collision under the identity scheme); the displaced
-    /// mirror's root is released.
+    /// (a peer reusing a hash); the displaced mirror's root and its
+    /// reverse entry are released.
     pub fn register(&mut self, heap: &mut Heap, hash: ProxyHash, mirror: ObjId) -> Option<ObjId> {
         heap.add_root(mirror);
         let displaced = self.map.insert(hash, mirror);
         if let Some(old) = displaced {
             heap.remove_root(old);
+            self.hash_of.remove(&old);
         }
+        self.hash_of.insert(mirror, hash);
         if let Some(rec) = &self.recorder {
             rec.gauge_max(telemetry::Gauge::RegistrySizePeak, self.map.len() as u64);
         }
@@ -58,11 +66,18 @@ impl MirrorProxyRegistry {
         self.map.get(&hash).copied()
     }
 
-    /// Removes the entry for `hash`, releasing the mirror's root.
+    /// Looks up the hash `mirror` is registered under.
+    pub fn hash_of(&self, mirror: ObjId) -> Option<ProxyHash> {
+        self.hash_of.get(&mirror).copied()
+    }
+
+    /// Removes the entry for `hash` in both directions, releasing the
+    /// mirror's root.
     ///
     /// Returns the mirror that was registered, if any.
     pub fn remove(&mut self, heap: &mut Heap, hash: ProxyHash) -> Option<ObjId> {
         let mirror = self.map.remove(&hash)?;
+        self.hash_of.remove(&mirror);
         heap.remove_root(mirror);
         if let Some(rec) = &self.recorder {
             rec.incr(telemetry::Counter::MirrorsReleased);
@@ -113,7 +128,9 @@ mod tests {
         let mut reg = MirrorProxyRegistry::new();
         let mirror = h.alloc(ClassId(1), vec![]).unwrap();
         reg.register(&mut h, ProxyHash(10), mirror);
+        assert_eq!(reg.hash_of(mirror), Some(ProxyHash(10)));
         assert_eq!(reg.remove(&mut h, ProxyHash(10)), Some(mirror));
+        assert_eq!(reg.hash_of(mirror), None);
         h.collect();
         assert!(!h.is_live(mirror), "mirror collectable after removal");
         assert!(reg.is_empty());
@@ -127,6 +144,8 @@ mod tests {
         let second = h.alloc(ClassId(1), vec![]).unwrap();
         assert_eq!(reg.register(&mut h, ProxyHash(7), first), None);
         assert_eq!(reg.register(&mut h, ProxyHash(7), second), Some(first));
+        assert_eq!(reg.hash_of(first), None, "displaced mirror forgets the hash");
+        assert_eq!(reg.hash_of(second), Some(ProxyHash(7)));
         h.collect();
         assert!(!h.is_live(first), "displaced mirror released");
         assert!(h.is_live(second));

@@ -22,8 +22,9 @@
 //!   stale handles are detected instead of misread. Handle indirection
 //!   is also what makes the collectors observationally identical: no
 //!   collector ever rewrites a stored reference.
-//! - [`WeakRef`]s do not keep objects alive and are atomically cleared
-//!   by the collection that reclaims their referent — the primitive
+//! - A handle is also a weak reference: holding one never keeps its
+//!   object alive, and [`Heap::is_live`] reads `false` from the
+//!   collection that reclaims the object on — the primitive
 //!   Montsalvat's GC helper builds on (§5.5).
 
 use std::time::Instant;
@@ -151,8 +152,8 @@ pub struct HeapConfig {
     /// switch (default semispace).
     pub collector: CollectorKind,
     /// Block size for the block collector (ignored by semispace). The
-    /// app layer seeds this from `CostParams::gc_block_bytes` so heap
-    /// geometry and EPC charging agree.
+    /// heap hands it to [`HeapObserver::on_gc_blocks_touched`], so heap
+    /// geometry and EPC charging use the one granule.
     pub block_bytes: u64,
     /// Nursery allocation volume between automatic minor collections
     /// (block collector only).
@@ -195,10 +196,6 @@ pub struct HeapStats {
     pub gc_real_ns: u64,
 }
 
-/// Handle to a weak reference registered with [`Heap::new_weak`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WeakRef(u32);
-
 /// Result of one collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcOutcome {
@@ -210,8 +207,6 @@ pub struct GcOutcome {
     pub bytes_copied: u64,
     /// Bytes reclaimed.
     pub bytes_freed: u64,
-    /// Weak references cleared by this collection.
-    pub weaks_cleared: usize,
     /// Whether this was a minor (nursery-only) cycle.
     pub minor: bool,
 }
@@ -307,7 +302,7 @@ impl GcCx<'_> {
 
 /// Storage + collection strategy behind the [`Heap`] facade.
 ///
-/// The facade owns handles, roots, weaks, stats, observers and
+/// The facade owns handles, roots, stats, observers and
 /// telemetry; implementations own object storage and the trace /
 /// reclaim algorithm. All mutation happens under the heap's external
 /// lock, so implementations need no internal synchronisation.
@@ -435,11 +430,6 @@ impl Collector for Semispace {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct WeakEntry {
-    target: Option<ObjId>,
-}
-
 /// Error raised when the configured heap maximum is exceeded even after
 /// collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -489,7 +479,6 @@ pub struct Heap {
     free_slots: Vec<u32>,
     store: Box<dyn Collector>,
     roots: std::collections::HashMap<u32, u32>,
-    weaks: Vec<WeakEntry>,
     live_bytes: u64,
     alloc_since_gc: u64,
     stats: HeapStats,
@@ -542,7 +531,6 @@ impl Heap {
             free_slots: Vec::new(),
             store,
             roots: std::collections::HashMap::new(),
-            weaks: Vec::new(),
             live_bytes: 0,
             alloc_since_gc: 0,
             stats: HeapStats::default(),
@@ -750,29 +738,12 @@ impl Heap {
         self.roots.len()
     }
 
-    /// Creates a weak reference to `id`. The reference never keeps the
-    /// object alive and reads as `None` once the object is collected.
-    pub fn new_weak(&mut self, id: ObjId) -> WeakRef {
-        let target = if self.is_live(id) { Some(id) } else { None };
-        self.weaks.push(WeakEntry { target });
-        WeakRef((self.weaks.len() - 1) as u32)
-    }
-
-    /// Reads a weak reference: the referent if it is still live.
-    pub fn weak_get(&self, weak: WeakRef) -> Option<ObjId> {
-        self.weaks.get(weak.0 as usize)?.target
-    }
-
-    /// Number of registered weak references (cleared ones included).
-    pub fn weak_count(&self) -> usize {
-        self.weaks.len()
-    }
-
     /// Runs a full (major) collection and returns its outcome.
     ///
     /// Live objects are those reachable from roots by following `Ref`
     /// fields. Dead slots are generation-bumped so stale handles cannot
-    /// resurrect them, and weak references to dead objects are cleared.
+    /// resurrect them: [`Heap::is_live`] reads `false` for every handle
+    /// to a reclaimed object.
     /// Under semispace every live object is *moved* into a fresh arena
     /// (the copy phase whose byte volume is reported to the observer);
     /// under the block collector the nursery is evacuated and the
@@ -820,16 +791,6 @@ impl Heap {
         };
         let mut outcome = result.outcome;
         outcome.minor = kind == CollectKind::Minor;
-        // Clear weak references whose referent died.
-        for weak in &mut self.weaks {
-            if let Some(id) = weak.target {
-                let slot = &self.slots[id.index as usize];
-                if slot.gen != id.gen || slot.target.is_none() {
-                    weak.target = None;
-                    outcome.weaks_cleared += 1;
-                }
-            }
-        }
         self.live_bytes -= outcome.bytes_freed;
         if kind == CollectKind::Major {
             self.alloc_since_gc = 0;
@@ -1024,30 +985,6 @@ mod tests {
         assert!(!h.is_live(dead));
         assert!(h.is_live(fresh));
         assert_eq!(h.class_of(dead), None);
-    }
-
-    #[test]
-    fn weak_refs_clear_exactly_on_death() {
-        let mut h = heap();
-        let id = h.alloc(ClassId(0), vec![]).unwrap();
-        h.add_root(id);
-        let w = h.new_weak(id);
-        h.collect();
-        assert_eq!(h.weak_get(w), Some(id), "weak survives while rooted");
-        h.remove_root(id);
-        let out = h.collect();
-        assert_eq!(out.weaks_cleared, 1);
-        assert_eq!(h.weak_get(w), None);
-    }
-
-    #[test]
-    fn weak_refs_do_not_keep_alive() {
-        let mut h = heap();
-        let id = h.alloc(ClassId(0), vec![]).unwrap();
-        let w = h.new_weak(id);
-        h.collect();
-        assert_eq!(h.weak_get(w), None);
-        assert!(!h.is_live(id));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! - [`value`] — managed [`Value`]s and generational
 //!   object handles ([`ObjId`]);
 //! - [`heap`] — pluggable collectors (the paper's stop-and-copy
-//!   semispace plus a segmented generational block heap) with weak
-//!   references and a [`HeapObserver`] hook that lets the enclave
-//!   simulator charge MEE/EPC costs for heap traffic;
+//!   semispace plus a segmented generational block heap) behind
+//!   generational handles, which double as weak references, and a
+//!   [`HeapObserver`] hook that lets the enclave simulator charge
+//!   MEE/EPC costs for heap traffic;
 //! - [`isolate`] — independently collected heaps, one per runtime;
 //! - [`image`] — heap snapshots carried from build time to run time.
 //!
@@ -41,7 +42,6 @@ pub mod value;
 
 pub use heap::{
     BlockStats, CollectorKind, GcOutcome, Heap, HeapConfig, HeapObserver, HeapStats, OutOfMemory,
-    WeakRef,
 };
 pub use image::ImageHeap;
 pub use isolate::Isolate;

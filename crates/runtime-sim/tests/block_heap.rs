@@ -1,5 +1,5 @@
 //! Integration regressions for the segmented block collector: long-churn
-//! fragmentation behaviour, weak-reference clearing across minor/major
+//! fragmentation behaviour, object death across minor/major
 //! cycles, handle-generation hygiene across block recycling, and image
 //! snapshot equivalence with the semispace reference collector.
 
@@ -110,54 +110,54 @@ fn fragmentation_stays_bounded_under_long_churn() {
     }
 }
 
-/// A weak reference to nursery garbage is cleared by the *minor* cycle
-/// that reclaims it, and never reported cleared again by later cycles.
+/// Nursery garbage dies in the *minor* cycle that reclaims it: its
+/// handle reads dead from then on, and later cycles do not reclaim it
+/// again.
 #[test]
-fn weak_to_nursery_garbage_clears_exactly_once_in_minor() {
+fn nursery_garbage_dies_exactly_once_in_minor() {
     let mut heap = block_heap();
     let keep = alloc_bytes(&mut heap, 64);
     heap.add_root(keep);
     let doomed = alloc_bytes(&mut heap, 64);
-    let weak = heap.new_weak(doomed);
-    assert_eq!(heap.weak_get(weak), Some(doomed));
+    assert!(heap.is_live(doomed));
 
     let minor = heap.collect_minor();
     assert!(minor.minor);
-    assert_eq!(minor.weaks_cleared, 1, "minor reclaims the nursery garbage");
-    assert_eq!(heap.weak_get(weak), None);
+    assert_eq!(minor.reclaimed, 1, "minor reclaims the nursery garbage");
+    assert!(!heap.is_live(doomed));
+    assert!(heap.is_live(keep));
 
     let major = heap.collect();
-    assert_eq!(major.weaks_cleared, 0, "already-cleared weak must not clear again");
-    assert_eq!(heap.weak_get(weak), None);
+    assert_eq!(major.reclaimed, 0, "already-reclaimed garbage must not die again");
+    assert!(!heap.is_live(doomed));
 }
 
-/// A weak reference to *mature* garbage survives minors (minors never
-/// touch the mature generation) and is cleared exactly once by the
-/// major that sweeps it. Evacuation itself must keep weaks valid.
+/// *Mature* garbage survives minors (minors never touch the mature
+/// generation) and dies exactly once, in the major that sweeps it.
+/// Evacuation itself must keep handles valid.
 #[test]
-fn weak_to_mature_garbage_survives_minors_and_clears_once_in_major() {
+fn mature_garbage_survives_minors_and_dies_once_in_major() {
     let mut heap = block_heap();
     let obj = alloc_bytes(&mut heap, 64);
     heap.add_root(obj);
-    let weak = heap.new_weak(obj);
 
-    // Promote to the mature generation; the weak tracks the evacuated
+    // Promote to the mature generation; the handle tracks the evacuated
     // object through the slot retarget.
     let minor = heap.collect_minor();
     assert!(minor.minor);
-    assert_eq!(heap.weak_get(weak), Some(obj), "evacuation keeps weak refs valid");
+    assert!(heap.is_live(obj), "evacuation keeps handles valid");
 
     heap.remove_root(obj);
     let minor = heap.collect_minor();
-    assert_eq!(minor.weaks_cleared, 0, "minor must not sweep mature garbage");
-    assert_eq!(heap.weak_get(weak), Some(obj));
+    assert_eq!(minor.reclaimed, 0, "minor must not sweep mature garbage");
+    assert!(heap.is_live(obj));
 
     let major = heap.collect();
-    assert_eq!(major.weaks_cleared, 1, "major sweeps mature garbage and clears the weak");
-    assert_eq!(heap.weak_get(weak), None);
+    assert_eq!(major.reclaimed, 1, "major sweeps the mature garbage");
+    assert!(!heap.is_live(obj));
 
     let again = heap.collect();
-    assert_eq!(again.weaks_cleared, 0);
+    assert_eq!(again.reclaimed, 0);
 }
 
 /// Slots freed when a nursery block is recycled must come back with a

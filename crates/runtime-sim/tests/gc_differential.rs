@@ -11,7 +11,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use proptest::prelude::*;
-use runtime_sim::heap::{CollectorKind, Heap, HeapConfig, WeakRef};
+use runtime_sim::heap::{CollectorKind, Heap, HeapConfig};
 use runtime_sim::value::{ClassId, ObjId, Value};
 
 /// A randomly generated heap action, applied identically to both heaps.
@@ -27,8 +27,6 @@ enum Action {
     SetInt { idx: u8, val: i32 },
     /// Drop the root of the `idx`-th rooted object.
     Unroot { idx: u8 },
-    /// Register weak references to the `idx`-th tracked object.
-    Weak { idx: u8 },
     /// Run a full (major) collection on both heaps.
     Collect,
     /// Run a minor cycle (nursery-only on the block heap; the semispace
@@ -47,7 +45,6 @@ fn action_strategy(minors: bool) -> impl Strategy<Value = Action> {
         (any::<u8>(), any::<u8>()).prop_map(|(src, dst)| Action::Relink { src, dst }),
         (any::<u8>(), any::<i32>()).prop_map(|(idx, val)| Action::SetInt { idx, val }),
         any::<u8>().prop_map(|idx| Action::Unroot { idx }),
-        any::<u8>().prop_map(|idx| Action::Weak { idx }),
         Just(Action::Collect),
         any::<bool>().prop_map(move |_| if minors {
             Action::CollectMinor
@@ -78,18 +75,11 @@ struct Side {
     tracked: Vec<ObjId>,
     rooted: Vec<ObjId>,
     pos: HashMap<ObjId, usize>,
-    weaks: Vec<WeakRef>,
 }
 
 impl Side {
     fn new(heap: Heap) -> Self {
-        Side {
-            heap,
-            tracked: Vec::new(),
-            rooted: Vec::new(),
-            pos: HashMap::new(),
-            weaks: Vec::new(),
-        }
+        Side { heap, tracked: Vec::new(), rooted: Vec::new(), pos: HashMap::new() }
     }
 
     fn push(&mut self, id: ObjId, root: bool) {
@@ -196,18 +186,6 @@ fn apply(action: &Action, a: &mut Side, b: &mut Side) {
             a.heap.remove_root(id_a);
             b.heap.remove_root(id_b);
         }
-        Action::Weak { idx } => {
-            if a.tracked.is_empty() {
-                return;
-            }
-            let i = *idx as usize % a.tracked.len();
-            if a.heap.is_live(a.tracked[i]) && b.heap.is_live(b.tracked[i]) {
-                let w_a = a.heap.new_weak(a.tracked[i]);
-                let w_b = b.heap.new_weak(b.tracked[i]);
-                a.weaks.push(w_a);
-                b.weaks.push(w_b);
-            }
-        }
         Action::Collect => {
             a.heap.collect();
             b.heap.collect();
@@ -220,8 +198,8 @@ fn apply(action: &Action, a: &mut Side, b: &mut Side) {
 }
 
 /// Full observational equality: liveness per tracked index, classes,
-/// field values (references canonicalised), weak-clear sets, live-byte
-/// and live-object accounting. Valid whenever both heaps have collected
+/// field values (references canonicalised), live-byte and live-object
+/// accounting. Valid whenever both heaps have collected
 /// down to exactly the reachable set (i.e. after a major on both).
 fn assert_observationally_equal(a: &Side, b: &Side) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.tracked.len(), b.tracked.len());
@@ -248,13 +226,6 @@ fn assert_observationally_equal(a: &Side, b: &Side) -> Result<(), TestCaseError>
     prop_assert_eq!(live_a, live_b);
     prop_assert_eq!(a.heap.live_objects(), b.heap.live_objects());
     prop_assert_eq!(a.heap.live_bytes(), b.heap.live_bytes(), "live-byte accounting diverged");
-    // Weak references cleared in lockstep.
-    prop_assert_eq!(a.weaks.len(), b.weaks.len());
-    for (i, (w_a, w_b)) in a.weaks.iter().zip(&b.weaks).enumerate() {
-        let got_a = a.heap.weak_get(*w_a).map(|id| a.pos[&id]);
-        let got_b = b.heap.weak_get(*w_b).map(|id| b.pos[&id]);
-        prop_assert_eq!(got_a, got_b, "weak {} diverged", i);
-    }
     Ok(())
 }
 
@@ -299,7 +270,6 @@ proptest! {
         // With identical live sets going in, a major reclaims the same
         // number of objects on both sides.
         prop_assert_eq!(out_a.reclaimed, out_b.reclaimed);
-        prop_assert_eq!(out_a.weaks_cleared, out_b.weaks_cleared);
         prop_assert!(!out_a.minor && !out_b.minor);
         assert_observationally_equal(&a, &b)?;
     }

@@ -18,8 +18,6 @@ enum Action {
     Relink { src: u8, dst: u8 },
     /// Drop the root of the `idx`-th tracked object.
     Unroot { idx: u8 },
-    /// Register a weak reference to the `idx`-th tracked object.
-    Weak { idx: u8 },
     /// Run a collection.
     Collect,
 }
@@ -30,7 +28,6 @@ fn action_strategy() -> impl Strategy<Value = Action> {
             .prop_map(|(bytes, link, root)| Action::Alloc { bytes: bytes % 512, link, root }),
         (any::<u8>(), any::<u8>()).prop_map(|(src, dst)| Action::Relink { src, dst }),
         any::<u8>().prop_map(|idx| Action::Unroot { idx }),
-        any::<u8>().prop_map(|idx| Action::Weak { idx }),
         Just(Action::Collect),
     ]
 }
@@ -56,14 +53,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// After any action sequence ending in a collection, the live set
-    /// equals the root-reachable set, and weak refs are cleared exactly
-    /// for dead targets.
+    /// equals the root-reachable set, and every handle reads live
+    /// exactly when its object survived.
     #[test]
     fn collector_preserves_exactly_the_reachable_set(actions in proptest::collection::vec(action_strategy(), 1..120)) {
         let mut heap = Heap::new(HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() });
         let mut tracked: Vec<ObjId> = Vec::new();
         let mut rooted: Vec<ObjId> = Vec::new();
-        let mut weaks: Vec<(runtime_sim::heap::WeakRef, ObjId)> = Vec::new();
 
         for action in actions {
             match action {
@@ -100,14 +96,6 @@ proptest! {
                         heap.remove_root(id);
                     }
                 }
-                Action::Weak { idx } => {
-                    if !tracked.is_empty() {
-                        let id = tracked[idx as usize % tracked.len()];
-                        if heap.is_live(id) {
-                            weaks.push((heap.new_weak(id), id));
-                        }
-                    }
-                }
                 Action::Collect => {
                     heap.collect();
                 }
@@ -126,17 +114,7 @@ proptest! {
             prop_assert_eq!(heap.is_live(*id), expected.contains(id));
         }
 
-        // 3. Weak refs are cleared exactly when their target died.
-        for (weak, target) in &weaks {
-            let read = heap.weak_get(*weak);
-            if expected.contains(target) {
-                prop_assert_eq!(read, Some(*target));
-            } else {
-                prop_assert_eq!(read, None);
-            }
-        }
-
-        // 4. Size accounting matches the surviving objects.
+        // 3. Size accounting matches the surviving objects.
         let recount: u64 = heap
             .iter()
             .map(|(_, _, fields)| {

@@ -115,12 +115,6 @@ pub struct CostParams {
     /// (transition + relay), so a fallback is always strictly more
     /// expensive than a plain classic call.
     pub switchless_fallback_ns: u64,
-    /// Heap-block granule of the segmented (block) collector, in
-    /// bytes. EPC residency and GC paging are charged per block of
-    /// this size touched, instead of per semispace flip; applications
-    /// propagate it into `HeapConfig::block_bytes` at launch (see
-    /// `docs/GC.md`).
-    pub gc_block_bytes: u64,
     /// Tracing cost per object marked by a collection (header read,
     /// pointer chase, mark-bit write — through the MEE when
     /// in-enclave). Charged by the block collector, whose mark phase
@@ -150,7 +144,6 @@ impl CostParams {
             switchless_call_ns: 800,
             switchless_wake_ns: 1_500,
             switchless_fallback_ns: 200,
-            gc_block_bytes: 32 * 1024,
             gc_mark_ns_per_obj: 25.0,
         }
     }

@@ -4,137 +4,48 @@
 //! embedding a library OS, Montsalvat redefines unsupported libc routines
 //! inside the enclave as thin wrappers that relay the call to an
 //! untrusted *shim helper* via ocalls. This module reproduces that
-//! design: [`ShimFile`] and [`shim_clock_ns`] are the enclave-side
-//! wrappers; every operation crosses the boundary (counted and charged by
-//! the [`Enclave`]) and is served by the host OS outside.
+//! design: a [`BackendFile`] opened through [`IoBackend::Enclave`], and
+//! [`shim_clock_ns`], are the enclave-side wrappers; every operation
+//! crosses the boundary (counted and charged by the [`Enclave`]) and is
+//! served by the host OS outside.
 //!
-//! Untrusted code uses [`HostFile`], which calls the host OS directly and
-//! pays nothing — the asymmetry the partitioning experiments exploit.
+//! A [`BackendFile`] opened through [`IoBackend::Host`] calls the host
+//! OS directly and pays nothing — the asymmetry the partitioning
+//! experiments exploit.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use crate::enclave::Enclave;
 use crate::error::SgxError;
 
-/// A file handle held by trusted code; every operation is relayed to the
-/// untrusted runtime with an ocall.
-///
-/// # Examples
-///
-/// ```no_run
-/// # use std::sync::Arc;
-/// # use sgx_sim::cost::{ClockMode, CostModel, CostParams};
-/// # use sgx_sim::enclave::{Enclave, EnclaveConfig};
-/// # use sgx_sim::shim::ShimFile;
-/// # fn main() -> Result<(), sgx_sim::SgxError> {
-/// # let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
-/// # let enclave = Enclave::create(&EnclaveConfig::default(), b"img", cost)?;
-/// let mut f = ShimFile::create(Arc::clone(&enclave), "/tmp/secret.bin")?;
-/// f.write_all(b"sealed data")?; // one ocall
-/// assert!(enclave.stats().ocalls >= 2); // create + write
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ShimFile {
-    enclave: Arc<Enclave>,
-    inner: File,
-    path: PathBuf,
-}
-
-impl ShimFile {
-    /// Creates (truncating) a file through the shim. Costs one ocall.
-    ///
-    /// # Errors
-    ///
-    /// Relays of host I/O failures surface as [`SgxError::HostIo`];
-    /// a lost enclave surfaces as [`SgxError::EnclaveLost`].
-    pub fn create(enclave: Arc<Enclave>, path: impl AsRef<Path>) -> Result<Self, SgxError> {
-        let path = path.as_ref().to_path_buf();
-        let path_bytes = path.as_os_str().len();
-        let inner = enclave.ocall("shim_open", path_bytes, || {
-            OpenOptions::new().create(true).write(true).truncate(true).read(true).open(&path)
-        })??;
-        Ok(ShimFile { enclave, inner, path })
-    }
-
-    /// Opens an existing file read-only through the shim. Costs one ocall.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShimFile::create`].
-    pub fn open(enclave: Arc<Enclave>, path: impl AsRef<Path>) -> Result<Self, SgxError> {
-        let path = path.as_ref().to_path_buf();
-        let path_bytes = path.as_os_str().len();
-        let inner = enclave.ocall("shim_open", path_bytes, || File::open(&path))??;
-        Ok(ShimFile { enclave, inner, path })
-    }
-
-    /// The path this handle was opened with.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Writes the whole buffer; one ocall carrying `buf.len()` bytes out.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShimFile::create`].
-    pub fn write_all(&mut self, buf: &[u8]) -> Result<(), SgxError> {
-        let inner = &mut self.inner;
-        self.enclave.ocall("shim_write", buf.len(), || inner.write_all(buf))??;
-        Ok(())
-    }
-
-    /// Reads exactly `buf.len()` bytes; one ocall carrying them back in.
-    ///
-    /// Data returned by an ocall still crosses the boundary inward, so
-    /// the byte count is charged as an additional inward copy.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShimFile::create`].
-    pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), SgxError> {
-        let inner = &mut self.inner;
-        self.enclave.ocall("shim_read", buf.len(), || inner.read_exact(buf))??;
-        Ok(())
-    }
-
-    /// Seeks; one ocall.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShimFile::create`].
-    pub fn seek(&mut self, pos: SeekFrom) -> Result<u64, SgxError> {
-        let inner = &mut self.inner;
-        let off = self.enclave.ocall("shim_lseek", 8, || inner.seek(pos))??;
-        Ok(off)
-    }
-
-    /// Flushes and syncs to stable storage; one ocall.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShimFile::create`].
-    pub fn sync_all(&mut self) -> Result<(), SgxError> {
-        let inner = &mut self.inner;
-        self.enclave.ocall("shim_fsync", 0, || inner.sync_all())??;
-        Ok(())
-    }
+/// Runs the host operation `op`: as the ocall `routine` carrying `bytes`
+/// out when `enclave` is `Some`, directly otherwise. Host I/O failures
+/// surface as [`SgxError::HostIo`] either way; a lost enclave surfaces
+/// as [`SgxError::EnclaveLost`].
+fn host_op<R>(
+    enclave: Option<&Enclave>,
+    routine: &str,
+    bytes: usize,
+    op: impl FnOnce() -> std::io::Result<R>,
+) -> Result<R, SgxError> {
+    Ok(match enclave {
+        Some(enclave) => enclave.ocall(routine, bytes, op)??,
+        None => op()?,
+    })
 }
 
 /// Deletes a file through the shim. Costs one ocall.
 ///
 /// # Errors
 ///
-/// See [`ShimFile::create`].
+/// Host I/O failures surface as [`SgxError::HostIo`]; a lost enclave
+/// surfaces as [`SgxError::EnclaveLost`].
 pub fn shim_remove_file(enclave: &Enclave, path: impl AsRef<Path>) -> Result<(), SgxError> {
     let path = path.as_ref();
-    enclave.ocall("shim_unlink", path.as_os_str().len(), || std::fs::remove_file(path))??;
-    Ok(())
+    host_op(Some(enclave), "shim_unlink", path.as_os_str().len(), || std::fs::remove_file(path))
 }
 
 /// Reads the host wall clock through the shim (`clock_gettime` relay).
@@ -152,85 +63,6 @@ pub fn shim_clock_ns(enclave: &Enclave) -> Result<u128, SgxError> {
     })
 }
 
-/// A file handle held by untrusted code: direct host I/O, no crossings.
-///
-/// Exists so application code can be written once against a common shape
-/// and handed either a [`ShimFile`] (trusted placement) or a
-/// [`HostFile`] (untrusted placement).
-#[derive(Debug)]
-pub struct HostFile {
-    inner: File,
-    path: PathBuf,
-}
-
-impl HostFile {
-    /// Creates (truncating) a file directly on the host.
-    ///
-    /// # Errors
-    ///
-    /// Propagates host I/O failure as [`SgxError::HostIo`].
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, SgxError> {
-        let path = path.as_ref().to_path_buf();
-        let inner =
-            OpenOptions::new().create(true).write(true).truncate(true).read(true).open(&path)?;
-        Ok(HostFile { inner, path })
-    }
-
-    /// Opens an existing file read-only directly on the host.
-    ///
-    /// # Errors
-    ///
-    /// Propagates host I/O failure as [`SgxError::HostIo`].
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, SgxError> {
-        let path = path.as_ref().to_path_buf();
-        Ok(HostFile { inner: File::open(&path)?, path })
-    }
-
-    /// The path this handle was opened with.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Writes the whole buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates host I/O failure as [`SgxError::HostIo`].
-    pub fn write_all(&mut self, buf: &[u8]) -> Result<(), SgxError> {
-        self.inner.write_all(buf)?;
-        Ok(())
-    }
-
-    /// Reads exactly `buf.len()` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates host I/O failure as [`SgxError::HostIo`].
-    pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), SgxError> {
-        self.inner.read_exact(buf)?;
-        Ok(())
-    }
-
-    /// Seeks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates host I/O failure as [`SgxError::HostIo`].
-    pub fn seek(&mut self, pos: SeekFrom) -> Result<u64, SgxError> {
-        Ok(self.inner.seek(pos)?)
-    }
-
-    /// Flushes and syncs to stable storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates host I/O failure as [`SgxError::HostIo`].
-    pub fn sync_all(&mut self) -> Result<(), SgxError> {
-        self.inner.sync_all()?;
-        Ok(())
-    }
-}
-
 /// Selects where a component's file I/O executes: directly on the host
 /// (untrusted placement) or relayed through the enclave shim (trusted
 /// placement).
@@ -239,6 +71,23 @@ impl HostFile {
 /// sharder/engine) can be placed on either side of the boundary without
 /// code changes — the essence of what class-level partitioning moves
 /// around.
+///
+/// # Examples
+///
+/// ```no_run
+/// # use std::sync::Arc;
+/// # use sgx_sim::cost::{ClockMode, CostModel, CostParams};
+/// # use sgx_sim::enclave::{Enclave, EnclaveConfig};
+/// # use sgx_sim::shim::IoBackend;
+/// # fn main() -> Result<(), sgx_sim::SgxError> {
+/// # let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
+/// # let enclave = Enclave::create(&EnclaveConfig::default(), b"img", cost)?;
+/// let mut f = IoBackend::Enclave(Arc::clone(&enclave)).create("/tmp/secret.bin")?;
+/// f.write_all(b"sealed data")?; // one ocall
+/// assert!(enclave.stats().ocalls >= 2); // create + write
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub enum IoBackend {
     /// Direct host I/O.
@@ -248,87 +97,92 @@ pub enum IoBackend {
 }
 
 impl IoBackend {
-    /// Creates (truncating) a file on this backend.
+    /// Creates (truncating) a file on this backend: one `shim_open`
+    /// ocall carrying the path bytes in the enclave.
     ///
     /// # Errors
     ///
-    /// Propagates host/relay I/O failure.
+    /// See [`BackendFile::write_all`].
     pub fn create(&self, path: impl AsRef<Path>) -> Result<BackendFile, SgxError> {
-        match self {
-            IoBackend::Host => Ok(BackendFile::Host(HostFile::create(path)?)),
-            IoBackend::Enclave(e) => Ok(BackendFile::Shim(ShimFile::create(Arc::clone(e), path)?)),
-        }
+        self.open_with(
+            path.as_ref(),
+            OpenOptions::new().create(true).write(true).truncate(true).read(true),
+        )
     }
 
-    /// Opens an existing file on this backend.
+    /// Opens an existing file read-only on this backend: one
+    /// `shim_open` ocall carrying the path bytes in the enclave.
     ///
     /// # Errors
     ///
-    /// Propagates host/relay I/O failure.
+    /// See [`BackendFile::write_all`].
     pub fn open(&self, path: impl AsRef<Path>) -> Result<BackendFile, SgxError> {
-        match self {
-            IoBackend::Host => Ok(BackendFile::Host(HostFile::open(path)?)),
-            IoBackend::Enclave(e) => Ok(BackendFile::Shim(ShimFile::open(Arc::clone(e), path)?)),
-        }
+        self.open_with(path.as_ref(), OpenOptions::new().read(true))
+    }
+
+    fn open_with(&self, path: &Path, options: &OpenOptions) -> Result<BackendFile, SgxError> {
+        let enclave = match self {
+            IoBackend::Host => None,
+            IoBackend::Enclave(enclave) => Some(Arc::clone(enclave)),
+        };
+        let file = host_op(enclave.as_deref(), "shim_open", path.as_os_str().len(), || {
+            options.open(path)
+        })?;
+        Ok(BackendFile { enclave, file })
     }
 }
 
-/// A file handle on either side of the enclave boundary.
+/// A file handle on either side of the enclave boundary. Held inside the
+/// enclave, every operation is an ocall; held outside, it is a direct
+/// host call.
 #[derive(Debug)]
-pub enum BackendFile {
-    /// Direct host handle.
-    Host(HostFile),
-    /// Enclave-shim handle (each operation is an ocall).
-    Shim(ShimFile),
+pub struct BackendFile {
+    enclave: Option<Arc<Enclave>>,
+    file: File,
 }
 
 impl BackendFile {
-    /// Writes the whole buffer.
+    /// Writes the whole buffer; in the enclave, one ocall carrying
+    /// `buf.len()` bytes out.
     ///
     /// # Errors
     ///
-    /// Propagates host/relay I/O failure.
+    /// Host I/O failures surface as [`SgxError::HostIo`]; a lost enclave
+    /// surfaces as [`SgxError::EnclaveLost`].
     pub fn write_all(&mut self, buf: &[u8]) -> Result<(), SgxError> {
-        match self {
-            BackendFile::Host(f) => f.write_all(buf),
-            BackendFile::Shim(f) => f.write_all(buf),
-        }
+        let file = &mut self.file;
+        host_op(self.enclave.as_deref(), "shim_write", buf.len(), || file.write_all(buf))
     }
 
-    /// Reads exactly `buf.len()` bytes.
+    /// Reads exactly `buf.len()` bytes; in the enclave, one ocall
+    /// charged for them.
     ///
     /// # Errors
     ///
-    /// Propagates host/relay I/O failure.
+    /// See [`BackendFile::write_all`].
     pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), SgxError> {
-        match self {
-            BackendFile::Host(f) => f.read_exact(buf),
-            BackendFile::Shim(f) => f.read_exact(buf),
-        }
+        let file = &mut self.file;
+        host_op(self.enclave.as_deref(), "shim_read", buf.len(), || file.read_exact(buf))
     }
 
-    /// Seeks.
+    /// Seeks; in the enclave, one ocall.
     ///
     /// # Errors
     ///
-    /// Propagates host/relay I/O failure.
+    /// See [`BackendFile::write_all`].
     pub fn seek(&mut self, pos: SeekFrom) -> Result<u64, SgxError> {
-        match self {
-            BackendFile::Host(f) => f.seek(pos),
-            BackendFile::Shim(f) => f.seek(pos),
-        }
+        let file = &mut self.file;
+        host_op(self.enclave.as_deref(), "shim_lseek", 8, || file.seek(pos))
     }
 
-    /// Syncs to stable storage.
+    /// Flushes and syncs to stable storage; in the enclave, one ocall.
     ///
     /// # Errors
     ///
-    /// Propagates host/relay I/O failure.
+    /// See [`BackendFile::write_all`].
     pub fn sync_all(&mut self) -> Result<(), SgxError> {
-        match self {
-            BackendFile::Host(f) => f.sync_all(),
-            BackendFile::Shim(f) => f.sync_all(),
-        }
+        let file = &mut self.file;
+        host_op(self.enclave.as_deref(), "shim_fsync", 0, || file.sync_all())
     }
 }
 
@@ -337,6 +191,7 @@ mod tests {
     use super::*;
     use crate::cost::{ClockMode, CostModel, CostParams};
     use crate::enclave::EnclaveConfig;
+    use std::path::PathBuf;
 
     fn enclave() -> Arc<Enclave> {
         let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
@@ -353,7 +208,7 @@ mod tests {
     fn shim_roundtrip_counts_ocalls() {
         let e = enclave();
         let path = temp_path("roundtrip");
-        let mut f = ShimFile::create(Arc::clone(&e), &path).unwrap();
+        let mut f = IoBackend::Enclave(Arc::clone(&e)).create(&path).unwrap();
         f.write_all(b"hello enclave").unwrap();
         f.seek(SeekFrom::Start(0)).unwrap();
         let mut buf = [0u8; 13];
@@ -370,7 +225,7 @@ mod tests {
     fn host_file_costs_nothing() {
         let e = enclave();
         let path = temp_path("host");
-        let mut f = HostFile::create(&path).unwrap();
+        let mut f = IoBackend::Host.create(&path).unwrap();
         f.write_all(b"plain").unwrap();
         assert_eq!(e.stats().ocalls, 0);
         std::fs::remove_file(&path).unwrap();
@@ -378,8 +233,10 @@ mod tests {
 
     #[test]
     fn shim_open_missing_file_is_host_io_error() {
-        let e = enclave();
-        let err = ShimFile::open(e, "/nonexistent/definitely/missing").unwrap_err();
+        let err =
+            IoBackend::Enclave(enclave()).open("/nonexistent/definitely/missing").unwrap_err();
+        assert!(matches!(err, SgxError::HostIo { .. }));
+        let err = IoBackend::Host.open("/nonexistent/definitely/missing").unwrap_err();
         assert!(matches!(err, SgxError::HostIo { .. }));
     }
 
@@ -396,7 +253,7 @@ mod tests {
     fn lost_enclave_fails_shim_ops() {
         let e = enclave();
         let path = temp_path("lost");
-        let mut f = ShimFile::create(Arc::clone(&e), &path).unwrap();
+        let mut f = IoBackend::Enclave(Arc::clone(&e)).create(&path).unwrap();
         e.destroy();
         assert_eq!(f.write_all(b"x").unwrap_err(), SgxError::EnclaveLost);
         std::fs::remove_file(&path).unwrap();

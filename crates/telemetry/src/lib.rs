@@ -48,7 +48,7 @@ pub mod trace;
 pub use hist::{
     bucket_index, bucket_upper_bound, nearest_rank, AtomicHistogram, HistogramSnapshot, BUCKETS,
 };
-pub use recorder::{aggregate, Recorder, Span, SpanModel};
+pub use recorder::{aggregate, Recorder};
 pub use snapshot::Snapshot;
 
 /// Identifier of the JSON schema emitted by [`Snapshot::to_json`].
@@ -269,11 +269,9 @@ metric_enum! {
     /// Log2-bucketed distributions.
     ///
     /// The unit tags distinguish the two clocks in play: `model_ns`
-    /// is cost-clock time (deterministic under `ClockMode::Virtual`,
-    /// recorded via [`Recorder::record_ns`] or
-    /// [`Recorder::span_model`]), `wall_ns` is host time (recorded
-    /// via [`Recorder::span_wall`]). They must never be mixed within
-    /// one histogram.
+    /// is cost-clock time (deterministic under `ClockMode::Virtual`),
+    /// `wall_ns` is host time. They must never be mixed within one
+    /// histogram.
     pub enum Hist {
         /// Model nanoseconds charged per classic (relay) RMI call.
         RmiCallNs => ("rmi.call_ns", "model_ns"),

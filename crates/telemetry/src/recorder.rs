@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::Instant;
 
 use crate::hist::AtomicHistogram;
 use crate::snapshot::Snapshot;
@@ -104,25 +103,6 @@ impl Recorder {
         self.record(hist, ns);
     }
 
-    /// Starts a wall-clock span; the elapsed nanoseconds are recorded
-    /// into `hist` when the returned guard drops. `hist` must be a
-    /// `wall_ns` histogram — model-time measurements go through
-    /// [`Recorder::span_model`] or [`Recorder::record_ns`] instead.
-    pub fn span_wall(self: &Arc<Self>, hist: Hist) -> Span {
-        debug_assert_eq!(hist.unit(), "wall_ns", "{} is not wall-clock", hist.metric_name());
-        Span { recorder: Arc::clone(self), hist, start: Instant::now() }
-    }
-
-    /// Starts a model-clock span: `clock` is sampled now and again
-    /// when the guard drops (typically `|| cost.charged_ns()`), and the
-    /// difference is recorded into `hist`. `hist` must be a `model_ns`
-    /// histogram.
-    pub fn span_model<F: Fn() -> u64>(self: &Arc<Self>, hist: Hist, clock: F) -> SpanModel<F> {
-        debug_assert_eq!(hist.unit(), "model_ns", "{} is not model-clock", hist.metric_name());
-        let start = clock();
-        SpanModel { recorder: Arc::clone(self), hist, clock, start }
-    }
-
     /// Freezes every metric into a [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -139,41 +119,6 @@ impl Drop for Recorder {
         // owning app is gone.
         let mut grave = graveyard().lock().unwrap_or_else(|e| e.into_inner());
         grave.merge(&self.snapshot());
-    }
-}
-
-/// RAII wall-clock phase timer created by [`Recorder::span_wall`].
-#[derive(Debug)]
-pub struct Span {
-    recorder: Arc<Recorder>,
-    hist: Hist,
-    start: Instant,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.recorder.record_ns(self.hist, self.start.elapsed().as_nanos() as u64);
-    }
-}
-
-/// RAII model-clock phase timer created by [`Recorder::span_model`].
-pub struct SpanModel<F: Fn() -> u64> {
-    recorder: Arc<Recorder>,
-    hist: Hist,
-    clock: F,
-    start: u64,
-}
-
-impl<F: Fn() -> u64> std::fmt::Debug for SpanModel<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanModel").field("hist", &self.hist).finish_non_exhaustive()
-    }
-}
-
-impl<F: Fn() -> u64> Drop for SpanModel<F> {
-    fn drop(&mut self) {
-        let elapsed = (self.clock)().saturating_sub(self.start);
-        self.recorder.record_ns(self.hist, elapsed);
     }
 }
 
@@ -218,36 +163,6 @@ mod tests {
         r.gauge_set(Gauge::SwitchlessTargetBatch, 8);
         r.gauge_set(Gauge::SwitchlessTargetBatch, 2);
         assert_eq!(r.gauge(Gauge::SwitchlessTargetBatch), 2);
-    }
-
-    #[test]
-    fn span_wall_records_elapsed_wall_time() {
-        let r = Recorder::new();
-        {
-            let _span = r.span_wall(Hist::GcPauseNs);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let snap = r.snapshot();
-        let h = snap.hist(Hist::GcPauseNs);
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 1_000_000, "span too short: {} ns", h.sum);
-    }
-
-    #[test]
-    fn span_model_records_clock_delta_not_wall_time() {
-        let r = Recorder::new();
-        let fake_clock = std::sync::atomic::AtomicU64::new(1_000);
-        {
-            let _span = r.span_model(Hist::RmiCallNs, || fake_clock.load(Ordering::Relaxed));
-            // Wall time passes, but the model clock only advances 42ns:
-            // the histogram must see 42, not the sleep.
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            fake_clock.store(1_042, Ordering::Relaxed);
-        }
-        let snap = r.snapshot();
-        let h = snap.hist(Hist::RmiCallNs);
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, 42, "model span must record clock delta, not wall time");
     }
 
     #[test]
