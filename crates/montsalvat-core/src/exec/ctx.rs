@@ -31,6 +31,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use parking_lot::MutexGuard;
 use rmi::codec::{self, CodecError, EncodeStats, RefEncoding};
 use rmi::hash::ProxyHash;
 use rmi::pool::PooledBuf;
@@ -506,20 +507,17 @@ impl WireMsg {
 /// Neutral objects inline; annotated objects export/reuse a hash. The
 /// payload is wire format v2 encoded into a pooled buffer
 /// (`docs/SERDE.md`), and hints name a class by interned id after its
-/// first crossing. The first encode refuses every reference, so a
-/// reference-free argument (the common primitive/bulk crossing) is read
-/// once; only a refusal takes the export walk of [`export_and_encode`].
+/// first crossing. The first encode refuses every reference before it
+/// reads one, so a reference-free argument (the common primitive/bulk
+/// crossing) is read once and takes no heap lock; only a refusal takes
+/// the export walk of [`export_and_encode`].
 fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, VmError> {
     let rec = app.cost.recorder();
     let tracer = app.cost.tracer();
     let begin = tracer.stamp(|| app.cost.charged_ns());
 
     let mut payload = rmi::pool::acquire();
-    let encoded = {
-        let heap = world.isolate.lock_heap();
-        codec::encode_values_v2(&heap, values, &mut refuse_refs, &mut payload)
-    };
-    let (stats, hints) = match encoded {
+    let (stats, hints) = match codec::encode_values_ref_free(values, &mut payload) {
         Ok(stats) => (stats, Vec::new()),
         // A refused reference is the only way this encode fails; it
         // inlined no object before the refusal.
@@ -556,12 +554,6 @@ fn marshal(app: &AppShared, world: &World, values: &[Value]) -> Result<WireMsg, 
         || format!("marshal:fast b={}", payload.len()),
     );
     Ok(WireMsg { recv_hash: None, hints, payload, trace: None })
-}
-
-/// The policy of marshal's first encode: every reference waits for the
-/// export walk. The refusal allocates nothing.
-fn refuse_refs(id: ObjId) -> Result<RefEncoding, CodecError> {
-    Err(CodecError::ForbiddenRef { id, reason: String::new() })
 }
 
 /// Marshal's path for arguments that hold references: encodes `values`
@@ -733,13 +725,12 @@ fn unmarshal_pinning(
         }
     }
 
-    // Decode the payload with a pure resolver.
-    let decoded = {
-        let mut heap = world.isolate.lock_heap();
-        codec::decode_value(&mut heap, &msg.payload, &mut |h| {
+    // Decode the payload with a pure resolver. The heap is locked only
+    // if the payload inlines an object.
+    let decoded =
+        codec::decode_value(&mut LazyHeap { world, guard: None }, &msg.payload, &mut |h| {
             by_hash.get(&h).map(|&id| Value::Ref(id)).ok_or(CodecError::UnknownHash(h))
-        })?
-    };
+        })?;
     // Decoding streams a linear buffer; enclave writes are charged by
     // the heap observer, so no extra factor here. Bytes that arrived
     // through bulk tags decode as straight copies at the bulk rate.
@@ -760,6 +751,20 @@ fn unmarshal_pinning(
         other => vec![other],
     };
     Ok(Args { values, runs: decoded.runs })
+}
+
+/// `world`'s heap, locked on a decode's first use of it
+/// ([`codec::DecodeHeap`]) and unlocked when this drops.
+struct LazyHeap<'w> {
+    world: &'w World,
+    guard: Option<MutexGuard<'w, Heap>>,
+}
+
+impl codec::DecodeHeap for LazyHeap<'_> {
+    fn heap(&mut self) -> &mut Heap {
+        let world = self.world;
+        self.guard.get_or_insert_with(|| world.isolate.lock_heap())
+    }
 }
 
 /// Resolves a hint's class-name encoding against the receiving world.
@@ -870,16 +875,21 @@ fn release_pins(world: &World, pins: &[ObjId]) {
     });
 }
 
+/// Adds one in-flight root per reference `v` holds.
 fn promote(world: &World, v: &Value) {
-    world.isolate.with_heap(|h| {
-        v.for_each_ref(&mut |id| h.add_root(id));
-    });
+    for_each_ref_locked(world, v, |h, id| h.add_root(id));
 }
 
+/// Drops one root per reference `v` holds.
 fn release(world: &World, v: &Value) {
-    world.isolate.with_heap(|h| {
-        v.for_each_ref(&mut |id| h.remove_root(id));
-    });
+    for_each_ref_locked(world, v, |h, id| h.remove_root(id));
+}
+
+/// Calls `f` on each reference `v` holds, under `world`'s heap lock,
+/// which a value without references never takes.
+fn for_each_ref_locked(world: &World, v: &Value, mut f: impl FnMut(&mut Heap, ObjId)) {
+    let mut heap = None;
+    v.for_each_ref(&mut |id| f(heap.get_or_insert_with(|| world.isolate.lock_heap()), id));
 }
 
 // ---------------------------------------------------------------------

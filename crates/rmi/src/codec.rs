@@ -21,10 +21,14 @@
 //! [`encode_values_v2`] write into a caller-supplied (typically pooled
 //! — see [`crate::pool`]) buffer and report how many payload bytes went
 //! through the bulk path so the cost model can charge them at the
-//! cheaper bulk rate. [`decode_value`] refills a list from the thread's
-//! run pool with a `TAG_INTS`/`TAG_FLOATS` run when one fits, and marks
-//! the top-level elements it decoded from runs
-//! ([`DecodedValue::runs`]) so their owner can give them back.
+//! cheaper bulk rate. [`encode_values_ref_free`] encodes an argument
+//! slice without a heap and refuses its first reference. [`decode_value`]
+//! refills a list from the thread's run pool with a
+//! `TAG_INTS`/`TAG_FLOATS` run when one fits, and marks the top-level
+//! elements it decoded from runs ([`DecodedValue::runs`]) so their
+//! owner can give them back. It reaches the receiving heap through
+//! [`DecodeHeap`] only for an inlined object (or to unroot the objects
+//! of a rejected stream), so a caller can lock the heap on first use.
 //!
 //! [`decode_value`] is where one runtime first reads bytes the other
 //! side produced, so it rejects malformed input instead of repairing
@@ -169,7 +173,7 @@ pub fn encode_value_v2(
     let mut seen: HashMap<ObjId, u32> = HashMap::new();
     let mut bulk = 0;
     out.push(WIRE_V2_MARKER);
-    encode_inner(heap, value, policy, &mut seen, out, &mut bulk)?;
+    encode_inner(Some(heap), value, policy, &mut seen, out, &mut bulk)?;
     Ok(EncodeStats { total_bytes: (out.len() - start) as u64, bulk_bytes: bulk })
 }
 
@@ -181,6 +185,32 @@ pub fn encode_value_v2(
 /// Same failure modes as [`encode_value_v2`].
 pub fn encode_values_v2(
     heap: &Heap,
+    values: &[Value],
+    policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
+    out: &mut Vec<u8>,
+) -> Result<EncodeStats, CodecError> {
+    encode_args(Some(heap), values, policy, out)
+}
+
+/// Encodes an argument slice that holds no reference, reading no heap:
+/// the same bytes as [`encode_values_v2`]. Marshal's first encode, which
+/// needs no heap lock for a reference-free argument.
+///
+/// # Errors
+///
+/// The first reference met ends the encode with
+/// [`CodecError::ForbiddenRef`] (empty reason, nothing allocated)
+/// before anything reads it; `out` may then hold a partial encode.
+pub fn encode_values_ref_free(
+    values: &[Value],
+    out: &mut Vec<u8>,
+) -> Result<EncodeStats, CodecError> {
+    // Not consulted: without a heap every reference is refused.
+    encode_args(None, values, &mut inline_all, out)
+}
+
+fn encode_args(
+    heap: Option<&Heap>,
     values: &[Value],
     policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
     out: &mut Vec<u8>,
@@ -199,7 +229,7 @@ pub fn encode_values_v2(
 /// of another kind the run is cut away and the list is encoded element
 /// by element instead.
 fn encode_list(
-    heap: &Heap,
+    heap: Option<&Heap>,
     vs: &[Value],
     policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
     seen: &mut HashMap<ObjId, u32>,
@@ -256,8 +286,11 @@ fn encode_run(
     whole
 }
 
+/// Encodes one value. `heap` is `None` for a reference-free encode,
+/// which refuses every reference before reading it and never consults
+/// `policy`.
 fn encode_inner(
-    heap: &Heap,
+    heap: Option<&Heap>,
     value: &Value,
     policy: &mut impl FnMut(ObjId) -> Result<RefEncoding, CodecError>,
     seen: &mut HashMap<ObjId, u32>,
@@ -291,6 +324,9 @@ fn encode_inner(
         }
         Value::List(vs) => encode_list(heap, vs, policy, seen, out, bulk)?,
         Value::Ref(id) => {
+            let Some(heap) = heap else {
+                return Err(CodecError::ForbiddenRef { id: *id, reason: String::new() });
+            };
             if let Some(&idx) = seen.get(id) {
                 out.push(TAG_BACKREF);
                 out.extend_from_slice(&idx.to_le_bytes());
@@ -311,13 +347,28 @@ fn encode_inner(
                     out.extend_from_slice(&class.0.to_le_bytes());
                     out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
                     for f in fields {
-                        encode_inner(heap, f, policy, seen, out, bulk)?;
+                        encode_inner(Some(heap), f, policy, seen, out, bulk)?;
                     }
                 }
             }
         }
     }
     Ok(())
+}
+
+/// The receiving heap of a decode. A decode asks for it only to
+/// allocate an inlined object (`TAG_OBJ`) and to unroot the objects a
+/// rejected stream allocated, so an implementation may lock a shared
+/// heap on its first call and a reference-free payload takes no lock.
+pub trait DecodeHeap {
+    /// The heap to allocate in.
+    fn heap(&mut self) -> &mut Heap;
+}
+
+impl DecodeHeap for Heap {
+    fn heap(&mut self) -> &mut Heap {
+        self
+    }
 }
 
 /// Result of decoding: the value plus every object the decode allocated.
@@ -358,6 +409,8 @@ impl DecodedValue {
 /// Decodes a value into `heap`, resolving hash references via `resolve`.
 ///
 /// `bytes` must hold exactly one value, opened by [`WIRE_V2_MARKER`].
+/// `heap` is reached only for an inlined object, or to unroot the
+/// objects of a rejected stream ([`DecodeHeap`]).
 ///
 /// # Errors
 ///
@@ -368,7 +421,7 @@ impl DecodedValue {
 /// [`CodecError::TrailingBytes`] — and on unresolvable hashes,
 /// allocation failure, or nesting beyond [`MAX_DECODE_DEPTH`].
 pub fn decode_value(
-    heap: &mut Heap,
+    heap: &mut impl DecodeHeap,
     bytes: &[u8],
     resolve: &mut impl FnMut(ProxyHash) -> Result<Value, CodecError>,
 ) -> Result<DecodedValue, CodecError> {
@@ -391,7 +444,7 @@ pub fn decode_value(
     // A rejected stream leaves nothing rooted in the receiver, and its
     // runs drop instead of going back to the pool.
     for id in allocated {
-        heap.remove_root(id);
+        heap.heap().remove_root(id);
     }
     Err(err)
 }
@@ -451,7 +504,7 @@ impl Cursor<'_> {
 }
 
 fn decode_inner(
-    heap: &mut Heap,
+    heap: &mut impl DecodeHeap,
     cur: &mut Cursor<'_>,
     resolve: &mut impl FnMut(ProxyHash) -> Result<Value, CodecError>,
     allocated: &mut Vec<ObjId>,
@@ -516,13 +569,14 @@ fn decode_inner(
             let nfields = cur.checked_count(claimed)?;
             // Allocate a placeholder first so cyclic back-refs resolve.
             let id = heap
+                .heap()
                 .alloc(class, vec![Value::Unit; nfields])
                 .map_err(|e| CodecError::AllocFailed(e.to_string()))?;
-            heap.add_root(id);
+            heap.heap().add_root(id);
             allocated.push(id);
             for idx in 0..nfields {
                 let v = decode_inner(heap, cur, resolve, allocated, depth + 1, bulk, runs)?;
-                heap.set_field(id, idx, v);
+                heap.heap().set_field(id, idx, v);
             }
             Ok(Value::Ref(id))
         }
@@ -1078,6 +1132,109 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    /// A receiving heap a decode must not reach.
+    struct NoHeap;
+
+    impl DecodeHeap for NoHeap {
+        fn heap(&mut self) -> &mut Heap {
+            panic!("the decode reached the heap")
+        }
+    }
+
+    /// A receiving heap that counts how often a decode reaches it.
+    struct CountedHeap {
+        heap: Heap,
+        calls: usize,
+    }
+
+    impl DecodeHeap for CountedHeap {
+        fn heap(&mut self) -> &mut Heap {
+            self.calls += 1;
+            &mut self.heap
+        }
+    }
+
+    #[test]
+    fn a_payload_without_objects_decodes_without_the_heap() {
+        let mirror = heap().alloc(ClassId(2), vec![]).unwrap();
+        let the_hash = ProxyHash(0x5EED);
+        let args = vec![
+            Value::Unit,
+            Value::Bool(true),
+            Value::Int(-3),
+            Value::Float(0.25),
+            Value::from("key"),
+            Value::Bytes(vec![1, 2, 3]),
+            Value::List((0..8).map(Value::Int).collect()),
+            Value::List(vec![Value::Int(1), Value::from("x")]),
+            Value::Ref(mirror),
+        ];
+        let mut bytes = Vec::new();
+        let mut hash_it = |_| Ok(RefEncoding::Hash(the_hash));
+        encode_values_v2(&heap(), &args, &mut hash_it, &mut bytes).unwrap();
+
+        let decoded = decode_value(&mut NoHeap, &bytes, &mut |h| {
+            assert_eq!(h, the_hash);
+            Ok(Value::Ref(mirror))
+        })
+        .unwrap();
+        assert_eq!(decoded.value, Value::List(args));
+        assert!(decoded.allocated.is_empty());
+        // A rejected stream that allocated nothing unroots nothing.
+        bytes.push(0);
+        let err = decode_value(&mut NoHeap, &bytes, &mut |_| Ok(Value::Ref(mirror)));
+        assert_eq!(err.unwrap_err(), CodecError::TrailingBytes(1));
+    }
+
+    /// An argument list whose second argument inlines a neutral object
+    /// holding an int.
+    fn object_payload() -> Vec<u8> {
+        let mut src = heap();
+        let obj = src.alloc(ClassId(1), vec![Value::Int(5)]).unwrap();
+        src.add_root(obj);
+        let mut bytes = Vec::new();
+        encode_values_v2(&src, &[Value::Int(1), Value::Ref(obj)], &mut inline_all, &mut bytes)
+            .unwrap();
+        bytes
+    }
+
+    #[test]
+    fn a_payload_with_objects_allocates_through_the_heap() {
+        let mut dst = CountedHeap { heap: heap(), calls: 0 };
+        let decoded = decode_value(&mut dst, &object_payload(), &mut resolve_none).unwrap();
+        assert!(dst.calls > 0, "the object was allocated through the trait");
+        let Value::List(args) = decoded.value else { panic!("an argument list") };
+        let copy = args[1].as_ref_id().unwrap();
+        assert_eq!(dst.heap.field(copy, 0), Some(&Value::Int(5)));
+        assert_eq!(decoded.allocated, vec![copy]);
+    }
+
+    #[test]
+    fn a_rejected_stream_with_objects_unroots_them_through_the_heap() {
+        let mut bytes = object_payload();
+        bytes.push(0);
+        let mut dst = CountedHeap { heap: heap(), calls: 0 };
+        let err = decode_value(&mut dst, &bytes, &mut resolve_none).unwrap_err();
+        assert_eq!(err, CodecError::TrailingBytes(1));
+        dst.heap.collect();
+        assert_eq!(dst.heap.live_objects(), 0, "the copy was unrooted");
+    }
+
+    #[test]
+    fn a_ref_free_encode_matches_the_heap_encode_and_refuses_references() {
+        let args =
+            [Value::Int(7), Value::from("hi"), Value::List((0..4).map(Value::Int).collect())];
+        let mut without = vec![0xAA];
+        let stats = encode_values_ref_free(&args, &mut without).unwrap();
+        let mut with = vec![0xAA];
+        assert_eq!(encode_values_v2(&heap(), &args, &mut inline_all, &mut with).unwrap(), stats);
+        assert_eq!(without, with);
+
+        let id = heap().alloc(ClassId(1), vec![]).unwrap();
+        let err = encode_values_ref_free(&[Value::Int(1), Value::Ref(id)], &mut Vec::new());
+        assert_eq!(err.unwrap_err(), CodecError::ForbiddenRef { id, reason: String::new() });
     }
 
     #[test]

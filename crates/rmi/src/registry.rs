@@ -94,11 +94,6 @@ impl MirrorProxyRegistry {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Iterates over registered `(hash, mirror)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (ProxyHash, ObjId)> + '_ {
-        self.map.iter().map(|(h, m)| (*h, *m))
-    }
 }
 
 #[cfg(test)]
@@ -174,18 +169,5 @@ mod tests {
         let mut h = heap();
         let mut reg = MirrorProxyRegistry::new();
         assert_eq!(reg.remove(&mut h, ProxyHash(99)), None);
-    }
-
-    #[test]
-    fn iter_lists_entries() {
-        let mut h = heap();
-        let mut reg = MirrorProxyRegistry::new();
-        let a = h.alloc(ClassId(0), vec![]).unwrap();
-        let b = h.alloc(ClassId(0), vec![]).unwrap();
-        reg.register(&mut h, ProxyHash(1), a);
-        reg.register(&mut h, ProxyHash(2), b);
-        let mut pairs: Vec<_> = reg.iter().collect();
-        pairs.sort();
-        assert_eq!(pairs, vec![(ProxyHash(1), a), (ProxyHash(2), b)]);
     }
 }

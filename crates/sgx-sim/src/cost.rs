@@ -16,9 +16,10 @@
 //!
 //! Two clock modes are supported:
 //!
-//! - [`ClockMode::Virtual`] — charges accumulate in an atomic counter
-//!   that [`CostModel::charged`] reads. This is fast and is what the
-//!   experiment binaries use.
+//! - [`ClockMode::Virtual`] — charges accumulate in per-thread counters
+//!   ([`telemetry::shard`]), each on a cache line of its own and
+//!   written by its thread alone; [`CostModel::charged`] sums them. This
+//!   is fast and is what the experiment binaries use.
 //! - [`ClockMode::Spin`] — charges busy-wait for the charged duration, so
 //!   plain wall-clock measurement (e.g. Criterion) observes the model.
 //!
@@ -37,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use telemetry::shard::PerThread;
 use telemetry::trace::Tracer;
 use telemetry::Recorder;
 
@@ -156,7 +158,7 @@ impl CostParams {
     /// Charge for one raw crossing moving `bytes` across the boundary
     /// (hardware transition + boundary copy). RMI crossings additionally
     /// pay `relay_overhead_ns`, charged by the relay layer; plain shim
-    /// relays (file I/O, clock) pay only this.
+    /// relays (file I/O) pay only this.
     pub fn crossing_ns(&self, bytes: u64) -> u64 {
         self.transition_ns() + (bytes as f64 * self.copy_ns_per_byte) as u64
     }
@@ -186,10 +188,16 @@ pub enum ClockMode {
 pub struct CostModel {
     params: CostParams,
     mode: ClockMode,
-    charged_ns: AtomicU64,
+    charged_ns: PerThread<Box<Line>>,
     recorder: Arc<Recorder>,
     tracer: Arc<Tracer>,
 }
+
+/// One thread's charged nanoseconds, alone on its cache line, so a
+/// caller and a switchless worker never write the same line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Line(AtomicU64);
 
 impl CostModel {
     /// Creates a model with the given parameters and clock mode, plus a
@@ -217,7 +225,7 @@ impl CostModel {
         tracer: Arc<Tracer>,
     ) -> Self {
         tracer.attach_recorder(&recorder);
-        CostModel { params, mode, charged_ns: AtomicU64::new(0), recorder, tracer }
+        CostModel { params, mode, charged_ns: PerThread::new(), recorder, tracer }
     }
 
     /// The unit-cost table this model charges with.
@@ -243,15 +251,14 @@ impl CostModel {
     /// Charges `ns` nanoseconds of modelled time.
     ///
     /// In [`ClockMode::Spin`] this busy-waits; in [`ClockMode::Virtual`]
-    /// it only bumps the virtual counter.
+    /// it only adds to the calling thread's counter.
+    #[inline]
     pub fn charge_ns(&self, ns: u64) {
         if ns == 0 {
             return;
         }
         match self.mode {
-            ClockMode::Virtual => {
-                self.charged_ns.fetch_add(ns, Ordering::Relaxed);
-            }
+            ClockMode::Virtual => self.charged_ns.update(|line, add| add.to(&line.0, ns)),
             ClockMode::Spin => spin_for(Duration::from_nanos(ns)),
         }
     }
@@ -263,9 +270,10 @@ impl CostModel {
     }
 
     /// [`CostModel::charged`] as integer nanoseconds — the model-time
-    /// timestamp trace events carry.
+    /// timestamp trace events carry. Sums one counter per thread that
+    /// has charged this model.
     pub fn charged_ns(&self) -> u64 {
-        self.charged_ns.load(Ordering::Relaxed)
+        self.charged_ns.sum(|line| line.0.load(Ordering::Relaxed))
     }
 }
 

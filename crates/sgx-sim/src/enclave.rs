@@ -143,6 +143,8 @@ pub struct Enclave {
     config: EnclaveConfig,
     cost: Arc<CostModel>,
     epc: Mutex<EpcState>,
+    /// Transitions served, counted only while `fail_after_transitions`
+    /// is armed.
     transitions_served: AtomicU64,
     lost: AtomicBool,
 }
@@ -255,7 +257,10 @@ impl Enclave {
     }
 
     fn charge_crossing(&self, bytes: usize) {
-        self.transitions_served.fetch_add(1, Ordering::Relaxed);
+        // Only failure injection reads the count.
+        if self.config.fail_after_transitions.is_some() {
+            self.transitions_served.fetch_add(1, Ordering::Relaxed);
+        }
         self.cost.charge_ns(self.cost.params().crossing_ns(bytes as u64));
     }
 

@@ -4,10 +4,10 @@
 //! embedding a library OS, Montsalvat redefines unsupported libc routines
 //! inside the enclave as thin wrappers that relay the call to an
 //! untrusted *shim helper* via ocalls. This module reproduces that
-//! design: a [`BackendFile`] opened through [`IoBackend::Enclave`], and
-//! [`shim_clock_ns`], are the enclave-side wrappers; every operation
-//! crosses the boundary (counted and charged by the [`Enclave`]) and is
-//! served by the host OS outside.
+//! design: a [`BackendFile`] opened through [`IoBackend::Enclave`] is
+//! the enclave-side wrapper; every operation crosses the boundary
+//! (counted and charged by the [`Enclave`]) and is served by the host
+//! OS outside.
 //!
 //! A [`BackendFile`] opened through [`IoBackend::Host`] calls the host
 //! OS directly and pays nothing — the asymmetry the partitioning
@@ -34,32 +34,6 @@ fn host_op<R>(
     Ok(match enclave {
         Some(enclave) => enclave.ocall(routine, bytes, op)??,
         None => op()?,
-    })
-}
-
-/// Deletes a file through the shim. Costs one ocall.
-///
-/// # Errors
-///
-/// Host I/O failures surface as [`SgxError::HostIo`]; a lost enclave
-/// surfaces as [`SgxError::EnclaveLost`].
-pub fn shim_remove_file(enclave: &Enclave, path: impl AsRef<Path>) -> Result<(), SgxError> {
-    let path = path.as_ref();
-    host_op(Some(enclave), "shim_unlink", path.as_os_str().len(), || std::fs::remove_file(path))
-}
-
-/// Reads the host wall clock through the shim (`clock_gettime` relay).
-/// Costs one ocall.
-///
-/// # Errors
-///
-/// Returns [`SgxError::EnclaveLost`] if the enclave is gone.
-pub fn shim_clock_ns(enclave: &Enclave) -> Result<u128, SgxError> {
-    enclave.ocall("shim_clock_gettime", 16, || {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0)
     })
 }
 
@@ -218,7 +192,7 @@ mod tests {
         // create + write + seek + read = 4 ocalls
         assert_eq!(s.ocalls, 4);
         assert!(s.bytes_out >= 13);
-        shim_remove_file(&e, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -238,15 +212,6 @@ mod tests {
         assert!(matches!(err, SgxError::HostIo { .. }));
         let err = IoBackend::Host.open("/nonexistent/definitely/missing").unwrap_err();
         assert!(matches!(err, SgxError::HostIo { .. }));
-    }
-
-    #[test]
-    fn shim_clock_advances() {
-        let e = enclave();
-        let a = shim_clock_ns(&e).unwrap();
-        let b = shim_clock_ns(&e).unwrap();
-        assert!(b >= a);
-        assert_eq!(e.stats().ocalls, 2);
     }
 
     #[test]

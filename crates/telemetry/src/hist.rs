@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::shard::Add;
+
 /// Number of buckets in every histogram: bucket 0 holds zeros, bucket
 /// `i >= 1` holds values in `[2^(i-1), 2^i)`, so the full `u64` range
 /// is covered.
@@ -45,11 +47,12 @@ pub fn nearest_rank(count: u64, q: f64) -> u64 {
 
 /// A lock-free histogram over power-of-two buckets.
 ///
-/// Recording is two relaxed `fetch_add`s plus one on the bucket, so
-/// it is cheap enough for per-call paths. The bucketing is exact for
-/// counts and approximate (factor-of-two) for the distribution shape,
-/// which is what the evaluation needs: orders of magnitude, not
-/// microsecond precision.
+/// Recording adds to the bucket, the count and the sum, each the way
+/// the caller's [`Add`] says: a plain load and store on a per-thread
+/// shard, so it is cheap enough for per-call paths. The bucketing is
+/// exact for counts and approximate (factor-of-two) for the
+/// distribution shape, which is what the evaluation needs: orders of
+/// magnitude, not microsecond precision.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -73,11 +76,13 @@ impl AtomicHistogram {
         }
     }
 
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+    /// Records one observation, writing as `add` says (see
+    /// [`crate::shard`]).
+    #[inline]
+    pub fn record(&self, value: u64, add: Add) {
+        add.to(&self.buckets[bucket_index(value)], 1);
+        add.to(&self.count, 1);
+        add.to(&self.sum, value);
     }
 
     /// Freezes the current contents.
@@ -203,10 +208,10 @@ mod tests {
     #[test]
     fn record_updates_count_sum_and_bucket() {
         let h = AtomicHistogram::new();
-        h.record(0);
-        h.record(5);
-        h.record(5);
-        h.record(1 << 20);
+        h.record(0, Add::Owned);
+        h.record(5, Add::Owned);
+        h.record(5, Add::Owned);
+        h.record(1 << 20, Add::Owned);
         let snap = h.snapshot();
         assert_eq!(snap.count, 4);
         assert_eq!(snap.sum, 10 + (1 << 20));
@@ -219,9 +224,9 @@ mod tests {
     fn merge_adds_bucketwise() {
         let a = AtomicHistogram::new();
         let b = AtomicHistogram::new();
-        a.record(3);
-        a.record(100);
-        b.record(3);
+        a.record(3, Add::Owned);
+        a.record(100, Add::Owned);
+        b.record(3, Add::Owned);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.count, 3);
@@ -234,7 +239,7 @@ mod tests {
     fn quantile_returns_bucket_upper_bounds() {
         let h = AtomicHistogram::new();
         for v in [3u64, 3, 3, 3, 3, 3, 3, 3, 3, 1000] {
-            h.record(v);
+            h.record(v, Add::Owned);
         }
         let snap = h.snapshot();
         // 3 lands in [2, 4); nine of ten samples are there.
@@ -264,11 +269,11 @@ mod tests {
     #[test]
     fn diff_recovers_the_window() {
         let h = AtomicHistogram::new();
-        h.record(5);
-        h.record(20);
+        h.record(5, Add::Owned);
+        h.record(20, Add::Owned);
         let earlier = h.snapshot();
-        h.record(5);
-        h.record(4096);
+        h.record(5, Add::Owned);
+        h.record(4096, Add::Owned);
         let window = h.snapshot().diff(&earlier);
         assert_eq!(window.count, 2);
         assert_eq!(window.sum, 5 + 4096);
@@ -296,7 +301,7 @@ mod tests {
                 let h = std::sync::Arc::clone(&h);
                 std::thread::spawn(move || {
                     for i in 0..1000u64 {
-                        h.record(t * 1000 + i);
+                        h.record(t * 1000 + i, Add::Shared);
                     }
                 })
             })

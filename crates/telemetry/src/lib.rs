@@ -5,9 +5,11 @@
 //! EPC faults and MEE traffic; `runtime-sim` counts GC cycles and
 //! copied bytes; `rmi` counts codec bytes, registry churn and
 //! GC-helper sweeps; `montsalvat-core::exec` times per-proxy-call
-//! spans for classic vs switchless RMI. A recorder is a fixed block
-//! of atomics — recording an event is one `fetch_add` with relaxed
-//! ordering, cheap enough to leave on everywhere.
+//! spans for classic vs switchless RMI. A recorder keeps its counters
+//! and histograms in per-thread shards ([`shard`]): recording an event
+//! is a plain load and store on a cache line only the recording thread
+//! writes, with no lock and no shared read-modify-write, cheap enough to
+//! leave on everywhere. Reads sum the shards.
 //!
 //! [`Recorder::snapshot`] freezes the current values into a
 //! [`Snapshot`], snapshots [`Snapshot::merge`] across recorders, and
@@ -41,6 +43,7 @@
 mod hist;
 pub mod json;
 mod recorder;
+pub mod shard;
 mod snapshot;
 pub mod timeseries;
 pub mod trace;
@@ -113,7 +116,7 @@ metric_enum! {
         MeeBytes => ("sgx.mee_bytes", "bytes"),
         /// EPC page faults raised by the paging model.
         EpcFaults => ("sgx.epc_faults", "faults"),
-        /// Ocalls issued by the libc shim (file + clock relays).
+        /// Ocalls issued by the libc shim (file relays).
         ShimOcalls => ("sgx.shim_ocalls", "calls"),
         /// Named EDL routine dispatches through the trusted bridge.
         EdlDispatches => ("sgx.edl_dispatches", "calls"),

@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::hist::AtomicHistogram;
+use crate::shard::PerThread;
 use crate::snapshot::Snapshot;
 use crate::{Counter, Gauge, Hist};
 
@@ -22,18 +23,45 @@ fn graveyard() -> &'static Mutex<Snapshot> {
     GRAVEYARD.get_or_init(|| Mutex::new(Snapshot::default()))
 }
 
-/// A fixed block of atomic metrics.
+/// A fixed set of metrics.
 ///
 /// One recorder is created per [`CostModel`] (so per app/enclave) and
 /// shared by `Arc` through every layer that instrument points live
-/// in. All operations are relaxed atomics: recording never blocks and
-/// never takes a lock.
+/// in. Counters and histograms live in per-thread shards
+/// ([`crate::shard`]): recording one is a plain load and store on a
+/// line only the recording thread writes, and reads sum the shards.
+/// Gauges keep their max and last-value semantics in one shared
+/// atomic each. Recording never blocks and never takes a lock.
 ///
 /// [`CostModel`]: ../sgx_sim/cost/struct.CostModel.html
 pub struct Recorder {
-    counters: [AtomicU64; Counter::COUNT],
+    shards: PerThread<Shard>,
     gauges: [AtomicU64; Gauge::COUNT],
-    hists: [AtomicHistogram; Hist::COUNT],
+}
+
+/// One thread's counters and histograms, built straight on the heap.
+/// Each histogram (0.5 KiB) is allocated on the thread's first record
+/// into it, so creating a shard, which an app's launch does on its
+/// first event, allocates 0.7 KiB rather than a block for every
+/// histogram (8 KiB).
+struct Shard {
+    counters: Box<[AtomicU64; Counter::COUNT]>,
+    hists: Box<[OnceLock<Box<AtomicHistogram>>; Hist::COUNT]>,
+}
+
+impl Default for Shard {
+    fn default() -> Self {
+        Shard { counters: on_heap(AtomicU64::default), hists: on_heap(OnceLock::new) }
+    }
+}
+
+/// `N` values from `new`, written into one heap block as they are made.
+fn on_heap<T, const N: usize>(new: impl FnMut() -> T) -> Box<[T; N]> {
+    let block: Box<[T]> = std::iter::repeat_with(new).take(N).collect();
+    match block.try_into() {
+        Ok(array) => array,
+        Err(_) => unreachable!("the block holds exactly N values"),
+    }
 }
 
 impl std::fmt::Debug for Recorder {
@@ -48,9 +76,8 @@ impl Recorder {
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> Arc<Recorder> {
         let recorder = Arc::new(Recorder {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            shards: PerThread::new(),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| AtomicHistogram::new()),
         });
         let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
         reg.retain(|w| w.strong_count() > 0);
@@ -59,18 +86,20 @@ impl Recorder {
     }
 
     /// Adds `delta` to a counter.
+    #[inline]
     pub fn add(&self, counter: Counter, delta: u64) {
-        self.counters[counter as usize].fetch_add(delta, Ordering::Relaxed);
+        self.shards.update(|shard, add| add.to(&shard.counters[counter as usize], delta));
     }
 
     /// Increments a counter by one.
+    #[inline]
     pub fn incr(&self, counter: Counter) {
         self.add(counter, 1);
     }
 
-    /// Reads a counter's current value.
+    /// Reads a counter's current value: the sum of its shards.
     pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize].load(Ordering::Relaxed)
+        self.shards.sum(|shard| shard.counters[counter as usize].load(Ordering::Relaxed))
     }
 
     /// Raises a high-water-mark gauge to `value` if it is larger than
@@ -92,8 +121,12 @@ impl Recorder {
     }
 
     /// Records one observation into a histogram.
+    #[inline]
     pub fn record(&self, hist: Hist, value: u64) {
-        self.hists[hist as usize].record(value);
+        self.shards.update(|shard, add| {
+            let hist = shard.hists[hist as usize].get_or_init(|| Box::new(AtomicHistogram::new()));
+            hist.record(value, add);
+        });
     }
 
     /// Records a nanosecond duration into a histogram (alias of
@@ -103,13 +136,23 @@ impl Recorder {
         self.record(hist, ns);
     }
 
-    /// Freezes every metric into a [`Snapshot`].
+    /// Freezes every metric into a [`Snapshot`], summing the shards.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
+        let mut snap = Snapshot {
             gauges: std::array::from_fn(|i| self.gauges[i].load(Ordering::Relaxed)),
-            hists: std::array::from_fn(|i| self.hists[i].snapshot()),
-        }
+            ..Snapshot::default()
+        };
+        self.shards.for_each(|shard| {
+            for (total, counter) in snap.counters.iter_mut().zip(shard.counters.iter()) {
+                *total = total.wrapping_add(counter.load(Ordering::Relaxed));
+            }
+            for (total, hist) in snap.hists.iter_mut().zip(shard.hists.iter()) {
+                if let Some(hist) = hist.get() {
+                    total.merge(&hist.snapshot());
+                }
+            }
+        });
+        snap
     }
 }
 
