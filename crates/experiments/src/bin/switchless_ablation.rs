@@ -105,11 +105,11 @@ fn run_mode(
         std::thread::sleep(quiet);
     }
     let charged_s = (app.shared.cost.charged() - charged0).as_secs_f64();
-    let sgx = app.sgx_stats();
     let snap = app.telemetry_snapshot();
+    let transitions = snap.counter(Counter::Ecalls) + snap.counter(Counter::Ocalls);
     // +2 per caller thread: the construction and final `get` crossings.
     let calls = (bursts * threads) as u64 * (calls as u64 + 2);
-    ModeResult { label, calls, charged_s, transitions: sgx.ecalls + sgx.ocalls, snap }
+    ModeResult { label, calls, charged_s, transitions, snap }
 }
 
 fn main() {

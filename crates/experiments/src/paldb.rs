@@ -16,6 +16,7 @@ use montsalvat_core::image_builder::{
 use montsalvat_core::transform::transform;
 use montsalvat_core::VmError;
 use runtime_sim::value::Value;
+use telemetry::Counter::{Ecalls, Ocalls};
 
 use crate::progs::{paldb_entries, paldb_program, PaldbScheme};
 use crate::report::{Scale, Series};
@@ -110,8 +111,9 @@ pub fn run_config(config: PaldbConfig, n: i64) -> PaldbRun {
             let start = cost.charged();
             let hits = app.enter_untrusted(|ctx| drive(ctx, &path_str, n)).expect("paldb runs");
             let seconds = (cost.charged() - start).as_secs_f64();
-            let stats = app.sgx_stats();
-            PaldbRun { seconds, hits, ocalls: stats.ocalls, ecalls: stats.ecalls }
+            let (ocalls, ecalls) =
+                (app.telemetry().counter(Ocalls), app.telemetry().counter(Ecalls));
+            PaldbRun { seconds, hits, ocalls, ecalls }
         }
         PaldbConfig::NoSgx | PaldbConfig::NoPart | PaldbConfig::SconeJvm => {
             let deployment = match config {
@@ -134,8 +136,9 @@ pub fn run_config(config: PaldbConfig, n: i64) -> PaldbRun {
             let start = cost.charged();
             let hits = app.enter(|ctx| drive(ctx, &path_str, n)).expect("paldb runs");
             let seconds = (cost.charged() - start).as_secs_f64() + startup as f64 * 1e-9;
-            let stats = app.sgx_stats();
-            PaldbRun { seconds, hits, ocalls: stats.ocalls, ecalls: stats.ecalls }
+            let (ocalls, ecalls) =
+                (app.telemetry().counter(Ocalls), app.telemetry().counter(Ecalls));
+            PaldbRun { seconds, hits, ocalls, ecalls }
         }
     };
     std::fs::remove_file(&path).ok();

@@ -48,7 +48,8 @@ mod tests {
         let backend = Backend::Enclave(Arc::clone(&enclave));
         let mut f = backend.create(&path).unwrap();
         f.write_all(b"data").unwrap();
-        assert_eq!(enclave.stats().ocalls, 2, "create + write");
+        let ocalls = enclave.recorder().counter(sgx_sim::telemetry::Counter::Ocalls);
+        assert_eq!(ocalls, 2, "create + write");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -149,11 +149,12 @@ mod tests {
         let enclave = Enclave::create(&EnclaveConfig::default(), b"kv", cost).unwrap();
         let backend = Backend::Enclave(Arc::clone(&enclave));
         let r = StoreReader::open(&backend, &path).unwrap();
-        let ocalls_after_open = enclave.stats().ocalls;
+        let ocalls = || enclave.recorder().counter(sgx_sim::telemetry::Counter::Ocalls);
+        let ocalls_after_open = ocalls();
         for _ in 0..100 {
             assert_eq!(r.get(b"alpha").unwrap(), Some(b"1".to_vec()));
         }
-        assert_eq!(enclave.stats().ocalls, ocalls_after_open, "gets are pure memory probes");
+        assert_eq!(ocalls(), ocalls_after_open, "gets are pure memory probes");
         std::fs::remove_file(&path).unwrap();
     }
 }

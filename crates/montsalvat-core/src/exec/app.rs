@@ -20,7 +20,7 @@ use rmi::gc_helper::GcHelper;
 use runtime_sim::heap::HeapConfig;
 use runtime_sim::value::Value;
 use sgx_sim::cost::{ClockMode, CostModel, CostParams};
-use sgx_sim::enclave::{Enclave, EnclaveConfig, TransitionStats};
+use sgx_sim::enclave::{Enclave, EnclaveConfig};
 use sgx_sim::SgxError;
 
 use crate::annotation::Side;
@@ -305,10 +305,11 @@ struct Launch {
 impl Launch {
     /// The launch path both app shapes share: resolves the provider,
     /// builds the cost model and the enclave measured over `image`,
-    /// commits `image` and the runtime overhead to the EPC when it runs
-    /// in the enclave (asked for by `wants_enclave`, and only under
-    /// [`ProviderKind::SimSgx`]), charges startup and creates the
-    /// scratch directory, tagged with `tag` when the config names none.
+    /// commits the measured image, its code and the runtime overhead to
+    /// the EPC only when it runs in the enclave (asked for by
+    /// `wants_enclave`, and only under [`ProviderKind::SimSgx`]),
+    /// charges startup and creates the scratch directory, tagged with
+    /// `tag` when the config names none.
     fn new(
         config: &AppConfig,
         image: &NativeImage,
@@ -317,13 +318,15 @@ impl Launch {
     ) -> Result<Self, VmError> {
         let provider = provider::detect(config.provider)?;
         let cost = cost_model(config);
-        let enclave =
-            Enclave::create(&config.enclave_config, &image.measurement_bytes(), Arc::clone(&cost))?;
+        let measured = image.measurement_bytes();
+        let enclave = Enclave::create(&config.enclave_config, &measured, Arc::clone(&cost))?;
         let mut teardown =
             Teardown { helpers: Vec::new(), enclave: Arc::clone(&enclave), owned_workdir: None };
         let in_enclave = wants_enclave && provider == ProviderKind::SimSgx;
         if in_enclave {
-            // Commit the compiled image + runtime to the EPC.
+            // Commit the loaded image, its compiled code and the runtime
+            // to the EPC.
+            enclave.alloc_heap(measured.len() as u64)?;
             enclave.alloc_heap(image.code_size_estimate())?;
             let overhead = config.exec_model.runtime_heap_overhead_bytes;
             if overhead > 0 {
@@ -437,7 +440,7 @@ fn restore_image_heap(image: &NativeImage, world: &Arc<World>) -> Result<(), VmE
 ///     build_partitioned_images(&tp, &ImageOptions::default(), &ImageOptions::default())?;
 /// let app = PartitionedApp::launch(&trusted, &untrusted, AppConfig::default())?;
 /// app.run_main()?; // Alice pays Bob inside the enclave
-/// assert!(app.enclave.stats().ecalls > 0);
+/// assert!(app.telemetry().counter(telemetry::Counter::Ecalls) > 0);
 /// # Ok(())
 /// # }
 /// ```
@@ -484,7 +487,7 @@ impl PartitionedApp {
         if let Some(interval) = config.gc_helper_interval {
             for side in [Side::Trusted, Side::Untrusted] {
                 let shared_ref = Arc::clone(&shared);
-                teardown.helpers.push(GcHelper::spawn_recorded(
+                teardown.helpers.push(GcHelper::spawn(
                     format!("{side}-gc-helper"),
                     interval,
                     Arc::clone(shared.cost.recorder()),
@@ -549,16 +552,6 @@ impl PartitionedApp {
         let from_untrusted = gc_sync_from(&self.shared, Side::Untrusted)?;
         let from_trusted = gc_sync_from(&self.shared, Side::Trusted)?;
         Ok((from_untrusted, from_trusted))
-    }
-
-    /// Enclave transition counters.
-    ///
-    /// This is a compatibility facade: the returned counters are read
-    /// from the application's telemetry recorder (see
-    /// [`PartitionedApp::telemetry_snapshot`]), so the two views agree
-    /// by construction.
-    pub fn sgx_stats(&self) -> TransitionStats {
-        self.enclave.stats()
     }
 
     /// Freezes every telemetry metric of this application (both worlds,
@@ -686,12 +679,6 @@ impl SingleWorldApp {
         }
     }
 
-    /// Enclave transition counters (a view over the telemetry recorder,
-    /// like [`PartitionedApp::sgx_stats`]).
-    pub fn sgx_stats(&self) -> TransitionStats {
-        self.enclave.stats()
-    }
-
     /// Freezes every telemetry metric of this application.
     pub fn telemetry_snapshot(&self) -> telemetry::Snapshot {
         self.shared.cost.recorder().snapshot()
@@ -730,6 +717,12 @@ mod tests {
         PartitionedApp::launch(&t, &u, config).unwrap()
     }
 
+    /// The app's `(ecalls, ocalls)`.
+    fn transitions(app: &PartitionedApp) -> (u64, u64) {
+        let recorder = app.telemetry();
+        (recorder.counter(telemetry::Counter::Ecalls), recorder.counter(telemetry::Counter::Ocalls))
+    }
+
     /// The model time the bank's `main` charges under `provider` with
     /// the given relay overhead, and the RMI calls it makes.
     fn bank_main_cost(provider: ProviderKind, relay_overhead_ns: u64) -> (Duration, u64) {
@@ -745,7 +738,7 @@ mod tests {
         let before = app.shared.cost.charged();
         assert_eq!(app.shared.cross(CrossingDir::Enter, "ecall_test", 64, || 41 + 1).unwrap(), 42);
         app.shared.cross(CrossingDir::Exit, "ocall_test", 16, || ()).unwrap();
-        assert_eq!((app.sgx_stats().ecalls, app.sgx_stats().ocalls), (1, 1));
+        assert_eq!(transitions(&app), (1, 1));
         assert!(app.shared.cost.charged() > before, "SimSgx crossings charge model time");
         app.enclave.destroy();
         let lost = app.shared.cross(CrossingDir::Enter, "ecall_test", 0, || ());
@@ -760,7 +753,7 @@ mod tests {
         let back = app.shared.cross(CrossingDir::Exit, "ocall_test", 64, || 8).unwrap();
         let relayed = app.shared.cross_classic(CrossingDir::Enter, "ecall_test", 64, || 9).unwrap();
         assert_eq!((value, back, relayed), (7, 8, 9));
-        assert_eq!((app.sgx_stats().ecalls, app.sgx_stats().ocalls), (0, 0));
+        assert_eq!(transitions(&app), (0, 0));
         assert_eq!(app.shared.cost.charged(), before, "PassThrough crossings are free");
         assert!(!app.shared.world(Side::Trusted).in_enclave);
     }

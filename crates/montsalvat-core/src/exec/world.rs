@@ -3,25 +3,30 @@
 //! A [`World`] bundles everything one runtime owns at execution time: its
 //! isolate (heap), its class index, its RMI state (mirror-proxy registry,
 //! proxy weak list, hash allocator), its scratch I/O channel, and an
-//! execution-model knob used by the JVM baseline. The trusted world's
-//! heap carries an observer that charges the enclave for every byte of
-//! heap traffic, which is how the paper's in-enclave GC and allocation
+//! execution-model knob used by the JVM baseline. Every world's heap
+//! reports to one observer, which counts and traces each allocation
+//! and collection in the app's recorder and tracer; an in-enclave
+//! heap's observer also charges the enclave for every byte of heap
+//! traffic, which is how the paper's in-enclave GC and allocation
 //! overheads arise in the model.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use rmi::hash::ProxyHasher;
 use rmi::registry::MirrorProxyRegistry;
 use rmi::weaklist::ProxyWeakList;
-use runtime_sim::heap::{HeapConfig, HeapObserver};
+use runtime_sim::heap::{AllocEvent, CollectEvent, CollectKind, HeapConfig, HeapObserver};
 use runtime_sim::isolate::Isolate;
 use runtime_sim::value::{ClassId, ObjId};
 use sgx_sim::cost::CostModel;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::shim::BackendFile;
+use telemetry::trace::{self, Lane};
+use telemetry::{Counter, Gauge, Hist};
 
 use crate::annotation::Side;
 use crate::class::ClassDef;
@@ -151,58 +156,91 @@ pub(crate) struct WorldIo {
     pub(crate) bytes_written: u64,
 }
 
-/// Heap observer that charges the enclave for trusted-heap traffic.
+/// The one heap observer of a world. It counts every allocation and
+/// collection into the app's recorder and traces each collection on
+/// the world's lane; under an enclave it first charges the heap's
+/// traffic to it (see `docs/GC.md`).
 #[derive(Debug)]
-pub struct EnclaveHeapCharger {
-    enclave: Arc<Enclave>,
+struct WorldHeapObserver {
+    cost: Arc<CostModel>,
+    lane: Lane,
+    /// The enclave the heap runs inside, if any.
+    enclave: Option<Arc<Enclave>>,
+    /// Scales GC copy traffic (see [`ExecModel::gc_copy_factor`]).
     gc_copy_factor: f64,
 }
 
-impl EnclaveHeapCharger {
-    /// Creates a charger for `enclave`; `gc_copy_factor` scales GC copy
-    /// traffic (see [`ExecModel::gc_copy_factor`]).
-    pub fn new(enclave: Arc<Enclave>, gc_copy_factor: f64) -> Self {
-        EnclaveHeapCharger { enclave, gc_copy_factor }
-    }
-}
-
-impl HeapObserver for EnclaveHeapCharger {
-    fn on_alloc(&self, bytes: u64) {
-        // Committing and writing fresh enclave heap pays EPC + MEE.
-        let _ = self.enclave.alloc_heap(bytes);
-        self.enclave.charge_heap_traffic(bytes);
-    }
-
-    fn on_gc_copy(&self, bytes: u64) {
-        let charged = (bytes as f64 * self.gc_copy_factor) as u64;
-        self.enclave.charge_gc_copy(charged);
+impl HeapObserver for WorldHeapObserver {
+    fn on_alloc(&self, event: &AllocEvent) {
+        if let Some(enclave) = &self.enclave {
+            // Committing and writing fresh enclave heap pays EPC + MEE.
+            if event.committed_bytes > 0 {
+                let _ = enclave.alloc_heap(event.committed_bytes);
+            }
+            enclave.charge_heap_traffic(event.bytes);
+        }
+        let recorder = self.cost.recorder();
+        recorder.incr(Counter::HeapAllocObjects);
+        recorder.add(Counter::HeapAllocBytes, event.bytes);
+        recorder.gauge_max(Gauge::HeapLiveBytesPeak, event.live_bytes);
+        recorder.gauge_set(Gauge::HeapLiveBytes, event.live_bytes);
     }
 
-    fn on_free(&self, bytes: u64) {
-        self.enclave.free_heap(bytes);
-    }
-
-    // Block-collector hooks: residency moves per block while object
-    // writes and GC work are pure traffic (see docs/GC.md).
-
-    fn on_block_commit(&self, bytes: u64) {
-        let _ = self.enclave.alloc_heap(bytes);
-    }
-
-    fn on_block_alloc(&self, bytes: u64) {
-        self.enclave.charge_heap_traffic(bytes);
-    }
-
-    fn on_block_release(&self, bytes: u64) {
-        self.enclave.free_heap(bytes);
-    }
-
-    fn on_gc_mark(&self, objects: u64) {
-        self.enclave.charge_gc_mark(objects);
-    }
-
-    fn on_gc_blocks_touched(&self, blocks: u64, block_bytes: u64) {
-        self.enclave.charge_gc_blocks(blocks, block_bytes);
+    fn on_collect(&self, kind: CollectKind, collect: &mut dyn FnMut() -> CollectEvent) {
+        let cost = &self.cost;
+        let charge_start = cost.charged_ns();
+        // The pause span opens before the collection, so the cycle's
+        // enclave charges land inside it; a pause triggered mid-call
+        // nests under the allocating thread's span.
+        let span = cost.tracer().start(
+            self.lane,
+            "gc",
+            trace::current(),
+            || cost.charged_ns(),
+            || match kind {
+                CollectKind::Minor => "gc:minor".to_owned(),
+                CollectKind::Major => "gc:collect".to_owned(),
+            },
+        );
+        let started = Instant::now();
+        let event = collect();
+        let pause_ns = started.elapsed().as_nanos() as u64;
+        if let Some(enclave) = &self.enclave {
+            enclave.charge_gc_mark(event.marked_objects);
+            enclave.charge_gc_blocks(event.blocks_touched, event.block_bytes);
+            if event.committed_bytes > 0 {
+                let _ = enclave.alloc_heap(event.committed_bytes);
+            }
+            let copied = (event.outcome.bytes_copied as f64 * self.gc_copy_factor) as u64;
+            enclave.charge_gc_copy(copied);
+            if event.released_bytes > 0 {
+                enclave.free_heap(event.released_bytes);
+            }
+        }
+        let recorder = cost.recorder();
+        recorder.incr(Counter::GcCollections);
+        let (counter, hist) = match kind {
+            CollectKind::Minor => (Counter::GcMinorCollections, Hist::GcMinorPauseNs),
+            CollectKind::Major => (Counter::GcMajorCollections, Hist::GcMajorPauseNs),
+        };
+        recorder.incr(counter);
+        recorder.add(Counter::GcBytesCopied, event.outcome.bytes_copied);
+        recorder.add(Counter::GcBytesFreed, event.outcome.bytes_freed);
+        recorder.record(Hist::GcPauseNs, pause_ns);
+        recorder.record(hist, pause_ns);
+        // The model pause: what the cycle charged, read after the
+        // charges above.
+        recorder.record(Hist::GcPauseModelNs, cost.charged_ns().saturating_sub(charge_start));
+        // Post-collection levels: the flight recorder's per-window
+        // heap residency sample.
+        recorder.gauge_set(Gauge::HeapLiveBytes, event.live_bytes);
+        if let Some(blocks) = event.block_stats {
+            recorder.gauge_set(Gauge::GcBlocksLive, blocks.live_blocks);
+            recorder.gauge_set(Gauge::GcBlocksFree, blocks.free_blocks);
+        }
+        if let Some(span) = span {
+            cost.tracer().finish(span, cost.charged_ns());
+        }
     }
 }
 
@@ -234,6 +272,7 @@ impl World {
     /// and weak list report into `cost`'s recorder; its GC pauses are
     /// stamped with `cost`'s model clock and traced on the world's
     /// lane; an in-enclave heap charges the enclave for its traffic.
+    /// All of the heap's reporting goes through its one observer.
     pub fn new(
         side: Side,
         classes: Arc<ClassIndex>,
@@ -243,18 +282,14 @@ impl World {
         cost: &Arc<CostModel>,
         enclave: Option<&Arc<Enclave>>,
     ) -> Arc<Self> {
-        let isolate = Isolate::new(side.name(), heap_config);
-        isolate.with_heap(|h| {
-            if let Some(enclave) = enclave {
-                let charger =
-                    EnclaveHeapCharger::new(Arc::clone(enclave), exec_model.gc_copy_factor);
-                h.set_observer(Arc::new(charger));
-            }
-            h.set_recorder(Arc::clone(cost.recorder()));
-            h.set_tracer(Arc::clone(cost.tracer()), side.lane());
-            let cost = Arc::clone(cost);
-            h.set_charge_clock(Arc::new(move || cost.charged_ns()));
-        });
+        let observer = WorldHeapObserver {
+            cost: Arc::clone(cost),
+            lane: side.lane(),
+            enclave: enclave.cloned(),
+            gc_copy_factor: exec_model.gc_copy_factor,
+        };
+        let isolate = Isolate::new(heap_config);
+        isolate.with_heap(|h| h.set_observer(Arc::new(observer)));
         let mut rmi = RmiState::default();
         rmi.registry.set_recorder(Arc::clone(cost.recorder()));
         rmi.weaklist.set_recorder(Arc::clone(cost.recorder()));
@@ -292,6 +327,36 @@ impl World {
 mod tests {
     use super::*;
     use crate::class::ClassDef;
+    use runtime_sim::value::Value;
+    use sgx_sim::cost::{ClockMode, CostParams};
+    use sgx_sim::enclave::EnclaveConfig;
+    use telemetry::trace::{TracePhase, Tracer};
+    use telemetry::Recorder;
+
+    /// A model with a fresh recorder and an enabled tracer of its own.
+    fn cost() -> Arc<CostModel> {
+        let tracer = Tracer::new();
+        tracer.enable_with_capacity(64);
+        Arc::new(CostModel::with_recorder_and_tracer(
+            CostParams::paper_defaults(),
+            ClockMode::Virtual,
+            Recorder::new(),
+            tracer,
+        ))
+    }
+
+    /// A world of class `A` for `side`, inside `enclave` when given.
+    fn world(side: Side, cost: &Arc<CostModel>, enclave: Option<&Arc<Enclave>>) -> Arc<World> {
+        World::new(
+            side,
+            Arc::new(ClassIndex::from_classes(&[ClassDef::new("A")])),
+            HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() },
+            ExecModel::native_image(),
+            std::env::temp_dir().join("world_test_scratch"),
+            cost,
+            enclave,
+        )
+    }
 
     #[test]
     fn class_index_assigns_dense_ids() {
@@ -305,22 +370,66 @@ mod tests {
 
     #[test]
     fn world_resolves_classes() {
-        let idx = Arc::new(ClassIndex::from_classes(&[ClassDef::new("A")]));
-        let cost = Arc::new(CostModel::new(
-            sgx_sim::cost::CostParams::paper_defaults(),
-            sgx_sim::cost::ClockMode::Virtual,
-        ));
-        let world = World::new(
-            Side::Untrusted,
-            idx,
-            HeapConfig::default(),
-            ExecModel::native_image(),
-            std::env::temp_dir().join("world_test_scratch"),
-            &cost,
-            None,
-        );
+        let world = world(Side::Untrusted, &cost(), None);
         assert!(!world.in_enclave);
         assert!(world.class_by_name("A").is_ok());
         assert!(matches!(world.class_by_name("Zed"), Err(VmError::UnknownClass(_))));
+    }
+
+    #[test]
+    fn a_host_heap_reports_every_event_into_the_recorder() {
+        let cost = cost();
+        let world = world(Side::Untrusted, &cost, None);
+        let (live_before_gc, out) = world.isolate.with_heap(|h| {
+            let keep = h.alloc(ClassId(0), vec![Value::Int(1)]).unwrap();
+            h.add_root(keep);
+            h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 64])]).unwrap();
+            (h.live_bytes(), h.collect())
+        });
+        let snap = cost.recorder().snapshot();
+        assert_eq!(snap.counter(Counter::HeapAllocObjects), 2);
+        assert_eq!(snap.counter(Counter::HeapAllocBytes), live_before_gc);
+        assert_eq!(snap.gauge(Gauge::HeapLiveBytesPeak), live_before_gc);
+        assert_eq!(snap.gauge(Gauge::HeapLiveBytes), live_before_gc - out.bytes_freed);
+        assert_eq!(snap.counter(Counter::GcCollections), 1);
+        assert_eq!(snap.counter(Counter::GcMajorCollections), 1);
+        assert_eq!(snap.counter(Counter::GcMinorCollections), 0);
+        assert_eq!(snap.counter(Counter::GcBytesFreed), out.bytes_freed);
+        assert_eq!(snap.counter(Counter::GcBytesCopied), out.bytes_copied);
+        assert_eq!(snap.hist(Hist::GcPauseNs).count, 1);
+        assert_eq!(snap.hist(Hist::GcMajorPauseNs).count, 1);
+        let model = snap.hist(Hist::GcPauseModelNs);
+        assert_eq!((model.count, model.sum), (1, 0), "a host heap charges nothing");
+        assert_eq!(snap.counter(Counter::MeeBytes), 0);
+    }
+
+    #[test]
+    fn an_enclave_heap_pays_its_collection_inside_the_pause_span() {
+        let cost = cost();
+        let enclave =
+            Enclave::create(&EnclaveConfig::default(), b"img", Arc::clone(&cost)).unwrap();
+        let world = world(Side::Trusted, &cost, Some(&enclave));
+        let (before, after) = world.isolate.with_heap(|h| {
+            let keep = h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 4096])]).unwrap();
+            h.add_root(keep);
+            for _ in 0..8 {
+                h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 512])]).unwrap();
+            }
+            let before = cost.charged_ns();
+            h.collect();
+            // Each object committed itself and the collection released
+            // what it freed, so the EPC holds exactly the live set.
+            assert_eq!(enclave.epc_resident_bytes(), h.live_bytes());
+            (before, cost.charged_ns())
+        });
+        let model = cost.recorder().snapshot().hist(Hist::GcPauseModelNs).clone();
+        assert!(after > before, "copying the live set pays the MEE");
+        assert_eq!((model.count, model.sum), (1, after - before));
+        let events = cost.tracer().snapshot_events();
+        let gc: Vec<_> = events.iter().filter(|e| e.cat == "gc").collect();
+        assert_eq!(gc.len(), 2, "{gc:?}");
+        assert_eq!((gc[0].phase, gc[0].name.as_str()), (TracePhase::Begin, "gc:collect"));
+        assert_eq!((gc[0].lane, gc[0].model_ns), (Lane::Trusted, before));
+        assert_eq!(gc[1].model_ns, after, "the pause span closes after the charges");
     }
 }

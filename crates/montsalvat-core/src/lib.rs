@@ -41,7 +41,7 @@
 //! let app = PartitionedApp::launch(&trusted, &untrusted, AppConfig::default())?;
 //! app.run_main()?;
 //! // Accounts were created in the enclave via ecalls:
-//! assert!(app.sgx_stats().ecalls >= 3);
+//! assert!(app.telemetry().counter(telemetry::Counter::Ecalls) >= 3);
 //! # Ok(())
 //! # }
 //! ```

@@ -200,7 +200,7 @@ fn concurrent_crossings_from_multiple_threads() {
         h.join().unwrap();
     }
     assert_eq!(app.registry_len(Side::Trusted), 200);
-    assert_eq!(app.sgx_stats().ecalls, 4 * 50 * 3);
+    assert_eq!(app.telemetry().counter(telemetry::Counter::Ecalls), 4 * 50 * 3);
 }
 
 #[test]

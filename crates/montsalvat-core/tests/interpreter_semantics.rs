@@ -239,5 +239,5 @@ fn compute_and_io_instructions_run() {
     );
     run(&app, &[]).unwrap();
     // Host placement: direct I/O, zero crossings.
-    assert_eq!(app.sgx_stats().ocalls, 0);
+    assert_eq!(app.telemetry().counter(telemetry::Counter::Ocalls), 0);
 }

@@ -64,8 +64,8 @@ fn transfer_updates_balances_inside_the_enclave() {
     // The balances were maintained inside the enclave: mirror objects
     // exist for both accounts, and every update was an ecall.
     assert_eq!(app.registry_len(Side::Trusted), 2);
-    let stats = app.sgx_stats();
-    assert!(stats.ecalls >= 6, "ctor x2 + transfer updates + balance reads, got {stats:?}");
+    let ecalls = app.telemetry().counter(Counter::Ecalls);
+    assert!(ecalls >= 6, "ctor x2 + transfer updates + balance reads, got {ecalls}");
 }
 
 #[test]
@@ -76,8 +76,8 @@ fn run_main_executes_listing_1() {
     assert_eq!(app.registry_len(Side::Trusted), 3);
     // Nothing crosses out, so every proxy is the untrusted side's and
     // every mirror the enclave's.
-    assert_eq!(app.sgx_stats().ocalls, 0, "nothing in this program calls out");
     let snap = app.telemetry_snapshot();
+    assert_eq!(snap.counter(Counter::Ocalls), 0, "nothing in this program calls out");
     assert_eq!(snap.counter(Counter::MirrorsCreated), 3);
     assert_eq!(snap.counter(Counter::ProxiesCreated), 3);
 }
@@ -232,10 +232,10 @@ fn unpartitioned_in_enclave_has_no_rmi_crossings() {
     let image = build_unpartitioned_image(&bank_program(), &ImageOptions::default()).unwrap();
     let app = SingleWorldApp::launch(&image, Placement::Enclave, no_helpers()).unwrap();
     app.run_main().unwrap();
-    let stats = app.sgx_stats();
+    let stats = app.telemetry_snapshot();
     // One big ecall for main, no relay traffic.
-    assert_eq!(stats.ecalls, 1);
-    assert_eq!(stats.ocalls, 0);
+    assert_eq!(stats.counter(Counter::Ecalls), 1);
+    assert_eq!(stats.counter(Counter::Ocalls), 0);
 }
 
 #[test]
@@ -300,7 +300,8 @@ fn neutral_classes_run_locally_in_both_worlds() {
 #[test]
 fn trusted_world_heap_traffic_charges_the_enclave() {
     let app = launch_bank(no_helpers());
-    let mee_before = app.sgx_stats().mee_bytes;
+    let mee_bytes = || app.telemetry().counter(Counter::MeeBytes);
+    let mee_before = mee_bytes();
     app.enter_untrusted(|ctx| {
         for i in 0..32 {
             ctx.new_object("Account", &[Value::from(format!("m{i}")), Value::Int(i)])?;
@@ -308,5 +309,5 @@ fn trusted_world_heap_traffic_charges_the_enclave() {
         Ok(())
     })
     .unwrap();
-    assert!(app.sgx_stats().mee_bytes > mee_before, "mirror allocation paid MEE costs");
+    assert!(mee_bytes() > mee_before, "mirror allocation paid MEE costs");
 }

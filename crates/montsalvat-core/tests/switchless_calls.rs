@@ -59,10 +59,9 @@ fn switchless_results_match_classic() {
 fn switchless_performs_no_transitions() {
     let app = launch(true);
     run_bank(&app);
-    let sgx = app.sgx_stats();
-    assert_eq!(sgx.ecalls, 0, "no hardware ecalls in switchless mode");
-    assert_eq!(sgx.ocalls, 0);
     let snap = app.telemetry_snapshot();
+    assert_eq!(snap.counter(Counter::Ecalls), 0, "no hardware ecalls in switchless mode");
+    assert_eq!(snap.counter(Counter::Ocalls), 0);
     assert_eq!(snap.counter(Counter::RmiCalls), 5);
     assert_eq!(snap.counter(Counter::SwitchlessCalls), 5, "calls were served switchlessly");
     app.shutdown();

@@ -8,56 +8,54 @@
 //! the scan-and-relay closure is wired up by the partitioned-application
 //! runtime, which owns the worlds and the enclave.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A periodic scanner thread with graceful shutdown.
 ///
-/// The helper runs `tick` every `interval` until stopped or dropped.
+/// The helper runs `tick` every `interval` until stopped or dropped, and
+/// counts each completed sweep into its recorder as
+/// [`telemetry::Counter::GcHelperSweeps`].
 ///
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
-/// use std::sync::atomic::{AtomicU64, Ordering};
 /// use std::time::Duration;
 /// use rmi::gc_helper::GcHelper;
+/// use telemetry::{Counter, Recorder};
 ///
-/// let hits = Arc::new(AtomicU64::new(0));
-/// let seen = Arc::clone(&hits);
-/// let helper = GcHelper::spawn("trusted-gc-helper", Duration::from_millis(5), move || {
-///     seen.fetch_add(1, Ordering::Relaxed);
-/// });
+/// let recorder = Recorder::new();
+/// let interval = Duration::from_millis(5);
+/// let helper = GcHelper::spawn("trusted-gc-helper", interval, recorder.clone(), || {});
 /// std::thread::sleep(Duration::from_millis(40));
 /// helper.stop();
-/// assert!(hits.load(Ordering::Relaxed) > 0);
+/// assert!(recorder.counter(Counter::GcHelperSweeps) > 0);
 /// ```
 #[derive(Debug)]
 pub struct GcHelper {
     stop: Arc<AtomicBool>,
-    ticks: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl GcHelper {
-    /// Spawns a helper named `name` running `tick` every `interval`.
+    /// Spawns a helper named `name` running `tick` every `interval` and
+    /// counting its sweeps into `recorder`.
     pub fn spawn(
         name: impl Into<String>,
         interval: Duration,
+        recorder: Arc<telemetry::Recorder>,
         mut tick: impl FnMut() + Send + 'static,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let ticks = Arc::new(AtomicU64::new(0));
         let stop_flag = Arc::clone(&stop);
-        let tick_count = Arc::clone(&ticks);
         let handle = std::thread::Builder::new()
             .name(name.into())
             .spawn(move || {
                 while !stop_flag.load(Ordering::Acquire) {
                     tick();
-                    tick_count.fetch_add(1, Ordering::Relaxed);
+                    recorder.incr(telemetry::Counter::GcHelperSweeps);
                     // Sleep in short slices so shutdown is prompt even
                     // with long scan intervals.
                     let mut remaining = interval;
@@ -70,26 +68,7 @@ impl GcHelper {
                 }
             })
             .expect("spawn gc helper thread");
-        GcHelper { stop, ticks, handle: Some(handle) }
-    }
-
-    /// Like [`GcHelper::spawn`], but also counts every completed sweep
-    /// into `recorder` as [`telemetry::Counter::GcHelperSweeps`].
-    pub fn spawn_recorded(
-        name: impl Into<String>,
-        interval: Duration,
-        recorder: Arc<telemetry::Recorder>,
-        mut tick: impl FnMut() + Send + 'static,
-    ) -> Self {
-        Self::spawn(name, interval, move || {
-            tick();
-            recorder.incr(telemetry::Counter::GcHelperSweeps);
-        })
-    }
-
-    /// Number of completed scan ticks.
-    pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
+        GcHelper { stop, handle: Some(handle) }
     }
 
     /// Stops the helper and waits for its thread to exit.
@@ -114,28 +93,27 @@ impl Drop for GcHelper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn helper_ticks_repeatedly() {
-        let helper = GcHelper::spawn("t", Duration::from_millis(1), || {});
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(helper.ticks() >= 2);
-        helper.stop();
-    }
-
-    #[test]
-    fn recorded_helper_counts_sweeps() {
+    fn helper_counts_each_sweep() {
         let rec = telemetry::Recorder::new();
-        let helper = GcHelper::spawn_recorded("t", Duration::from_millis(1), rec.clone(), || {});
+        let ran = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&ran);
+        let helper = GcHelper::spawn("t", Duration::from_millis(1), rec.clone(), move || {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
         std::thread::sleep(Duration::from_millis(30));
         helper.stop();
         let sweeps = rec.counter(telemetry::Counter::GcHelperSweeps);
         assert!(sweeps >= 2, "expected sweeps recorded, got {sweeps}");
+        assert_eq!(sweeps, ran.load(Ordering::Relaxed), "one count per completed tick");
     }
 
     #[test]
     fn stop_is_prompt_even_with_long_interval() {
-        let helper = GcHelper::spawn("t", Duration::from_secs(60), || {});
+        let rec = telemetry::Recorder::new();
+        let helper = GcHelper::spawn("t", Duration::from_secs(60), rec, || {});
         std::thread::sleep(Duration::from_millis(10));
         let started = std::time::Instant::now();
         helper.stop();
@@ -147,7 +125,8 @@ mod tests {
         let ran = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&ran);
         {
-            let _helper = GcHelper::spawn("t", Duration::from_millis(1), move || {
+            let rec = telemetry::Recorder::new();
+            let _helper = GcHelper::spawn("t", Duration::from_millis(1), rec, move || {
                 seen.fetch_add(1, Ordering::Relaxed);
             });
             std::thread::sleep(Duration::from_millis(10));

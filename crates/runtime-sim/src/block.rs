@@ -23,7 +23,7 @@
 //! equations).
 
 use crate::heap::{
-    AllocEffect, BlockStats, CollectKind, CollectResult, Collector, CollectorKind, Entry, GcCx,
+    AllocEffect, BlockStats, CollectEvent, CollectKind, Collector, CollectorKind, Entry, GcCx,
     GcOutcome, HeapConfig,
 };
 use crate::value::{ObjId, Value};
@@ -396,7 +396,7 @@ impl BlockHeap {
     /// Minor cycle: trace nursery-reachable objects from roots plus the
     /// dirty-block remembered set, evacuate survivors, recycle nursery
     /// blocks. Mature objects are never reclaimed here.
-    fn collect_minor(&mut self, cx: &mut GcCx<'_>) -> CollectResult {
+    fn collect_minor(&mut self, cx: &mut GcCx<'_>) -> CollectEvent {
         let mut state = MarkState {
             marks: self.fresh_marks(),
             queue: Vec::new(),
@@ -456,12 +456,12 @@ impl BlockHeap {
             block.dirty = false;
         }
         let blocks_touched = touched.iter().filter(|t| **t).count() as u64;
-        CollectResult {
+        CollectEvent {
             outcome,
             marked_objects: marked,
             blocks_touched,
             committed_bytes: committed,
-            released_bytes: 0,
+            ..CollectEvent::default()
         }
     }
 
@@ -469,7 +469,7 @@ impl BlockHeap {
     /// in place (first, so evacuated survivors land in swept space),
     /// evacuate the nursery, then trim the free-block cache — surplus
     /// committed-but-empty blocks are released back.
-    fn collect_major(&mut self, cx: &mut GcCx<'_>) -> CollectResult {
+    fn collect_major(&mut self, cx: &mut GcCx<'_>) -> CollectEvent {
         let mut state = MarkState {
             marks: self.fresh_marks(),
             queue: Vec::new(),
@@ -566,12 +566,13 @@ impl BlockHeap {
         }
         self.promoted_since_major = 0;
         let blocks_touched = touched.iter().filter(|t| **t).count() as u64;
-        CollectResult {
+        CollectEvent {
             outcome,
             marked_objects: marked,
             blocks_touched,
             committed_bytes: committed,
             released_bytes: released,
+            ..CollectEvent::default()
         }
     }
 }
@@ -663,7 +664,7 @@ impl Collector for BlockHeap {
         None
     }
 
-    fn collect(&mut self, kind: CollectKind, cx: &mut GcCx<'_>) -> CollectResult {
+    fn collect(&mut self, kind: CollectKind, cx: &mut GcCx<'_>) -> CollectEvent {
         match kind {
             CollectKind::Minor => self.collect_minor(cx),
             CollectKind::Major => self.collect_major(cx),
@@ -699,6 +700,7 @@ impl Collector for BlockHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::tests::Events;
     use crate::heap::{CollectorKind, Heap, HeapConfig};
     use crate::value::{ClassId, Value};
 
@@ -750,7 +752,7 @@ mod tests {
 
     #[test]
     fn minor_evacuates_survivors_and_recycles_nursery() {
-        let mut h = Heap::new(block_config());
+        let (mut h, events) = Events::heap(block_config());
         let keep = h.alloc(ClassId(0), vec![Value::Int(9)]).unwrap();
         h.add_root(keep);
         for _ in 0..50 {
@@ -768,20 +770,23 @@ mod tests {
         assert_eq!(after.nursery_blocks, 0, "nursery recycled");
         assert_eq!(after.nursery_used_bytes, 0);
         assert!(after.free_blocks > 0, "nursery blocks parked on free cache");
-        assert_eq!(h.stats().minor_collections, 1);
+        let collects = events.collects.lock().clone();
+        let [(CollectKind::Minor, event)] = collects[..] else { panic!("{collects:?}") };
+        assert_eq!((event.outcome, event.block_stats), (out, Some(after)));
+        assert!(event.blocks_touched > 0 && event.marked_objects > 0);
+        assert_eq!(event.block_bytes, 4096);
     }
 
     #[test]
     fn automatic_minor_fires_on_nursery_budget() {
-        let mut h = Heap::new(HeapConfig { nursery_bytes: 2048, ..block_config() });
+        let (mut h, events) = Events::heap(HeapConfig { nursery_bytes: 2048, ..block_config() });
         let keep = h.alloc(ClassId(0), vec![Value::Int(1)]).unwrap();
         h.add_root(keep);
         for _ in 0..100 {
             h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 64])]).unwrap();
         }
-        let stats = h.stats();
-        assert!(stats.minor_collections > 0, "nursery budget triggered minors");
-        assert_eq!(stats.major_collections, 0, "threshold disabled");
+        assert!(events.count(CollectKind::Minor) > 0, "nursery budget triggered minors");
+        assert_eq!(events.count(CollectKind::Major), 0, "threshold disabled");
         assert!(h.is_live(keep));
         assert!(h.live_objects() < 101, "nursery garbage reclaimed");
     }
@@ -843,7 +848,7 @@ mod tests {
 
     #[test]
     fn free_cache_is_trimmed_after_major() {
-        let mut h = Heap::new(block_config());
+        let (mut h, events) = Events::heap(block_config());
         // Burn through many nursery blocks of garbage.
         for _ in 0..200 {
             h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 1500])]).unwrap();
@@ -857,6 +862,11 @@ mod tests {
             stats.free_blocks
         );
         assert_eq!(stats.live_blocks, 0);
+        // Fresh blocks are committed as allocations need them, and the
+        // trimmed surplus is what the major releases.
+        let committed: u64 = events.allocs.lock().iter().map(|e| e.committed_bytes).sum();
+        let (_, major) = events.collects.lock()[1];
+        assert_eq!(committed - major.released_bytes, 4096 * stats.committed_blocks);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!
 //! - `Semispace`: objects live in a *from-space* arena; collection
 //!   traces from roots and **moves** every live object into a fresh
-//!   *to-space*, so the bytes-copied figure reported to the
-//!   [`HeapObserver`] is exactly the live set — the traffic an enclave
-//!   pays MEE costs on.
+//!   *to-space*, so the bytes copied that a collection reports is
+//!   exactly the live set — the traffic an enclave pays MEE costs on.
 //! - `Block`: objects live in fixed-size blocks with size-class
 //!   buckets; minor collections evacuate the nursery into survivor
 //!   blocks and major collections mark-sweep the mature space, so EPC
@@ -26,66 +25,16 @@
 //!   object alive, and [`Heap::is_live`] reads `false` from the
 //!   collection that reclaims the object on — the primitive
 //!   Montsalvat's GC helper builds on (§5.5).
-
-use std::time::Instant;
+//!
+//! The heap keeps no counts, clock or recorder of its own. It reports
+//! each allocation and each collection as one event to its one
+//! [`HeapObserver`], whichever collector runs; the application's world
+//! installs the observer that charges, counts and traces them.
 
 use crate::value::{ClassId, ObjId, Value};
 
 /// Per-object header bytes charged in the size model.
 pub const OBJECT_HEADER_BYTES: u64 = 16;
-
-/// Observer hooks for memory traffic, used to charge enclave costs.
-///
-/// All methods have empty defaults so observers implement only what they
-/// need. Implementations must be cheap; they run under the heap lock.
-///
-/// The semispace collector reports through [`HeapObserver::on_alloc`] /
-/// [`HeapObserver::on_gc_copy`] / [`HeapObserver::on_free`] exactly as
-/// before; the block collector splits residency from traffic: block
-/// commits/releases move EPC residency while `on_block_alloc`,
-/// `on_gc_mark` and `on_gc_blocks_touched` are pure traffic.
-pub trait HeapObserver: Send + Sync {
-    /// `bytes` of new allocation were committed (semispace path:
-    /// residency and write traffic in one).
-    fn on_alloc(&self, bytes: u64) {
-        let _ = bytes;
-    }
-    /// A collection copied `bytes` of live data (semispace copy phase,
-    /// or nursery evacuation under the block collector).
-    fn on_gc_copy(&self, bytes: u64) {
-        let _ = bytes;
-    }
-    /// `bytes` of dead data were reclaimed (semispace path).
-    fn on_free(&self, bytes: u64) {
-        let _ = bytes;
-    }
-    /// The block heap committed `bytes` of fresh block storage
-    /// (residency growth; the block analogue of the grow half of
-    /// [`HeapObserver::on_alloc`]).
-    fn on_block_commit(&self, bytes: u64) {
-        let _ = bytes;
-    }
-    /// `bytes` were written into already-committed blocks (allocation
-    /// write traffic without residency growth).
-    fn on_block_alloc(&self, bytes: u64) {
-        let _ = bytes;
-    }
-    /// The block heap released `bytes` of committed block storage back
-    /// to the OS (residency shrink).
-    fn on_block_release(&self, bytes: u64) {
-        let _ = bytes;
-    }
-    /// A collection marked `objects` live objects (block-collector
-    /// tracing work).
-    fn on_gc_mark(&self, objects: u64) {
-        let _ = objects;
-    }
-    /// A collection touched `blocks` distinct blocks of `block_bytes`
-    /// each (per-block EPC paging granule).
-    fn on_gc_blocks_touched(&self, blocks: u64, block_bytes: u64) {
-        let _ = (blocks, block_bytes);
-    }
-}
 
 /// Which collector implementation a heap runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -151,9 +100,9 @@ pub struct HeapConfig {
     /// Which collector implementation to run: the only collector
     /// switch (default semispace).
     pub collector: CollectorKind,
-    /// Block size for the block collector (ignored by semispace). The
-    /// heap hands it to [`HeapObserver::on_gc_blocks_touched`], so heap
-    /// geometry and EPC charging use the one granule.
+    /// Block size for the block collector (ignored by semispace). Each
+    /// [`CollectEvent`] carries it as the granule of its blocks touched,
+    /// so heap geometry and EPC charging use the one granule.
     pub block_bytes: u64,
     /// Nursery allocation volume between automatic minor collections
     /// (block collector only).
@@ -173,29 +122,6 @@ impl Default for HeapConfig {
     }
 }
 
-/// Counters describing heap activity since creation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HeapStats {
-    /// Completed collections (minor + major).
-    pub collections: u64,
-    /// Completed minor (nursery) collections.
-    pub minor_collections: u64,
-    /// Completed major (full) collections.
-    pub major_collections: u64,
-    /// Objects allocated.
-    pub objects_allocated: u64,
-    /// Objects reclaimed by GC.
-    pub objects_freed: u64,
-    /// Bytes allocated.
-    pub bytes_allocated: u64,
-    /// Live bytes copied by all collections.
-    pub bytes_copied: u64,
-    /// Bytes reclaimed by all collections.
-    pub bytes_freed: u64,
-    /// Real time spent inside [`Heap::collect`], in nanoseconds.
-    pub gc_real_ns: u64,
-}
-
 /// Result of one collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcOutcome {
@@ -209,6 +135,55 @@ pub struct GcOutcome {
     pub bytes_freed: u64,
     /// Whether this was a minor (nursery-only) cycle.
     pub minor: bool,
+}
+
+/// What one allocation did, as the heap reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllocEvent {
+    /// The object's charged size, all of it written.
+    pub bytes: u64,
+    /// Fresh storage committed to hold it: the object itself under
+    /// semispace; a fresh block, or 0, under the block collector.
+    pub committed_bytes: u64,
+    /// Live bytes after the allocation.
+    pub live_bytes: u64,
+}
+
+/// What one collection did, as the heap reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CollectEvent {
+    /// What [`Heap::collect`] returns.
+    pub outcome: GcOutcome,
+    /// Objects the block collector's tracing marked (0 under
+    /// semispace, whose copy phase is charged per byte instead).
+    pub marked_objects: u64,
+    /// Distinct blocks read or written (0 under semispace).
+    pub blocks_touched: u64,
+    /// The granule of `blocks_touched` ([`HeapConfig::block_bytes`]).
+    pub block_bytes: u64,
+    /// Fresh storage committed by the cycle (survivor blocks).
+    pub committed_bytes: u64,
+    /// Committed storage released: the bytes freed under semispace,
+    /// the trimmed free blocks under the block collector.
+    pub released_bytes: u64,
+    /// Live bytes after the collection.
+    pub live_bytes: u64,
+    /// Block occupancy after the collection (`None` under semispace).
+    pub block_stats: Option<BlockStats>,
+}
+
+/// The one report path of a heap: every allocation and every collection
+/// is one event, whichever collector runs.
+///
+/// Both methods run under the heap lock, so they must be cheap.
+pub trait HeapObserver: Send + Sync {
+    /// One object was allocated.
+    fn on_alloc(&self, event: &AllocEvent);
+
+    /// A `kind` collection is due. `collect` runs it and returns what it
+    /// did; an observer calls it exactly once, so it can read a clock
+    /// or open a span before the collection and charge and count after.
+    fn on_collect(&self, kind: CollectKind, collect: &mut dyn FnMut() -> CollectEvent);
 }
 
 #[derive(Debug)]
@@ -232,25 +207,9 @@ pub(crate) struct Entry {
 pub(crate) struct AllocEffect {
     /// Storage reference the handle table should point at.
     pub(crate) store_ref: u32,
-    /// Fresh block bytes committed to satisfy the insert (0 when the
-    /// object fit in already-committed storage; semispace always 0).
+    /// Storage committed to satisfy the insert, as
+    /// [`AllocEvent::committed_bytes`] reports it.
     pub(crate) committed_bytes: u64,
-}
-
-/// What one collection did, beyond the externally visible
-/// [`GcOutcome`]: the work/residency figures the heap reports to the
-/// observer and recorder.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CollectResult {
-    pub(crate) outcome: GcOutcome,
-    /// Objects marked live by tracing.
-    pub(crate) marked_objects: u64,
-    /// Distinct blocks read or written by the cycle (0 for semispace).
-    pub(crate) blocks_touched: u64,
-    /// Fresh block bytes committed (survivor-space growth).
-    pub(crate) committed_bytes: u64,
-    /// Committed block bytes released back to the OS.
-    pub(crate) released_bytes: u64,
 }
 
 /// Handle-table view lent to a collector for the duration of one
@@ -302,10 +261,10 @@ impl GcCx<'_> {
 
 /// Storage + collection strategy behind the [`Heap`] facade.
 ///
-/// The facade owns handles, roots, stats, observers and
-/// telemetry; implementations own object storage and the trace /
-/// reclaim algorithm. All mutation happens under the heap's external
-/// lock, so implementations need no internal synchronisation.
+/// The facade owns handles, roots and the observer; implementations
+/// own object storage and the trace / reclaim algorithm. All mutation
+/// happens under the heap's external lock, so implementations need no
+/// internal synchronisation.
 pub(crate) trait Collector: std::fmt::Debug + Send {
     /// Which implementation this is.
     fn kind(&self) -> CollectorKind;
@@ -325,8 +284,9 @@ pub(crate) trait Collector: std::fmt::Debug + Send {
     /// Whether an automatic collection should run before the next
     /// allocation, and of which kind.
     fn due(&self, alloc_since_gc: u64, config: &HeapConfig) -> Option<CollectKind>;
-    /// Runs one collection over the handle table view.
-    fn collect(&mut self, kind: CollectKind, cx: &mut GcCx<'_>) -> CollectResult;
+    /// Runs one collection over the handle table view. The heap fills
+    /// in the event's live bytes, granule and block occupancy.
+    fn collect(&mut self, kind: CollectKind, cx: &mut GcCx<'_>) -> CollectEvent;
     /// Block occupancy, for heaps that have blocks.
     fn block_stats(&self) -> Option<BlockStats>;
 }
@@ -345,8 +305,9 @@ impl Collector for Semispace {
     }
 
     fn insert(&mut self, entry: Entry) -> AllocEffect {
+        let committed_bytes = entry.size;
         self.arena.push(entry);
-        AllocEffect { store_ref: (self.arena.len() - 1) as u32, committed_bytes: 0 }
+        AllocEffect { store_ref: (self.arena.len() - 1) as u32, committed_bytes }
     }
 
     fn entry(&self, store_ref: u32) -> &Entry {
@@ -371,7 +332,7 @@ impl Collector for Semispace {
         (alloc_since_gc >= config.gc_threshold_bytes).then_some(CollectKind::Major)
     }
 
-    fn collect(&mut self, _kind: CollectKind, cx: &mut GcCx<'_>) -> CollectResult {
+    fn collect(&mut self, _kind: CollectKind, cx: &mut GcCx<'_>) -> CollectEvent {
         let old_len = self.arena.len();
         // Trace: mark live arena entries via BFS from roots.
         let mut live = vec![false; old_len];
@@ -415,14 +376,8 @@ impl Collector for Semispace {
             }
         }
         self.arena = new_arena;
-        let marked = outcome.survivors as u64;
-        CollectResult {
-            outcome,
-            marked_objects: marked,
-            blocks_touched: 0,
-            committed_bytes: 0,
-            released_bytes: 0,
-        }
+        // Each object commits its own storage, so what dies is released.
+        CollectEvent { outcome, released_bytes: outcome.bytes_freed, ..CollectEvent::default() }
     }
 
     fn block_stats(&self) -> Option<BlockStats> {
@@ -481,27 +436,7 @@ pub struct Heap {
     roots: std::collections::HashMap<u32, u32>,
     live_bytes: u64,
     alloc_since_gc: u64,
-    stats: HeapStats,
     observer: Option<std::sync::Arc<dyn HeapObserver>>,
-    recorder: Option<std::sync::Arc<telemetry::Recorder>>,
-    trace: Option<TraceSink>,
-    /// The owner's model clock (total charged nanoseconds; the heap
-    /// itself has no cost clock). When installed, GC pauses are also
-    /// recorded in model time, and pause spans are stamped with it.
-    charge_clock: Option<std::sync::Arc<dyn Fn() -> u64 + Send + Sync>>,
-}
-
-/// Trace wiring installed by [`Heap::set_tracer`]: the sink and which
-/// runtime lane this heap's pauses belong to.
-struct TraceSink {
-    tracer: std::sync::Arc<telemetry::trace::Tracer>,
-    lane: telemetry::trace::Lane,
-}
-
-impl std::fmt::Debug for TraceSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSink").field("lane", &self.lane).finish_non_exhaustive()
-    }
 }
 
 impl std::fmt::Debug for Heap {
@@ -511,7 +446,6 @@ impl std::fmt::Debug for Heap {
             .field("live_objects", &self.store.len())
             .field("live_bytes", &self.live_bytes)
             .field("roots", &self.roots.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -533,52 +467,15 @@ impl Heap {
             roots: std::collections::HashMap::new(),
             live_bytes: 0,
             alloc_since_gc: 0,
-            stats: HeapStats::default(),
             observer: None,
-            recorder: None,
-            trace: None,
-            charge_clock: None,
         }
     }
 
-    /// Installs the traffic observer (e.g. the enclave charger). At most
-    /// one observer is supported; installing replaces the previous one.
+    /// Installs the observer this heap reports every allocation and
+    /// collection to. At most one observer is supported; installing
+    /// replaces the previous one.
     pub fn set_observer(&mut self, observer: std::sync::Arc<dyn HeapObserver>) {
         self.observer = Some(observer);
-    }
-
-    /// Installs the telemetry recorder this heap reports GC cycles,
-    /// allocation volume and pause times into. At most one recorder is
-    /// supported; installing replaces the previous one.
-    pub fn set_recorder(&mut self, recorder: std::sync::Arc<telemetry::Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Installs the trace sink GC pauses are reported into: `lane`
-    /// says which runtime this isolate's heap belongs to. Pause spans
-    /// are stamped with the charge clock ([`Heap::set_charge_clock`];
-    /// 0 until one is installed). A pause triggered mid-call nests
-    /// under the span active on the allocating thread.
-    pub fn set_tracer(
-        &mut self,
-        tracer: std::sync::Arc<telemetry::trace::Tracer>,
-        lane: telemetry::trace::Lane,
-    ) {
-        self.trace = Some(TraceSink { tracer, lane });
-    }
-
-    /// Installs the owner's model clock (typically
-    /// `move || cost.charged_ns()`). When present, each collection also
-    /// records its pause in *model* nanoseconds — the charged-cost delta
-    /// across the cycle — into `gc.pause_model_ns`, which is
-    /// reproducible run-to-run unlike the wall-clock pause.
-    pub fn set_charge_clock(&mut self, clock: std::sync::Arc<dyn Fn() -> u64 + Send + Sync>) {
-        self.charge_clock = Some(clock);
-    }
-
-    /// The configuration the heap was created with.
-    pub fn config(&self) -> &HeapConfig {
-        &self.config
     }
 
     /// Which collector implementation this heap runs.
@@ -589,11 +486,6 @@ impl Heap {
     /// Block occupancy counters (`None` under semispace).
     pub fn block_stats(&self) -> Option<BlockStats> {
         self.store.block_stats()
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> HeapStats {
-        self.stats
     }
 
     /// Bytes currently live (last-GC live set plus subsequent allocation).
@@ -645,24 +537,12 @@ impl Heap {
         self.slots[slot_idx as usize].target = Some(effect.store_ref);
         self.live_bytes += size;
         self.alloc_since_gc += size;
-        self.stats.objects_allocated += 1;
-        self.stats.bytes_allocated += size;
-        if let Some(obs) = &self.observer {
-            match self.store.kind() {
-                CollectorKind::Semispace => obs.on_alloc(size),
-                CollectorKind::Block => {
-                    if effect.committed_bytes > 0 {
-                        obs.on_block_commit(effect.committed_bytes);
-                    }
-                    obs.on_block_alloc(size);
-                }
-            }
-        }
-        if let Some(rec) = &self.recorder {
-            rec.incr(telemetry::Counter::HeapAllocObjects);
-            rec.add(telemetry::Counter::HeapAllocBytes, size);
-            rec.gauge_max(telemetry::Gauge::HeapLiveBytesPeak, self.live_bytes);
-            rec.gauge_set(telemetry::Gauge::HeapLiveBytes, self.live_bytes);
+        if let Some(observer) = &self.observer {
+            observer.on_alloc(&AllocEvent {
+                bytes: size,
+                committed_bytes: effect.committed_bytes,
+                live_bytes: self.live_bytes,
+            });
         }
         Ok(ObjId { index: slot_idx, gen: self.slots[slot_idx as usize].gen })
     }
@@ -763,100 +643,33 @@ impl Heap {
         self.collect_kind(kind)
     }
 
+    /// Runs a `kind` collection through the observer, which reports it.
     fn collect_kind(&mut self, kind: CollectKind) -> GcOutcome {
-        let started = Instant::now();
-        let charge_start = self.charge_clock.as_ref().map(|clock| clock());
-        // Open the pause span before any work so the cycle's MEE and
-        // paging charges (billed through the observer below) land
-        // inside it.
-        let gc_span = self.trace.as_ref().and_then(|sink| {
-            sink.tracer.start(
-                sink.lane,
-                "gc",
-                telemetry::trace::current(),
-                || self.charge_clock.as_ref().map_or(0, |clock| clock()),
-                || match kind {
-                    CollectKind::Minor => "gc:minor".to_owned(),
-                    CollectKind::Major => "gc:collect".to_owned(),
-                },
-            )
-        });
-        let result = {
-            let mut cx = GcCx {
-                slots: &mut self.slots,
-                free_slots: &mut self.free_slots,
-                roots: &self.roots,
-            };
-            self.store.collect(kind, &mut cx)
+        let Some(observer) = self.observer.clone() else {
+            return self.run_collection(kind).outcome;
         };
-        let mut outcome = result.outcome;
-        outcome.minor = kind == CollectKind::Minor;
-        self.live_bytes -= outcome.bytes_freed;
+        let mut outcome = GcOutcome::default();
+        observer.on_collect(kind, &mut || {
+            let event = self.run_collection(kind);
+            outcome = event.outcome;
+            event
+        });
+        outcome
+    }
+
+    fn run_collection(&mut self, kind: CollectKind) -> CollectEvent {
+        let mut cx =
+            GcCx { slots: &mut self.slots, free_slots: &mut self.free_slots, roots: &self.roots };
+        let mut event = self.store.collect(kind, &mut cx);
+        event.outcome.minor = kind == CollectKind::Minor;
+        self.live_bytes -= event.outcome.bytes_freed;
         if kind == CollectKind::Major {
             self.alloc_since_gc = 0;
         }
-        self.stats.collections += 1;
-        match kind {
-            CollectKind::Minor => self.stats.minor_collections += 1,
-            CollectKind::Major => self.stats.major_collections += 1,
-        }
-        self.stats.objects_freed += outcome.reclaimed as u64;
-        self.stats.bytes_copied += outcome.bytes_copied;
-        self.stats.bytes_freed += outcome.bytes_freed;
-        let pause_ns = started.elapsed().as_nanos() as u64;
-        self.stats.gc_real_ns += pause_ns;
-        if let Some(obs) = &self.observer {
-            match self.store.kind() {
-                CollectorKind::Semispace => {
-                    obs.on_gc_copy(outcome.bytes_copied);
-                    obs.on_free(outcome.bytes_freed);
-                }
-                CollectorKind::Block => {
-                    obs.on_gc_mark(result.marked_objects);
-                    obs.on_gc_blocks_touched(result.blocks_touched, self.config.block_bytes);
-                    if result.committed_bytes > 0 {
-                        obs.on_block_commit(result.committed_bytes);
-                    }
-                    obs.on_gc_copy(outcome.bytes_copied);
-                    if result.released_bytes > 0 {
-                        obs.on_block_release(result.released_bytes);
-                    }
-                }
-            }
-        }
-        if let Some(rec) = &self.recorder {
-            rec.incr(telemetry::Counter::GcCollections);
-            rec.incr(match kind {
-                CollectKind::Minor => telemetry::Counter::GcMinorCollections,
-                CollectKind::Major => telemetry::Counter::GcMajorCollections,
-            });
-            rec.add(telemetry::Counter::GcBytesCopied, outcome.bytes_copied);
-            rec.add(telemetry::Counter::GcBytesFreed, outcome.bytes_freed);
-            rec.record(telemetry::Hist::GcPauseNs, pause_ns);
-            rec.record(
-                match kind {
-                    CollectKind::Minor => telemetry::Hist::GcMinorPauseNs,
-                    CollectKind::Major => telemetry::Hist::GcMajorPauseNs,
-                },
-                pause_ns,
-            );
-            // Deterministic model-time pause: charged-cost delta across
-            // the cycle, read after observer charges have landed.
-            if let (Some(clock), Some(start)) = (&self.charge_clock, charge_start) {
-                rec.record(telemetry::Hist::GcPauseModelNs, clock().saturating_sub(start));
-            }
-            // Post-collection live level: the flight recorder's
-            // per-window heap residency sample.
-            rec.gauge_set(telemetry::Gauge::HeapLiveBytes, self.live_bytes);
-            if let Some(bs) = self.store.block_stats() {
-                rec.gauge_set(telemetry::Gauge::GcBlocksLive, bs.live_blocks);
-                rec.gauge_set(telemetry::Gauge::GcBlocksFree, bs.free_blocks);
-            }
-        }
-        if let (Some(sink), Some(span)) = (&self.trace, gc_span) {
-            sink.tracer.finish(span, self.charge_clock.as_ref().map_or(0, |clock| clock()));
-        }
-        outcome
+        event.live_bytes = self.live_bytes;
+        event.block_bytes = self.config.block_bytes;
+        event.block_stats = self.store.block_stats();
+        event
     }
 
     /// Iterates over all live objects as `(id, class, fields)`.
@@ -877,13 +690,50 @@ impl Heap {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use parking_lot::Mutex;
     use std::sync::Arc;
 
+    /// Keeps every event a heap reports.
+    #[derive(Debug, Default)]
+    pub(crate) struct Events {
+        pub(crate) allocs: Mutex<Vec<AllocEvent>>,
+        pub(crate) collects: Mutex<Vec<(CollectKind, CollectEvent)>>,
+    }
+
+    impl Events {
+        /// A heap over `config` that reports to a fresh `Events`.
+        pub(crate) fn heap(config: HeapConfig) -> (Heap, Arc<Events>) {
+            let events = Arc::new(Events::default());
+            let mut heap = Heap::new(config);
+            heap.set_observer(events.clone());
+            (heap, events)
+        }
+
+        /// Collections of `kind` reported so far.
+        pub(crate) fn count(&self, kind: CollectKind) -> usize {
+            self.collects.lock().iter().filter(|(k, _)| *k == kind).count()
+        }
+    }
+
+    impl HeapObserver for Events {
+        fn on_alloc(&self, event: &AllocEvent) {
+            self.allocs.lock().push(*event);
+        }
+
+        fn on_collect(&self, kind: CollectKind, collect: &mut dyn FnMut() -> CollectEvent) {
+            let event = collect();
+            self.collects.lock().push((kind, event));
+        }
+    }
+
+    fn config() -> HeapConfig {
+        HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() }
+    }
+
     fn heap() -> Heap {
-        Heap::new(HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() })
+        Heap::new(config())
     }
 
     #[test]
@@ -915,29 +765,6 @@ mod tests {
         assert!(!h.is_live(id));
         assert_eq!(h.live_objects(), 0);
         assert_eq!(h.live_bytes(), 0);
-    }
-
-    #[test]
-    fn recorder_sees_alloc_and_gc_activity() {
-        use telemetry::{Counter, Gauge, Hist, Recorder};
-        let rec = Recorder::new();
-        let mut h = heap();
-        h.set_recorder(rec.clone());
-        let keep = h.alloc(ClassId(0), vec![Value::Int(1)]).unwrap();
-        h.add_root(keep);
-        h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 64])]).unwrap();
-        let live_before_gc = h.live_bytes();
-        let out = h.collect();
-        assert_eq!(rec.counter(Counter::HeapAllocObjects), 2);
-        assert_eq!(rec.counter(Counter::HeapAllocBytes), h.stats().bytes_allocated);
-        assert_eq!(rec.gauge(Gauge::HeapLiveBytesPeak), live_before_gc);
-        assert_eq!(rec.counter(Counter::GcCollections), 1);
-        assert_eq!(rec.counter(Counter::GcMajorCollections), 1);
-        assert_eq!(rec.counter(Counter::GcMinorCollections), 0);
-        assert_eq!(rec.counter(Counter::GcBytesFreed), out.bytes_freed);
-        assert_eq!(rec.counter(Counter::GcBytesCopied), out.bytes_copied);
-        assert_eq!(rec.snapshot().hist(Hist::GcPauseNs).count, 1);
-        assert_eq!(rec.snapshot().hist(Hist::GcMajorPauseNs).count, 1);
     }
 
     #[test]
@@ -989,11 +816,12 @@ mod tests {
 
     #[test]
     fn auto_gc_triggers_on_threshold() {
-        let mut h = Heap::new(HeapConfig { gc_threshold_bytes: 1024, ..HeapConfig::default() });
+        let (mut h, events) =
+            Events::heap(HeapConfig { gc_threshold_bytes: 1024, ..HeapConfig::default() });
         for _ in 0..200 {
             h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 64])]).unwrap();
         }
-        assert!(h.stats().collections > 0, "automatic GC ran");
+        assert!(events.count(CollectKind::Major) > 0, "automatic GC ran");
         assert!(h.live_objects() < 200, "garbage was reclaimed");
     }
 
@@ -1027,34 +855,26 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_alloc_copy_free() {
-        #[derive(Default)]
-        struct Counter {
-            alloc: AtomicU64,
-            copied: AtomicU64,
-            freed: AtomicU64,
-        }
-        impl HeapObserver for Counter {
-            fn on_alloc(&self, b: u64) {
-                self.alloc.fetch_add(b, Ordering::Relaxed);
-            }
-            fn on_gc_copy(&self, b: u64) {
-                self.copied.fetch_add(b, Ordering::Relaxed);
-            }
-            fn on_free(&self, b: u64) {
-                self.freed.fetch_add(b, Ordering::Relaxed);
-            }
-        }
-        let counter = Arc::new(Counter::default());
-        let mut h = heap();
-        h.set_observer(counter.clone());
+    fn a_semispace_commits_each_object_and_releases_what_it_frees() {
+        let (mut h, events) = Events::heap(config());
         let live = h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 100])]).unwrap();
         h.add_root(live);
         h.alloc(ClassId(0), vec![Value::Bytes(vec![0; 50])]).unwrap();
-        h.collect();
-        assert!(counter.alloc.load(Ordering::Relaxed) >= 150);
-        assert!(counter.copied.load(Ordering::Relaxed) >= 100);
-        assert!(counter.freed.load(Ordering::Relaxed) >= 50);
+        let out = h.collect();
+        let allocs = events.allocs.lock().clone();
+        assert_eq!(allocs.len(), 2);
+        for event in &allocs {
+            assert_eq!(event.committed_bytes, event.bytes, "each object commits itself");
+        }
+        assert_eq!(allocs[1].live_bytes, allocs[0].bytes + allocs[1].bytes);
+        let collects = events.collects.lock().clone();
+        let [(CollectKind::Major, event)] = collects[..] else { panic!("{collects:?}") };
+        assert_eq!(event.outcome, out);
+        assert_eq!((out.bytes_copied, out.bytes_freed), (allocs[0].bytes, allocs[1].bytes));
+        assert_eq!(event.released_bytes, out.bytes_freed);
+        assert_eq!((event.committed_bytes, event.marked_objects, event.blocks_touched), (0, 0, 0));
+        assert_eq!(event.live_bytes, h.live_bytes());
+        assert_eq!(event.block_stats, None);
     }
 
     #[test]
@@ -1088,7 +908,7 @@ mod tests {
 
     #[test]
     fn semispace_has_no_block_stats_and_promotes_minor() {
-        let mut h = heap();
+        let (mut h, events) = Events::heap(config());
         assert_eq!(h.collector_kind(), CollectorKind::Semispace);
         assert_eq!(CollectorKind::Semispace.name(), "semispace");
         assert_eq!(CollectorKind::Block.name(), "block");
@@ -1096,24 +916,7 @@ mod tests {
         let id = h.alloc(ClassId(0), vec![]).unwrap();
         let out = h.collect_minor();
         assert!(!out.minor, "semispace promotes minor to major");
-        assert_eq!(h.stats().major_collections, 1);
-        assert_eq!(h.stats().minor_collections, 0);
+        assert_eq!((events.count(CollectKind::Major), events.count(CollectKind::Minor)), (1, 0));
         assert!(!h.is_live(id));
-    }
-
-    #[test]
-    fn charge_clock_records_model_pause() {
-        use telemetry::{Hist, Recorder};
-        let rec = Recorder::new();
-        let mut h = heap();
-        h.set_recorder(rec.clone());
-        // A fixed clock yields zero-width pauses but still one sample
-        // per collection.
-        h.set_charge_clock(Arc::new(|| 7));
-        h.collect();
-        h.collect();
-        let snap = rec.snapshot();
-        assert_eq!(snap.hist(Hist::GcPauseModelNs).count, 2);
-        assert_eq!(snap.hist(Hist::GcPauseModelNs).sum, 0, "fixed clock → zero-width pauses");
     }
 }

@@ -6,14 +6,13 @@
 //! runtime — trusted and untrusted — and those isolates provide the
 //! execution contexts for all entry-point methods.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::heap::{Heap, HeapConfig};
 
-/// A named, independently collected heap.
+/// An independently collected heap.
 ///
 /// The heap is behind a mutex: `&mut Heap` operations (allocation, GC)
 /// are stop-the-world *for this isolate only*, which is exactly the
@@ -26,37 +25,19 @@ use crate::heap::{Heap, HeapConfig};
 /// use runtime_sim::heap::HeapConfig;
 /// use runtime_sim::value::{ClassId, Value};
 ///
-/// let trusted = Isolate::new("trusted", HeapConfig::default());
+/// let trusted = Isolate::new(HeapConfig::default());
 /// let id = trusted.with_heap(|h| h.alloc(ClassId(0), vec![Value::Int(1)])).unwrap();
 /// assert!(trusted.with_heap(|h| h.is_live(id)));
 /// ```
 #[derive(Debug)]
 pub struct Isolate {
-    id: u64,
-    name: String,
     heap: Mutex<Heap>,
 }
 
-static NEXT_ISOLATE_ID: AtomicU64 = AtomicU64::new(1);
-
 impl Isolate {
     /// Creates an isolate with a fresh heap.
-    pub fn new(name: impl Into<String>, config: HeapConfig) -> Arc<Self> {
-        Arc::new(Isolate {
-            id: NEXT_ISOLATE_ID.fetch_add(1, Ordering::Relaxed),
-            name: name.into(),
-            heap: Mutex::new(Heap::new(config)),
-        })
-    }
-
-    /// Process-unique isolate id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The isolate's name (e.g. `"trusted"`).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new(config: HeapConfig) -> Arc<Self> {
+        Arc::new(Isolate { heap: Mutex::new(Heap::new(config)) })
     }
 
     /// Runs `f` with exclusive access to the heap.
@@ -77,18 +58,9 @@ mod tests {
     use crate::value::{ClassId, Value};
 
     #[test]
-    fn isolates_have_unique_ids_and_names() {
-        let a = Isolate::new("trusted", HeapConfig::default());
-        let b = Isolate::new("untrusted", HeapConfig::default());
-        assert_ne!(a.id(), b.id());
-        assert_eq!(a.name(), "trusted");
-        assert_eq!(b.name(), "untrusted");
-    }
-
-    #[test]
     fn heaps_are_independent() {
-        let a = Isolate::new("a", HeapConfig::default());
-        let b = Isolate::new("b", HeapConfig::default());
+        let a = Isolate::new(HeapConfig::default());
+        let b = Isolate::new(HeapConfig::default());
         let id = a.with_heap(|h| h.alloc(ClassId(0), vec![Value::Int(5)])).unwrap();
         a.with_heap(|h| h.add_root(id));
         // Collecting b never touches a's objects.
@@ -101,7 +73,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_serialised() {
-        let iso = Isolate::new("shared", HeapConfig::default());
+        let iso = Isolate::new(HeapConfig::default());
         let mut handles = Vec::new();
         for _ in 0..4 {
             let iso = Arc::clone(&iso);

@@ -9,9 +9,11 @@
 //!   object handles ([`ObjId`]);
 //! - [`heap`] — pluggable collectors (the paper's stop-and-copy
 //!   semispace plus a segmented generational block heap) behind
-//!   generational handles, which double as weak references, and a
-//!   [`HeapObserver`] hook that lets the enclave simulator charge
-//!   MEE/EPC costs for heap traffic;
+//!   generational handles, which double as weak references. A heap
+//!   reports each allocation and each collection as one event to one
+//!   [`HeapObserver`], through which the application charges the
+//!   enclave and counts and traces heap activity; the heap keeps no
+//!   counts of its own;
 //! - [`isolate`] — independently collected heaps, one per runtime;
 //! - [`image`] — heap snapshots carried from build time to run time.
 //!
@@ -22,7 +24,7 @@
 //! use runtime_sim::isolate::Isolate;
 //! use runtime_sim::value::{ClassId, Value};
 //!
-//! let isolate = Isolate::new("untrusted", HeapConfig::default());
+//! let isolate = Isolate::new(HeapConfig::default());
 //! let person = isolate
 //!     .with_heap(|h| h.alloc(ClassId(1), vec![Value::from("Alice"), Value::Int(100)]))
 //!     .expect("allocation fits a fresh heap");
@@ -41,7 +43,8 @@ pub mod isolate;
 pub mod value;
 
 pub use heap::{
-    BlockStats, CollectorKind, GcOutcome, Heap, HeapConfig, HeapObserver, HeapStats, OutOfMemory,
+    AllocEvent, BlockStats, CollectEvent, CollectorKind, GcOutcome, Heap, HeapConfig, HeapObserver,
+    OutOfMemory,
 };
 pub use image::ImageHeap;
 pub use isolate::Isolate;

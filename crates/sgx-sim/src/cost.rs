@@ -243,11 +243,6 @@ impl CostModel {
         &self.tracer
     }
 
-    /// The clock mode selected at construction.
-    pub fn mode(&self) -> ClockMode {
-        self.mode
-    }
-
     /// Charges `ns` nanoseconds of modelled time.
     ///
     /// In [`ClockMode::Spin`] this busy-waits; in [`ClockMode::Virtual`]

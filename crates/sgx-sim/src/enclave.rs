@@ -1,15 +1,16 @@
 //! Simulated enclave lifecycle, transitions and attestation.
 //!
 //! An [`Enclave`] is the meeting point of the whole cost model: it owns
-//! the [`EpcState`] for its memory, counts
-//! ecall/ocall transitions, and charges the shared
-//! [`CostModel`] for every modelled effect.
+//! the [`EpcState`] for its memory, counts ecall/ocall transitions,
+//! traffic and EPC faults into the cost model's recorder, and charges
+//! the shared [`CostModel`] for every modelled effect. It keeps no
+//! counts of its own: [`Enclave::recorder`] is where they are read.
 //!
 //! Trusted code is represented as closures executed under
 //! [`Enclave::ecall`]; untrusted relays run under [`Enclave::ocall`].
 //! The closure-based design keeps the simulation honest: every crossing
-//! in the system is forced through these two functions, so the counters
-//! reported by [`Enclave::stats`] are ground truth for the experiments.
+//! in the system is forced through these two functions, so the counts
+//! they record are ground truth for the experiments.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,8 +31,6 @@ pub struct EnclaveConfig {
     pub heap_max: u64,
     /// Maximum enclave stack size in bytes (paper uses 8 MB, §6.1).
     pub stack_max: u64,
-    /// Debug enclaves allow inspection; production enclaves do not.
-    pub debug: bool,
     /// Failure injection: the enclave is "lost" after serving this many
     /// transitions (simulates power transitions / TCB recovery). `None`
     /// disables injection.
@@ -43,7 +42,6 @@ impl Default for EnclaveConfig {
         EnclaveConfig {
             heap_max: 4 * 1024 * 1024 * 1024,
             stack_max: 8 * 1024 * 1024,
-            debug: false,
             fail_after_transitions: None,
         }
     }
@@ -88,23 +86,6 @@ impl Measurement {
     }
 }
 
-/// Snapshot of an enclave's transition counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransitionStats {
-    /// Calls *into* the enclave.
-    pub ecalls: u64,
-    /// Calls *out of* the enclave.
-    pub ocalls: u64,
-    /// Bytes marshalled inward across the boundary.
-    pub bytes_in: u64,
-    /// Bytes marshalled outward across the boundary.
-    pub bytes_out: u64,
-    /// EPC page faults charged.
-    pub epc_faults: u64,
-    /// In-enclave heap traffic charged through the MEE, in bytes.
-    pub mee_bytes: u64,
-}
-
 /// Attestation quote stub (remote attestation, §4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
@@ -126,19 +107,19 @@ pub struct Quote {
 /// use std::sync::Arc;
 /// use sgx_sim::cost::{ClockMode, CostModel, CostParams};
 /// use sgx_sim::enclave::{Enclave, EnclaveConfig};
+/// use telemetry::Counter;
 ///
 /// # fn main() -> Result<(), sgx_sim::SgxError> {
 /// let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
 /// let enclave = Enclave::create(&EnclaveConfig::default(), b"image bytes", cost)?;
 /// let sum = enclave.ecall("add", 16, || 2 + 2)?;
 /// assert_eq!(sum, 4);
-/// assert_eq!(enclave.stats().ecalls, 1);
+/// assert_eq!(enclave.recorder().counter(Counter::Ecalls), 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct Enclave {
-    id: u64,
     measurement: Measurement,
     config: EnclaveConfig,
     cost: Arc<CostModel>,
@@ -149,10 +130,10 @@ pub struct Enclave {
     lost: AtomicBool,
 }
 
-static NEXT_ENCLAVE_ID: AtomicU64 = AtomicU64::new(1);
-
 impl Enclave {
-    /// Creates (loads and initialises) an enclave from an image.
+    /// Creates (loads and initialises) an enclave measured over `image`.
+    /// Nothing is committed to the EPC yet: the launcher commits the
+    /// image with [`Enclave::alloc_heap`] when it runs inside.
     ///
     /// # Errors
     ///
@@ -171,29 +152,14 @@ impl Enclave {
                 reason: "heap_max and stack_max must be non-zero".into(),
             });
         }
-        // Loading the image measures and EPC-commits its pages.
-        let measurement = Measurement::of(image);
-        let mut epc = EpcState::new();
-        let charge = epc.grow(image.len() as u64, cost.params());
-        cost.charge_ns(charge.ns);
-        let recorder = cost.recorder();
-        recorder.add(Counter::EpcFaults, charge.faults);
-        recorder.gauge_max(Gauge::EpcResidentPeak, epc.resident_bytes());
-        recorder.gauge_set(Gauge::EpcResident, epc.resident_bytes());
         Ok(Arc::new(Enclave {
-            id: NEXT_ENCLAVE_ID.fetch_add(1, Ordering::Relaxed),
-            measurement,
+            measurement: Measurement::of(image),
             config: config.clone(),
             cost,
-            epc: Mutex::new(epc),
+            epc: Mutex::new(EpcState::new()),
             transitions_served: AtomicU64::new(0),
             lost: AtomicBool::new(false),
         }))
-    }
-
-    /// The enclave's unique id within this process.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// The enclave measurement (MRENCLAVE analogue).
@@ -201,41 +167,15 @@ impl Enclave {
         self.measurement
     }
 
-    /// The configuration this enclave was created with.
-    pub fn config(&self) -> &EnclaveConfig {
-        &self.config
-    }
-
     /// The shared cost model.
     pub fn cost(&self) -> &Arc<CostModel> {
         &self.cost
     }
 
-    /// The telemetry recorder this enclave reports transitions into
-    /// (the cost model's recorder).
+    /// The telemetry recorder this enclave counts its transitions,
+    /// traffic and EPC faults into (the cost model's recorder).
     pub fn recorder(&self) -> &Arc<Recorder> {
         self.cost.recorder()
-    }
-
-    /// Current transition counters.
-    ///
-    /// Since the telemetry subsystem landed this is a *view* over the
-    /// shared [`Recorder`]: the enclave no longer keeps bespoke atomic
-    /// counters, so these numbers are by construction identical to the
-    /// `sgx.*` counters in an exported snapshot. (Each enclave gets its
-    /// own recorder via its cost model unless a caller explicitly
-    /// shares one across enclaves.)
-    pub fn stats(&self) -> TransitionStats {
-        let epc = self.epc.lock();
-        let recorder = self.cost.recorder();
-        TransitionStats {
-            ecalls: recorder.counter(Counter::Ecalls),
-            ocalls: recorder.counter(Counter::Ocalls),
-            bytes_in: recorder.counter(Counter::BytesIn),
-            bytes_out: recorder.counter(Counter::BytesOut),
-            epc_faults: epc.faults(),
-            mee_bytes: recorder.counter(Counter::MeeBytes),
-        }
     }
 
     /// Bytes currently resident in the EPC for this enclave.
@@ -519,9 +459,9 @@ mod tests {
         let before = e.cost().charged();
         e.ecall("f", 100, || ()).unwrap();
         e.ocall("g", 200, || ()).unwrap();
-        let s = e.stats();
-        assert_eq!((s.ecalls, s.ocalls), (1, 1));
-        assert_eq!((s.bytes_in, s.bytes_out), (100, 200));
+        let r = e.recorder();
+        assert_eq!((r.counter(Counter::Ecalls), r.counter(Counter::Ocalls)), (1, 1));
+        assert_eq!((r.counter(Counter::BytesIn), r.counter(Counter::BytesOut)), (100, 200));
         assert!(e.cost().charged() > before);
     }
 
@@ -560,7 +500,7 @@ mod tests {
         let before = e.cost().charged();
         e.charge_heap_traffic(1_000_000);
         assert!(e.cost().charged() > before);
-        assert_eq!(e.stats().mee_bytes, 1_000_000);
+        assert_eq!(e.recorder().counter(Counter::MeeBytes), 1_000_000);
     }
 
     #[test]
@@ -571,39 +511,44 @@ mod tests {
         ));
         let e = Enclave::create(&EnclaveConfig::default(), b"i", cost).unwrap();
         e.alloc_heap(256 * 1024).unwrap();
-        assert!(e.stats().epc_faults > 0);
+        assert!(e.recorder().counter(Counter::EpcFaults) > 0);
     }
 
     #[test]
-    fn stats_are_a_view_over_the_recorder() {
+    fn transitions_and_traffic_count_into_the_recorder() {
         let e = enclave();
         e.ecall("f", 64, || ()).unwrap();
         e.ocall("shim_write", 32, || ()).unwrap();
         e.charge_heap_traffic(500);
-        let s = e.stats();
         let r = e.recorder();
-        assert_eq!(s.ecalls, r.counter(Counter::Ecalls));
-        assert_eq!(s.ocalls, r.counter(Counter::Ocalls));
-        assert_eq!(s.bytes_in, r.counter(Counter::BytesIn));
-        assert_eq!(s.bytes_out, r.counter(Counter::BytesOut));
-        assert_eq!(s.mee_bytes, r.counter(Counter::MeeBytes));
-        assert_eq!(s.epc_faults, r.counter(Counter::EpcFaults));
+        assert_eq!((r.counter(Counter::Ecalls), r.counter(Counter::Ocalls)), (1, 1));
+        assert_eq!((r.counter(Counter::BytesIn), r.counter(Counter::BytesOut)), (64, 32));
+        assert_eq!(r.counter(Counter::MeeBytes), 500);
         assert_eq!(r.counter(Counter::ShimOcalls), 1);
         assert_eq!(r.counter(Counter::EdlDispatches), 2);
-        assert_eq!(e.recorder().snapshot().hist(telemetry::Hist::CrossingBytes).count, 2);
+        assert_eq!(r.snapshot().hist(telemetry::Hist::CrossingBytes).count, 2);
     }
 
     #[test]
-    fn epc_fault_mirror_matches_paging_model() {
+    fn recorded_epc_faults_and_residency_follow_the_paging_model() {
         let cost = Arc::new(CostModel::new(
             CostParams { epc_usable_bytes: 64 * 1024, ..CostParams::default() },
             ClockMode::Virtual,
         ));
         let e = Enclave::create(&EnclaveConfig::default(), b"i", cost).unwrap();
+        assert_eq!(e.epc_resident_bytes(), 0, "creating an enclave commits nothing");
         e.alloc_heap(256 * 1024).unwrap();
         e.charge_heap_traffic(512 * 1024);
-        assert_eq!(e.stats().epc_faults, e.recorder().counter(Counter::EpcFaults));
-        assert!(e.stats().epc_faults > 0);
+        e.free_heap(64 * 1024);
+        let params = e.cost().params();
+        let mut model = EpcState::new();
+        let faults = model.grow(256 * 1024, params).faults + model.touch(512 * 1024, params).faults;
+        assert!(faults > 0);
+        let r = e.recorder();
+        assert_eq!(r.counter(Counter::EpcFaults), faults);
+        assert_eq!(r.gauge(Gauge::EpcResidentPeak), 256 * 1024);
+        assert_eq!(r.gauge(Gauge::EpcResident), 192 * 1024);
+        assert_eq!(e.epc_resident_bytes(), 192 * 1024);
     }
 
     #[test]

@@ -14,12 +14,11 @@ use crate::cost::CostParams;
 /// The model is deterministic: growth beyond the usable EPC charges one
 /// page swap per newly over-committed page, and heap *traffic* while
 /// over-committed pays a proportional fault surcharge (a fraction of
-/// touched pages miss the EPC).
+/// touched pages miss the EPC). It keeps only the resident bytes: each
+/// step hands its faults to the caller, which records them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EpcState {
     resident_bytes: u64,
-    peak_bytes: u64,
-    faults: u64,
 }
 
 /// Outcome of an EPC accounting step: nanoseconds to charge and the
@@ -43,16 +42,6 @@ impl EpcState {
         self.resident_bytes
     }
 
-    /// High-water mark of resident bytes.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes
-    }
-
-    /// Total page faults charged so far.
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
     /// Whether the resident set currently exceeds the usable EPC.
     pub fn over_committed(&self, params: &CostParams) -> bool {
         self.resident_bytes > params.epc_usable_bytes
@@ -64,12 +53,10 @@ impl EpcState {
     pub fn grow(&mut self, bytes: u64, params: &CostParams) -> EpcCharge {
         let before = self.resident_bytes;
         self.resident_bytes += bytes;
-        self.peak_bytes = self.peak_bytes.max(self.resident_bytes);
         let over_before = before.saturating_sub(params.epc_usable_bytes);
         let over_after = self.resident_bytes.saturating_sub(params.epc_usable_bytes);
         let new_over = over_after.saturating_sub(over_before);
         let faults = new_over.div_ceil(params.epc_page_bytes.max(1));
-        self.faults += faults;
         EpcCharge { ns: faults * params.epc_fault_ns, faults }
     }
 
@@ -82,7 +69,7 @@ impl EpcState {
     /// Charges for `bytes` of heap traffic (reads/writes of enclave
     /// memory). While over-committed, a fraction of touched pages equal
     /// to the over-commit ratio is assumed to miss the EPC and swap.
-    pub fn touch(&mut self, bytes: u64, params: &CostParams) -> EpcCharge {
+    pub fn touch(&self, bytes: u64, params: &CostParams) -> EpcCharge {
         if !self.over_committed(params) || bytes == 0 {
             return EpcCharge::default();
         }
@@ -91,7 +78,6 @@ impl EpcState {
         let miss_ratio = over as f64 / self.resident_bytes as f64;
         let pages_touched = bytes.div_ceil(params.epc_page_bytes.max(1));
         let faults = (pages_touched as f64 * miss_ratio).ceil() as u64;
-        self.faults += faults;
         EpcCharge { ns: faults * params.epc_fault_ns, faults }
     }
 
@@ -102,12 +88,7 @@ impl EpcState {
     /// per block, and the same over-commit miss ratio as
     /// [`EpcState::touch`] decides how many of those pages swap. Free
     /// while the enclave fits the usable EPC, like all touch traffic.
-    pub fn touch_blocks(
-        &mut self,
-        blocks: u64,
-        block_bytes: u64,
-        params: &CostParams,
-    ) -> EpcCharge {
+    pub fn touch_blocks(&self, blocks: u64, block_bytes: u64, params: &CostParams) -> EpcCharge {
         if !self.over_committed(params) || blocks == 0 || block_bytes == 0 {
             return EpcCharge::default();
         }
@@ -115,7 +96,6 @@ impl EpcState {
         let miss_ratio = over as f64 / self.resident_bytes as f64;
         let pages_per_block = block_bytes.div_ceil(params.epc_page_bytes.max(1));
         let faults = (blocks as f64 * pages_per_block as f64 * miss_ratio).ceil() as u64;
-        self.faults += faults;
         EpcCharge { ns: faults * params.epc_fault_ns, faults }
     }
 }
@@ -161,7 +141,7 @@ mod tests {
         e.grow(2 * 1024 * 1024, &p);
         e.shrink(1536 * 1024);
         assert!(!e.over_committed(&p));
-        assert_eq!(e.peak_bytes(), 2 * 1024 * 1024);
+        assert_eq!(e.resident_bytes(), 512 * 1024);
     }
 
     #[test]
@@ -209,15 +189,5 @@ mod tests {
             s.touch(1000, &p)
         };
         assert!(c.faults > flat.faults, "per-block rounding charges each block's page");
-    }
-
-    #[test]
-    fn faults_accumulate() {
-        let p = params();
-        let mut e = EpcState::new();
-        e.grow(2 * 1024 * 1024, &p);
-        let before = e.faults();
-        e.touch(100 * 4096, &p);
-        assert!(e.faults() > before);
     }
 }

@@ -20,9 +20,10 @@
 //! - the EDL interface description consumed by Edger8r (§2.1) —
 //!   [`edl`].
 //!
-//! Counters ([`enclave::TransitionStats`]) record ground-truth event
-//! counts so experiments report *measured* crossings/bytes/faults, with
-//! only the unit costs taken from the paper and its citations.
+//! Every event is counted once, into the cost model's telemetry
+//! recorder ([`enclave::Enclave::recorder`]), so experiments report
+//! *measured* crossings/bytes/faults, with only the unit costs taken
+//! from the paper and its citations.
 //!
 //! # Examples
 //!
@@ -30,6 +31,7 @@
 //! use std::sync::Arc;
 //! use sgx_sim::cost::{ClockMode, CostModel, CostParams};
 //! use sgx_sim::enclave::{Enclave, EnclaveConfig};
+//! use telemetry::Counter;
 //!
 //! # fn main() -> Result<(), sgx_sim::SgxError> {
 //! let cost = Arc::new(CostModel::new(CostParams::paper_defaults(), ClockMode::Virtual));
@@ -38,7 +40,7 @@
 //! // Trusted work happens under an ecall and is counted + charged.
 //! let secret_len = enclave.ecall("ecall_process", 32, || "hunter2".len())?;
 //! assert_eq!(secret_len, 7);
-//! assert_eq!(enclave.stats().ecalls, 1);
+//! assert_eq!(enclave.recorder().counter(Counter::Ecalls), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -54,5 +56,8 @@ pub mod error;
 pub mod shim;
 
 pub use cost::{ClockMode, CostModel, CostParams};
-pub use enclave::{Enclave, EnclaveConfig, Measurement, Quote, TransitionStats};
+pub use enclave::{Enclave, EnclaveConfig, Measurement, Quote};
 pub use error::SgxError;
+/// The metrics crate behind [`Enclave::recorder`], so a user of this
+/// crate can read the enclave's counts without depending on it.
+pub use telemetry;

@@ -53,12 +53,13 @@ fn host_op<R>(
 /// # use sgx_sim::cost::{ClockMode, CostModel, CostParams};
 /// # use sgx_sim::enclave::{Enclave, EnclaveConfig};
 /// # use sgx_sim::shim::IoBackend;
+/// # use telemetry::Counter;
 /// # fn main() -> Result<(), sgx_sim::SgxError> {
 /// # let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
 /// # let enclave = Enclave::create(&EnclaveConfig::default(), b"img", cost)?;
 /// let mut f = IoBackend::Enclave(Arc::clone(&enclave)).create("/tmp/secret.bin")?;
 /// f.write_all(b"sealed data")?; // one ocall
-/// assert!(enclave.stats().ocalls >= 2); // create + write
+/// assert!(enclave.recorder().counter(Counter::Ocalls) >= 2); // create + write
 /// # Ok(())
 /// # }
 /// ```
@@ -188,10 +189,10 @@ mod tests {
         let mut buf = [0u8; 13];
         f.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hello enclave");
-        let s = e.stats();
+        let r = e.recorder();
         // create + write + seek + read = 4 ocalls
-        assert_eq!(s.ocalls, 4);
-        assert!(s.bytes_out >= 13);
+        assert_eq!(r.counter(telemetry::Counter::Ocalls), 4);
+        assert!(r.counter(telemetry::Counter::BytesOut) >= 13);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -201,7 +202,7 @@ mod tests {
         let path = temp_path("host");
         let mut f = IoBackend::Host.create(&path).unwrap();
         f.write_all(b"plain").unwrap();
-        assert_eq!(e.stats().ocalls, 0);
+        assert_eq!(e.recorder().counter(telemetry::Counter::Ocalls), 0);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -48,7 +48,6 @@ proptest! {
                 expected = expected.saturating_sub(bytes);
             }
             prop_assert_eq!(epc.resident_bytes(), expected);
-            prop_assert!(epc.peak_bytes() >= epc.resident_bytes());
         }
     }
 

@@ -44,11 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     app.run_main()?;
 
-    let stats = app.sgx_stats();
+    let stats = app.telemetry_snapshot();
     println!("\nafter main():");
-    println!("  ecalls: {}, ocalls: {}", stats.ecalls, stats.ocalls);
-    println!("  bytes marshalled in: {}", stats.bytes_in);
-    println!("  MEE-charged enclave heap traffic: {} B", stats.mee_bytes);
+    println!(
+        "  ecalls: {}, ocalls: {}",
+        stats.counter(Counter::Ecalls),
+        stats.counter(Counter::Ocalls)
+    );
+    println!("  bytes marshalled in: {}", stats.counter(Counter::BytesIn));
+    println!("  MEE-charged enclave heap traffic: {} B", stats.counter(Counter::MeeBytes));
     println!("  mirrors in enclave registry: {}", app.registry_len(Side::Trusted));
     println!("  proxies created: {}", app.telemetry().counter(Counter::ProxiesCreated));
     app.shutdown();

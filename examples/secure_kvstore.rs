@@ -112,14 +112,14 @@ fn run_scheme(name: &str, reader_trust: Trust, writer_trust: Trust, n: i64) {
         .expect("kv app runs");
     let elapsed = cost.charged() - start;
 
-    let stats = app.sgx_stats();
+    let stats = app.telemetry_snapshot();
     println!(
         "{name}: {n} keys written+read ({} hits) in {:.6} model s | ecalls {}, ocalls {} \
          (write-induced crossings {})",
         hits.as_int().unwrap_or(0),
         elapsed.as_secs_f64(),
-        stats.ecalls,
-        stats.ocalls,
+        stats.counter(Counter::Ecalls),
+        stats.counter(Counter::Ocalls),
         if writer_trust == Trust::Trusted { "inside -> ocall per record" } else { "none" },
     );
     println!(

@@ -46,7 +46,7 @@
 //! let app = PartitionedApp::launch(&trusted, &untrusted, AppConfig::default())?;
 //! // 4. Run: accounts live in the enclave, people outside.
 //! app.run_main()?;
-//! assert!(app.sgx_stats().ecalls >= 3);
+//! assert!(app.telemetry().counter(montsalvat::telemetry::Counter::Ecalls) >= 3);
 //! # Ok(())
 //! # }
 //! ```

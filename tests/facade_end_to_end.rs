@@ -136,7 +136,7 @@ fn annotations_control_placement_of_io() {
             ctx.call(&w, "work", &[])
         })
         .unwrap();
-        ocalls.push(app.sgx_stats().ocalls);
+        ocalls.push(app.telemetry().counter(montsalvat::telemetry::Counter::Ocalls));
     }
     assert_eq!(ocalls[0], 0, "untrusted worker writes directly");
     assert!(ocalls[1] >= 10, "trusted worker relays each write: {}", ocalls[1]);

@@ -6,10 +6,10 @@
 //! `SingleWorldApp` under both placements, with the provider pinned
 //! through `AppConfig::provider`. Under `PassThrough` nothing runs in
 //! the enclave, `Placement::Enclave` included: no ecall or ocall, and
-//! the EPC never holds more than enclave creation committed. Under
-//! `SimSgx` the enclave-bound image (the trusted image, or the single
-//! image placed in the enclave) runs inside, and its code is committed
-//! to the EPC at launch.
+//! the EPC never holds a byte. Under `SimSgx` the enclave-bound image
+//! (the trusted image, or the single image placed in the enclave) runs
+//! inside, and the launch commits the measured image and its code to
+//! the EPC; a host placement commits nothing.
 
 use montsalvat::core::class::{MethodRef, CTOR};
 use montsalvat::core::exec::app::{AppConfig, PartitionedApp, Placement, SingleWorldApp};
@@ -21,8 +21,7 @@ use montsalvat::core::samples::bank_program;
 use montsalvat::core::transform::transform;
 use montsalvat::core::{Ctx, VmError};
 use montsalvat::runtime::value::Value;
-use montsalvat::sgx::TransitionStats;
-use montsalvat::telemetry::{Gauge, Snapshot};
+use montsalvat::telemetry::{Counter, Gauge, Snapshot};
 
 /// Alice pays Bob 40, then reads her balance back (60).
 fn pay_and_read_balance(ctx: &mut Ctx<'_>) -> Result<Value, VmError> {
@@ -41,7 +40,6 @@ struct Observed {
     in_enclave: bool,
     /// EPC bytes resident right after the launch.
     resident_at_launch: u64,
-    stats: TransitionStats,
     telemetry: Snapshot,
 }
 
@@ -63,7 +61,6 @@ fn run_partitioned(
         results: (main, balance),
         in_enclave,
         resident_at_launch,
-        stats: app.sgx_stats(),
         telemetry: app.telemetry_snapshot(),
     };
     app.shutdown();
@@ -80,7 +77,6 @@ fn run_single(image: &NativeImage, placement: Placement, provider: ProviderKind)
         results: (main, balance),
         in_enclave,
         resident_at_launch,
-        stats: app.sgx_stats(),
         telemetry: app.telemetry_snapshot(),
     };
     app.shutdown();
@@ -96,29 +92,30 @@ fn check(
     wants_enclave: bool,
     measured: &NativeImage,
 ) {
-    // Enclave creation commits the measured image bytes, nothing more.
-    let created = measured.measurement_bytes().len() as u64;
+    let measured_bytes = measured.measurement_bytes().len() as u64;
     let peak = observed.telemetry.gauge(Gauge::EpcResidentPeak);
+    let ecalls = observed.telemetry.counter(Counter::Ecalls);
     match provider {
         ProviderKind::PassThrough => {
             assert!(!observed.in_enclave, "{label}: nothing runs in the enclave");
-            assert_eq!(observed.stats.ecalls, 0, "{label}: no ecalls");
-            assert_eq!(observed.stats.ocalls, 0, "{label}: no ocalls");
-            assert_eq!(observed.resident_at_launch, created, "{label}: no code committed");
-            assert!(peak <= created, "{label}: EPC peak {peak} above the creation's {created}");
+            assert_eq!(ecalls, 0, "{label}: no ecalls");
+            assert_eq!(observed.telemetry.counter(Counter::Ocalls), 0, "{label}: no ocalls");
+            assert_eq!(observed.resident_at_launch, 0, "{label}: nothing committed");
+            assert_eq!(peak, 0, "{label}: the EPC never holds a byte");
         }
         ProviderKind::SimSgx if wants_enclave => {
             assert!(observed.in_enclave, "{label}: the image runs in the enclave");
             assert_eq!(
                 observed.resident_at_launch,
-                created + measured.code_size_estimate(),
-                "{label}: launch commits the image's code to the EPC"
+                measured_bytes + measured.code_size_estimate(),
+                "{label}: launch commits the measured image and its code to the EPC"
             );
-            assert!(observed.stats.ecalls > 0, "{label}: the run enters the enclave");
+            assert!(ecalls > 0, "{label}: the run enters the enclave");
         }
         ProviderKind::SimSgx => {
             assert!(!observed.in_enclave, "{label}: a host placement stays outside");
-            assert_eq!(observed.resident_at_launch, created, "{label}: no code committed");
+            assert_eq!(observed.resident_at_launch, 0, "{label}: nothing committed");
+            assert_eq!(peak, 0, "{label}: the EPC never holds a byte");
         }
     }
 }

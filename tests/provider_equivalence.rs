@@ -157,9 +157,9 @@ fn env_var_selects_provider_and_config_pin_wins() {
     // provider: None → the detector consults the env.
     let app = launch_bank(AppConfig { gc_helper_interval: None, ..AppConfig::default() });
     app.run_main().expect("main runs");
-    let stats = app.sgx_stats();
-    assert_eq!(stats.ecalls, 0, "pass-through performs no ecalls");
-    assert_eq!(stats.ocalls, 0, "pass-through performs no ocalls");
+    let stats = app.telemetry_snapshot();
+    assert_eq!(stats.counter(Counter::Ecalls), 0, "pass-through performs no ecalls");
+    assert_eq!(stats.counter(Counter::Ocalls), 0, "pass-through performs no ocalls");
     app.shutdown();
 
     // An explicit config pin beats the env.
@@ -169,7 +169,7 @@ fn env_var_selects_provider_and_config_pin_wins() {
         ..AppConfig::default()
     });
     app.run_main().expect("main runs");
-    assert!(app.sgx_stats().ecalls > 0, "config-pinned sim-sgx still crosses");
+    assert!(app.telemetry().counter(Counter::Ecalls) > 0, "config-pinned sim-sgx still crosses");
     app.shutdown();
 
     // A value that names no provider fails an unpinned launch ...
@@ -192,7 +192,8 @@ fn env_var_selects_provider_and_config_pin_wins() {
         ..AppConfig::default()
     });
     app.run_main().expect("main runs");
-    assert_eq!(app.sgx_stats().ecalls, 0, "config-pinned pass-through does not cross");
+    let ecalls = app.telemetry().counter(Counter::Ecalls);
+    assert_eq!(ecalls, 0, "config-pinned pass-through does not cross");
     app.shutdown();
 
     std::env::remove_var(PROVIDER_ENV);

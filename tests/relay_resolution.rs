@@ -57,14 +57,15 @@ struct Counts {
 
 fn counts(app: &PartitionedApp) -> Counts {
     let both = |f: &dyn Fn(Side) -> usize| [f(Side::Trusted), f(Side::Untrusted)];
-    let sgx = app.sgx_stats();
+    let transitions =
+        app.telemetry().counter(Counter::Ecalls) + app.telemetry().counter(Counter::Ocalls);
     Counts {
         roots: both(&|side| app.shared.world(side).isolate.with_heap(|h| h.root_count())),
         registry: both(&|side| app.registry_len(side)),
         live_proxies: both(&|side| app.live_proxy_count(side)),
         proxies_created: app.telemetry().counter(Counter::ProxiesCreated),
         rmi_calls: app.telemetry().counter(Counter::RmiCalls),
-        transitions: sgx.ecalls + sgx.ocalls,
+        transitions,
     }
 }
 

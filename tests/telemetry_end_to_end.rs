@@ -1,7 +1,7 @@
 //! End-to-end telemetry integration: a quickstart-scale partitioned run
-//! exports versioned JSON whose counters are nonzero and agree exactly
-//! with the legacy `sgx_stats()` facade — the two views are reads of the
-//! same recorder, and this test pins that equivalence.
+//! exports versioned JSON whose counters are nonzero and are exactly the
+//! app's recorder — the one store of every count the enclave, the heaps
+//! and the RMI layer make.
 
 use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
@@ -39,9 +39,8 @@ fn quickstart_run() -> (PartitionedApp, std::sync::Arc<Recorder>) {
 }
 
 #[test]
-fn exported_json_matches_sgx_stats() {
+fn exported_json_carries_the_recorders_counts() {
     let (app, recorder) = quickstart_run();
-    let stats = app.sgx_stats();
     let json = recorder.snapshot().to_json();
 
     assert!(json.contains(&format!("\"schema\": \"{SCHEMA}\"")));
@@ -49,18 +48,15 @@ fn exported_json_matches_sgx_stats() {
     let counter = |name: &str| doc.at(&["counters", name, "value"]).and_then(Json::as_u64);
 
     // Nonzero activity: the bank app crosses the boundary and collects.
-    assert!(stats.ecalls > 0, "quickstart run must perform ecalls");
-    assert!(stats.ocalls > 0, "gc_sync_once exits the enclave");
-    let gc = counter("gc.collections").unwrap();
-    assert!(gc > 0, "the run must collect at least once");
+    assert!(counter("sgx.ecalls").unwrap() > 0, "quickstart run must perform ecalls");
+    assert!(counter("sgx.ocalls").unwrap() > 0, "gc_sync_once exits the enclave");
+    assert!(counter("gc.collections").unwrap() > 0, "the run must collect at least once");
 
-    // The exported JSON and the legacy facade agree exactly.
-    assert_eq!(counter("sgx.ecalls"), Some(stats.ecalls));
-    assert_eq!(counter("sgx.ocalls"), Some(stats.ocalls));
-    assert_eq!(counter("sgx.bytes_in"), Some(stats.bytes_in));
-    assert_eq!(counter("sgx.bytes_out"), Some(stats.bytes_out));
-    assert_eq!(counter("sgx.mee_bytes"), Some(stats.mee_bytes));
-    assert_eq!(counter("sgx.epc_faults"), Some(stats.epc_faults));
+    // The export is the app's recorder, count for count.
+    assert!(std::sync::Arc::ptr_eq(app.telemetry(), &recorder));
+    for &c in Counter::ALL {
+        assert_eq!(counter(c.metric_name()), Some(recorder.counter(c)), "{}", c.metric_name());
+    }
 
     // The RMI layer reports into the same recorder.
     assert_eq!(counter("rmi.calls"), Some(6));
@@ -79,7 +75,7 @@ fn injected_recorders_isolate_concurrent_apps() {
     let (app_b, rec_b) = quickstart_run();
     // The second run's recorder starts from zero: app A's activity did
     // not leak into it.
-    assert_eq!(rec_b.counter(Counter::Ecalls), app_b.sgx_stats().ecalls);
+    assert_eq!(rec_b.counter(Counter::Ecalls), ecalls_a, "B counts one run's ecalls");
     assert_eq!(rec_a.counter(Counter::Ecalls), ecalls_a, "app B did not write into A");
     app_b.shutdown();
 }
