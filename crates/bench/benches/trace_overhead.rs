@@ -81,10 +81,10 @@ fn bench_trace_overhead(c: &mut Criterion) {
     // disabled fast path the call benches amortise over a whole
     // crossing.
     let off = Tracer::new();
-    c.bench_function("trace_start_disabled", |b| {
+    c.bench_function("trace_span_disabled", |b| {
         b.iter(|| {
             assert!(off
-                .start(Lane::Trusted, "bench", None, || 0, || unreachable!("disabled never names"))
+                .span(Lane::Trusted, "bench", None, || 0, || unreachable!("disabled never names"))
                 .is_none());
         });
     });

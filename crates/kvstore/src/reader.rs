@@ -17,7 +17,6 @@ pub struct StoreReader {
     data: Vec<u8>,
     index_offset: usize,
     n_slots: u64,
-    n_records: u64,
 }
 
 impl StoreReader {
@@ -39,7 +38,6 @@ impl StoreReader {
 
         let footer = &data[len - FOOTER_LEN..];
         let index_offset = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes")) as usize;
-        let n_records = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
         let magic = u64::from_le_bytes(footer[16..24].try_into().expect("8 bytes"));
         if magic != MAGIC {
             return Err(StoreError::Corrupt("bad magic (store not finalized?)".into()));
@@ -54,17 +52,7 @@ impl StoreReader {
         {
             return Err(StoreError::Corrupt("index truncated".into()));
         }
-        Ok(StoreReader { data, index_offset, n_slots, n_records })
-    }
-
-    /// Number of records written (including superseded duplicates).
-    pub fn record_count(&self) -> u64 {
-        self.n_records
-    }
-
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> usize {
-        self.data.len()
+        Ok(StoreReader { data, index_offset, n_slots })
     }
 
     fn slot(&self, i: u64) -> (u64, u64) {

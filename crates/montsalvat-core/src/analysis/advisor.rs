@@ -4,7 +4,7 @@
 //! Montsalvat leaves choosing the `@Trusted`/`@Untrusted` partition to
 //! the developer. This module closes that loop for the *performance*
 //! half of the decision: it replays a `--trace-out` capture (schema
-//! `montsalvat.trace/v1`), prices every proxied class's boundary
+//! `montsalvat.trace/v2`), prices every proxied class's boundary
 //! crossings with [`CostParams`], and recommends the annotation moves
 //! whose predicted model-time savings clear a configurable threshold.
 //! Security placement stays with the developer — classes named in
@@ -59,27 +59,19 @@
 //!
 //! let tracer = Tracer::new();
 //! tracer.enable_with_capacity(1024);
+//! // Records a complete span from `begin` to `end` (model ns).
+//! let span = |lane, cat, parent, begin, end, name: &str| {
+//!     let begin = Some(Stamp { model_ns: begin, wall_ns: 0 });
+//!     tracer.span_at(lane, cat, parent, begin, || end, || name.to_owned())
+//! };
 //! for i in 0..16u64 {
 //!     let t0 = i * 100_000;
 //!     // The proxy call, recorded on the caller's (untrusted) lane …
-//!     let call = tracer
-//!         .start(Lane::Untrusted, "rmi", None, || t0, || "Store.relay$put".into())
-//!         .expect("tracing enabled");
-//!     let ctx = call.context();
+//!     let call = span(Lane::Untrusted, "rmi", None, t0, t0 + 5_000, "Store.relay$put");
 //!     // … its marshalling, the enclave transition, and the remote serve.
-//!     let begin = Some(Stamp { model_ns: t0, wall_ns: 0 });
-//!     tracer.span_at(Lane::Untrusted, "serde", Some(ctx), begin, || t0 + 1_000, || {
-//!         "marshal:fast b=128".into()
-//!     });
-//!     let ecall = tracer
-//!         .start(Lane::Trusted, "sgx", Some(ctx), || t0 + 1_000, || "ecall:relay".into())
-//!         .expect("tracing enabled");
-//!     let begin = Some(Stamp { model_ns: t0 + 2_000, wall_ns: 0 });
-//!     tracer.span_at(Lane::Trusted, "exec", Some(ecall.context()), begin, || t0 + 3_000, || {
-//!         "serve:Store.relay$put".into()
-//!     });
-//!     tracer.finish(ecall, t0 + 4_000);
-//!     tracer.finish(call, t0 + 5_000);
+//!     span(Lane::Untrusted, "serde", call, t0, t0 + 1_000, "marshal:fast b=128");
+//!     let ecall = span(Lane::Trusted, "sgx", call, t0 + 1_000, t0 + 4_000, "ecall:relay");
+//!     span(Lane::Trusted, "exec", ecall, t0 + 2_000, t0 + 3_000, "serve:Store.relay$put");
 //! }
 //! let trace = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
 //! let plan = advise(&trace, &CostParams::paper_defaults(), &AdvisorConfig::default());
@@ -560,23 +552,19 @@ impl Region {
 /// crossings; the serde, queue and exec terms are read off the trace's
 /// model-time spans directly.
 pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<ClassCosts> {
-    let spans = trace.spans();
+    let spans = &trace.spans;
 
     // Walk each rmi span's region: the subtree up to (exclusive of)
     // nested rmi spans. Exclusive time strips child durations so the
     // wrapping "sgx"/"exec" spans don't double-count their contents.
-    let exclusive = |i: usize| -> u64 {
-        let kids: u64 = spans[i].children.iter().map(|&k| spans[k].dur_ns()).sum();
-        spans[i].dur_ns().saturating_sub(kids)
-    };
-    let rmi_spans: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].event.cat == "rmi").collect();
+    let rmi_spans: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].cat == "rmi").collect();
     let mut regions: HashMap<usize, (Region, Vec<usize>)> = HashMap::new();
     for &r in &rmi_spans {
         let mut region = Region::default();
         let mut nested = Vec::new();
         let mut stack = spans[r].children.clone();
         while let Some(i) = stack.pop() {
-            match spans[i].event.cat.as_str() {
+            match spans[i].cat.as_str() {
                 "rmi" => {
                     nested.push(i);
                     continue; // the nested crossing owns its subtree
@@ -586,7 +574,7 @@ pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<Clas
                     region.payload_bytes += spans[i].payload_bytes;
                 }
                 "queue" => region.queue_ns += spans[i].dur_ns(),
-                "exec" | "gc" => region.exec_ns += exclusive(i),
+                "exec" | "gc" => region.exec_ns += trace.exclusive_ns(i),
                 "sgx" => region.classic += 1,
                 "shim" => region.shim += 1,
                 _ => {}
@@ -604,13 +592,13 @@ pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<Clas
     let mut by_class: BTreeMap<String, ClassCosts> = BTreeMap::new();
     for &r in &rmi_spans {
         let (region, nested) = &regions[&r];
-        let class = spans[r].event.name.split('.').next().unwrap_or("").to_owned();
+        let class = spans[r].name.split('.').next().unwrap_or("").to_owned();
         if class.is_empty() {
             continue;
         }
         // The rmi span lives on the caller's lane; its target class
         // lives on the opposite side.
-        let home = if spans[r].event.pid == telemetry::trace::Lane::Untrusted.pid() {
+        let home = if spans[r].pid == telemetry::trace::Lane::Untrusted.pid() {
             Side::Trusted
         } else {
             Side::Untrusted
@@ -822,69 +810,18 @@ mod tests {
         tracer.enable_with_capacity(256);
         // Untrusted main calls trusted Gateway; Gateway's serve calls
         // untrusted Ledger (a nested crossing back out).
-        let call = tracer
-            .start(Lane::Untrusted, "rmi", None, || 0, || "Gateway.relay$handle".into())
-            .unwrap();
-        let ctx = call.context();
-        tracer.span_at(
-            Lane::Untrusted,
-            "serde",
-            Some(ctx),
-            Some(Stamp { model_ns: 0, wall_ns: 0 }),
-            || 2_000,
-            || "marshal:fast b=64".into(),
-        );
-        let ecall = tracer
-            .start(Lane::Trusted, "sgx", Some(ctx), || 2_000, || "ecall:relay".into())
-            .unwrap();
-        let serve = tracer
-            .start(
-                Lane::Trusted,
-                "exec",
-                Some(ecall.context()),
-                || 3_000,
-                || "serve:Gateway.relay$handle".into(),
-            )
-            .unwrap();
-        let nested = tracer
-            .start(
-                Lane::Trusted,
-                "rmi",
-                Some(serve.context()),
-                || 4_000,
-                || "Ledger.relay$record".into(),
-            )
-            .unwrap();
-        tracer.span_at(
-            Lane::Trusted,
-            "serde",
-            Some(nested.context()),
-            Some(Stamp { model_ns: 4_000, wall_ns: 0 }),
-            || 4_500,
-            || "marshal:fast b=32".into(),
-        );
-        let ocall = tracer
-            .start(
-                Lane::Untrusted,
-                "sgx",
-                Some(nested.context()),
-                || 4_500,
-                || "ocall:relay".into(),
-            )
-            .unwrap();
-        tracer.span_at(
-            Lane::Untrusted,
-            "exec",
-            Some(ocall.context()),
-            Some(Stamp { model_ns: 5_000, wall_ns: 0 }),
-            || 9_000,
-            || "serve:Ledger.relay$record".into(),
-        );
-        tracer.finish(ocall, 9_500);
-        tracer.finish(nested, 10_000);
-        tracer.finish(serve, 12_000);
-        tracer.finish(ecall, 12_500);
-        tracer.finish(call, 13_000);
+        let span = |lane, cat, parent, begin, end, name: &str| {
+            let begin = Some(Stamp { model_ns: begin, wall_ns: 0 });
+            tracer.span_at(lane, cat, parent, begin, || end, || name.to_owned())
+        };
+        let call = span(Lane::Untrusted, "rmi", None, 0, 13_000, "Gateway.relay$handle");
+        span(Lane::Untrusted, "serde", call, 0, 2_000, "marshal:fast b=64");
+        let ecall = span(Lane::Trusted, "sgx", call, 2_000, 12_500, "ecall:relay");
+        let serve = span(Lane::Trusted, "exec", ecall, 3_000, 12_000, "serve:Gateway.relay$handle");
+        let nested = span(Lane::Trusted, "rmi", serve, 4_000, 10_000, "Ledger.relay$record");
+        span(Lane::Trusted, "serde", nested, 4_000, 4_500, "marshal:fast b=32");
+        let ocall = span(Lane::Untrusted, "sgx", nested, 4_500, 9_500, "ocall:relay");
+        span(Lane::Untrusted, "exec", ocall, 5_000, 9_000, "serve:Ledger.relay$record");
 
         let trace = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         let p = params();
@@ -911,31 +848,20 @@ mod tests {
 
     #[test]
     fn plan_ranks_moves_first_and_sums_their_savings() {
-        use telemetry::trace::{parse_chrome_trace, Lane, Tracer};
+        use telemetry::trace::{parse_chrome_trace, Lane, Stamp, Tracer};
         let tracer = Tracer::new();
         tracer.enable_with_capacity(4096);
+        let span = |lane, cat, parent, begin, end, name: &str| {
+            let begin = Some(Stamp { model_ns: begin, wall_ns: 0 });
+            tracer.span_at(lane, cat, parent, begin, || end, || name.to_owned())
+        };
         for i in 0..16u64 {
             let t0 = i * 1_000_000;
-            let call = tracer
-                .start(Lane::Untrusted, "rmi", None, || t0, || "Store.relay$put".into())
-                .unwrap();
-            let ecall = tracer
-                .start(Lane::Trusted, "sgx", Some(call.context()), || t0, || "ecall:relay".into())
-                .unwrap();
-            tracer.finish(ecall, t0 + 1_000);
-            tracer.finish(call, t0 + 2_000);
+            let call = span(Lane::Untrusted, "rmi", None, t0, t0 + 2_000, "Store.relay$put");
+            span(Lane::Trusted, "sgx", call, t0, t0 + 1_000, "ecall:relay");
             // A two-sample class rides along.
             if i < 2 {
-                let c2 = tracer
-                    .start(
-                        Lane::Untrusted,
-                        "rmi",
-                        None,
-                        || t0 + 10_000,
-                        || "Config.relay$get".into(),
-                    )
-                    .unwrap();
-                tracer.finish(c2, t0 + 11_000);
+                span(Lane::Untrusted, "rmi", None, t0 + 10_000, t0 + 11_000, "Config.relay$get");
             }
         }
         let trace = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();

@@ -8,7 +8,7 @@
 //!   of unreachable methods and generated proxies.
 //! - [`advisor`] — the run-time partition advisor: it reads a causal
 //!   trace captured from a partitioned run (`--trace-out`, schema
-//!   `montsalvat.trace/v1`), prices every proxied class's boundary
+//!   `montsalvat.trace/v2`), prices every proxied class's boundary
 //!   crossings against the cost model
 //!   ([`CostParams`](sgx_sim::cost::CostParams)), and emits a ranked
 //!   re-annotation plan — the repo's answer to the paper leaving the

@@ -28,7 +28,7 @@ use crate::class::MethodRef;
 use crate::error::VmError;
 use crate::exec::ctx::{serve_relay, Ctx};
 use crate::exec::switchless::{ServeFn, SwitchlessConfig, SwitchlessPool};
-use crate::exec::world::{ClassIndex, ExecModel, World};
+use crate::exec::world::{ClassIndex, ExecModel, HeapLevels, World};
 use crate::image_builder::NativeImage;
 use crate::provider::{self, CrossingDir, ProviderKind};
 use crate::transform::is_relay_name;
@@ -224,15 +224,13 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
     // The sweep's crossing (and its transition span) parents under
     // this span, so helper activity shows up as its own call trees on
     // the sweeping side's lane.
-    let tracer = shared.cost.tracer();
-    let sweep_span = tracer.start(
+    let _span = shared.cost.tracer().span(
         side.lane(),
         "gc",
         telemetry::trace::current(),
         || shared.cost.charged_ns(),
         || format!("gc-sweep:{side} dead={}", dead.len()),
     );
-    let _scope = sweep_span.as_ref().map(|s| telemetry::trace::set_current(s.context()));
     let other = shared.world(side.opposite());
     let bytes = dead.len() * 16;
     let release = || {
@@ -252,9 +250,6 @@ pub(crate) fn gc_sync_from(shared: &AppShared, side: Side) -> Result<usize, VmEr
         // The trusted helper exits to drop untrusted mirrors.
         Side::Trusted => shared.cross(CrossingDir::Exit, "ocall_gc_release", bytes, release),
     };
-    if let Some(span) = sweep_span {
-        tracer.finish(span, shared.cost.charged_ns());
-    }
     Ok(released?)
 }
 
@@ -299,6 +294,8 @@ struct Launch {
     /// which only [`ProviderKind::SimSgx`] allows.
     in_enclave: bool,
     workdir: PathBuf,
+    /// The heap levels of the launch's worlds, summed into the gauges.
+    levels: Arc<HeapLevels>,
     teardown: Teardown,
 }
 
@@ -340,7 +337,15 @@ impl Launch {
             None => teardown.owned_workdir.insert(fresh_workdir(tag)).clone(),
         };
         std::fs::create_dir_all(&workdir).map_err(|e| VmError::Io(e.to_string()))?;
-        Ok(Launch { provider, cost, enclave, in_enclave, workdir, teardown })
+        Ok(Launch {
+            provider,
+            cost,
+            enclave,
+            in_enclave,
+            workdir,
+            levels: Arc::default(),
+            teardown,
+        })
     }
 
     /// A world for `side` over `image`'s classes, with its image heap
@@ -358,11 +363,11 @@ impl Launch {
         let world = World::new(
             side,
             Arc::new(ClassIndex::from_classes(&image.classes)),
-            config.heap_config.clone(),
-            config.exec_model.clone(),
+            config,
             self.workdir.join(scratch),
             &self.cost,
             in_enclave.then_some(&self.enclave),
+            &self.levels,
         );
         restore_image_heap(image, &world)?;
         Ok(world)

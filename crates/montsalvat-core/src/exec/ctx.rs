@@ -250,7 +250,7 @@ impl<'a> Ctx<'a> {
     pub fn io_write(&mut self, bytes: usize) -> Result<(), VmError> {
         let world = Arc::clone(&self.world);
         let mut io = world.io.lock();
-        let crate::exec::world::WorldIo { file, buf, bytes_written } = &mut *io;
+        let crate::exec::world::WorldIo { file, buf } = &mut *io;
         let file = match file {
             Some(file) => file,
             None => file.insert(self.io_backend().create(&world.scratch_path)?),
@@ -259,36 +259,8 @@ impl<'a> Ctx<'a> {
             buf.resize(bytes, 0xA5);
         }
         file.write_all(&buf[..bytes])?;
-        *bytes_written += bytes as u64;
         self.app.cost.charge_ns((bytes as f64 * HOST_IO_NS_PER_BYTE) as u64);
         Ok(())
-    }
-
-    /// Reads up to `bytes` of scratch data back (from the start of the
-    /// scratch file). Returns the number of bytes actually read; each
-    /// costs [`HOST_IO_NS_PER_BYTE`], like a write.
-    ///
-    /// # Errors
-    ///
-    /// Propagates relayed/host I/O failures.
-    pub fn io_read(&mut self, bytes: usize) -> Result<usize, VmError> {
-        let world = Arc::clone(&self.world);
-        let mut io = world.io.lock();
-        let crate::exec::world::WorldIo { file, buf, bytes_written } = &mut *io;
-        let n = (*bytes_written).min(bytes as u64) as usize;
-        // The first write opens the file, so with bytes written there
-        // is one to read.
-        let Some(file) = file.as_mut().filter(|_| n > 0) else {
-            return Ok(0);
-        };
-        if buf.len() < n {
-            buf.resize(n, 0);
-        }
-        file.seek(std::io::SeekFrom::Start(0))?;
-        file.read_exact(&mut buf[..n])?;
-        file.seek(std::io::SeekFrom::End(0))?;
-        self.app.cost.charge_ns((n as f64 * HOST_IO_NS_PER_BYTE) as u64);
-        Ok(n)
     }
 
     /// Runs a CPU kernel with the given working set, charging its
@@ -1143,13 +1115,12 @@ fn cross_call(
     // One cat-"rmi" span per crossing, covering marshal, the transition
     // (or switchless hand-off), the remote relay and the return-value
     // unmarshal. Telemetry's `rmi.calls` counter and the number of
-    // "rmi" Begin events in a trace therefore reconcile (modulo
+    // "rmi" spans in a trace therefore reconcile (modulo
     // `trace.dropped`). The span is the crossing's trace parent: the
     // thread-local context carries it through classic same-thread
     // serves, the message's context through cross-thread switchless
     // serves.
-    let tracer = app.cost.tracer();
-    let rmi_span = tracer.start(
+    let rmi_span = app.cost.tracer().span(
         caller.side.lane(),
         "rmi",
         trace::current(),
@@ -1157,7 +1128,6 @@ fn cross_call(
         || crossing.name.to_string(),
     );
     let rmi_ctx = rmi_span.as_ref().map(|s| s.context());
-    let _scope = rmi_ctx.map(trace::set_current);
 
     let mut switchless_hit = false;
     let result = (|| -> Result<Value, VmError> {
@@ -1211,9 +1181,7 @@ fn cross_call(
         Ok(ret)
     })();
 
-    if let Some(span) = rmi_span {
-        tracer.finish(span, app.cost.charged_ns());
-    }
+    drop(rmi_span);
     if result.is_ok() {
         // Record the modelled latency of the whole crossing (marshal,
         // transition or worker hand-off, relay work, unmarshal) as a
@@ -1244,20 +1212,14 @@ pub(crate) fn serve_relay(
     // transition span) is the parent; a switchless serve runs on a
     // worker thread, where the span context posted with the message
     // reconnects the tree.
-    let tracer = app.cost.tracer();
-    let exec_span = tracer.start(
+    let _span = app.cost.tracer().span(
         callee.side.lane(),
         "exec",
         trace::current().or(msg.trace),
         || app.cost.charged_ns(),
         || format!("serve:{}", crossing.name),
     );
-    let _scope = exec_span.as_ref().map(|s| trace::set_current(s.context()));
-    let outcome = serve_relay_inner(app, callee, crossing, msg);
-    if let Some(span) = exec_span {
-        tracer.finish(span, app.cost.charged_ns());
-    }
-    outcome
+    serve_relay_inner(app, callee, crossing, msg)
 }
 
 /// The relay dispatch itself (see [`serve_relay`], which wraps it in

@@ -19,18 +19,19 @@ use parking_lot::Mutex;
 use rmi::hash::ProxyHasher;
 use rmi::registry::MirrorProxyRegistry;
 use rmi::weaklist::ProxyWeakList;
-use runtime_sim::heap::{AllocEvent, CollectEvent, CollectKind, HeapConfig, HeapObserver};
+use runtime_sim::heap::{AllocEvent, BlockStats, CollectEvent, CollectKind, HeapObserver};
 use runtime_sim::isolate::Isolate;
 use runtime_sim::value::{ClassId, ObjId};
 use sgx_sim::cost::CostModel;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::shim::BackendFile;
-use telemetry::trace::{self, Lane};
-use telemetry::{Counter, Gauge, Hist};
+use telemetry::trace;
+use telemetry::{Counter, Gauge, Hist, Recorder};
 
 use crate::annotation::Side;
 use crate::class::ClassDef;
 use crate::error::VmError;
+use crate::exec::app::AppConfig;
 use crate::exec::ctx::Crossing;
 
 /// A class with its runtime id.
@@ -147,23 +148,62 @@ impl ExecModel {
     }
 }
 
-/// The scratch I/O channel of a world (backs `Instr::IoWrite` and the
-/// `Ctx::io_*` operations).
+/// The scratch I/O channel of a world (backs `Instr::IoWrite` and
+/// `Ctx::io_write`).
 #[derive(Debug, Default)]
 pub(crate) struct WorldIo {
     pub(crate) file: Option<BackendFile>,
     pub(crate) buf: Vec<u8>,
-    pub(crate) bytes_written: u64,
+}
+
+/// The latest heap level of each world of one app. Both worlds' heaps
+/// report into the app's one recorder, so each level gauge reads the
+/// sum over the worlds and the peak gauge the highest such sum; a
+/// single-world app has one term.
+#[derive(Debug, Default)]
+pub(crate) struct HeapLevels {
+    worlds: Mutex<[HeapLevel; 2]>,
+}
+
+#[derive(Debug, Default, Clone, Copy)]
+struct HeapLevel {
+    live_bytes: u64,
+    blocks_live: u64,
+    blocks_free: u64,
+}
+
+impl HeapLevels {
+    /// Takes `side`'s latest live bytes (and block counts, when its heap
+    /// has blocks) and sets the app's gauges from the sums.
+    fn report(&self, side: Side, live_bytes: u64, blocks: Option<BlockStats>, rec: &Recorder) {
+        let mut worlds = self.worlds.lock();
+        let level = &mut worlds[side as usize];
+        level.live_bytes = live_bytes;
+        if let Some(blocks) = blocks {
+            level.blocks_live = blocks.live_blocks;
+            level.blocks_free = blocks.free_blocks;
+        }
+        let sum = |of: fn(&HeapLevel) -> u64| worlds.iter().map(of).sum::<u64>();
+        let live = sum(|l| l.live_bytes);
+        rec.gauge_max(Gauge::HeapLiveBytesPeak, live);
+        rec.gauge_set(Gauge::HeapLiveBytes, live);
+        if blocks.is_some() {
+            rec.gauge_set(Gauge::GcBlocksLive, sum(|l| l.blocks_live));
+            rec.gauge_set(Gauge::GcBlocksFree, sum(|l| l.blocks_free));
+        }
+    }
 }
 
 /// The one heap observer of a world. It counts every allocation and
-/// collection into the app's recorder and traces each collection on
-/// the world's lane; under an enclave it first charges the heap's
-/// traffic to it (see `docs/GC.md`).
+/// collection into the app's recorder, reports the heap's levels to
+/// the app's [`HeapLevels`] and traces each collection on the world's
+/// lane; under an enclave it first charges the heap's traffic to it
+/// (see `docs/GC.md`).
 #[derive(Debug)]
 struct WorldHeapObserver {
     cost: Arc<CostModel>,
-    lane: Lane,
+    side: Side,
+    levels: Arc<HeapLevels>,
     /// The enclave the heap runs inside, if any.
     enclave: Option<Arc<Enclave>>,
     /// Scales GC copy traffic (see [`ExecModel::gc_copy_factor`]).
@@ -182,18 +222,18 @@ impl HeapObserver for WorldHeapObserver {
         let recorder = self.cost.recorder();
         recorder.incr(Counter::HeapAllocObjects);
         recorder.add(Counter::HeapAllocBytes, event.bytes);
-        recorder.gauge_max(Gauge::HeapLiveBytesPeak, event.live_bytes);
-        recorder.gauge_set(Gauge::HeapLiveBytes, event.live_bytes);
+        self.levels.report(self.side, event.live_bytes, None, recorder);
     }
 
     fn on_collect(&self, kind: CollectKind, collect: &mut dyn FnMut() -> CollectEvent) {
         let cost = &self.cost;
         let charge_start = cost.charged_ns();
         // The pause span opens before the collection, so the cycle's
-        // enclave charges land inside it; a pause triggered mid-call
-        // nests under the allocating thread's span.
-        let span = cost.tracer().start(
-            self.lane,
+        // enclave charges (and their AEX instants) land inside it; a
+        // pause triggered mid-call nests under the allocating thread's
+        // span. It closes after the counts below.
+        let _span = cost.tracer().span(
+            self.side.lane(),
             "gc",
             trace::current(),
             || cost.charged_ns(),
@@ -233,14 +273,7 @@ impl HeapObserver for WorldHeapObserver {
         recorder.record(Hist::GcPauseModelNs, cost.charged_ns().saturating_sub(charge_start));
         // Post-collection levels: the flight recorder's per-window
         // heap residency sample.
-        recorder.gauge_set(Gauge::HeapLiveBytes, event.live_bytes);
-        if let Some(blocks) = event.block_stats {
-            recorder.gauge_set(Gauge::GcBlocksLive, blocks.live_blocks);
-            recorder.gauge_set(Gauge::GcBlocksFree, blocks.free_blocks);
-        }
-        if let Some(span) = span {
-            cost.tracer().finish(span, cost.charged_ns());
-        }
+        self.levels.report(self.side, event.live_bytes, event.block_stats, recorder);
     }
 }
 
@@ -261,34 +294,38 @@ pub struct World {
     pub hasher: ProxyHasher,
     /// Execution-model knobs.
     pub exec_model: ExecModel,
-    /// Scratch-file path for `Ctx::io_*`.
+    /// Scratch-file path for `Ctx::io_write`.
     pub scratch_path: PathBuf,
     pub(crate) io: Mutex<WorldIo>,
 }
 
 impl World {
-    /// Creates a world over a fresh isolate, inside `enclave` when it
-    /// is `Some` and on the host otherwise. The world's heap, registry
-    /// and weak list report into `cost`'s recorder; its GC pauses are
-    /// stamped with `cost`'s model clock and traced on the world's
-    /// lane; an in-enclave heap charges the enclave for its traffic.
-    /// All of the heap's reporting goes through its one observer.
-    pub fn new(
+    /// Creates a world over a fresh isolate with `config`'s heap and
+    /// execution model, inside `enclave` when it is `Some` and on the
+    /// host otherwise. The world's heap, registry and weak list report
+    /// into `cost`'s recorder; its GC pauses are stamped with `cost`'s
+    /// model clock and traced on the world's lane; an in-enclave heap
+    /// charges the enclave for its traffic. All of the heap's reporting
+    /// goes through its one observer, and its levels join the app's
+    /// other worlds' in `levels`.
+    pub(crate) fn new(
         side: Side,
         classes: Arc<ClassIndex>,
-        heap_config: HeapConfig,
-        exec_model: ExecModel,
+        config: &AppConfig,
         scratch_path: PathBuf,
         cost: &Arc<CostModel>,
         enclave: Option<&Arc<Enclave>>,
+        levels: &Arc<HeapLevels>,
     ) -> Arc<Self> {
+        let exec_model = config.exec_model.clone();
         let observer = WorldHeapObserver {
             cost: Arc::clone(cost),
-            lane: side.lane(),
+            side,
+            levels: Arc::clone(levels),
             enclave: enclave.cloned(),
             gc_copy_factor: exec_model.gc_copy_factor,
         };
-        let isolate = Isolate::new(heap_config);
+        let isolate = Isolate::new(config.heap_config.clone());
         isolate.with_heap(|h| h.set_observer(Arc::new(observer)));
         let mut rmi = RmiState::default();
         rmi.registry.set_recorder(Arc::clone(cost.recorder()));
@@ -327,11 +364,11 @@ impl World {
 mod tests {
     use super::*;
     use crate::class::ClassDef;
+    use runtime_sim::heap::HeapConfig;
     use runtime_sim::value::Value;
     use sgx_sim::cost::{ClockMode, CostParams};
     use sgx_sim::enclave::EnclaveConfig;
-    use telemetry::trace::{TracePhase, Tracer};
-    use telemetry::Recorder;
+    use telemetry::trace::{Lane, Tracer};
 
     /// A model with a fresh recorder and an enabled tracer of its own.
     fn cost() -> Arc<CostModel> {
@@ -347,14 +384,15 @@ mod tests {
 
     /// A world of class `A` for `side`, inside `enclave` when given.
     fn world(side: Side, cost: &Arc<CostModel>, enclave: Option<&Arc<Enclave>>) -> Arc<World> {
+        let heap_config = HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() };
         World::new(
             side,
             Arc::new(ClassIndex::from_classes(&[ClassDef::new("A")])),
-            HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() },
-            ExecModel::native_image(),
+            &AppConfig { heap_config, ..AppConfig::default() },
             std::env::temp_dir().join("world_test_scratch"),
             cost,
             enclave,
+            &Arc::default(),
         )
     }
 
@@ -427,9 +465,10 @@ mod tests {
         assert_eq!((model.count, model.sum), (1, after - before));
         let events = cost.tracer().snapshot_events();
         let gc: Vec<_> = events.iter().filter(|e| e.cat == "gc").collect();
-        assert_eq!(gc.len(), 2, "{gc:?}");
-        assert_eq!((gc[0].phase, gc[0].name.as_str()), (TracePhase::Begin, "gc:collect"));
-        assert_eq!((gc[0].lane, gc[0].model_ns), (Lane::Trusted, before));
-        assert_eq!(gc[1].model_ns, after, "the pause span closes after the charges");
+        assert_eq!(gc.len(), 1, "one event per span: {gc:?}");
+        assert_eq!((gc[0].name.as_str(), gc[0].lane), ("gc:collect", Lane::Trusted));
+        assert_eq!(gc[0].begin.model_ns, before);
+        let end = gc[0].end.map(|e| e.model_ns);
+        assert_eq!(end, Some(after), "the pause span closes after the charges");
     }
 }

@@ -215,23 +215,15 @@ impl Enclave {
         routine: &str,
         f: impl FnOnce() -> R,
     ) -> R {
-        let tracer = self.cost.tracer();
         let prefix = if lane == Lane::Trusted { "ecall" } else { "ocall" };
-        let Some(span) = tracer.start(
+        let _span = self.cost.tracer().span(
             lane,
             cat,
             trace::current(),
             || self.cost.charged_ns(),
             || format!("{prefix}:{routine}"),
-        ) else {
-            return f();
-        };
-        let out = {
-            let _scope = trace::set_current(span.context());
-            f()
-        };
-        tracer.finish(span, self.cost.charged_ns());
-        out
+        );
+        f()
     }
 
     /// Enters the enclave: runs `f` as trusted code, charging one
@@ -566,12 +558,11 @@ mod tests {
             e.ocall("shim_write", 8, || ()).unwrap();
         })
         .unwrap();
-        let events = tracer.snapshot_events();
-        let begins: Vec<_> =
-            events.iter().filter(|ev| ev.phase == trace::TracePhase::Begin).collect();
-        assert_eq!(begins.len(), 2);
-        let ecall = begins.iter().find(|ev| ev.name == "ecall:relay").unwrap();
-        let ocall = begins.iter().find(|ev| ev.name == "ocall:shim_write").unwrap();
+        let spans = tracer.snapshot_events();
+        assert_eq!(spans.len(), 2, "one event per span");
+        let ecall = spans.iter().find(|ev| ev.name == "ecall:relay").unwrap();
+        let ocall = spans.iter().find(|ev| ev.name == "ocall:shim_write").unwrap();
+        assert!(ecall.end.is_some() && ocall.end.is_some(), "both are complete spans");
         assert_eq!(ecall.lane, Lane::Trusted);
         assert_eq!(ecall.parent_span_id, 0, "outer ecall is the root");
         assert_eq!(ocall.lane, Lane::Untrusted);

@@ -6,7 +6,7 @@
 //! The metrics layer (the rest of this crate) answers *how much*;
 //! this module answers *which call chain*. Every boundary crossing —
 //! proxy RMI call, ecall/ocall transition, shim relay, switchless
-//! queue hop, GC pause — records begin/end events carrying a
+//! queue hop, GC pause — records one span carrying a
 //! `(trace_id, span_id, parent_span_id)` triple, so a call entering
 //! the enclave and issuing nested ocalls produces one connected tree
 //! spanning both runtimes.
@@ -22,10 +22,13 @@
 //!    timestamps are closures that only run once the enabled check
 //!    has passed, so a disabled tracer reads no clock: every record
 //!    call costs one relaxed load.
-//! 3. **Two timestamps.** Every event carries model time (the charged
-//!    clock — a function of the run's inputs only) *and* wall time
-//!    from the tracer's origin. The exported timeline is model time;
-//!    wall time rides along in `args`.
+//! 3. **One event per span.** A span is recorded once, complete, when
+//!    it ends ([`SpanGuard`]'s drop or [`Tracer::span_at`]), so a
+//!    capture never holds half a span and nothing re-pairs events.
+//! 4. **Two timestamps.** A span's begin and end each carry model
+//!    time (the charged clock — a function of the run's inputs only)
+//!    *and* wall time from the tracer's origin. The exported timeline
+//!    is model time; wall time rides along in `args`.
 //!
 //! Sizing knobs (read when a tracer is enabled):
 //! `MONTSALVAT_TRACE_BUFFER` — events per lane (default 65536);
@@ -33,7 +36,8 @@
 //! use. See `docs/TRACING.md`.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
@@ -46,7 +50,7 @@ use crate::Counter;
 ///
 /// Same versioning contract as [`crate::SCHEMA`]: field additions keep
 /// the version, renames/removals bump it.
-pub const TRACE_SCHEMA: &str = "montsalvat.trace/v1";
+pub const TRACE_SCHEMA: &str = "montsalvat.trace/v2";
 
 /// Default ring capacity per lane, overridable with
 /// `MONTSALVAT_TRACE_BUFFER`.
@@ -88,28 +92,6 @@ impl Lane {
     }
 }
 
-/// Event phase, mapping onto Chrome trace-event `ph` codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePhase {
-    /// Span opens (`ph: "B"`).
-    Begin,
-    /// Span closes (`ph: "E"`).
-    End,
-    /// Point event (`ph: "i"`).
-    Instant,
-}
-
-impl TracePhase {
-    /// The Chrome `ph` code.
-    pub const fn ph(self) -> char {
-        match self {
-            TracePhase::Begin => 'B',
-            TracePhase::End => 'E',
-            TracePhase::Instant => 'i',
-        }
-    }
-}
-
 /// The compact identity a span hands to its children — the part of an
 /// event that travels with an RMI message across the enclave boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,11 +103,20 @@ pub struct SpanContext {
     pub span_id: u64,
 }
 
-/// One structured event in a ring buffer.
+/// A point on both clocks: a span's begin or end, or an instant.
+/// [`Tracer::stamp`] takes one only while the tracer is enabled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    /// Model time (cost-clock nanoseconds).
+    pub model_ns: u64,
+    /// Wall nanoseconds since the tracer was created.
+    pub wall_ns: u64,
+}
+
+/// One structured event in a ring buffer: a complete span, or an
+/// instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Begin / end / instant.
-    pub phase: TracePhase,
     /// Which runtime recorded the event.
     pub lane: Lane,
     /// Category: `"rmi"`, `"sgx"`, `"shim"`, `"serde"`, `"queue"`,
@@ -136,43 +127,15 @@ pub struct TraceEvent {
     /// Call-tree identifier; doubles as the Chrome `tid` so each tree
     /// renders as one track per lane.
     pub trace_id: u64,
-    /// This span's identifier (0 for instants outside any span).
+    /// This span's identifier (0 for instants).
     pub span_id: u64,
     /// The enclosing span's identifier, 0 at the root.
     pub parent_span_id: u64,
-    /// Model time (cost-clock nanoseconds) — the exported timeline.
-    pub model_ns: u64,
-    /// Wall nanoseconds since the tracer was created.
-    pub wall_ns: u64,
-}
-
-/// Handle for a span that has begun but not yet finished. Carries
-/// everything the matching end event needs.
-#[derive(Debug)]
-pub struct ActiveSpan {
-    ctx: SpanContext,
-    lane: Lane,
-    cat: &'static str,
-    name: String,
-}
-
-impl ActiveSpan {
-    /// The context children should inherit (and the wire should
-    /// carry) while this span is open.
-    pub fn context(&self) -> SpanContext {
-        self.ctx
-    }
-}
-
-/// The begin timestamps of a span recorded after the fact with
-/// [`Tracer::span_at`]. [`Tracer::stamp`] takes one only while the
-/// tracer is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stamp {
-    /// Model time (cost-clock nanoseconds) at the span's begin.
-    pub model_ns: u64,
-    /// Wall nanoseconds since the tracer was created, at the begin.
-    pub wall_ns: u64,
+    /// When the span began, or when the instant happened.
+    pub begin: Stamp,
+    /// When the span ended (never before `begin` in model time);
+    /// `None` for an instant.
+    pub end: Option<Stamp>,
 }
 
 // ---------------------------------------------------------------------------
@@ -342,9 +305,9 @@ impl Tracer {
         self.is_enabled().then(|| Stamp { model_ns: model_ns(), wall_ns: self.wall_ns() })
     }
 
-    fn push(&self, lane: Lane, event: TraceEvent) {
+    fn push(&self, event: TraceEvent) {
         let Some(rings) = self.rings.get() else { return };
-        if !rings[lane.index()].push(event) {
+        if !rings[event.lane.index()].push(event) {
             if let Some(recorder) =
                 self.recorder.lock().unwrap_or_else(|e| e.into_inner()).upgrade()
             {
@@ -353,72 +316,62 @@ impl Tracer {
         }
     }
 
-    /// Opens a span. Returns `None` without evaluating `model_ns` or
-    /// `name` (so without reading a clock or allocating) when disabled.
-    ///
-    /// `parent = None` starts a new call tree; otherwise the span
-    /// joins the parent's tree.
-    pub fn start(
-        &self,
-        lane: Lane,
-        cat: &'static str,
-        parent: Option<SpanContext>,
-        model_ns: impl FnOnce() -> u64,
-        name: impl FnOnce() -> String,
-    ) -> Option<ActiveSpan> {
-        if !self.is_enabled() {
-            return None;
-        }
-        let model_ns = model_ns();
+    /// The identity of a new span under `parent`, which starts a new
+    /// call tree when `None`: its context and its parent's span id.
+    fn open(&self, parent: Option<SpanContext>) -> (SpanContext, u64) {
         let span_id = self.next_id();
         let (trace_id, parent_span_id) = match parent {
             Some(p) => (p.trace_id, p.span_id),
             None => (self.next_id(), 0),
         };
-        let name = name();
-        self.push(
-            lane,
-            TraceEvent {
-                phase: TracePhase::Begin,
-                lane,
-                cat,
-                name: name.clone(),
-                trace_id,
-                span_id,
-                parent_span_id,
-                model_ns,
-                wall_ns: self.wall_ns(),
-            },
-        );
-        Some(ActiveSpan { ctx: SpanContext { trace_id, span_id }, lane, cat, name })
+        (SpanContext { trace_id, span_id }, parent_span_id)
     }
 
-    /// Closes a span opened by [`Tracer::start`].
-    pub fn finish(&self, span: ActiveSpan, model_ns: u64) {
-        let wall_ns = self.wall_ns();
-        let ActiveSpan { ctx, lane, cat, name } = span;
-        self.push(
+    /// Opens a span that begins now, at `clock()`, and makes its
+    /// context the thread's current one (see [`current`]). The span is
+    /// recorded when the returned guard drops, ending at `clock()`.
+    ///
+    /// Returns `None` without evaluating `clock` or `name` (so without
+    /// reading a clock or allocating) when disabled. `parent = None`
+    /// starts a new call tree; otherwise the span joins the parent's
+    /// tree.
+    pub fn span<C: Fn() -> u64>(
+        &self,
+        lane: Lane,
+        cat: &'static str,
+        parent: Option<SpanContext>,
+        clock: C,
+        name: impl FnOnce() -> String,
+    ) -> Option<SpanGuard<'_, C>> {
+        if !self.is_enabled() {
+            return None;
+        }
+        let model_ns = clock();
+        let (ctx, parent_span_id) = self.open(parent);
+        let name = name();
+        let begin = Stamp { model_ns, wall_ns: self.wall_ns() };
+        Some(SpanGuard {
+            tracer: self,
+            clock,
             lane,
-            TraceEvent {
-                phase: TracePhase::End,
-                lane,
-                cat,
-                name,
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                parent_span_id: 0,
-                model_ns,
-                wall_ns,
-            },
-        );
+            cat,
+            name,
+            ctx,
+            parent_span_id,
+            begin,
+            prev: CURRENT.with(|c| c.replace(Some(ctx))),
+            _thread: PhantomData,
+        })
     }
 
     /// Records a complete span that began at `begin` (a
     /// [`Tracer::stamp`]) and ends now — used when the span is only
     /// recorded after the fact (e.g. switchless queue wait,
     /// reconstructed from the job's posting stamp at drain time).
-    /// Evaluates nothing when disabled or when `begin` is `None` (the
-    /// tracer was off when the span began).
+    /// Evaluates nothing and returns `None` when disabled or when
+    /// `begin` is `None` (the tracer was off when the span began);
+    /// otherwise returns the span's context, so a caller can record
+    /// children under it.
     pub fn span_at(
         &self,
         lane: Lane,
@@ -427,46 +380,23 @@ impl Tracer {
         begin: Option<Stamp>,
         end_model_ns: impl FnOnce() -> u64,
         name: impl FnOnce() -> String,
-    ) {
-        let Some(Stamp { model_ns: begin_model_ns, wall_ns: begin_wall_ns }) =
-            begin.filter(|_| self.is_enabled())
-        else {
-            return;
-        };
-        let span_id = self.next_id();
-        let (trace_id, parent_span_id) = match parent {
-            Some(p) => (p.trace_id, p.span_id),
-            None => (self.next_id(), 0),
-        };
-        let name = name();
-        self.push(
+    ) -> Option<SpanContext> {
+        let begin = begin.filter(|_| self.is_enabled())?;
+        let (ctx, parent_span_id) = self.open(parent);
+        self.push(TraceEvent {
             lane,
-            TraceEvent {
-                phase: TracePhase::Begin,
-                lane,
-                cat,
-                name: name.clone(),
-                trace_id,
-                span_id,
-                parent_span_id,
-                model_ns: begin_model_ns,
-                wall_ns: begin_wall_ns,
-            },
-        );
-        self.push(
-            lane,
-            TraceEvent {
-                phase: TracePhase::End,
-                lane,
-                cat,
-                name,
-                trace_id,
-                span_id,
-                parent_span_id: 0,
-                model_ns: end_model_ns().max(begin_model_ns),
+            cat,
+            name: name(),
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent_span_id,
+            begin,
+            end: Some(Stamp {
+                model_ns: end_model_ns().max(begin.model_ns),
                 wall_ns: self.wall_ns(),
-            },
-        );
+            }),
+        });
+        Some(ctx)
     }
 
     /// Records a point event (e.g. an AEX) attributed to `parent`'s
@@ -486,20 +416,16 @@ impl Tracer {
             Some(p) => (p.trace_id, p.span_id),
             None => (0, 0),
         };
-        self.push(
+        self.push(TraceEvent {
             lane,
-            TraceEvent {
-                phase: TracePhase::Instant,
-                lane,
-                cat,
-                name: name(),
-                trace_id,
-                span_id: 0,
-                parent_span_id,
-                model_ns: model_ns(),
-                wall_ns: self.wall_ns(),
-            },
-        );
+            cat,
+            name: name(),
+            trace_id,
+            span_id: 0,
+            parent_span_id,
+            begin: Stamp { model_ns: model_ns(), wall_ns: self.wall_ns() },
+            end: None,
+        });
     }
 
     /// Events dropped because a lane's ring was full.
@@ -520,7 +446,7 @@ impl Tracer {
             .unwrap_or(0)
     }
 
-    /// Clones every captured event, ring order (push order per lane).
+    /// Clones every captured event, ring order (record order per lane).
     pub fn snapshot_events(&self) -> Vec<TraceEvent> {
         let Some(rings) = self.rings.get() else { return Vec::new() };
         let mut out = rings[0].snapshot();
@@ -543,13 +469,14 @@ impl Tracer {
     /// `otherData` — pass `("rmi_calls", n)` so `trace-report` can
     /// reconcile the trace against telemetry.
     ///
-    /// Begin/end events are re-balanced per `(pid, tid)` track at
-    /// export: an unmatched begin (span cut off by an error path or a
-    /// full ring) gets a synthetic end at the track's last timestamp,
-    /// and orphan ends are dropped, so the output always loads.
+    /// A span is one complete event (`ph: "X"`). Events are sorted by
+    /// lane, call tree, begin model time and span id; ids are taken as
+    /// spans open, so a parent sorts before a child that begins with
+    /// it.
     pub fn to_chrome_json(&self, extra: &[(&str, u64)]) -> String {
-        let balanced = balance(self.snapshot_events());
-        let mut other = Json::obj().with("dropped", self.dropped()).with("events", balanced.len());
+        let mut events = self.snapshot_events();
+        events.sort_by_key(|e| (e.lane.pid(), e.trace_id, e.begin.model_ns, e.span_id));
+        let mut other = Json::obj().with("dropped", self.dropped()).with("events", events.len());
         for (key, value) in extra {
             other.push(key, *value);
         }
@@ -561,25 +488,30 @@ impl Tracer {
                 .with("name", "process_name")
                 .with("args", Json::obj().with("name", lane.label()))
         });
-        let events = balanced.into_iter().map(|event| {
+        let micros = |ns: u64| ns as f64 / 1000.0;
+        let events = events.into_iter().map(|event| {
+            let begin = event.begin;
             let mut line = Json::obj()
-                .with("ph", event.phase.ph().to_string())
+                .with("ph", if event.end.is_some() { "X" } else { "i" })
                 .with("pid", event.lane.pid())
                 .with("tid", event.trace_id)
                 .with("cat", event.cat)
                 .with("name", event.name)
-                .with("ts", event.model_ns as f64 / 1000.0);
-            if event.phase == TracePhase::Instant {
-                line.push("s", "t");
+                .with("ts", micros(begin.model_ns));
+            let mut args = Json::obj()
+                .with("span", event.span_id)
+                .with("parent", event.parent_span_id)
+                .with("model_ns", begin.model_ns)
+                .with("wall_ns", begin.wall_ns);
+            match event.end {
+                Some(end) => {
+                    line.push("dur", micros(end.model_ns - begin.model_ns));
+                    args.push("end_model_ns", end.model_ns);
+                    args.push("end_wall_ns", end.wall_ns);
+                }
+                None => line.push("s", "t"),
             }
-            line.with(
-                "args",
-                Json::obj()
-                    .with("span", event.span_id)
-                    .with("parent", event.parent_span_id)
-                    .with("model_ns", event.model_ns)
-                    .with("wall_ns", event.wall_ns),
-            )
+            line.with("args", args)
         });
         Json::obj()
             .with("schema", TRACE_SCHEMA)
@@ -590,55 +522,8 @@ impl Tracer {
     }
 }
 
-/// Re-balances begin/end events per `(pid, tid)` track; see
-/// [`Tracer::to_chrome_json`].
-fn balance(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    let mut tracks: BTreeMap<(u64, u64), Vec<TraceEvent>> = BTreeMap::new();
-    for event in events {
-        tracks.entry((event.lane.pid(), event.trace_id)).or_default().push(event);
-    }
-    let mut out = Vec::new();
-    for (_, mut track) in tracks {
-        // Stable sort: ties (zero model time charged between pushes)
-        // keep push order, which is causal order within a lane.
-        track.sort_by_key(|e| e.model_ns);
-        let mut open: Vec<TraceEvent> = Vec::new();
-        let mut last_model = 0u64;
-        let mut last_wall = 0u64;
-        for event in track {
-            last_model = last_model.max(event.model_ns);
-            last_wall = last_wall.max(event.wall_ns);
-            match event.phase {
-                TracePhase::Begin => {
-                    open.push(event.clone());
-                    out.push(event);
-                }
-                TracePhase::End => {
-                    if open.pop().is_some() {
-                        out.push(event);
-                    }
-                    // Orphan end: its begin was dropped — discard.
-                }
-                TracePhase::Instant => out.push(event),
-            }
-        }
-        // Synthesize ends for spans cut off mid-flight, innermost
-        // first so the stack unwinds.
-        while let Some(begin) = open.pop() {
-            out.push(TraceEvent {
-                phase: TracePhase::End,
-                model_ns: last_model,
-                wall_ns: last_wall,
-                parent_span_id: 0,
-                ..begin
-            });
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Thread-local span context
+// Open spans and the thread-local context
 // ---------------------------------------------------------------------------
 
 thread_local! {
@@ -652,22 +537,60 @@ pub fn current() -> Option<SpanContext> {
     CURRENT.with(|c| c.get())
 }
 
-/// Makes `ctx` the current context until the returned guard drops
-/// (restoring whatever was current before).
-#[must_use = "the context is only current while the guard lives"]
-pub fn set_current(ctx: SpanContext) -> ContextScope {
-    ContextScope { prev: CURRENT.with(|c| c.replace(Some(ctx))) }
-}
-
-/// Guard returned by [`set_current`].
-#[derive(Debug)]
-pub struct ContextScope {
+/// A span opened by [`Tracer::span`]. While the guard lives, its
+/// context is the thread's current one. When it drops — also while
+/// unwinding — it restores the context that was current before and
+/// records the span as one complete event ending at `clock()`.
+#[must_use = "the span ends when the guard drops"]
+pub struct SpanGuard<'t, C: Fn() -> u64> {
+    tracer: &'t Tracer,
+    clock: C,
+    lane: Lane,
+    cat: &'static str,
+    name: String,
+    ctx: SpanContext,
+    parent_span_id: u64,
+    begin: Stamp,
+    /// The context current before this span opened.
     prev: Option<SpanContext>,
+    /// The guard restores a thread-local, so it stays on its thread.
+    _thread: PhantomData<*const ()>,
 }
 
-impl Drop for ContextScope {
+impl<C: Fn() -> u64> SpanGuard<'_, C> {
+    /// The context children should inherit (and the wire should
+    /// carry) while this span is open.
+    pub fn context(&self) -> SpanContext {
+        self.ctx
+    }
+}
+
+impl<C: Fn() -> u64> std::fmt::Debug for SpanGuard<'_, C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpanGuard")
+            .field("name", &self.name)
+            .field("ctx", &self.ctx)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<C: Fn() -> u64> Drop for SpanGuard<'_, C> {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));
+        let end = Stamp {
+            model_ns: (self.clock)().max(self.begin.model_ns),
+            wall_ns: self.tracer.wall_ns(),
+        };
+        self.tracer.push(TraceEvent {
+            lane: self.lane,
+            cat: self.cat,
+            name: std::mem::take(&mut self.name),
+            trace_id: self.ctx.trace_id,
+            span_id: self.ctx.span_id,
+            parent_span_id: self.parent_span_id,
+            begin: self.begin,
+            end: Some(end),
+        });
     }
 }
 
@@ -675,34 +598,47 @@ impl Drop for ContextScope {
 // Parsing (for `montsalvat trace-report` and tests)
 // ---------------------------------------------------------------------------
 
-/// One event read back from a `--trace-out` document.
+/// One span read back from a `--trace-out` document, linked into the
+/// span forest.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedEvent {
-    /// Chrome phase code (`B`/`E`/`i`; metadata events are skipped).
-    pub ph: char,
+pub struct ParsedSpan {
     /// Lane pid (1 = trusted, 2 = untrusted).
     pub pid: u64,
     /// Track (= trace id).
     pub tid: u64,
-    /// Event category.
+    /// Span category.
     pub cat: String,
-    /// Event name.
+    /// Span name.
     pub name: String,
-    /// Span id from `args` (0 for instants).
-    pub span: u64,
-    /// Parent span id from `args` (0 at roots and on end events).
-    pub parent: u64,
-    /// Model-time nanoseconds from `args`.
-    pub model_ns: u64,
-    /// Wall nanoseconds from `args`.
-    pub wall_ns: u64,
+    /// Span id (`args.span`).
+    pub id: u64,
+    /// Parent span id (`args.parent`), 0 at a root.
+    pub parent_id: u64,
+    /// Begin on both clocks.
+    pub begin: Stamp,
+    /// End on both clocks (model time never before `begin`'s).
+    pub end: Stamp,
+    /// Payload bytes from a `b=<n>` name suffix (serde spans), else 0.
+    pub payload_bytes: u64,
+    /// Index of the parent span, when the parent is in the trace.
+    pub parent: Option<usize>,
+    /// Indices of the child spans, in begin order.
+    pub children: Vec<usize>,
+}
+
+impl ParsedSpan {
+    /// Model-time duration.
+    pub fn dur_ns(&self) -> u64 {
+        self.end.model_ns.saturating_sub(self.begin.model_ns)
+    }
 }
 
 /// A parsed `--trace-out` document.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedTrace {
-    /// Every non-metadata event, document order.
-    pub events: Vec<ParsedEvent>,
+    /// Every span, in document order (lane, call tree, begin), with
+    /// parent and children links resolved. Instants are not kept.
+    pub spans: Vec<ParsedSpan>,
     /// The numeric `otherData` entries (`dropped`, `events`, plus any
     /// extras the exporter attached such as `rmi_calls`).
     pub other: Vec<(String, u64)>,
@@ -714,71 +650,15 @@ impl ParsedTrace {
         self.other.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
     }
 
-    /// Rebuilds the span forest: each begin event paired with its end
-    /// (by span id), linked to its parent through an id map. Spans are
-    /// in begin-event document order; each span's children are in
-    /// begin order, ties in document order.
-    pub fn spans(&self) -> Vec<ParsedSpan<'_>> {
-        let mut spans: Vec<ParsedSpan<'_>> = Vec::new();
-        let mut by_id: HashMap<u64, usize> = HashMap::new();
-        for event in &self.events {
-            match event.ph {
-                'B' => {
-                    by_id.insert(event.span, spans.len());
-                    spans.push(ParsedSpan {
-                        event,
-                        end_ns: event.model_ns,
-                        payload_bytes: event
-                            .name
-                            .rsplit_once("b=")
-                            .and_then(|(_, n)| n.trim().parse().ok())
-                            .unwrap_or(0),
-                        parent: None,
-                        children: Vec::new(),
-                    });
-                }
-                'E' => {
-                    if let Some(&i) = by_id.get(&event.span) {
-                        spans[i].end_ns = spans[i].end_ns.max(event.model_ns);
-                    }
-                }
-                _ => {}
-            }
-        }
-        for i in 0..spans.len() {
-            let parent = spans[i].event.parent;
-            if let Some(&p) = by_id.get(&parent).filter(|_| parent != 0) {
-                spans[i].parent = Some(p);
-                spans[p].children.push(i);
-            }
-        }
-        let begins: Vec<u64> = spans.iter().map(|s| s.event.model_ns).collect();
-        for span in &mut spans {
-            span.children.sort_by_key(|&k| begins[k]);
-        }
-        spans
-    }
-}
-
-/// One span of a [`ParsedTrace`]: a begin event paired with its end.
-#[derive(Debug, Clone)]
-pub struct ParsedSpan<'a> {
-    /// The begin event: name, category, lane, ids and begin time.
-    pub event: &'a ParsedEvent,
-    /// Model time of the matching end event (the begin time if none).
-    pub end_ns: u64,
-    /// Payload bytes from a `b=<n>` name suffix (serde spans), else 0.
-    pub payload_bytes: u64,
-    /// Index of the parent span, when its begin is in the trace.
-    pub parent: Option<usize>,
-    /// Indices of the child spans, in begin order.
-    pub children: Vec<usize>,
-}
-
-impl ParsedSpan<'_> {
-    /// Model-time duration.
-    pub fn dur_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.event.model_ns)
+    /// Model time span `i` spent outside its children: its duration
+    /// minus theirs, floored at zero (children served on other threads
+    /// can overlap and sum past their parent). On a single-threaded
+    /// capture with no drops, the exclusive times of all spans sum to
+    /// the roots' durations.
+    pub fn exclusive_ns(&self, i: usize) -> u64 {
+        let span = &self.spans[i];
+        let children: u64 = span.children.iter().map(|&k| self.spans[k].dur_ns()).sum();
+        span.dur_ns().saturating_sub(children)
     }
 }
 
@@ -791,34 +671,57 @@ pub fn parse_chrome_trace(json: &str) -> Result<ParsedTrace, String> {
         .and_then(Json::as_arr)
         .ok_or("not a Chrome trace document (no traceEvents)")?;
     let other = doc.get("otherData").and_then(Json::as_obj).unwrap_or_default();
-    let mut trace = ParsedTrace {
-        events: Vec::with_capacity(events.len()),
-        other: other.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect(),
-    };
+    let mut spans = Vec::with_capacity(events.len());
     for event in events {
-        let ph = event.get("ph").and_then(Json::as_str).and_then(|s| s.chars().next());
-        let ph = ph.unwrap_or('?');
-        if ph == 'M' {
-            continue;
-        }
-        if !matches!(ph, 'B' | 'E' | 'i') {
-            return Err(format!("unknown event phase `{ph}`"));
+        match event.get("ph").and_then(Json::as_str).and_then(|s| s.chars().next()) {
+            Some('X') => {}
+            Some('M' | 'i') => continue,
+            ph => return Err(format!("unknown event phase `{}`", ph.unwrap_or('?'))),
         }
         let field = |path: &[&str]| event.at(path).and_then(Json::as_u64);
         let text = |key| event.get(key).and_then(Json::as_str).unwrap_or_default().to_owned();
-        trace.events.push(ParsedEvent {
-            ph,
+        let name = text("name");
+        let begin = Stamp {
+            model_ns: field(&["args", "model_ns"]).ok_or("span missing model_ns")?,
+            wall_ns: field(&["args", "wall_ns"]).unwrap_or(0),
+        };
+        let end_model_ns = field(&["args", "end_model_ns"]).ok_or("span missing end_model_ns")?;
+        spans.push(ParsedSpan {
             pid: field(&["pid"]).ok_or("event missing pid")?,
             tid: field(&["tid"]).ok_or("event missing tid")?,
             cat: text("cat"),
-            name: text("name"),
-            span: field(&["args", "span"]).unwrap_or(0),
-            parent: field(&["args", "parent"]).unwrap_or(0),
-            model_ns: field(&["args", "model_ns"]).ok_or("event missing model_ns")?,
-            wall_ns: field(&["args", "wall_ns"]).unwrap_or(0),
+            payload_bytes: name
+                .rsplit_once("b=")
+                .and_then(|(_, n)| n.trim().parse().ok())
+                .unwrap_or(0),
+            name,
+            id: field(&["args", "span"]).unwrap_or(0),
+            parent_id: field(&["args", "parent"]).unwrap_or(0),
+            begin,
+            end: Stamp {
+                model_ns: end_model_ns.max(begin.model_ns),
+                wall_ns: field(&["args", "end_wall_ns"]).unwrap_or(0),
+            },
+            parent: None,
+            children: Vec::new(),
         });
     }
-    Ok(trace)
+    let by_id: HashMap<u64, usize> = spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+    for i in 0..spans.len() {
+        let parent_id = spans[i].parent_id;
+        if let Some(&p) = by_id.get(&parent_id).filter(|_| parent_id != 0) {
+            spans[i].parent = Some(p);
+            spans[p].children.push(i);
+        }
+    }
+    let begins: Vec<u64> = spans.iter().map(|s| s.begin.model_ns).collect();
+    for span in &mut spans {
+        span.children.sort_by_key(|&k| begins[k]);
+    }
+    Ok(ParsedTrace {
+        spans,
+        other: other.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect(),
+    })
 }
 
 #[cfg(test)]
@@ -831,16 +734,21 @@ mod tests {
         tracer
     }
 
+    fn at(model_ns: u64) -> Option<Stamp> {
+        Some(Stamp { model_ns, wall_ns: 0 })
+    }
+
     #[test]
     fn disabled_tracer_records_nothing_and_skips_name_closures() {
         let tracer = Tracer::new();
         let clock = || -> u64 { panic!("no clock is read while disabled") };
         let name = || -> String { panic!("name closure must not run while disabled") };
-        assert!(tracer.start(Lane::Trusted, "rmi", None, clock, name).is_none());
+        assert!(tracer.span(Lane::Trusted, "rmi", None, clock, name).is_none());
+        assert_eq!(current(), None, "a disabled span makes nothing current");
         tracer.instant(Lane::Trusted, "sgx", None, clock, name);
         let begin = tracer.stamp(clock);
         assert!(begin.is_none());
-        tracer.span_at(Lane::Trusted, "serde", None, begin, clock, name);
+        assert!(tracer.span_at(Lane::Trusted, "serde", None, begin, clock, name).is_none());
         assert_eq!(tracer.event_count(), 0);
         assert_eq!(tracer.dropped(), 0);
     }
@@ -849,116 +757,147 @@ mod tests {
     fn span_names_round_trip_through_escaping() {
         let tracer = enabled(8);
         let name = "say \"hi\" C:\\dir\nnext\u{1}end";
-        tracer.instant(Lane::Trusted, "rmi", None, || 0, || name.into());
+        tracer.span_at(Lane::Trusted, "rmi", None, at(0), || 1, || name.into());
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
-        assert_eq!(parsed.events.len(), 1);
-        assert_eq!(parsed.events[0].name, name);
+        assert_eq!(parsed.spans.len(), 1);
+        assert_eq!(parsed.spans[0].name, name);
     }
 
     #[test]
-    fn spans_nest_and_export_balances() {
+    fn a_guard_records_one_complete_span_when_it_drops() {
         let tracer = enabled(64);
-        let root = tracer.start(Lane::Untrusted, "rmi", None, || 100, || "call".into()).unwrap();
-        let child = tracer
-            .start(Lane::Trusted, "sgx", Some(root.context()), || 200, || "ecall".into())
-            .unwrap();
-        assert_eq!(child.context().trace_id, root.context().trace_id);
+        let clock = AtomicU64::new(100);
+        let now = || clock.load(Ordering::Relaxed);
+        let root = tracer.span(Lane::Untrusted, "rmi", None, now, || "call".into()).unwrap();
         let root_ctx = root.context();
-        tracer.finish(child, 300);
-        tracer.finish(root, 400);
+        assert_eq!(current(), Some(root_ctx));
+        clock.store(200, Ordering::Relaxed);
+        {
+            let child = tracer.span(Lane::Trusted, "sgx", current(), now, || "ecall".into());
+            let child = child.unwrap();
+            assert_eq!(child.context().trace_id, root_ctx.trace_id);
+            assert_eq!(current(), Some(child.context()));
+            assert_eq!(tracer.event_count(), 0, "nothing is recorded while a span is open");
+            clock.store(300, Ordering::Relaxed);
+        }
+        assert_eq!(current(), Some(root_ctx), "the child restores its parent's context");
+        assert_eq!(tracer.event_count(), 1);
+        clock.store(400, Ordering::Relaxed);
+        drop(root);
+        assert_eq!(current(), None);
 
         let json = tracer.to_chrome_json(&[("rmi_calls", 1)]);
         let parsed = parse_chrome_trace(&json).unwrap();
-        assert_eq!(parsed.events.len(), 4);
         assert_eq!(parsed.other("dropped"), Some(0));
+        assert_eq!(parsed.other("events"), Some(2), "one event per span");
         assert_eq!(parsed.other("rmi_calls"), Some(1));
-        let begins: Vec<_> = parsed.events.iter().filter(|e| e.ph == 'B').collect();
-        let ends = parsed.events.iter().filter(|e| e.ph == 'E').count();
-        assert_eq!(begins.len(), 2);
-        assert_eq!(ends, 2);
-        let child_b = begins.iter().find(|e| e.cat == "sgx").unwrap();
-        assert_eq!(child_b.parent, root_ctx.span_id);
-        assert_eq!(child_b.tid, root_ctx.trace_id);
-        assert_eq!(child_b.pid, Lane::Trusted.pid());
+        // The trusted lane (pid 1) sorts first.
+        let [ecall, call] = &parsed.spans[..] else { panic!("{:?}", parsed.spans) };
+        assert_eq!(
+            (call.name.as_str(), call.begin.model_ns, call.end.model_ns),
+            ("call", 100, 400)
+        );
+        assert_eq!((call.id, call.parent_id, call.parent), (root_ctx.span_id, 0, None));
+        assert_eq!(call.children, [0]);
+        assert_eq!((ecall.begin.model_ns, ecall.end.model_ns), (200, 300));
+        assert_eq!((ecall.parent_id, ecall.parent), (root_ctx.span_id, Some(1)));
+        assert_eq!((ecall.tid, ecall.pid), (root_ctx.trace_id, Lane::Trusted.pid()));
+        assert!(call.begin.wall_ns <= ecall.begin.wall_ns && ecall.end.wall_ns <= call.end.wall_ns);
     }
 
     #[test]
-    fn overflow_counts_drops_and_keeps_the_prefix_intact() {
+    fn a_guard_records_its_span_while_unwinding() {
+        let tracer = enabled(8);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _span = tracer.span(Lane::Trusted, "exec", None, || 5, || "serve:X".into());
+            panic!("relay body fails");
+        }));
+        assert!(caught.is_err());
+        assert_eq!(current(), None, "unwinding restores the context");
+        let events = tracer.snapshot_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            (events[0].name.as_str(), events[0].end.map(|e| e.model_ns)),
+            ("serve:X", Some(5))
+        );
+    }
+
+    #[test]
+    fn a_tiny_ring_keeps_only_complete_spans_and_exports_them_sorted() {
         let tracer = enabled(8);
         let recorder = Recorder::new();
         tracer.attach_recorder(&recorder);
-        let mut kept = Vec::new();
-        for i in 0..20 {
-            let span =
-                tracer.start(Lane::Trusted, "rmi", None, || i, || format!("call{i}")).unwrap();
-            kept.push(span.context());
-            tracer.finish(span, i + 1);
+        tracer.span_at(Lane::Trusted, "gc", None, at(1_000), || 1_001, || "late".into());
+        // A guard records a child before its parent, so the ring holds
+        // each pair child first, and it fills between the fourth child
+        // and its parent, which is dropped whole.
+        for i in 0..20u64 {
+            let _call = tracer.span(Lane::Trusted, "rmi", None, || i * 10, || format!("call{i}"));
+            let _marshal =
+                tracer.span(Lane::Trusted, "serde", current(), || i * 10, || format!("marshal{i}"));
         }
         assert_eq!(tracer.event_count(), 8);
-        assert_eq!(tracer.dropped(), 32);
-        assert_eq!(recorder.counter(Counter::TraceDropped), 32);
-        // The captured prefix is the first four complete spans.
-        let events = tracer.snapshot_events();
-        assert_eq!(events.len(), 8);
-        for pair in events.chunks(2) {
-            assert_eq!(pair[0].phase, TracePhase::Begin);
-            assert_eq!(pair[1].phase, TracePhase::End);
-            assert_eq!(pair[0].span_id, pair[1].span_id);
+        assert_eq!(tracer.dropped(), 33);
+        assert_eq!(recorder.counter(Counter::TraceDropped), 33);
+        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
+        assert_eq!(parsed.other("dropped"), Some(33));
+        let names: Vec<&str> = parsed.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["late", "call0", "marshal0", "call1", "marshal1", "call2", "marshal2", "marshal3"],
+            "sorted by call tree, then begin, then span id"
+        );
+        for call in [1, 3, 5] {
+            let marshal = &parsed.spans[call + 1];
+            assert_eq!((marshal.parent_id, marshal.parent), (parsed.spans[call].id, Some(call)));
         }
-        // Export still parses and stays balanced.
-        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
-        let b = parsed.events.iter().filter(|e| e.ph == 'B').count();
-        let e = parsed.events.iter().filter(|e| e.ph == 'E').count();
-        assert_eq!(b, e);
-    }
-
-    #[test]
-    fn export_synthesizes_missing_ends_and_drops_orphan_ends() {
-        let tracer = enabled(64);
-        let abandoned =
-            tracer.start(Lane::Untrusted, "rmi", None, || 10, || "abandoned".into()).unwrap();
-        let _ = abandoned; // dropped without finish (simulates an error path)
-                           // Hand-craft an orphan end by finishing a span twice worth of
-                           // ends: start+finish, then push another end via span_at trick.
-        let done = tracer.start(Lane::Untrusted, "rmi", None, || 20, || "done".into()).unwrap();
-        tracer.finish(done, 30);
-        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
-        let b = parsed.events.iter().filter(|e| e.ph == 'B').count();
-        let e = parsed.events.iter().filter(|e| e.ph == 'E').count();
-        assert_eq!(b, 2);
-        assert_eq!(e, 2, "unfinished span must get a synthetic end");
+        let orphan = &parsed.spans[7];
+        assert!(orphan.parent_id != 0 && orphan.parent.is_none(), "its parent was dropped");
     }
 
     #[test]
     fn span_at_records_explicit_interval() {
         let tracer = enabled(16);
-        tracer.span_at(
-            Lane::Trusted,
-            "queue",
-            None,
-            Some(Stamp { model_ns: 50, wall_ns: 0 }),
-            || 90,
-            || "queue_wait".into(),
-        );
+        let ctx =
+            tracer.span_at(Lane::Trusted, "queue", None, at(50), || 90, || "queue_wait".into());
         let events = tracer.snapshot_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].model_ns, 50);
-        assert_eq!(events[1].model_ns, 90);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].span_id, ctx.unwrap().span_id);
+        assert_eq!(events[0].begin.model_ns, 50);
+        assert_eq!(events[0].end.map(|e| e.model_ns), Some(90));
+        // An end before the begin is clamped to it.
+        tracer.span_at(Lane::Trusted, "queue", None, at(50), || 10, || "early".into());
+        assert_eq!(tracer.snapshot_events()[1].end.map(|e| e.model_ns), Some(50));
+    }
+
+    #[test]
+    fn exclusive_time_subtracts_children_and_floors_at_zero() {
+        let tracer = enabled(16);
+        let root = tracer.span_at(Lane::Untrusted, "rmi", None, at(0), || 100, || "r".into());
+        let a = tracer.span_at(Lane::Untrusted, "serde", root, at(10), || 30, || "a".into());
+        tracer.span_at(Lane::Untrusted, "exec", root, at(40), || 90, || "b".into());
+        // Two overlapping children worth 120 ns under a 20 ns parent.
+        tracer.span_at(Lane::Untrusted, "exec", a, at(10), || 70, || "c".into());
+        tracer.span_at(Lane::Untrusted, "exec", a, at(10), || 70, || "d".into());
+        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
+        let exclusive: Vec<(&str, u64)> = (0..parsed.spans.len())
+            .map(|i| (parsed.spans[i].name.as_str(), parsed.exclusive_ns(i)))
+            .collect();
+        assert_eq!(exclusive, [("r", 30), ("a", 0), ("c", 60), ("d", 60), ("b", 50)]);
     }
 
     #[test]
     fn thread_local_context_nests_and_restores() {
+        let tracer = enabled(8);
         assert_eq!(current(), None);
-        let outer = SpanContext { trace_id: 7, span_id: 1 };
-        let inner = SpanContext { trace_id: 7, span_id: 2 };
         {
-            let _a = set_current(outer);
-            assert_eq!(current(), Some(outer));
+            let outer = tracer.span(Lane::Trusted, "rmi", None, || 0, || "outer".into()).unwrap();
+            assert_eq!(current(), Some(outer.context()));
             {
-                let _b = set_current(inner);
-                assert_eq!(current(), Some(inner));
+                let inner = tracer.span(Lane::Trusted, "sgx", current(), || 0, || "inner".into());
+                assert_eq!(current(), inner.as_ref().map(SpanGuard::context));
             }
-            assert_eq!(current(), Some(outer));
+            assert_eq!(current(), Some(outer.context()));
         }
         assert_eq!(current(), None);
     }
@@ -978,14 +917,20 @@ mod tests {
     }
 
     #[test]
-    fn names_with_quotes_round_trip() {
-        let tracer = enabled(16);
-        let span = tracer
-            .start(Lane::Trusted, "exec", None, || 1, || "weird \"name\"\\path".into())
-            .unwrap();
-        tracer.finish(span, 2);
-        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
-        assert_eq!(parsed.events[0].name, "weird \"name\"\\path");
+    fn instants_export_but_are_not_spans() {
+        let tracer = enabled(8);
+        tracer.instant(Lane::Trusted, "sgx", None, || 7, || "aex:epc_faults=1".into());
+        let json = tracer.to_chrome_json(&[]);
+        assert!(json.contains("\"ph\": \"i\""), "{json}");
+        let parsed = parse_chrome_trace(&json).unwrap();
+        assert!(parsed.spans.is_empty());
+        assert_eq!(parsed.other("events"), Some(1));
+    }
+
+    #[test]
+    fn begin_and_end_phases_are_rejected() {
+        let doc = r#"{"traceEvents": [{"ph": "B", "pid": 1, "tid": 1, "args": {"model_ns": 0}}]}"#;
+        assert_eq!(parse_chrome_trace(doc).unwrap_err(), "unknown event phase `B`");
     }
 
     #[test]
@@ -996,19 +941,17 @@ mod tests {
             let tracer = Arc::clone(&tracer);
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    let span = tracer
-                        .start(Lane::Untrusted, "rmi", None, || t * 1000 + i, || "c".into())
-                        .unwrap();
-                    tracer.finish(span, t * 1000 + i + 1);
+                    let begin = t * 1000 + i;
+                    drop(tracer.span(Lane::Untrusted, "rmi", None, || begin, || "c".into()));
                 }
             }));
         }
         for handle in handles {
             handle.join().unwrap();
         }
-        assert_eq!(tracer.event_count(), 800);
+        assert_eq!(tracer.event_count(), 400);
         assert_eq!(tracer.dropped(), 0);
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
-        assert_eq!(parsed.events.len(), 800);
+        assert_eq!(parsed.spans.len(), 400);
     }
 }

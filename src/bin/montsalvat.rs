@@ -492,12 +492,12 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
     use std::collections::HashMap;
     use std::fmt::Write as _;
 
-    let spans = trace.spans();
+    let spans = &trace.spans;
 
     // Total traced model time: the sum of root-span durations. (The
     // raw max timestamp is useless as a denominator — each launched
     // application has its own clock origin.)
-    let mut roots: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].event.parent == 0).collect();
+    let mut roots: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].parent_id == 0).collect();
     let tree_total: u64 = roots.iter().map(|&i| spans[i].dur_ns()).sum();
 
     let mut out = String::new();
@@ -519,7 +519,7 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
 
     // Reconciliation: every cross_call opens exactly one cat-"rmi"
     // span, so telemetry's rmi.calls and the trace agree modulo drops.
-    let rmi_spans = spans.iter().filter(|s| s.event.cat == "rmi").count() as u64;
+    let rmi_spans = spans.iter().filter(|s| s.cat == "rmi").count() as u64;
     if let Some(rmi_calls) = trace.other("rmi_calls") {
         let verdict = if rmi_calls == rmi_spans
             || (rmi_spans <= rmi_calls && rmi_calls <= rmi_spans + dropped)
@@ -545,18 +545,17 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
     roots.sort_by_key(|&i| std::cmp::Reverse(spans[i].dur_ns()));
     let _ = writeln!(out, "\n-- top {} slowest call trees --", top.min(roots.len()));
     for (rank, &root) in roots.iter().take(top).enumerate() {
-        let root_event = spans[root].event;
-        let _ =
-            writeln!(out, "#{} trace {} (lane pid {})", rank + 1, root_event.tid, root_event.pid);
+        let root_span = &spans[root];
+        let _ = writeln!(out, "#{} trace {} (lane pid {})", rank + 1, root_span.tid, root_span.pid);
         let mut lines = 0usize;
-        print_tree(&mut out, &spans, root, 1, &mut lines);
+        print_tree(&mut out, spans, root, 1, &mut lines);
     }
 
     // Per-class call profile over proxy-call spans ("Class.relay").
     // (count, total ns, max ns, serde bytes, serde ns)
     let mut profile: HashMap<&str, (u64, u64, u64, u64, u64)> = HashMap::new();
-    for s in spans.iter().filter(|s| s.event.cat == "rmi") {
-        let entry = profile.entry(s.event.name.as_str()).or_default();
+    for s in spans.iter().filter(|s| s.cat == "rmi") {
+        let entry = profile.entry(s.name.as_str()).or_default();
         entry.0 += 1;
         entry.1 += s.dur_ns();
         entry.2 = entry.2.max(s.dur_ns());
@@ -564,11 +563,11 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
     // Serde attribution: marshal/unmarshal spans carry their payload
     // size as a `b=<bytes>` suffix; charge each one to the nearest
     // enclosing cat-"rmi" span (the proxy call that crossed).
-    for s in spans.iter().filter(|s| s.event.cat == "serde") {
+    for s in spans.iter().filter(|s| s.cat == "serde") {
         let mut parent = s.parent;
         while let Some(p) = parent {
-            if spans[p].event.cat == "rmi" {
-                if let Some(entry) = profile.get_mut(spans[p].event.name.as_str()) {
+            if spans[p].cat == "rmi" {
+                if let Some(entry) = profile.get_mut(spans[p].name.as_str()) {
                     entry.3 += s.payload_bytes;
                     entry.4 += s.dur_ns();
                 }
@@ -601,13 +600,16 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
         );
     }
 
-    // Model-time breakdown: where the modelled nanoseconds go. The
-    // categories nest (an "rmi" span contains its transition and serde
-    // spans), so each line is time inside spans of that category, not
-    // exclusive self-time.
-    let _ = writeln!(out, "\n-- model-time breakdown --");
+    // Model-time breakdown: where the modelled nanoseconds go. Each
+    // row is the exclusive time of its category's spans (a span's own
+    // time, outside its children), so on a single-threaded capture
+    // that dropped nothing the rows sum to the traced total. Children
+    // served on other threads can overlap; each span floors at zero.
+    let pct = |ns: u64| if tree_total > 0 { 100.0 * ns as f64 / tree_total as f64 } else { 0.0 };
+    let _ = writeln!(out, "\n-- model-time breakdown (exclusive time) --");
+    let (mut all_count, mut all_total) = (0usize, 0u64);
     for (cat, label) in [
-        ("rmi", "proxy calls (end to end)"),
+        ("rmi", "proxy calls (own time)"),
         ("sgx", "enclave transitions"),
         ("shim", "shim-relayed I/O ocalls"),
         ("serde", "serialization"),
@@ -615,19 +617,28 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
         ("exec", "relay execution"),
         ("gc", "garbage collection"),
     ] {
-        let total: u64 = spans.iter().filter(|s| s.event.cat == cat).map(ParsedSpan::dur_ns).sum();
-        let count = spans.iter().filter(|s| s.event.cat == cat).count();
-        if count == 0 {
+        let of_cat: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].cat == cat).collect();
+        if of_cat.is_empty() {
             continue;
         }
-        let pct = if tree_total > 0 { 100.0 * total as f64 / tree_total as f64 } else { 0.0 };
+        let total: u64 = of_cat.iter().map(|&i| trace.exclusive_ns(i)).sum();
+        all_count += of_cat.len();
+        all_total += total;
         let _ = writeln!(
             out,
-            "{label:<28} {:>6} spans {:>14} ({pct:>5.1}% of traced time)",
-            count,
-            fmt_ns(total)
+            "{label:<28} {:>6} spans {:>14} ({:>5.1}% of traced time)",
+            of_cat.len(),
+            fmt_ns(total),
+            pct(total)
         );
     }
+    let _ = writeln!(
+        out,
+        "{:<28} {all_count:>6} spans {:>14} ({:>5.1}% of traced time)",
+        "total",
+        fmt_ns(all_total),
+        pct(all_total)
+    );
 
     out
 }
@@ -643,14 +654,7 @@ fn print_tree(out: &mut String, spans: &[ParsedSpan], i: usize, depth: usize, li
         return;
     }
     let s = &spans[i];
-    let _ = writeln!(
-        out,
-        "{}{} [{}] {}",
-        "  ".repeat(depth),
-        s.event.name,
-        s.event.cat,
-        fmt_ns(s.dur_ns())
-    );
+    let _ = writeln!(out, "{}{} [{}] {}", "  ".repeat(depth), s.name, s.cat, fmt_ns(s.dur_ns()));
     *lines += 1;
     for &kid in &s.children {
         print_tree(out, spans, kid, depth + 1, lines);
@@ -818,32 +822,75 @@ mod tests {
         assert!(err.contains("Ghost"), "{err}");
     }
 
+    fn enabled_tracer(capacity: usize) -> std::sync::Arc<montsalvat::telemetry::trace::Tracer> {
+        let tracer = montsalvat::telemetry::trace::Tracer::new();
+        tracer.enable_with_capacity(capacity);
+        tracer
+    }
+
+    /// Records one complete span over `(begin, end)` model ns and
+    /// returns its context, so children can be recorded under it.
+    fn span(
+        tracer: &montsalvat::telemetry::trace::Tracer,
+        lane: montsalvat::telemetry::trace::Lane,
+        cat: &'static str,
+        parent: Option<montsalvat::telemetry::trace::SpanContext>,
+        (begin, end): (u64, u64),
+        name: &str,
+    ) -> Option<montsalvat::telemetry::trace::SpanContext> {
+        let begin = Some(montsalvat::telemetry::trace::Stamp { model_ns: begin, wall_ns: 0 });
+        tracer.span_at(lane, cat, parent, begin, || end, || name.to_owned())
+    }
+
+    #[test]
+    fn breakdown_rows_are_exclusive_and_sum_to_the_traced_total() {
+        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane};
+        let tracer = enabled_tracer(64);
+        // Two single-threaded call trees: 1000 ns and 400 ns.
+        let main = span(&tracer, Lane::Trusted, "sgx", None, (0, 1_000), "ecall:ecall_enter");
+        let call = span(&tracer, Lane::Trusted, "rmi", main, (100, 900), "A.relay$a");
+        span(&tracer, Lane::Trusted, "serde", call, (100, 150), "marshal:fast b=8");
+        let ocall = span(&tracer, Lane::Untrusted, "sgx", call, (200, 800), "ocall:relay");
+        let serve = span(&tracer, Lane::Untrusted, "exec", ocall, (210, 790), "serve:A.relay$a");
+        span(&tracer, Lane::Untrusted, "gc", serve, (300, 340), "gc:minor");
+        span(&tracer, Lane::Trusted, "serde", call, (850, 900), "unmarshal b=4");
+        span(&tracer, Lane::Untrusted, "gc", None, (5_000, 5_400), "gc-sweep:untrusted dead=1");
+        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
+        let report = render_trace_report(&parsed, 0);
+        let rows: Vec<(&str, u64)> = report
+            .lines()
+            .skip_while(|l| !l.starts_with("-- model-time breakdown (exclusive time) --"))
+            .skip(1)
+            .map(|l| {
+                let (label, rest) = l.split_at(28);
+                let ns = rest.split_whitespace().nth(2).unwrap().replace('.', "");
+                (label.trim_end(), ns.parse().unwrap())
+            })
+            .collect();
+        assert!(report.contains("1.400 µs inside traced call trees"), "{report}");
+        // sgx: 200 + 20, rmi: 800 - 50 - 600 - 50, serde: 50 + 50,
+        // exec: 580 - 40, gc: 40 + 400 (values in ns, printed as µs).
+        assert_eq!(
+            rows,
+            [
+                ("proxy calls (own time)", 100),
+                ("enclave transitions", 220),
+                ("serialization", 100),
+                ("relay execution", 540),
+                ("garbage collection", 440),
+                ("total", 1_400),
+            ],
+            "{report}"
+        );
+    }
+
     #[test]
     fn trace_report_attributes_serde_to_enclosing_call() {
-        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Stamp, Tracer};
-        let tracer = Tracer::new();
-        tracer.enable_with_capacity(64);
-        let call = tracer
-            .start(Lane::Untrusted, "rmi", None, || 0, || "Account.relay$get".into())
-            .expect("tracing enabled");
-        let ctx = call.context();
-        tracer.span_at(
-            Lane::Untrusted,
-            "serde",
-            Some(ctx),
-            Some(Stamp { model_ns: 10, wall_ns: 10 }),
-            || 30,
-            || "marshal:fast b=64".into(),
-        );
-        tracer.span_at(
-            Lane::Untrusted,
-            "serde",
-            Some(ctx),
-            Some(Stamp { model_ns: 40, wall_ns: 40 }),
-            || 50,
-            || "unmarshal b=36".into(),
-        );
-        tracer.finish(call, 100);
+        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane};
+        let tracer = enabled_tracer(64);
+        let call = span(&tracer, Lane::Untrusted, "rmi", None, (0, 100), "Account.relay$get");
+        span(&tracer, Lane::Untrusted, "serde", call, (10, 30), "marshal:fast b=64");
+        span(&tracer, Lane::Untrusted, "serde", call, (40, 50), "unmarshal b=36");
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         let report = render_trace_report(&parsed, 3);
         assert!(report.contains("serde B"), "{report}");
@@ -859,15 +906,11 @@ mod tests {
 
     #[test]
     fn trace_report_lists_equal_profile_totals_in_name_order() {
-        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Tracer};
-        let tracer = Tracer::new();
-        tracer.enable_with_capacity(64);
+        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane};
+        let tracer = enabled_tracer(64);
         let names = ["F.relay$f", "B.relay$b", "D.relay$d", "A.relay$a", "E.relay$e", "C.relay$c"];
         for (i, name) in (0u64..).zip(names) {
-            let call = tracer
-                .start(Lane::Untrusted, "rmi", None, || i * 1_000, || name.into())
-                .expect("tracing enabled");
-            tracer.finish(call, i * 1_000 + 500);
+            span(&tracer, Lane::Untrusted, "rmi", None, (i * 1_000, i * 1_000 + 500), name);
         }
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         let report = render_trace_report(&parsed, 0);
@@ -885,19 +928,19 @@ mod tests {
 
     #[test]
     fn advise_recommends_moving_a_crossing_dominated_class() {
-        use montsalvat::telemetry::trace::{Lane, Tracer};
-        let tracer = Tracer::new();
-        tracer.enable_with_capacity(1024);
+        use montsalvat::telemetry::trace::Lane;
+        let tracer = enabled_tracer(1024);
         for i in 0..16u64 {
             let t0 = i * 100_000;
-            let call = tracer
-                .start(Lane::Untrusted, "rmi", None, || t0, || "Account.relay$balance".into())
-                .expect("tracing enabled");
-            let ecall = tracer
-                .start(Lane::Trusted, "sgx", Some(call.context()), || t0, || "ecall:relay".into())
-                .expect("tracing enabled");
-            tracer.finish(ecall, t0 + 1_000);
-            tracer.finish(call, t0 + 2_000);
+            let call = span(
+                &tracer,
+                Lane::Untrusted,
+                "rmi",
+                None,
+                (t0, t0 + 2_000),
+                "Account.relay$balance",
+            );
+            span(&tracer, Lane::Trusted, "sgx", call, (t0, t0 + 1_000), "ecall:relay");
         }
         let dir = TestDir::new("advise-recommends-a-move");
         let trace_path = dir.write("trace.json", tracer.to_chrome_json(&[("rmi_calls", 16)]));
@@ -925,19 +968,13 @@ mod tests {
 
     #[test]
     fn advise_json_escapes_class_names_from_the_trace() {
-        use montsalvat::telemetry::trace::{Lane, Tracer};
-        let tracer = Tracer::new();
-        tracer.enable_with_capacity(1024);
+        use montsalvat::telemetry::trace::Lane;
+        let tracer = enabled_tracer(1024);
         for i in 0..16u64 {
             let t0 = i * 100_000;
-            let call = tracer
-                .start(Lane::Untrusted, "rmi", None, || t0, || "Ev\"il.relay$get".into())
-                .expect("tracing enabled");
-            let ecall = tracer
-                .start(Lane::Trusted, "sgx", Some(call.context()), || t0, || "ecall:relay".into())
-                .expect("tracing enabled");
-            tracer.finish(ecall, t0 + 1_000);
-            tracer.finish(call, t0 + 2_000);
+            let call =
+                span(&tracer, Lane::Untrusted, "rmi", None, (t0, t0 + 2_000), "Ev\"il.relay$get");
+            span(&tracer, Lane::Trusted, "sgx", call, (t0, t0 + 1_000), "ecall:relay");
         }
         let dir = TestDir::new("advise-json-escapes");
         let path = dir.write("quoted-class.json", tracer.to_chrome_json(&[]));

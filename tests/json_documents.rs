@@ -90,11 +90,11 @@ fn traced_bank_run() -> (String, String) {
 fn bank_run_exports_read_back_the_same_in_any_layout() {
     let (trace_json, telemetry_json) = traced_bank_run();
     let original = parse_chrome_trace(&trace_json).unwrap();
-    assert!(!original.events.is_empty(), "a traced run captures events");
+    assert!(!original.spans.is_empty(), "a traced run captures spans");
     assert!(original.other("rmi_calls").is_some_and(|n| n > 0), "{:?}", original.other);
     for copy in copies(&trace_json) {
         let parsed = parse_chrome_trace(&copy).unwrap();
-        assert_eq!(parsed.events, original.events);
+        assert_eq!(parsed.spans, original.spans);
         assert_eq!(parsed.other, original.other);
     }
 

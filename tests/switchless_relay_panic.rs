@@ -8,6 +8,8 @@
 //! `VmError::App("switchless relay Sink.relay$take panicked")`, the pin
 //! must be released as the body unwinds, the worker must serve the next
 //! call, and every crossing must still be one hit or one fallback.
+//! Traced, the panicking call's serve span is recorded once, as the
+//! body unwinds, under the caller's rmi span.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,6 +23,7 @@ use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat::core::transform::transform;
 use montsalvat::core::{Side, Trust, VmError};
 use montsalvat::runtime::value::Value;
+use montsalvat::telemetry::trace::{self, parse_chrome_trace, Tracer};
 use montsalvat::telemetry::Counter;
 
 /// Neutral `Point { x, y }` and `@Trusted Sink`, whose `take(p)`
@@ -63,8 +66,9 @@ fn sink_program() -> Program {
     Program::new(vec![point, sink, main], MethodRef::new("Main", "main")).unwrap()
 }
 
-#[test]
-fn a_panicking_relay_body_fails_typed_and_releases_its_argument_pins() {
+/// Launches the sink program with crossings on `switchless`, traced by
+/// `trace` when given.
+fn launch(switchless: SwitchlessConfig, trace: Option<Arc<Tracer>>) -> PartitionedApp {
     let tp = transform(&sink_program());
     let options = ImageOptions::with_entry_points(vec![
         MethodRef::new("Point", CTOR),
@@ -75,10 +79,16 @@ fn a_panicking_relay_body_fails_typed_and_releases_its_argument_pins() {
     let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
     let config = AppConfig {
         gc_helper_interval: None,
-        switchless: Some(SwitchlessConfig::default()),
+        switchless: Some(switchless),
+        trace,
         ..AppConfig::default()
     };
-    let app = PartitionedApp::launch(&t, &u, config).unwrap();
+    PartitionedApp::launch(&t, &u, config).unwrap()
+}
+
+/// Constructs a `Sink` and calls `take` twice: the first call panics
+/// and must fail typed with its pin released, the second is served.
+fn take_twice(app: &PartitionedApp) {
     let trusted_roots = || app.shared.world(Side::Trusted).isolate.with_heap(|h| h.root_count());
     app.enter_untrusted(|ctx| {
         let sink = ctx.new_object("Sink", &[])?;
@@ -100,5 +110,44 @@ fn a_panicking_relay_body_fails_typed_and_releases_its_argument_pins() {
     let fallbacks = recorder.counter(Counter::SwitchlessFallbacks);
     assert_eq!(calls, 3, "the constructor and both takes crossed");
     assert_eq!(calls, hits + fallbacks, "rmi.calls == hits + fallbacks");
+}
+
+#[test]
+fn a_panicking_relay_body_fails_typed_and_releases_its_argument_pins() {
+    let app = launch(SwitchlessConfig::default(), None);
+    take_twice(&app);
     app.shutdown();
+}
+
+#[test]
+fn a_panicking_relay_records_its_serve_span_once_under_the_callers_rmi_span() {
+    let tracer = Tracer::new();
+    tracer.enable_with_capacity(1024);
+    let app = launch(SwitchlessConfig::fixed(1), Some(Arc::clone(&tracer)));
+    take_twice(&app);
+    let calls = app.telemetry().counter(Counter::RmiCalls);
+    app.shutdown();
+    assert!(trace::current().is_none(), "no context outlives the calls");
+
+    let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
+    assert_eq!(parsed.other("dropped"), Some(0));
+    let spans = &parsed.spans;
+    let rmi: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].cat == "rmi").collect();
+    assert_eq!(rmi.len() as u64, calls, "one rmi span per rmi.calls");
+    let mut takes: Vec<usize> =
+        rmi.into_iter().filter(|&i| spans[i].name == "Sink.relay$take").collect();
+    takes.sort_by_key(|&i| spans[i].begin.model_ns);
+    assert_eq!(takes.len(), 2);
+    // The first take is the one that panicked.
+    for (take, what) in takes.into_iter().zip(["the panicking", "the served"]) {
+        let serves: Vec<&_> = spans
+            .iter()
+            .filter(|s| s.name == "serve:Sink.relay$take" && s.parent == Some(take))
+            .collect();
+        assert_eq!(serves.len(), 1, "{what} take's serve span is recorded exactly once");
+        assert_eq!(serves[0].parent_id, spans[take].id, "{what} serve parents under its rmi span");
+        assert_eq!(serves[0].tid, spans[take].tid);
+    }
+    let all_serves = spans.iter().filter(|s| s.name == "serve:Sink.relay$take").count();
+    assert_eq!(all_serves, 2, "no serve span is recorded twice");
 }

@@ -1,13 +1,14 @@
 //! End-to-end causal-tracing integration: a partitioned run with an
 //! injected tracer produces one connected call tree per crossing — an
 //! ecall span on the trusted lane with nested shim-ocall children on
-//! the untrusted lane — exports as balanced Chrome trace-event JSON,
-//! and reconciles against telemetry (`rmi.calls` == traced rmi spans
-//! when nothing was dropped). Every traced transition names an edge
-//! routine the EDL declares. A further test pins the overflow path:
-//! a tiny ring counts drops into `trace.dropped` without corrupting
-//! the capture.
+//! the untrusted lane — exports each span once, as one complete Chrome
+//! trace event, and reconciles against telemetry (`rmi.calls` ==
+//! traced rmi spans when nothing was dropped). Every traced transition
+//! names an edge routine the EDL declares. A further test pins the
+//! overflow path: a tiny ring keeps whole spans and counts the rest
+//! into `trace.dropped`.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
@@ -15,7 +16,7 @@ use montsalvat::core::exec::switchless::SwitchlessConfig;
 use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat::core::samples::bank_program;
 use montsalvat::core::transform::transform;
-use montsalvat::telemetry::trace::{self, parse_chrome_trace, Tracer};
+use montsalvat::telemetry::trace::{self, parse_chrome_trace, ParsedSpan, Tracer};
 use montsalvat::telemetry::{Counter, Gauge, Hist, Recorder};
 
 /// Launches the bank sample with an injected recorder and tracer, runs
@@ -50,57 +51,59 @@ fn crossing_produces_one_connected_tree_across_both_lanes() {
     app.shutdown();
 
     let parsed = parse_chrome_trace(&json).unwrap();
-    assert!(!parsed.events.is_empty(), "a traced run captures events");
+    assert!(!parsed.spans.is_empty(), "a traced run captures spans");
     assert_eq!(parsed.other("dropped"), Some(0), "nothing dropped at this capacity");
 
-    // Balanced: every Begin has its End.
-    let begins = parsed.events.iter().filter(|e| e.ph == 'B').count();
-    let ends = parsed.events.iter().filter(|e| e.ph == 'E').count();
-    assert_eq!(begins, ends, "B/E balanced after export");
+    // One complete event per span: the export holds exactly the
+    // captured events, and no span is recorded twice.
+    let events = tracer.snapshot_events();
+    assert_eq!(parsed.other("events"), Some(events.len() as u64));
+    assert_eq!(parsed.spans.len(), events.iter().filter(|e| e.end.is_some()).count());
+    let ids: HashSet<u64> = parsed.spans.iter().map(|s| s.id).collect();
+    assert_eq!(ids.len(), parsed.spans.len(), "each span is recorded once");
 
     // Both runtimes show up as their own lane (Perfetto "process").
-    assert!(parsed.events.iter().any(|e| e.pid == 1), "trusted lane present");
-    assert!(parsed.events.iter().any(|e| e.pid == 2), "untrusted lane present");
+    assert!(parsed.spans.iter().any(|s| s.pid == 1), "trusted lane present");
+    assert!(parsed.spans.iter().any(|s| s.pid == 2), "untrusted lane present");
 
     // The nested-crossing shape: an ecall span on the trusted lane
     // whose direct child is a shim ocall span on the untrusted lane,
     // in the same trace (= one connected tree).
-    let ecalls: Vec<_> = parsed
-        .events
-        .iter()
-        .filter(|e| e.ph == 'B' && e.pid == 1 && e.cat == "sgx" && e.name.starts_with("ecall:"))
-        .collect();
-    assert!(!ecalls.is_empty(), "the run performs ecalls");
-    let nested_ocall = parsed.events.iter().any(|e| {
-        e.ph == 'B'
-            && e.pid == 2
-            && e.name.starts_with("ocall:")
-            && ecalls.iter().any(|ec| ec.span == e.parent && ec.tid == e.tid)
+    let is_ecall = |s: &ParsedSpan| s.pid == 1 && s.cat == "sgx" && s.name.starts_with("ecall:");
+    assert!(parsed.spans.iter().any(is_ecall), "the run performs ecalls");
+    let nested_ocall = parsed.spans.iter().any(|s| {
+        s.pid == 2
+            && s.name.starts_with("ocall:")
+            && s.parent.is_some_and(|p| is_ecall(&parsed.spans[p]) && parsed.spans[p].tid == s.tid)
     });
     assert!(nested_ocall, "an ecall span contains an opposite-lane ocall child");
 
     // Shim-relayed I/O is categorised separately from raw transitions.
     assert!(
-        parsed.events.iter().any(|e| e.cat == "shim" && e.name.starts_with("ocall:shim_")),
+        parsed.spans.iter().any(|s| s.cat == "shim" && s.name.starts_with("ocall:shim_")),
         "shim relays are traced under cat \"shim\""
     );
 
     // Reconciliation: one cat-"rmi" span per cross_call, so telemetry
     // and the trace agree exactly in the no-drop regime.
-    let rmi_spans = parsed.events.iter().filter(|e| e.ph == 'B' && e.cat == "rmi").count() as u64;
+    let rmi_spans = parsed.spans.iter().filter(|s| s.cat == "rmi").count() as u64;
     assert!(rmi_calls > 0, "the bank app performs proxy calls");
     assert_eq!(rmi_spans, rmi_calls, "rmi.calls == traced rmi spans + 0 dropped");
     assert_eq!(parsed.other("rmi_calls"), Some(rmi_calls), "otherData carries the counter");
 
-    // Every parent pointer resolves to a span in the same trace.
-    for e in parsed.events.iter().filter(|e| e.ph == 'B' && e.parent != 0) {
+    // Every parent pointer resolves to a span in the same trace, which
+    // encloses its child in model time.
+    for s in parsed.spans.iter().filter(|s| s.parent_id != 0) {
+        let parent = s.parent.map(|p| &parsed.spans[p]);
         assert!(
-            parsed.events.iter().any(|p| p.ph == 'B' && p.span == e.parent && p.tid == e.tid),
+            parent.is_some_and(|p| p.tid == s.tid),
             "parent {} of span {} resolves within trace {}",
-            e.parent,
-            e.span,
-            e.tid
+            s.parent_id,
+            s.id,
+            s.tid
         );
+        let parent = parent.unwrap();
+        assert!(parent.begin.model_ns <= s.begin.model_ns && s.end.model_ns <= parent.end.model_ns);
     }
 
     // Instrumentation never leaks a context past the crossing.
@@ -124,10 +127,10 @@ fn every_traced_transition_names_an_edl_routine() {
     let edl = transform(&bank_program()).edl;
     let parsed = parse_chrome_trace(&json).unwrap();
     let routines: Vec<&str> = parsed
-        .events
+        .spans
         .iter()
-        .filter(|e| e.ph == 'B' && e.cat == "sgx")
-        .filter_map(|e| e.name.strip_prefix("ecall:").or_else(|| e.name.strip_prefix("ocall:")))
+        .filter(|s| s.cat == "sgx")
+        .filter_map(|s| s.name.strip_prefix("ecall:").or_else(|| s.name.strip_prefix("ocall:")))
         .collect();
     assert!(
         routines.iter().any(|r| r.starts_with("ecall_relay_")),
@@ -141,7 +144,7 @@ fn every_traced_transition_names_an_edl_routine() {
 /// Regression: trace/telemetry reconciliation must survive the
 /// switchless pool resizing itself mid-run. A hair-trigger miss engine
 /// (one miss spawns a worker) is driven until it scales up; afterwards
-/// the capture must still balance, `rmi.calls` must still equal the
+/// every span must be recorded once, `rmi.calls` must still equal the
 /// traced rmi spans (nothing dropped at this capacity), every traced
 /// hit must have recorded exactly one queue-wait histogram sample and
 /// one cat-`queue` wait span, and the pool must have stayed within its
@@ -201,22 +204,21 @@ fn resizing_run_keeps_trace_and_telemetry_reconciled() {
 
     let parsed = parse_chrome_trace(&json).unwrap();
     assert_eq!(parsed.other("dropped"), Some(0), "nothing dropped at this capacity");
-    let begins = parsed.events.iter().filter(|e| e.ph == 'B').count();
-    let ends = parsed.events.iter().filter(|e| e.ph == 'E').count();
-    assert_eq!(begins, ends, "B/E balanced under live resizing");
+    let ids: HashSet<u64> = parsed.spans.iter().map(|s| s.id).collect();
+    assert_eq!(ids.len(), parsed.spans.len(), "each span is recorded once under live resizing");
 
     // Crossing accounting under active resizing.
     assert_eq!(rmi_calls, hits + fallbacks, "every crossing is one hit or one fallback");
-    let rmi_spans = parsed.events.iter().filter(|e| e.ph == 'B' && e.cat == "rmi").count() as u64;
+    let rmi_spans = parsed.spans.iter().filter(|s| s.cat == "rmi").count() as u64;
     assert_eq!(rmi_spans, rmi_calls, "rmi.calls == traced rmi spans");
 
     // Queue-wait reconciliation: one histogram sample and one
     // cat-`queue` wait span per traced hit.
     assert_eq!(snap.hist(Hist::SwitchlessQueueWaitNs).count, hits);
     let wait_spans = parsed
-        .events
+        .spans
         .iter()
-        .filter(|e| e.ph == 'B' && e.cat == "queue" && e.name.starts_with("queue-wait:"))
+        .filter(|s| s.cat == "queue" && s.name.starts_with("queue-wait:"))
         .count() as u64;
     assert_eq!(wait_spans, hits, "one queue-wait span per switchless hit");
 
@@ -231,6 +233,7 @@ fn ring_overflow_counts_drops_without_corrupting_the_capture() {
     // The minimum capacity: the bank run emits far more events/lane.
     tracer.enable_with_capacity(8);
     let (app, recorder) = traced_run(&tracer);
+    let rmi_calls = recorder.counter(Counter::RmiCalls);
     app.shutdown();
 
     assert!(tracer.dropped() > 0, "a full ring counts drops");
@@ -239,15 +242,19 @@ fn ring_overflow_counts_drops_without_corrupting_the_capture() {
         tracer.dropped(),
         "drops mirror into the telemetry counter"
     );
-    assert!(tracer.event_count() <= 16, "fill-then-drop never exceeds capacity");
+    assert_eq!(tracer.event_count(), 16, "fill-then-drop fills both rings, never more");
 
-    // The truncated capture still exports as well-formed, balanced
-    // Chrome JSON (missing ends are synthesized at export).
+    // The truncated capture exports whole spans only: a span that
+    // ended after its lane filled is dropped whole (its children may
+    // remain, with no parent in the capture), and nothing is made up.
     let json = tracer.to_chrome_json(&[]);
     let parsed = parse_chrome_trace(&json).unwrap();
-    assert!(!parsed.events.is_empty(), "the prefix of the run is retained");
-    let begins = parsed.events.iter().filter(|e| e.ph == 'B').count();
-    let ends = parsed.events.iter().filter(|e| e.ph == 'E').count();
-    assert_eq!(begins, ends, "export re-balances a truncated capture");
+    assert!(!parsed.spans.is_empty(), "the prefix of the run is retained");
+    assert!(parsed.spans.len() <= 16);
     assert_eq!(parsed.other("dropped"), Some(tracer.dropped()));
+    let rmi_spans = parsed.spans.iter().filter(|s| s.cat == "rmi").count() as u64;
+    assert!(
+        rmi_spans <= rmi_calls && rmi_calls <= rmi_spans + tracer.dropped(),
+        "rmi spans {rmi_spans} <= rmi.calls {rmi_calls} <= rmi spans + dropped"
+    );
 }
